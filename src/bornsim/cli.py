@@ -5,7 +5,8 @@
     bornsim presets
 
 Exit codes: 0 success, 1 verify property failure, 2 parse/usage error,
-3 numerical invariant violation.
+3 numerical invariant violation (including a dense-oracle request above
+pointer.ORACLE_MAX_DIM composite dimensions).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .measurement import (
 )
 from .observables import embed_observable
 from .pointer import (
+    SCHEME_AGREEMENT_TOL,
     brute_force_joint,
     one_pointer_setup,
     projection_equivalence_report,
@@ -177,8 +179,8 @@ def _check_pointer(trials: int, dims_limit: int, seed: int) -> list[Check]:
     )
     return [
         mk("projection_equivalence", worst_equiv, arg_equiv, 1e-10),
-        mk("scheme_agreement", worst_pair, arg_pair, 1e-12),
-        mk("oracle_agreement", worst_oracle, arg_oracle, 1e-12),
+        mk("scheme_agreement", worst_pair, arg_pair, SCHEME_AGREEMENT_TOL),
+        mk("oracle_agreement", worst_oracle, arg_oracle, SCHEME_AGREEMENT_TOL),
     ]
 
 

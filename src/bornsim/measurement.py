@@ -89,8 +89,10 @@ def branch_weights(state: StateVector, obs: Observable) -> np.ndarray:
 
 def _transform_weights(weights: np.ndarray, rule: ProbabilityRule) -> np.ndarray:
     w = np.clip(weights, 0.0, None)
-    if rule.exponent != 1.0:
-        w = w**rule.exponent
+    if rule.exponent != 1.0 and w.max() > 0.0:
+        # Scale the largest weight to 1 first, so w**q cannot underflow to an
+        # all-zero vector (or overflow) for large exponents.
+        w = (w / w.max()) ** rule.exponent
     total = float(w.sum())
     if total <= 0.0:
         raise InvalidInputError("all branch weights vanish")

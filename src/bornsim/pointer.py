@@ -12,6 +12,17 @@ in the computational basis realizes the measurement without any direct
 reference to a collapse rule.  The joint statistics reproduce the projection
 postulate: p(j|i) equals the Born distribution of the second observable on
 the collapsed state P_i psi / ||P_i psi||.
+
+Because every pointer starts in |0> and each shift moves it by less than the
+register size, the final states are exactly
+
+    U_B U_A psi (x) |0> (x) |0> = sum_ij R_j P_i psi (x) |i> (x) |j>
+    U_A psi (x) |0>             = sum_i  P_i psi (x) |i>
+
+run_two_pointer and run_one_pointer evaluate these by contraction with the
+stacked branch projectors, in O(d*n*m) memory.  The dense (d*n*m)^2 unitaries
+built by shift_unitary_a/b serve only the brute-force oracle, and are capped
+at ORACLE_MAX_DIM composite dimensions.
 """
 
 from __future__ import annotations
@@ -39,6 +50,9 @@ Mode = Literal["two_pointer", "one_pointer"]
 
 # The two scheme variants and the brute-force readout must agree this tightly.
 SCHEME_AGREEMENT_TOL = 1e-12
+# Largest composite dimension for which the oracle builds a dense shift
+# unitary: 4096**2 complex entries, about 268 MB per matrix.
+ORACLE_MAX_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -158,18 +172,28 @@ def _cyclic_shift(size: int, amount: int) -> np.ndarray:
     return s
 
 
+def _check_oracle_dims(dims: tuple[int, ...]) -> None:
+    dim = prod(dims)
+    if dim > ORACLE_MAX_DIM:
+        raise InvalidInputError(
+            f"composite dimension {dim} {dims} exceeds the dense oracle cap "
+            f"{ORACLE_MAX_DIM}"
+        )
+
+
 def shift_unitary_a(setup: PointerSchemeSetup) -> Operator:
     """Coupling of the first observable to pointer-1, conditioned shift by i."""
     n = setup.n_pointer1
+    dims = setup.small_state.dims + (n,)
+    if setup.mode == TWO_POINTER:
+        dims += (setup.m_pointer2,)
+    _check_oracle_dims(dims)
     blocks = sum(
         np.kron(p.entries, _cyclic_shift(n, i))
         for i, p in enumerate(setup.obs_a.projectors)
     )
     if setup.mode == TWO_POINTER:
         blocks = np.kron(blocks, np.eye(setup.m_pointer2))
-        dims = setup.small_state.dims + (n, setup.m_pointer2)
-    else:
-        dims = setup.small_state.dims + (n,)
     return Operator(dims, blocks)
 
 
@@ -178,11 +202,13 @@ def shift_unitary_b(setup: PointerSchemeSetup) -> Operator:
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("no second pointer register in one-pointer mode")
     n, m = setup.n_pointer1, setup.m_pointer2
+    dims = setup.small_state.dims + (n, m)
+    _check_oracle_dims(dims)
     blocks = sum(
         np.kron(np.kron(r.entries, np.eye(n)), _cyclic_shift(m, j))
         for j, r in enumerate(setup.obs_b.projectors)
     )
-    return Operator(setup.small_state.dims + (n, m), blocks)
+    return Operator(dims, blocks)
 
 
 def _joint_from_cells(cells: np.ndarray, residual: float) -> JointDistribution:
@@ -193,22 +219,28 @@ def _joint_from_cells(cells: np.ndarray, residual: float) -> JointDistribution:
     return JointDistribution(cells)
 
 
+def _stacked(obs: Observable) -> np.ndarray:
+    # Projector matrices stacked along axis 0, in branch order.
+    return np.stack([p.entries for p in obs.projectors])
+
+
 def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
     """Evolve psi0 (x) |0> (x) |0> through U_B U_A and read both pointers.
 
-    Returns the final composite state and the joint distribution over
-    (first-observable branch, second-observable branch).
+    The final state sum_ij R_j P_i psi0 (x) |i> (x) |j> is contracted from
+    the stacked projectors without building U_A or U_B.  Returns it and the
+    joint distribution over (first-observable branch, second-observable
+    branch).
     """
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("setup is not in two-pointer mode")
     n, m = setup.n_pointer1, setup.m_pointer2
-    start = tensor([setup.small_state, basis_state(n, 0), basis_state(m, 0)])
-    u_a = shift_unitary_a(setup)
-    u_b = shift_unitary_b(setup)
-    final = StateVector(start.dims, u_b.entries @ (u_a.entries @ start.amps))
     na, nb = setup.obs_a.branch_count, setup.obs_b.branch_count
-    mass = np.abs(final.amps.reshape(setup.small_state.dim, n, m)) ** 2
-    cells = mass.sum(axis=0)
+    tagged = _stacked(setup.obs_a) @ setup.small_state.amps  # row i is P_i psi0
+    amps = np.zeros((setup.small_state.dim, n, m), dtype=complex)
+    amps[:, :na, :nb] = np.einsum("jab,ib->aij", _stacked(setup.obs_b), tagged)
+    final = StateVector(setup.small_state.dims + (n, m), amps)
+    cells = (np.abs(amps) ** 2).sum(axis=0)
     joint = _joint_from_cells(cells[:na, :nb], float(cells.sum() - cells[:na, :nb].sum()))
     return final, joint
 
@@ -216,20 +248,20 @@ def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistri
 def run_one_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
     """Evolve psi0 (x) |0> through U_A, then measure obs_b on the system directly.
 
+    The final state sum_i P_i psi0 (x) |i> is written without building U_A.
     The joint cell (i, j) is ||R_j P_i psi0||^2, read off the pointer-tagged
     system blocks of the final state.
     """
     if setup.mode != ONE_POINTER:
         raise InvalidInputError("setup is not in one-pointer mode")
     n = setup.n_pointer1
-    start = tensor([setup.small_state, basis_state(n, 0)])
-    u_a = shift_unitary_a(setup)
-    final = StateVector(start.dims, u_a.entries @ start.amps)
     na, nb = setup.obs_a.branch_count, setup.obs_b.branch_count
-    blocks = final.amps.reshape(setup.small_state.dim, n)
+    blocks = np.zeros((setup.small_state.dim, n), dtype=complex)
+    blocks[:, :na] = (_stacked(setup.obs_a) @ setup.small_state.amps).T
+    final = StateVector(setup.small_state.dims + (n,), blocks)
     cells = np.zeros((na, nb))
     for i in range(na):
-        tagged = blocks[:, i]  # equals P_i psi0 by construction
+        tagged = blocks[:, i]  # P_i psi0
         for j, r in enumerate(setup.obs_b.projectors):
             cells[i, j] = float(np.linalg.norm(r.entries @ tagged) ** 2)
     residual = float((np.abs(blocks) ** 2).sum() - cells.sum())
@@ -282,10 +314,11 @@ def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
 def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
     """Joint distribution by exhaustive enumeration of composite basis outcomes.
 
-    Walks every basis state of the final two-pointer state, computes its Born
-    probability, and bins it by the two pointer positions.  Deliberately
-    independent of the block-norm readout in run_two_pointer; kept as an
-    oracle for cross-checking.
+    Evolves the start state through the dense U_B U_A, walks every basis state
+    of the result, computes its Born probability, and bins it by the two
+    pointer positions.  Deliberately independent of both the contraction and
+    the block-norm readout in run_two_pointer; kept as an oracle for
+    cross-checking.  Raises InvalidInputError above ORACLE_MAX_DIM.
     """
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("brute force readout needs a two-pointer setup")

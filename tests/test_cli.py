@@ -133,6 +133,43 @@ def test_non_hermitian_matrix_is_invariant_violation(tmp_path, capsys):
     assert "invariant violation [NotHermitianError]" in err
 
 
+def test_large_exponent_does_not_underflow(tmp_path, capsys):
+    # 0.36**2000 and 0.64**2000 both underflow to 0 unless the weights are
+    # rescaled before the exponent is applied.
+    path = tmp_path / "q2000.scn"
+    path.write_text(
+        "kind = telepathy\n"
+        "state = asymmetric(0.36)\n"
+        "obs_a = sigma_z\n"
+        "obs_b = sigma_z\n"
+        "rule = nonborn_exponent\n"
+        "q = 2000\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "records")
+    assert code == 0 and err == ""
+    lines = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert lines["p_without_alice.0"] == "1"
+    assert lines["signaling_gap"] == "0.36"
+
+
+def test_oversized_oracle_is_invariant_violation(tmp_path, capsys):
+    # Composite dimension 2*120*120 = 28800: the dense oracle unitaries would
+    # need about 13 GB each, so the oracle refuses before allocating.
+    path = tmp_path / "huge.scn"
+    path.write_text(
+        "kind = two_pointer\n"
+        "state = plus\n"
+        "obs_a = sigma_z\n"
+        "obs_b = sigma_x\n"
+        "pointer1_size = 120\n"
+        "pointer2_size = 120\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 3 and out == ""
+    assert "invariant violation [InvalidInputError]" in err
+    assert "28800" in err and "4096" in err
+
+
 @pytest.mark.parametrize(
     "body",
     [

@@ -28,6 +28,7 @@ from bornsim import (
     state_preparation_unitaries,
     von_neumann_entropy,
 )
+from bornsim.measurement import _transform_weights
 from bornsim.rand import random_observable, random_state, random_unitary
 
 SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
@@ -102,6 +103,23 @@ def test_rule_probabilities_normalized(seed, q):
     dist = rule_probabilities(nonborn_exponent(q), state, obs)
     assert abs(float(dist.probs.sum()) - 1.0) < 1e-12
     assert float(dist.probs.min()) >= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.just(0.0) | st.floats(1e-300, 1.0), min_size=1, max_size=8).filter(
+        lambda ws: max(ws) > 0.0
+    ),
+    st.floats(1e-3, 1e4),
+)
+def test_transformed_weights_survive_extreme_exponents(weights, q):
+    # Raising raw weights to q underflows to all zeros for tiny weights or
+    # large q; the rule must still return a distribution with the same mode.
+    w = np.array(weights)
+    probs = _transform_weights(w, nonborn_exponent(q))
+    assert np.all(np.isfinite(probs))
+    assert abs(float(probs.sum()) - 1.0) < 1e-12
+    assert probs[np.argmax(w)] == probs.max()
 
 
 def test_dims_mismatch_rejected():

@@ -23,7 +23,7 @@ from bornsim import (
     two_pointer_setup,
 )
 from bornsim.core import density_from_pure
-from bornsim.rand import random_observable, random_state
+from bornsim.rand import random_observable, random_state, random_unitary
 
 SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
 SIGMA_X = observable_from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -168,6 +168,58 @@ def test_oversized_pointer_registers():
     np.testing.assert_allclose(joint.probs, 0.25 * np.ones((2, 2)), atol=1e-14)
     oracle = brute_force_joint(setup)
     np.testing.assert_allclose(oracle.probs, joint.probs, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_contraction_matches_dense_unitaries(d):
+    # The run functions never build U_A or U_B; the dense oracle unitaries
+    # must still produce the same final states, including degenerate
+    # observables and registers larger than the branch counts.
+    rng = np.random.default_rng([7, d])
+    for degenerate in (False, True) if d >= 3 else (False,):
+        for extra in (0, 2):
+            state, obs_a, obs_b = _random_pair(rng, d, degenerate=degenerate)
+            n, m = obs_a.branch_count + extra, obs_b.branch_count + 2 * extra
+            two = two_pointer_setup(state, obs_a, obs_b, n, m)
+            start = tensor([state, basis_state(n, 0), basis_state(m, 0)])
+            dense = shift_unitary_b(two).entries @ (
+                shift_unitary_a(two).entries @ start.amps
+            )
+            final, _ = run_two_pointer(two)
+            assert final.dims == (d, n, m)
+            np.testing.assert_allclose(final.amps, dense, rtol=0, atol=1e-13)
+            one = one_pointer_setup(state, obs_a, obs_b, n)
+            start = tensor([state, basis_state(n, 0)])
+            final, _ = run_one_pointer(one)
+            assert final.dims == (d, n)
+            np.testing.assert_allclose(
+                final.amps, shift_unitary_a(one).entries @ start.amps, rtol=0, atol=1e-13
+            )
+
+
+def test_large_dimension_runs_without_dense_oracle():
+    # d=24 with 24 branches per observable: composite dimension 13824, where a
+    # dense shift unitary would need about 3 GB.
+    rng = np.random.default_rng(24)
+    state = random_state(rng, (24,))
+    obs_a, obs_b = (
+        observable_from_matrix(u @ np.diag(np.arange(24.0)) @ u.conj().T)
+        for u in (random_unitary(rng, 24), random_unitary(rng, 24))
+    )
+    assert obs_a.branch_count == obs_b.branch_count == 24
+    two = two_pointer_setup(state, obs_a, obs_b)
+    for oracle_step in (shift_unitary_a, shift_unitary_b, brute_force_joint):
+        with pytest.raises(InvalidInputError, match="13824 .* oracle cap 4096"):
+            oracle_step(two)
+    final, joint_two = run_two_pointer(two)
+    assert final.dim == 13824
+    _, joint_one = run_one_pointer(one_pointer_setup(state, obs_a, obs_b))
+    tagged = [p.entries @ state.amps for p in obs_a.projectors]
+    expected = np.array(
+        [[np.linalg.norm(r.entries @ v) ** 2 for r in obs_b.projectors] for v in tagged]
+    )
+    for joint in (joint_two, joint_one):
+        assert float(np.max(np.abs(joint.probs - expected))) < 1e-12
 
 
 class TestConditionals:
