@@ -97,9 +97,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.dims, self.entries.conj().T)
-
     def is_hermitian(self, tol: float = HERM_TOL) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
 
@@ -201,23 +198,6 @@ def tensor(factors: Sequence[StateVector]) -> StateVector:
         amps = np.kron(amps, f.amps)
         dims = dims + f.dims
     return StateVector(dims, amps)
-
-
-def tensor_operators(factors: Sequence[Operator]) -> Operator:
-    """Tensor product of operators, same ordering convention as tensor()."""
-    if not factors:
-        raise InvalidInputError("tensor of zero factors")
-    entries = factors[0].entries
-    dims: tuple[int, ...] = factors[0].dims
-    for f in factors[1:]:
-        entries = np.kron(entries, f.entries)
-        dims = dims + f.dims
-    return Operator(dims, entries)
-
-
-def identity_operator(dims) -> Operator:
-    dims = _check_dims(dims)
-    return Operator(dims, np.eye(prod(dims), dtype=complex))
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

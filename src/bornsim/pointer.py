@@ -22,7 +22,8 @@ register size, the final states are exactly
 run_two_pointer and run_one_pointer evaluate these by contraction with the
 stacked branch projectors, in O(d*n*m) memory.  The dense (d*n*m)^2 unitaries
 built by shift_unitary_a/b serve only the brute-force oracle, and are capped
-at ORACLE_MAX_DIM composite dimensions.
+at ORACLE_MAX_DIM composite dimensions.  A setup whose contraction state
+would exceed POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ SCHEME_AGREEMENT_TOL = 1e-12
 # Largest composite dimension for which the oracle builds a dense shift
 # unitary: 4096**2 complex entries, about 268 MB per matrix.
 ORACLE_MAX_DIM = 4096
+# Largest contraction state run_two_pointer/run_one_pointer will allocate:
+# d*n*m (or d*n) complex amplitudes, 2**24 of them is about 268 MB.
+POINTER_STATE_MAX_AMPS = 2**24
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,12 @@ class PointerSchemeSetup:
             object.__setattr__(self, "m_pointer2", m)
         elif self.m_pointer2 is not None:
             raise InvalidInputError("one-pointer mode takes no m_pointer2")
+        amps = self.small_state.dim * n * (self.m_pointer2 or 1)
+        if amps > POINTER_STATE_MAX_AMPS:
+            raise InvalidInputError(
+                f"pointer state of {amps} amplitudes exceeds the cap "
+                f"{POINTER_STATE_MAX_AMPS}"
+            )
 
 
 def two_pointer_setup(

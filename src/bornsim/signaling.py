@@ -2,13 +2,21 @@
 
 Alice holds subsystem 0 and either measures her observable or does nothing;
 Bob holds subsystem 1 and measures his observable, assigning outcome
-probabilities with a configurable rule.  If Alice measured, the global state
-is replaced by the exact proper mixture of her collapsed branches with Born
-weights; Bob's statistics are then the weighted mixture over that ensemble.
-The signaling gap is the total variation distance between Bob's two arms.
-Under the Born rule the gap vanishes identically (no signaling); rules with
-any other exponent produce a nonzero gap on suitable entangled states, which
-is what makes them operationally inadmissible.
+probabilities with a configurable rule.  Reshaping psi to the d0 x d1
+amplitude matrix M, every statistic of the bench follows from the cell
+weights
+
+    W[i, j] = ||(P_i (x) R_j) psi||^2 = ||P_i M R_j^T||^2
+
+of Alice's projectors P_i and Bob's projectors R_j.  Without Alice, Bob's
+rule acts on his Born weights W.sum(axis=0).  If Alice measured, the state is
+the proper mixture of her collapsed branches: branch i has Born weight
+W[i].sum() and Bob's rule acts on row W[i] (the rule is scale invariant), so
+his arm is the weighted mixture of the per-row distributions.  The signaling
+gap is the total variation distance between Bob's two arms.  Under the Born
+rule the gap vanishes identically (no signaling); rules with any other
+exponent produce a nonzero gap on suitable entangled states, which is what
+makes them operationally inadmissible.
 """
 
 from __future__ import annotations
@@ -19,15 +27,8 @@ import numpy as np
 
 from .core import OutcomeDistribution, StateVector, tv_distance
 from .errors import InvalidInputError
-from .measurement import (
-    BORN,
-    ZERO_PROB_CUTOFF,
-    ProbabilityRule,
-    branch_weights,
-    project_update,
-    rule_probabilities,
-)
-from .observables import Observable, embed_observable
+from .measurement import BORN, ZERO_PROB_CUTOFF, ProbabilityRule, _transform_weights
+from .observables import Observable
 
 
 @dataclass(frozen=True)
@@ -56,33 +57,26 @@ class TelepathyScenario:
             )
 
 
-@dataclass(frozen=True)
-class Ensemble:
-    """Proper mixture: (weight, pure state) members with weights summing to 1."""
-
-    members: tuple[tuple[float, StateVector], ...]
-
-    def __post_init__(self):
-        members = tuple((float(w), s) for w, s in self.members)
-        if not members:
-            raise InvalidInputError("ensemble has no members")
-        weights = np.array([w for w, _ in members])
-        if np.min(weights) < -1e-12:
-            raise InvalidInputError(f"negative ensemble weight {weights.min()!r}")
-        if abs(float(weights.sum()) - 1.0) > 1e-10:
-            raise InvalidInputError(f"ensemble weights sum to {weights.sum()!r}")
-        dims = members[0][1].dims
-        if any(s.dims != dims for _, s in members):
-            raise InvalidInputError("ensemble members have mismatched dims")
-        object.__setattr__(self, "members", members)
+def _cell_weights(scenario: TelepathyScenario) -> np.ndarray:
+    # W[i, j] = ||P_i M R_j^T||^2, shape (Alice branches, Bob branches).
+    m = scenario.state.amps.reshape(scenario.state.dims)
+    tagged = np.stack([p.entries for p in scenario.alice_obs.projectors]) @ m
+    return np.stack(
+        [
+            (np.abs(tagged @ r.entries.T) ** 2).sum(axis=(1, 2))
+            for r in scenario.bob_obs.projectors
+        ],
+        axis=1,
+    )
 
 
-def _lifted_alice(scenario: TelepathyScenario) -> Observable:
-    return embed_observable(scenario.alice_obs, scenario.state.dims, 0)
-
-
-def _lifted_bob(scenario: TelepathyScenario) -> Observable:
-    return embed_observable(scenario.bob_obs, scenario.state.dims, 1)
+def _alice_branches(scenario: TelepathyScenario) -> tuple[np.ndarray, list[np.ndarray]]:
+    # Alice's live branch weights (renormalised) and Bob's rule on each branch.
+    cells = _cell_weights(scenario)
+    alice = cells.sum(axis=1)
+    live = alice > ZERO_PROB_CUTOFF
+    rows = [_transform_weights(row, scenario.bob_rule) for row in cells[live]]
+    return alice[live] / alice[live].sum(), rows
 
 
 def swap_parties(scenario: TelepathyScenario) -> TelepathyScenario:
@@ -97,37 +91,17 @@ def swap_parties(scenario: TelepathyScenario) -> TelepathyScenario:
     )
 
 
-def alice_measures(scenario: TelepathyScenario) -> Ensemble:
-    """Alice's Born measurement as an exact proper mixture of collapsed states.
-
-    Zero-weight branches are omitted; the surviving weights are the Born
-    probabilities of her lifted projectors on the global state.
-    """
-    lifted = _lifted_alice(scenario)
-    weights = branch_weights(scenario.state, lifted)
-    total = float(weights.sum())
-    members = []
-    for i, w in enumerate(weights):
-        if w <= ZERO_PROB_CUTOFF:
-            continue
-        members.append((float(w) / total, project_update(scenario.state, lifted, i)))
-    return Ensemble(tuple(members))
-
-
 def bob_distribution_with_alice(scenario: TelepathyScenario) -> OutcomeDistribution:
     """Bob's outcome distribution after Alice has measured (mixture semantics)."""
-    lifted = _lifted_bob(scenario)
-    ensemble = alice_measures(scenario)
-    nb = scenario.bob_obs.branch_count
-    mixed = np.zeros(nb)
-    for w, member in ensemble.members:
-        mixed += w * rule_probabilities(scenario.bob_rule, member, lifted).probs
-    return OutcomeDistribution(tuple(range(nb)), mixed)
+    weights, rows = _alice_branches(scenario)
+    mixed = sum(w * probs for w, probs in zip(weights, rows))
+    return OutcomeDistribution(tuple(range(scenario.bob_obs.branch_count)), mixed)
 
 
 def bob_distribution_without_alice(scenario: TelepathyScenario) -> OutcomeDistribution:
     """Bob's outcome distribution on the intact global state."""
-    return rule_probabilities(scenario.bob_rule, scenario.state, _lifted_bob(scenario))
+    probs = _transform_weights(_cell_weights(scenario).sum(axis=0), scenario.bob_rule)
+    return OutcomeDistribution(tuple(range(scenario.bob_obs.branch_count)), probs)
 
 
 def signaling_gap(scenario: TelepathyScenario) -> float:
@@ -156,16 +130,9 @@ def channel_simulation(
     nb = scenario.bob_obs.branch_count
     counts = np.zeros(nb, dtype=np.int64)
     if bit == 1:
-        lifted = _lifted_bob(scenario)
-        ensemble = alice_measures(scenario)
-        weights = np.array([w for w, _ in ensemble.members])
-        weights = weights / weights.sum()
-        per_member = [
-            rule_probabilities(scenario.bob_rule, member, lifted).probs
-            for _, member in ensemble.members
-        ]
+        weights, rows = _alice_branches(scenario)
         picks = rng.choice(len(weights), size=shots, p=weights)
-        for k, probs in enumerate(per_member):
+        for k, probs in enumerate(rows):
             n_k = int(np.count_nonzero(picks == k))
             if n_k == 0:
                 continue

@@ -170,6 +170,22 @@ def test_oversized_oracle_is_invariant_violation(tmp_path, capsys):
     assert "28800" in err and "4096" in err
 
 
+def test_oversized_pointer_state_is_invariant_violation(tmp_path, capsys):
+    # 2 * 10**8 amplitudes: the setup is refused before the state is allocated.
+    path = tmp_path / "long_pointer.scn"
+    path.write_text(
+        "kind = one_pointer\n"
+        "state = plus\n"
+        "obs_a = sigma_z\n"
+        "obs_b = sigma_x\n"
+        "pointer1_size = 100000000\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 3 and out == ""
+    assert "invariant violation [InvalidInputError]" in err
+    assert "200000000" in err and str(2**24) in err
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -212,6 +228,17 @@ def test_verify_small_run(capsys):
     assert "epr_reproduction" in out
     assert "FAIL" not in out
     assert "all 9 properties passed" in out
+
+
+def test_verify_runs_oracle_only_under_its_cap(capsys):
+    # Trial 6 at the default seed has d * na * nb = 24 * 13 * 15 = 4680 > 4096.
+    code, out, _ = run_cli(capsys, "verify", "--trials", "7", "--dims-limit", "24")
+    assert code == 0
+    assert "all 9 properties passed" in out
+    line = next(l for l in out.splitlines() if l.startswith("oracle_agreement"))
+    fields = dict(f.split("=", 1) for f in line.split() if "=" in f)
+    assert fields["trials"] == "7"
+    assert 0 < int(fields["oracle_trials"]) < 7
 
 
 def test_verify_rejects_bad_args(capsys):

@@ -23,6 +23,7 @@ from bornsim import (
     two_pointer_setup,
 )
 from bornsim.core import density_from_pure
+from bornsim.pointer import POINTER_STATE_MAX_AMPS
 from bornsim.rand import random_observable, random_state, random_unitary
 
 SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
@@ -263,6 +264,17 @@ class TestSetupValidation:
         obs3 = observable_from_matrix(np.diag([1.0, 2.0, 3.0]))
         with pytest.raises(InvalidInputError):
             two_pointer_setup(PLUS, obs3, SIGMA_X)
+
+    def test_state_size_cap(self):
+        # PLUS has d = 2, so n (* m) = 2**23 is exactly POINTER_STATE_MAX_AMPS;
+        # setups are checked on construction and never allocate a state here.
+        assert POINTER_STATE_MAX_AMPS == 2**24
+        one_pointer_setup(PLUS, SIGMA_Z, SIGMA_X, 2**23)
+        two_pointer_setup(PLUS, SIGMA_Z, SIGMA_X, 2**12, 2**11)
+        with pytest.raises(InvalidInputError, match="16777218 amplitudes"):
+            one_pointer_setup(PLUS, SIGMA_Z, SIGMA_X, 2**23 + 1)
+        with pytest.raises(InvalidInputError, match="exceeds the cap 16777216"):
+            two_pointer_setup(PLUS, SIGMA_Z, SIGMA_X, 2**12, 2**11 + 1)
 
     def test_mode_mismatch_at_run(self):
         one = one_pointer_setup(PLUS, SIGMA_Z, SIGMA_X)

@@ -3,23 +3,26 @@ import pytest
 
 from bornsim import (
     BORN,
-    Ensemble,
+    ZERO_PROB_CUTOFF,
     InvalidInputError,
-    StateVector,
     TelepathyScenario,
-    alice_measures,
     basis_state,
     bob_distribution_with_alice,
     bob_distribution_without_alice,
     channel_simulation,
+    embed_observable,
     nonborn_exponent,
+    observable_from_branches,
     observable_from_matrix,
+    project_update,
+    rule_probabilities,
     signaling_gap,
     swap_parties,
     tensor,
 )
 from bornsim.presets import observable_preset, state_preset
-from bornsim.rand import random_observable, random_state
+from bornsim.rand import random_observable, random_state, random_unitary
+from bornsim.signaling import _cell_weights
 
 SIGMA_Z = observable_preset("sigma_z")
 SIGMA_X = observable_from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -38,24 +41,111 @@ def _witness(q=2.0):
     return TelepathyScenario(WITNESS_STATE, SIGMA_Z, SIGMA_Z, nonborn_exponent(q))
 
 
-def test_bell_ensemble():
-    scenario = TelepathyScenario(BELL, SIGMA_Z, SIGMA_Z)
-    ensemble = alice_measures(scenario)
-    assert len(ensemble.members) == 2
-    w0, member0 = ensemble.members[0]
-    w1, member1 = ensemble.members[1]
-    assert w0 == pytest.approx(0.5, abs=1e-14)
-    assert w1 == pytest.approx(0.5, abs=1e-14)
-    # Branch 0 is Alice's eigenvalue -1, i.e. her second basis vector.
-    np.testing.assert_allclose(member0.amps, [0, 0, 0, 1], atol=1e-14)
-    np.testing.assert_allclose(member1.amps, [1, 0, 0, 0], atol=1e-14)
+def _lifted_reference_arms(scenario):
+    # Bob's two arms from composite-system operators: Alice's lifted
+    # projectors collapse the global state, Bob's lifted projectors are then
+    # read on each collapsed branch.
+    state, rule = scenario.state, scenario.bob_rule
+    lifted_a = embed_observable(scenario.alice_obs, state.dims, 0)
+    lifted_b = embed_observable(scenario.bob_obs, state.dims, 1)
+    with_alice = np.zeros(lifted_b.branch_count)
+    for i, w in enumerate(rule_probabilities(BORN, state, lifted_a).probs):
+        if w > ZERO_PROB_CUTOFF:
+            collapsed = project_update(state, lifted_a, i)
+            with_alice += w * rule_probabilities(rule, collapsed, lifted_b).probs
+    without_alice = rule_probabilities(rule, state, lifted_b).probs
+    return with_alice / with_alice.sum(), without_alice
 
 
-def test_zero_weight_branches_omitted():
+def _cell_reference_arms(cells, q):
+    # Bob's two arms from plain-numpy cell weights under the exponent-q rule.
+    def rule(w):
+        w = (w / w.max()) ** q
+        return w / w.sum()
+
+    alice = cells.sum(axis=1)
+    live = alice > ZERO_PROB_CUTOFF
+    with_alice = sum(
+        a * rule(row) for a, row in zip(alice[live] / alice[live].sum(), cells[live])
+    )
+    return with_alice, rule(cells.sum(axis=0))
+
+
+def _assert_arms(scenario, reference, tol):
+    with_alice, without_alice = reference
+    np.testing.assert_allclose(
+        bob_distribution_with_alice(scenario).probs, with_alice, rtol=0, atol=tol
+    )
+    np.testing.assert_allclose(
+        bob_distribution_without_alice(scenario).probs, without_alice, rtol=0, atol=tol
+    )
+    gap = 0.5 * float(np.abs(with_alice - without_alice).sum())
+    assert abs(signaling_gap(scenario) - gap) <= tol
+
+
+def test_arms_match_lifted_projector_reference():
+    for t in range(80):
+        rng = np.random.default_rng([17, t])
+        d0, d1 = (int(x) for x in rng.integers(2, 6, size=2))
+        scenario = TelepathyScenario(
+            random_state(rng, (d0, d1)),
+            random_observable(rng, (d0,), degenerate=(d0 >= 3 and t % 2 == 0)),
+            random_observable(rng, (d1,), degenerate=(d1 >= 3 and t % 3 == 0)),
+            nonborn_exponent((1.0, 2.0, 0.5, 30.0)[t % 4]),
+        )
+        for s in (scenario, swap_parties(scenario)):
+            _assert_arms(s, _lifted_reference_arms(s), 1e-12)
+
+
+def _ranked_observable(rng, d, rank):
+    basis = random_unitary(rng, d)
+    return observable_from_branches(
+        [
+            (float(i), basis[:, c : c + rank] @ basis[:, c : c + rank].conj().T)
+            for i, c in enumerate(range(0, d, rank))
+        ],
+        dims=(d,),
+    )
+
+
+def test_large_bipartite_state_matches_cell_weights():
+    # 64 x 64 with 32 two-dimensional branches per party; the lifted
+    # projectors would be 32 matrices of 4096 x 4096 per party.
+    rng = np.random.default_rng(64)
+    state = random_state(rng, (64, 64))
+    alice, bob = _ranked_observable(rng, 64, 2), _ranked_observable(rng, 64, 2)
+    born = TelepathyScenario(state, alice, bob, BORN)
+    assert signaling_gap(born) < 1e-12
+    assert signaling_gap(swap_parties(born)) < 1e-12
+    m = state.amps.reshape(64, 64)
+    cells = np.array(
+        [
+            [np.linalg.norm(p.entries @ m @ r.entries.T) ** 2 for r in bob.projectors]
+            for p in alice.projectors
+        ]
+    )
+    quadratic = TelepathyScenario(state, alice, bob, nonborn_exponent(2.0))
+    _assert_arms(quadratic, _cell_reference_arms(cells, 2.0), 1e-12)
+    _assert_arms(swap_parties(quadratic), _cell_reference_arms(cells.T, 2.0), 1e-12)
+
+
+def test_bell_cell_weights():
+    # Alice's branch 0 (eigenvalue -1, her |1>) pairs only with Bob's branch 0.
+    cells = _cell_weights(TelepathyScenario(BELL, SIGMA_Z, SIGMA_Z))
+    np.testing.assert_allclose(cells, [[0.5, 0.0], [0.0, 0.5]], atol=1e-14)
+
+
+def test_zero_weight_alice_row_is_skipped():
+    # On |0>|0> Alice's branch 0 (her |1>) has weight 0: its all-zero row of
+    # cell weights must be left out of the mixture, not normalised.
     state = tensor([basis_state(2, 0), basis_state(2, 0)])
-    ensemble = alice_measures(TelepathyScenario(state, SIGMA_Z, SIGMA_Z))
-    assert len(ensemble.members) == 1
-    assert ensemble.members[0][0] == pytest.approx(1.0)
+    scenario = TelepathyScenario(state, SIGMA_Z, SIGMA_Z, nonborn_exponent(2.0))
+    np.testing.assert_array_equal(_cell_weights(scenario), [[0.0, 0.0], [0.0, 1.0]])
+    assert bob_distribution_with_alice(scenario).probs.tolist() == [0.0, 1.0]
+    assert bob_distribution_without_alice(scenario).probs.tolist() == [0.0, 1.0]
+    assert signaling_gap(scenario) == 0.0
+    mc = channel_simulation(scenario, 1, 100, np.random.default_rng(0))
+    assert mc.probs.tolist() == [0.0, 1.0]
 
 
 def test_born_never_signals(rng):
@@ -85,6 +175,8 @@ def test_bell_pair_hides_quadratic_rule():
     # Symmetric weights (1/2, 1/2) are a fixed point of every exponent, so
     # even a non-Born Bob cannot see Alice on this state.
     scenario = TelepathyScenario(BELL, SIGMA_Z, SIGMA_Z, nonborn_exponent(2.0))
+    for arm in (bob_distribution_with_alice, bob_distribution_without_alice):
+        np.testing.assert_allclose(arm(scenario).probs, [0.5, 0.5], atol=1e-14)
     assert signaling_gap(scenario) < 1e-14
 
 
@@ -163,21 +255,3 @@ class TestScenarioValidation:
         obs3 = observable_from_matrix(np.diag([1.0, 2.0, 3.0]))
         with pytest.raises(InvalidInputError):
             TelepathyScenario(BELL, SIGMA_Z, obs3)
-
-
-class TestEnsembleValidation:
-    def test_empty(self):
-        with pytest.raises(InvalidInputError):
-            Ensemble(())
-
-    def test_negative_weight(self):
-        with pytest.raises(InvalidInputError):
-            Ensemble(((-0.5, basis_state(2, 0)), (1.5, basis_state(2, 1))))
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(InvalidInputError):
-            Ensemble(((0.3, basis_state(2, 0)), (0.3, basis_state(2, 1))))
-
-    def test_mismatched_dims(self):
-        with pytest.raises(InvalidInputError):
-            Ensemble(((0.5, basis_state(2, 0)), (0.5, basis_state(3, 0))))
