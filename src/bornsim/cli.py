@@ -5,8 +5,7 @@
     bornsim presets
 
 Exit codes: 0 success, 1 verify property failure, 2 parse/usage error,
-3 numerical invariant violation (including a dense-oracle request above
-pointer.ORACLE_MAX_DIM composite dimensions and a pointer setup whose state
+3 numerical invariant violation (including a pointer setup whose state
 exceeds pointer.POINTER_STATE_MAX_AMPS amplitudes).
 """
 
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Operator, von_neumann_entropy
-from .errors import BornsimError
+from .errors import BornsimError, ZeroProbabilityBranchError
 from .measurement import (
     BORN,
     ProbabilityRule,
@@ -33,7 +32,6 @@ from .measurement import (
 )
 from .observables import embed_observable
 from .pointer import (
-    ORACLE_MAX_DIM,
     SCHEME_AGREEMENT_TOL,
     brute_force_joint,
     one_pointer_setup,
@@ -139,7 +137,7 @@ def _check_epr(seed: int) -> Check:
 def _check_pointer(trials: int, dims_limit: int, seed: int) -> list[Check]:
     worst_equiv = worst_pair = worst_oracle = 0.0
     arg_equiv = arg_pair = arg_oracle = 0
-    degenerate_count = oracle_trials = 0
+    degenerate_count = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, 1, t])
         d = int(rng.integers(2, dims_limit + 1))
@@ -161,25 +159,19 @@ def _check_pointer(trials: int, dims_limit: int, seed: int) -> list[Check]:
         dev = float(np.max(np.abs(joint_two.probs - joint_one.probs)))
         if dev > worst_pair:
             worst_pair, arg_pair = dev, t
-        if d * obs_a.branch_count * obs_b.branch_count > ORACLE_MAX_DIM:
-            continue
-        oracle_trials += 1
         dev = float(np.max(np.abs(brute_force_joint(two).probs - joint_two.probs)))
         if dev > worst_oracle:
             worst_oracle, arg_oracle = dev, t
-    mk = lambda name, worst, arg, limit, extra="": Check(
+    mk = lambda name, worst, arg, limit: Check(
         name,
         f"worst={worst:.3g} limit={limit:g} trials={trials} "
-        f"degenerate={degenerate_count}{extra} worst_seed=[{seed},1,{arg}]",
+        f"degenerate={degenerate_count} worst_seed=[{seed},1,{arg}]",
         worst < limit,
     )
     return [
         mk("projection_equivalence", worst_equiv, arg_equiv, 1e-10),
         mk("scheme_agreement", worst_pair, arg_pair, SCHEME_AGREEMENT_TOL),
-        mk(
-            "oracle_agreement", worst_oracle, arg_oracle, SCHEME_AGREEMENT_TOL,
-            f" oracle_trials={oracle_trials}",
-        ),
+        mk("oracle_agreement", worst_oracle, arg_oracle, SCHEME_AGREEMENT_TOL),
     ]
 
 
@@ -257,12 +249,12 @@ def _check_entropy(trials: int, seed: int) -> Check:
         obs = random_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
         dephased = nonselective_channel(rho, obs)
         s_in, s_out = von_neumann_entropy(rho), von_neumann_entropy(dephased)
-        weights = branch_weights_density(dephased, obs)
         avg = 0.0
-        for i, w in enumerate(weights):
-            if w <= 1e-10:
+        for i in range(obs.branch_count):
+            try:
+                p, post = classical_selective(dephased, obs, i)
+            except ZeroProbabilityBranchError:
                 continue
-            p, post = classical_selective(dephased, obs, i)
             avg += p * von_neumann_entropy(post)
         dev = max(s_in - s_out, avg - s_out)
         if dev > worst:
@@ -271,16 +263,6 @@ def _check_entropy(trials: int, seed: int) -> Check:
         "entropy_monotonicity",
         f"worst={worst:.3g} limit=1e-10 trials={n} worst_seed=[{seed},4,{arg}]",
         worst < 1e-10,
-    )
-
-
-def branch_weights_density(rho, obs) -> np.ndarray:
-    """Block weights Tr(P_i rho P_i) of a density matrix, in branch order."""
-    return np.array(
-        [
-            float(np.trace(p.entries @ rho.entries @ p.entries).real)
-            for p in obs.projectors
-        ]
     )
 
 

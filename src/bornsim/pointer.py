@@ -20,22 +20,21 @@ register size, the final states are exactly
     U_A psi (x) |0>             = sum_i  P_i psi (x) |i>
 
 run_two_pointer and run_one_pointer evaluate these by contraction with the
-stacked branch projectors, in O(d*n*m) memory.  The dense (d*n*m)^2 unitaries
-built by shift_unitary_a/b serve only the brute-force oracle, and are capped
-at ORACLE_MAX_DIM composite dimensions.  A setup whose contraction state
-would exceed POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
+stacked branch projectors, in O(d*n*m) memory.  brute_force_joint is the
+independent oracle: it applies U_A and U_B by their definitions to the full
+register tensor, rolling the pointer axes branch by branch, and never builds
+a matrix.  A setup whose state would exceed POINTER_STATE_MAX_AMPS
+amplitudes is rejected on construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Literal
 
 import numpy as np
 
 from .core import (
-    Operator,
     OutcomeDistribution,
     StateVector,
     basis_state,
@@ -51,11 +50,8 @@ Mode = Literal["two_pointer", "one_pointer"]
 
 # The two scheme variants and the brute-force readout must agree this tightly.
 SCHEME_AGREEMENT_TOL = 1e-12
-# Largest composite dimension for which the oracle builds a dense shift
-# unitary: 4096**2 complex entries, about 268 MB per matrix.
-ORACLE_MAX_DIM = 4096
-# Largest contraction state run_two_pointer/run_one_pointer will allocate:
-# d*n*m (or d*n) complex amplitudes, 2**24 of them is about 268 MB.
+# Largest pointer state any scheme or the oracle will allocate: d*n*m (or
+# d*n) complex amplitudes, 2**24 of them is about 268 MB.
 POINTER_STATE_MAX_AMPS = 2**24
 
 
@@ -174,51 +170,16 @@ class JointDistribution:
         return self.probs.shape
 
 
-def _cyclic_shift(size: int, amount: int) -> np.ndarray:
-    # Permutation matrix |k> -> |k+amount mod size>.
-    s = np.zeros((size, size), dtype=complex)
-    cols = np.arange(size)
-    s[(cols + amount) % size, cols] = 1.0
-    return s
-
-
-def _check_oracle_dims(dims: tuple[int, ...]) -> None:
-    dim = prod(dims)
-    if dim > ORACLE_MAX_DIM:
-        raise InvalidInputError(
-            f"composite dimension {dim} {dims} exceeds the dense oracle cap "
-            f"{ORACLE_MAX_DIM}"
-        )
-
-
-def shift_unitary_a(setup: PointerSchemeSetup) -> Operator:
-    """Coupling of the first observable to pointer-1, conditioned shift by i."""
-    n = setup.n_pointer1
-    dims = setup.small_state.dims + (n,)
-    if setup.mode == TWO_POINTER:
-        dims += (setup.m_pointer2,)
-    _check_oracle_dims(dims)
-    blocks = sum(
-        np.kron(p.entries, _cyclic_shift(n, i))
-        for i, p in enumerate(setup.obs_a.projectors)
-    )
-    if setup.mode == TWO_POINTER:
-        blocks = np.kron(blocks, np.eye(setup.m_pointer2))
-    return Operator(dims, blocks)
-
-
-def shift_unitary_b(setup: PointerSchemeSetup) -> Operator:
-    """Coupling of the second observable to pointer-2, conditioned shift by j."""
-    if setup.mode != TWO_POINTER:
-        raise InvalidInputError("no second pointer register in one-pointer mode")
-    n, m = setup.n_pointer1, setup.m_pointer2
-    dims = setup.small_state.dims + (n, m)
-    _check_oracle_dims(dims)
-    blocks = sum(
-        np.kron(np.kron(r.entries, np.eye(n)), _cyclic_shift(m, j))
-        for j, r in enumerate(setup.obs_b.projectors)
-    )
-    return Operator(dims, blocks)
+def _couple(amps: np.ndarray, obs: Observable, axis: int) -> np.ndarray:
+    # sum_k P_k (x) Shift(k) on the pointer axis of a (d, ...) register tensor:
+    # branch k rolls the pointer by k (wrap-around included), then P_k acts
+    # on the system axis.  One branch at a time into one accumulator.
+    d = amps.shape[0]
+    out = np.zeros_like(amps)
+    for k, p in enumerate(obs.projectors):
+        rolled = np.roll(amps, k, axis=axis).reshape(d, -1)
+        out += (p.entries @ rolled).reshape(amps.shape)
+    return out
 
 
 def _joint_from_cells(cells: np.ndarray, residual: float) -> JointDistribution:
@@ -324,28 +285,24 @@ def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
 def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
     """Joint distribution by exhaustive enumeration of composite basis outcomes.
 
-    Evolves the start state through the dense U_B U_A, walks every basis state
-    of the result, computes its Born probability, and bins it by the two
-    pointer positions.  Deliberately independent of both the contraction and
-    the block-norm readout in run_two_pointer; kept as an oracle for
-    cross-checking.  Raises InvalidInputError above ORACLE_MAX_DIM.
+    Applies U_A and then U_B by their definitions to the (d, n, m) register
+    tensor of psi0 (x) |0> (x) |0>, without building either matrix, then bins
+    the Born probability of every composite basis state by its two pointer
+    positions.  Deliberately independent of both the contraction and the
+    block-norm readout in run_two_pointer; kept as an oracle for
+    cross-checking.
     """
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("brute force readout needs a two-pointer setup")
     n, m = setup.n_pointer1, setup.m_pointer2
     start = tensor([setup.small_state, basis_state(n, 0), basis_state(m, 0)])
-    u_a = shift_unitary_a(setup)
-    u_b = shift_unitary_b(setup)
-    amps = u_b.entries @ (u_a.entries @ start.amps)
+    amps = start.amps.reshape(setup.small_state.dim, n, m)
+    amps = _couple(_couple(amps, setup.obs_a, axis=1), setup.obs_b, axis=2)
     na, nb = setup.obs_a.branch_count, setup.obs_b.branch_count
-    shape = (setup.small_state.dim, n, m)
-    cells = np.zeros((na, nb))
-    residual = 0.0
-    for flat_index in range(amps.size):
-        prob = float(abs(amps[flat_index]) ** 2)
-        _, pos1, pos2 = np.unravel_index(flat_index, shape)
-        if pos1 < na and pos2 < nb:
-            cells[pos1, pos2] += prob
-        else:
-            residual += prob
-    return _joint_from_cells(cells, residual)
+    probs = np.abs(amps.reshape(-1)) ** 2
+    _, pos1, pos2 = np.unravel_index(np.arange(probs.size), amps.shape)
+    inside = (pos1 < na) & (pos2 < nb)
+    cells = np.bincount(
+        pos1[inside] * nb + pos2[inside], weights=probs[inside], minlength=na * nb
+    ).reshape(na, nb)
+    return _joint_from_cells(cells, float(probs[~inside].sum()))

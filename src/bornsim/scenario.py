@@ -23,6 +23,7 @@ from .core import (
     StateVector,
     density_from_pure,
     inner,
+    tv_distance,
     von_neumann_entropy,
 )
 from .errors import InvalidInputError
@@ -50,13 +51,7 @@ from .pointer import (
     two_pointer_setup,
 )
 from .presets import observable_preset, state_preset
-from .signaling import (
-    TelepathyScenario,
-    bob_distribution_with_alice,
-    bob_distribution_without_alice,
-    channel_simulation,
-    signaling_gap,
-)
+from .signaling import TelepathyScenario, _bob_arms, channel_simulation
 
 DEFAULT_SEED = 1234
 
@@ -427,8 +422,7 @@ def _run_telepathy(scn: Scenario) -> Records:
     _reject_unknown(fields)
 
     scenario = TelepathyScenario(state, obs_a, obs_b, rule)
-    with_alice = bob_distribution_with_alice(scenario)
-    without_alice = bob_distribution_without_alice(scenario)
+    with_alice, without_alice = _bob_arms(scenario)
     records: Records = [("rule", rule_value)]
     if rule.exponent != 1.0:
         records.append(("q", fmt_real(rule.exponent)))
@@ -438,7 +432,7 @@ def _run_telepathy(scn: Scenario) -> Records:
     records += _distribution_records(
         "p_without_alice", without_alice.labels, without_alice.probs
     )
-    records.append(("signaling_gap", fmt_real(signaling_gap(scenario))))
+    records.append(("signaling_gap", fmt_real(tv_distance(with_alice, without_alice))))
     if shots > 0:
         rng = np.random.default_rng(scn.seed)
         mc_with = channel_simulation(scenario, 1, shots, rng)

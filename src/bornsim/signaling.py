@@ -70,13 +70,26 @@ def _cell_weights(scenario: TelepathyScenario) -> np.ndarray:
     )
 
 
-def _alice_branches(scenario: TelepathyScenario) -> tuple[np.ndarray, list[np.ndarray]]:
+def _alice_branches(
+    cells: np.ndarray, rule: ProbabilityRule
+) -> tuple[np.ndarray, list[np.ndarray]]:
     # Alice's live branch weights (renormalised) and Bob's rule on each branch.
-    cells = _cell_weights(scenario)
     alice = cells.sum(axis=1)
     live = alice > ZERO_PROB_CUTOFF
-    rows = [_transform_weights(row, scenario.bob_rule) for row in cells[live]]
+    rows = [_transform_weights(row, rule) for row in cells[live]]
     return alice[live] / alice[live].sum(), rows
+
+
+def _bob_arms(
+    scenario: TelepathyScenario,
+) -> tuple[OutcomeDistribution, OutcomeDistribution]:
+    # Bob's with-Alice and without-Alice distributions from one W.
+    cells = _cell_weights(scenario)
+    weights, rows = _alice_branches(cells, scenario.bob_rule)
+    labels = tuple(range(scenario.bob_obs.branch_count))
+    mixed = sum(w * probs for w, probs in zip(weights, rows))
+    intact = _transform_weights(cells.sum(axis=0), scenario.bob_rule)
+    return OutcomeDistribution(labels, mixed), OutcomeDistribution(labels, intact)
 
 
 def swap_parties(scenario: TelepathyScenario) -> TelepathyScenario:
@@ -93,23 +106,17 @@ def swap_parties(scenario: TelepathyScenario) -> TelepathyScenario:
 
 def bob_distribution_with_alice(scenario: TelepathyScenario) -> OutcomeDistribution:
     """Bob's outcome distribution after Alice has measured (mixture semantics)."""
-    weights, rows = _alice_branches(scenario)
-    mixed = sum(w * probs for w, probs in zip(weights, rows))
-    return OutcomeDistribution(tuple(range(scenario.bob_obs.branch_count)), mixed)
+    return _bob_arms(scenario)[0]
 
 
 def bob_distribution_without_alice(scenario: TelepathyScenario) -> OutcomeDistribution:
     """Bob's outcome distribution on the intact global state."""
-    probs = _transform_weights(_cell_weights(scenario).sum(axis=0), scenario.bob_rule)
-    return OutcomeDistribution(tuple(range(scenario.bob_obs.branch_count)), probs)
+    return _bob_arms(scenario)[1]
 
 
 def signaling_gap(scenario: TelepathyScenario) -> float:
     """Total variation distance between Bob's with-Alice and without-Alice arms."""
-    return tv_distance(
-        bob_distribution_with_alice(scenario),
-        bob_distribution_without_alice(scenario),
-    )
+    return tv_distance(*_bob_arms(scenario))
 
 
 def channel_simulation(
@@ -130,7 +137,7 @@ def channel_simulation(
     nb = scenario.bob_obs.branch_count
     counts = np.zeros(nb, dtype=np.int64)
     if bit == 1:
-        weights, rows = _alice_branches(scenario)
+        weights, rows = _alice_branches(_cell_weights(scenario), scenario.bob_rule)
         picks = rng.choice(len(weights), size=shots, p=weights)
         for k, probs in enumerate(rows):
             n_k = int(np.count_nonzero(picks == k))

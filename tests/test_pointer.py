@@ -3,6 +3,7 @@ import pytest
 
 from bornsim import (
     InvalidInputError,
+    Operator,
     PointerSchemeSetup,
     StateVector,
     ZeroProbabilityBranchError,
@@ -17,13 +18,11 @@ from bornsim import (
     projection_equivalence_report,
     run_one_pointer,
     run_two_pointer,
-    shift_unitary_a,
-    shift_unitary_b,
     tensor,
     two_pointer_setup,
 )
 from bornsim.core import density_from_pure
-from bornsim.pointer import POINTER_STATE_MAX_AMPS
+from bornsim.pointer import POINTER_STATE_MAX_AMPS, _couple
 from bornsim.rand import random_observable, random_state, random_unitary
 
 SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
@@ -40,12 +39,44 @@ def _random_pair(rng, d, degenerate=False):
     return state, obs_a, obs_b
 
 
+def _cyclic_shift(size, amount):
+    # Permutation matrix |k> -> |k+amount mod size>.
+    s = np.zeros((size, size), dtype=complex)
+    cols = np.arange(size)
+    s[(cols + amount) % size, cols] = 1.0
+    return s
+
+
+def dense_u_a(setup):
+    """Dense U_A = sum_i P_i (x) Shift_n(i) [(x) 1_m], the reference coupling."""
+    n = setup.n_pointer1
+    dims = setup.small_state.dims + (n,)
+    blocks = sum(
+        np.kron(p.entries, _cyclic_shift(n, i))
+        for i, p in enumerate(setup.obs_a.projectors)
+    )
+    if setup.m_pointer2 is not None:
+        dims += (setup.m_pointer2,)
+        blocks = np.kron(blocks, np.eye(setup.m_pointer2))
+    return Operator(dims, blocks)
+
+
+def dense_u_b(setup):
+    """Dense U_B = sum_j R_j (x) 1_n (x) Shift_m(j), the reference coupling."""
+    n, m = setup.n_pointer1, setup.m_pointer2
+    blocks = sum(
+        np.kron(np.kron(r.entries, np.eye(n)), _cyclic_shift(m, j))
+        for j, r in enumerate(setup.obs_b.projectors)
+    )
+    return Operator(setup.small_state.dims + (n, m), blocks)
+
+
 def test_shift_unitary_is_conditional_not():
     # Branch 0 of sigma_z (eigenvalue -1, second basis vector) leaves the
     # pointer alone; branch 1 (eigenvalue +1) shifts it by one: a CNOT
     # controlled on the first basis vector.
     setup = one_pointer_setup(MINUS, SIGMA_Z, SIGMA_Z)
-    u = shift_unitary_a(setup)
+    u = dense_u_a(setup)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     expected = np.kron(np.diag([1.0, 0.0]), x) + np.kron(np.diag([0.0, 1.0]), np.eye(2))
     np.testing.assert_allclose(u.entries, expected, atol=1e-15)
@@ -56,8 +87,8 @@ def test_shift_unitaries_are_unitary(rng):
         d = int(rng.integers(2, 6))
         state, obs_a, obs_b = _random_pair(rng, d, degenerate=(d >= 3))
         setup = two_pointer_setup(state, obs_a, obs_b)
-        assert shift_unitary_a(setup).is_unitary(1e-12)
-        assert shift_unitary_b(setup).is_unitary(1e-12)
+        assert dense_u_a(setup).is_unitary(1e-12)
+        assert dense_u_b(setup).is_unitary(1e-12)
 
 
 def test_epr_final_state():
@@ -71,7 +102,7 @@ def test_epr_final_state():
 def test_single_branch_observable_trivial():
     ident = observable_from_matrix(np.eye(2))
     setup = two_pointer_setup(PLUS, ident, SIGMA_Z)
-    u_a = shift_unitary_a(setup)
+    u_a = dense_u_a(setup)
     np.testing.assert_allclose(u_a.entries, np.eye(4), atol=1e-15)
     _, joint = run_two_pointer(setup)
     np.testing.assert_allclose(joint.probs, [[0.5, 0.5]], atol=1e-14)
@@ -94,8 +125,8 @@ def test_second_coupling_preserves_pointer1_marginal(rng):
     setup = two_pointer_setup(state, obs_a, obs_b)
     n, m = setup.n_pointer1, setup.m_pointer2
     start = tensor([state, basis_state(n, 0), basis_state(m, 0)])
-    after_a = apply(shift_unitary_a(setup), start)
-    after_b = shift_unitary_b(setup).entries @ after_a
+    after_a = apply(dense_u_a(setup), start)
+    after_b = dense_u_b(setup).entries @ after_a
     dims = state.dims + (n, m)
     keep = (len(dims) - 2,)  # the pointer-1 slot
     red_a = partial_trace(density_from_pure(StateVector(dims, after_a)), keep)
@@ -173,7 +204,7 @@ def test_oversized_pointer_registers():
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_contraction_matches_dense_unitaries(d):
-    # The run functions never build U_A or U_B; the dense oracle unitaries
+    # The run functions never build U_A or U_B; the dense reference unitaries
     # must still produce the same final states, including degenerate
     # observables and registers larger than the branch counts.
     rng = np.random.default_rng([7, d])
@@ -183,8 +214,8 @@ def test_contraction_matches_dense_unitaries(d):
             n, m = obs_a.branch_count + extra, obs_b.branch_count + 2 * extra
             two = two_pointer_setup(state, obs_a, obs_b, n, m)
             start = tensor([state, basis_state(n, 0), basis_state(m, 0)])
-            dense = shift_unitary_b(two).entries @ (
-                shift_unitary_a(two).entries @ start.amps
+            dense = dense_u_b(two).entries @ (
+                dense_u_a(two).entries @ start.amps
             )
             final, _ = run_two_pointer(two)
             assert final.dims == (d, n, m)
@@ -194,13 +225,40 @@ def test_contraction_matches_dense_unitaries(d):
             final, _ = run_one_pointer(one)
             assert final.dims == (d, n)
             np.testing.assert_allclose(
-                final.amps, shift_unitary_a(one).entries @ start.amps, rtol=0, atol=1e-13
+                final.amps, dense_u_a(one).entries @ start.amps, rtol=0, atol=1e-13
             )
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_coupling_matches_dense_unitaries(d):
+    # The oracle's matrix-free coupling equals the dense U_A / U_B on arbitrary
+    # register vectors (so wrap-around is exercised), in both register shapes,
+    # with degenerate observables and oversized registers, and keeps the norm.
+    rng = np.random.default_rng([11, d])
+    for degenerate in (False, True) if d >= 3 else (False,):
+        for extra in (0, 1, 3):
+            state, obs_a, obs_b = _random_pair(rng, d, degenerate=degenerate)
+            n, m = obs_a.branch_count + extra, obs_b.branch_count + 2 * extra
+            two = two_pointer_setup(state, obs_a, obs_b, n, m)
+            one = one_pointer_setup(state, obs_a, obs_b, n)
+            cases = (
+                (dense_u_a(two), obs_a, (d, n, m), 1),
+                (dense_u_b(two), obs_b, (d, n, m), 2),
+                (dense_u_a(one), obs_a, (d, n), 1),
+            )
+            for dense, obs, shape, axis in cases:
+                x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                x /= np.linalg.norm(x)
+                coupled = _couple(x, obs, axis).reshape(-1)
+                np.testing.assert_allclose(
+                    coupled, dense.entries @ x.reshape(-1), rtol=0, atol=1e-13
+                )
+                assert abs(np.linalg.norm(coupled) - 1.0) < 1e-13
 
 
 def test_large_dimension_runs_without_dense_oracle():
     # d=24 with 24 branches per observable: composite dimension 13824, where a
-    # dense shift unitary would need about 3 GB.
+    # dense shift unitary would need about 3 GB.  The oracle builds none.
     rng = np.random.default_rng(24)
     state = random_state(rng, (24,))
     obs_a, obs_b = (
@@ -209,9 +267,6 @@ def test_large_dimension_runs_without_dense_oracle():
     )
     assert obs_a.branch_count == obs_b.branch_count == 24
     two = two_pointer_setup(state, obs_a, obs_b)
-    for oracle_step in (shift_unitary_a, shift_unitary_b, brute_force_joint):
-        with pytest.raises(InvalidInputError, match="13824 .* oracle cap 4096"):
-            oracle_step(two)
     final, joint_two = run_two_pointer(two)
     assert final.dim == 13824
     _, joint_one = run_one_pointer(one_pointer_setup(state, obs_a, obs_b))
@@ -221,6 +276,8 @@ def test_large_dimension_runs_without_dense_oracle():
     )
     for joint in (joint_two, joint_one):
         assert float(np.max(np.abs(joint.probs - expected))) < 1e-12
+    oracle = brute_force_joint(two)
+    assert float(np.max(np.abs(oracle.probs - joint_two.probs))) < 1e-12
 
 
 class TestConditionals:
@@ -283,7 +340,3 @@ class TestSetupValidation:
             run_two_pointer(one)
         with pytest.raises(InvalidInputError):
             run_one_pointer(two)
-
-    def test_no_second_shift_in_one_pointer_mode(self):
-        with pytest.raises(InvalidInputError):
-            shift_unitary_b(one_pointer_setup(PLUS, SIGMA_Z, SIGMA_X))

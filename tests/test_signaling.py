@@ -20,8 +20,10 @@ from bornsim import (
     swap_parties,
     tensor,
 )
+from bornsim import signaling
 from bornsim.presets import observable_preset, state_preset
 from bornsim.rand import random_observable, random_state, random_unitary
+from bornsim.scenario import parse_scenario, run_scenario
 from bornsim.signaling import _cell_weights
 
 SIGMA_Z = observable_preset("sigma_z")
@@ -255,3 +257,21 @@ class TestScenarioValidation:
         obs3 = observable_from_matrix(np.diag([1.0, 2.0, 3.0]))
         with pytest.raises(InvalidInputError):
             TelepathyScenario(BELL, SIGMA_Z, obs3)
+
+
+def test_cell_weights_computed_once_per_evaluation(monkeypatch):
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario)
+        return _cell_weights(scenario)
+
+    monkeypatch.setattr(signaling, "_cell_weights", counting)
+    scenario = TelepathyScenario(WITNESS_STATE, SIGMA_Z, SIGMA_Z, nonborn_exponent(2.0))
+    signaling_gap(scenario)
+    assert len(calls) == 1
+    calls.clear()
+    text = "kind = telepathy\nstate = asymmetric(0.36)\nrule = nonborn_exponent\nq = 2\n"
+    records = dict(run_scenario(parse_scenario(text, "witness")))
+    assert len(calls) == 1
+    assert "mc_shots" not in records
