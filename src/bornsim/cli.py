@@ -6,7 +6,8 @@
 
 Exit codes: 0 success, 1 verify property failure, 2 parse/usage error,
 3 numerical invariant violation (including a pointer setup whose state
-exceeds pointer.POINTER_STATE_MAX_AMPS amplitudes).
+exceeds pointer.POINTER_STATE_MAX_AMPS amplitudes, and a telepathy scenario
+asking for more than signaling.MAX_SHOTS Monte Carlo shots).
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Operator, von_neumann_entropy
-from .errors import BornsimError, ZeroProbabilityBranchError
+from .errors import BornsimError
 from .measurement import (
     BORN,
     ProbabilityRule,
+    _classical_branches,
     branch_weights,
-    classical_selective,
     ll_channel,
     nonselective_channel,
     rule_probabilities,
@@ -250,11 +251,7 @@ def _check_entropy(trials: int, seed: int) -> Check:
         dephased = nonselective_channel(rho, obs)
         s_in, s_out = von_neumann_entropy(rho), von_neumann_entropy(dephased)
         avg = 0.0
-        for i in range(obs.branch_count):
-            try:
-                p, post = classical_selective(dephased, obs, i)
-            except ZeroProbabilityBranchError:
-                continue
+        for p, post in _classical_branches(dephased, obs)[1].values():
             avg += p * von_neumann_entropy(post)
         dev = max(s_in - s_out, avg - s_out)
         if dev > worst:

@@ -234,6 +234,37 @@ def nonselective_channel(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     return DensityMatrix(rho.dims, out)
 
 
+def _classical_branches(
+    rho: DensityMatrix,
+    obs: Observable,
+    rule: ProbabilityRule = BORN,
+    branches: Sequence[int] | None = None,
+) -> tuple[np.ndarray, dict[int, tuple[float, DensityMatrix]]]:
+    # Born weights Tr(P_i rho P_i) of every branch, and the rule's probability
+    # and conditional state of each requested branch (all by default) whose
+    # weight exceeds PSD_TOL.  The blocks are built once, after one
+    # decoherence check.
+    if obs.dims != rho.dims:
+        raise InvalidInputError(f"dims mismatch {obs.dims} vs {rho.dims}")
+    blocks = [p.entries @ rho.entries @ p.entries for p in obs.projectors]
+    dephased = sum(blocks)
+    off = float(np.max(np.abs(rho.entries - dephased)))
+    if off > DECOHERED_TOL:
+        raise NotDecoheredError(
+            f"off-block coherences of size {off!r} exceed {DECOHERED_TOL}"
+        )
+    weights = np.array([float(np.trace(b).real) for b in blocks])
+    probs = _transform_weights(weights, rule)
+    if branches is None:
+        branches = range(obs.branch_count)
+    live = {
+        i: (float(probs[i]), DensityMatrix(rho.dims, blocks[i] / weights[i]))
+        for i in branches
+        if weights[i] > PSD_TOL
+    }
+    return weights, live
+
+
 def classical_selective(
     rho: DensityMatrix, obs: Observable, branch: int, rule: ProbabilityRule = BORN
 ) -> tuple[float, DensityMatrix]:
@@ -243,21 +274,10 @@ def classical_selective(
     DECOHERED_TOL.  Returns the rule's probability for the branch and the
     conditional state P_i rho P_i / Tr(P_i rho).
     """
-    if obs.dims != rho.dims:
-        raise InvalidInputError(f"dims mismatch {obs.dims} vs {rho.dims}")
     obs.projector(branch)  # range check
-    blocks = [p.entries @ rho.entries @ p.entries for p in obs.projectors]
-    dephased = sum(blocks)
-    off = float(np.max(np.abs(rho.entries - dephased)))
-    if off > DECOHERED_TOL:
-        raise NotDecoheredError(
-            f"off-block coherences of size {off!r} exceed {DECOHERED_TOL}"
-        )
-    weights = np.array([float(np.trace(b).real) for b in blocks])
-    if weights[branch] <= PSD_TOL:
+    weights, live = _classical_branches(rho, obs, rule, (branch,))
+    if branch not in live:
         raise ZeroProbabilityBranchError(
             f"branch {branch} has weight {weights[branch]!r}"
         )
-    probs = _transform_weights(weights, rule)
-    post = DensityMatrix(rho.dims, blocks[branch] / weights[branch])
-    return float(probs[branch]), post
+    return live[branch]

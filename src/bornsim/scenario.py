@@ -31,8 +31,7 @@ from .measurement import (
     BORN,
     ZERO_PROB_CUTOFF,
     ProbabilityRule,
-    branch_weights,
-    classical_selective,
+    _classical_branches,
     ll_channel,
     nonselective_channel,
     phase_unitaries,
@@ -458,12 +457,8 @@ def _run_entropy_demo(scn: Scenario) -> Records:
         ("entropy_initial", fmt_real(von_neumann_entropy(rho))),
         ("entropy_nonselective", fmt_real(von_neumann_entropy(dephased))),
     ]
-    weights = branch_weights(state, obs)
     avg = 0.0
-    for i in range(obs.branch_count):
-        if weights[i] <= ZERO_PROB_CUTOFF:
-            continue
-        p, post = classical_selective(dephased, obs, i)
+    for i, (p, post) in _classical_branches(dephased, obs)[1].items():
         s = von_neumann_entropy(post)
         avg += p * s
         records.append((f"p.{i}", fmt_real(p)))

@@ -30,6 +30,10 @@ from .errors import InvalidInputError
 from .measurement import BORN, ZERO_PROB_CUTOFF, ProbabilityRule, _transform_weights
 from .observables import Observable
 
+# Largest shots count channel_simulation accepts: the shots uniforms are
+# drawn as one float64 array, 2**24 of them is about 134 MB.
+MAX_SHOTS = 2**24
+
 
 @dataclass(frozen=True)
 class TelepathyScenario:
@@ -119,6 +123,21 @@ def signaling_gap(scenario: TelepathyScenario) -> float:
     return tv_distance(*_bob_arms(scenario))
 
 
+def _sample_counts(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
+    # Outcome counts of rng.choice(p.size, size=n, p=p) from the same n
+    # uniforms: choice normalises cdf = cumsum(p) by its last entry and picks
+    # outcome j for cdf[j-1] <= u < cdf[j], so the counts are the differences
+    # of #(u >= cdf[j]).  p must be the exact array choice would get; one ulp
+    # can move a count.
+    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+        raise InvalidInputError("probabilities must be finite and non-negative")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    at_least = [n, *(int(np.count_nonzero(u >= c)) for c in cdf[:-1]), 0]
+    return -np.diff(at_least)
+
+
 def channel_simulation(
     scenario: TelepathyScenario,
     bit: int,
@@ -128,25 +147,27 @@ def channel_simulation(
     """Monte Carlo run of the one-bit channel Alice -> Bob.
 
     bit 1 means Alice measures before Bob; bit 0 means she does nothing.
-    Returns Bob's empirical outcome distribution over shots samples.
+    Returns Bob's empirical outcome distribution over shots samples.  The
+    draws consume the same uniforms as rng.choice with the arms' weights
+    (first Alice's branch for every shot, then Bob's outcomes row by row), so
+    a seed gives the same counts and the same final generator state.  shots
+    must be between 1 and MAX_SHOTS = 2**24.
     """
     if bit not in (0, 1):
         raise InvalidInputError(f"bit must be 0 or 1, got {bit!r}")
     if shots < 1:
         raise InvalidInputError(f"shots must be >= 1, got {shots!r}")
+    if shots > MAX_SHOTS:
+        raise InvalidInputError(f"{shots} shots exceed the cap {MAX_SHOTS}")
     nb = scenario.bob_obs.branch_count
-    counts = np.zeros(nb, dtype=np.int64)
+    cells = _cell_weights(scenario)
     if bit == 1:
-        weights, rows = _alice_branches(_cell_weights(scenario), scenario.bob_rule)
-        picks = rng.choice(len(weights), size=shots, p=weights)
-        for k, probs in enumerate(rows):
-            n_k = int(np.count_nonzero(picks == k))
-            if n_k == 0:
-                continue
-            outcomes = rng.choice(nb, size=n_k, p=probs / probs.sum())
-            counts += np.bincount(outcomes, minlength=nb)
+        weights, rows = _alice_branches(cells, scenario.bob_rule)
+        counts = np.zeros(nb, dtype=np.int64)
+        for n_k, probs in zip(_sample_counts(rng, weights, shots), rows):
+            if n_k > 0:
+                counts += _sample_counts(rng, probs / probs.sum(), int(n_k))
     else:
-        probs = bob_distribution_without_alice(scenario).probs
-        outcomes = rng.choice(nb, size=shots, p=probs / probs.sum())
-        counts += np.bincount(outcomes, minlength=nb)
+        probs = _transform_weights(cells.sum(axis=0), scenario.bob_rule)
+        counts = _sample_counts(rng, probs / probs.sum(), shots)
     return OutcomeDistribution(tuple(range(nb)), counts / float(shots))

@@ -60,6 +60,22 @@ def test_records_are_reproducible():
     assert "mc_shots=100000" in a.stdout
 
 
+def test_telepathy_nonborn_monte_carlo_records_are_pinned(capsys):
+    # The seeded Monte Carlo lines as first recorded; the sampler may change
+    # how it counts shots but not which shots it draws.
+    code, out, _ = run_cli(capsys, "run", "telepathy_nonborn", "--format", "records")
+    assert code == 0
+    lines = out.splitlines()
+    for line in (
+        "mc_p_with_alice.0=0.63943",
+        "mc_p_with_alice.1=0.36057",
+        "mc_p_without_alice.0=0.75765",
+        "mc_p_without_alice.1=0.24235",
+        "mc_gap=0.11822",
+    ):
+        assert line in lines
+
+
 def test_telepathy_nonborn_gap(capsys):
     code, out, _ = run_cli(capsys, "run", "telepathy_nonborn", "--format", "records")
     assert code == 0
@@ -184,6 +200,35 @@ def test_oversized_pointer_state_is_invariant_violation(tmp_path, capsys):
     assert code == 3 and out == ""
     assert "invariant violation [InvalidInputError]" in err
     assert "200000000" in err and str(2**24) in err
+
+
+def test_too_many_shots_is_invariant_violation(tmp_path, capsys):
+    # 10**10 shots: refused before any uniform is drawn.
+    path = tmp_path / "many_shots.scn"
+    path.write_text(
+        "kind = telepathy\n"
+        "state = asymmetric(0.36)\n"
+        "rule = nonborn_exponent\n"
+        "q = 2\n"
+        "shots = 10000000000\n"
+    )
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 3 and out == ""
+    assert "invariant violation [InvalidInputError]" in err
+    assert "10000000000" in err and str(2**24) in err
+    assert "Traceback" not in err
+
+
+def test_entropy_demo_skips_branch_below_psd_tol(tmp_path, capsys):
+    # Branch 0 has Born weight 4.9e-11: above ZERO_PROB_CUTOFF but at most
+    # PSD_TOL, so the selective readout leaves it out instead of failing.
+    path = tmp_path / "tiny_branch.scn"
+    path.write_text("kind = entropy_demo\nstate = 1 7e-6\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--format", "records")
+    assert code == 0 and err == ""
+    keys = [line.split("=", 1)[0] for line in out.splitlines()]
+    assert "p.1" in keys and "entropy_branch.1" in keys
+    assert "p.0" not in keys
 
 
 @pytest.mark.parametrize(

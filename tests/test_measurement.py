@@ -28,7 +28,8 @@ from bornsim import (
     state_preparation_unitaries,
     von_neumann_entropy,
 )
-from bornsim.measurement import _transform_weights
+from bornsim import cli, measurement, scenario
+from bornsim.measurement import _classical_branches, _transform_weights
 from bornsim.rand import random_observable, random_state, random_unitary
 
 SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
@@ -314,3 +315,26 @@ class TestClassicalSelective:
     def test_dims_mismatch(self):
         with pytest.raises(InvalidInputError):
             classical_selective(DensityMatrix((3,), np.eye(3) / 3.0), SIGMA_Z, 0)
+
+
+def test_classical_blocks_built_once_per_state(monkeypatch):
+    # Reading every branch of one decohered state builds its blocks and runs
+    # its decoherence check once, not once per branch.
+    calls = []
+
+    def counting(rho, obs, rule=BORN, branches=None):
+        calls.append(obs.branch_count)
+        return _classical_branches(rho, obs, rule, branches)
+
+    # measurement too, so a caller going back to classical_selective per
+    # branch would be counted once per branch.
+    for module in (measurement, cli, scenario):
+        monkeypatch.setattr(module, "_classical_branches", counting)
+    text = "kind = entropy_demo\nstate = 0.6 0.8\n"
+    records = dict(scenario.run_scenario(scenario.parse_scenario(text, "tilted")))
+    assert len(calls) == 1
+    assert "p.0" in records and "p.1" in records
+    calls.clear()
+    check = cli._check_entropy(trials=0, seed=1234)
+    assert check.passed
+    assert len(calls) == 50 and sum(calls) > 50

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornsim import (
     BORN,
@@ -24,7 +28,7 @@ from bornsim import signaling
 from bornsim.presets import observable_preset, state_preset
 from bornsim.rand import random_observable, random_state, random_unitary
 from bornsim.scenario import parse_scenario, run_scenario
-from bornsim.signaling import _cell_weights
+from bornsim.signaling import MAX_SHOTS, _alice_branches, _cell_weights, _sample_counts
 
 SIGMA_Z = observable_preset("sigma_z")
 SIGMA_X = observable_from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -241,6 +245,153 @@ def test_channel_simulation_validation():
         channel_simulation(scenario, 2, 10, rng)
     with pytest.raises(InvalidInputError):
         channel_simulation(scenario, 0, 0, rng)
+
+
+def _choice_counts(rng, p, n):
+    # Oracle: one rng.choice index per draw, then counted.
+    return np.bincount(rng.choice(p.size, size=n, p=p), minlength=p.size)
+
+
+def _reference_channel(scenario, bit, shots, rng):
+    # channel_simulation as it sampled with rng.choice, one index per shot.
+    nb = scenario.bob_obs.branch_count
+    counts = np.zeros(nb, dtype=np.int64)
+    if bit == 1:
+        weights, rows = _alice_branches(_cell_weights(scenario), scenario.bob_rule)
+        picks = rng.choice(len(weights), size=shots, p=weights)
+        for k, probs in enumerate(rows):
+            n_k = int(np.count_nonzero(picks == k))
+            if n_k == 0:
+                continue
+            counts += _choice_counts(rng, probs / probs.sum(), n_k)
+    else:
+        probs = bob_distribution_without_alice(scenario).probs
+        counts += _choice_counts(rng, probs / probs.sum(), shots)
+    return counts / float(shots)
+
+
+_weight = st.just(0.0) | st.floats(1e-300, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(
+        st.lists(st.just(0.0), max_size=3),
+        st.lists(_weight, min_size=1, max_size=58),
+        st.lists(st.just(0.0), max_size=3),
+    )
+    .map(lambda parts: parts[0] + parts[1] + parts[2])
+    .filter(lambda ws: max(ws) > 0.0),
+    st.integers(1, 5000),
+    st.integers(0, 2**32 - 1),
+)
+def test_sample_counts_equal_choice_counts(weights, n, seed):
+    # Same uniforms, same counts and the same generator state afterwards,
+    # with zero weights in leading, inner and trailing positions.
+    w = np.array(weights)
+    p = w / w.sum()
+    mine, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    np.testing.assert_array_equal(
+        _sample_counts(mine, p, n), _choice_counts(oracle, p, n)
+    )
+    assert mine.random() == oracle.random()
+
+
+class _FixedUniforms(np.random.Generator):
+    # A Generator whose random(n) returns given uniforms; rng.choice draws
+    # through it too, so both samplers can be fed values on the boundaries.
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = uniforms
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.1] * 10, [0.0, 0.3, 0.0, 0.0, 0.7, 0.0], [1.0], [1e-300, 1.0, 1e-300]],
+)
+def test_sample_counts_equal_choice_counts_on_cdf_boundaries(weights):
+    # Uniforms at and one ulp below every cdf entry below 1 (choice's cdf,
+    # normalised by its last entry): ties go to the upper outcome.
+    w = np.array(weights)
+    p = w / w.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    edges = cdf[cdf < 1.0]
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+    np.testing.assert_array_equal(
+        _sample_counts(_FixedUniforms(u), p, u.size),
+        _choice_counts(_FixedUniforms(u), p, u.size),
+    )
+
+
+@pytest.mark.parametrize("bad", [-1e-3, float("nan"), float("inf")])
+def test_sample_counts_reject_bad_probabilities(bad):
+    with pytest.raises(InvalidInputError):
+        _sample_counts(np.random.default_rng(0), np.array([0.5, bad, 0.5]), 10)
+
+
+def _diagonal_observable(d, labels):
+    return observable_from_matrix(np.diag(np.asarray(labels, dtype=float)[:d]))
+
+
+def test_channel_simulation_matches_choice_reference():
+    for t in range(120):
+        rng = np.random.default_rng([23, t])
+        d0, d1 = (int(x) for x in rng.integers(2, 7, size=2))
+        if t % 10 == 0:
+            # Product basis state and diagonal observables: zero Alice rows
+            # and zero Bob outcomes.
+            state = tensor([basis_state(d0, 0), basis_state(d1, d1 - 1)])
+            alice = _diagonal_observable(d0, [1, 2, 2, 3, 3, 3])
+            bob = _diagonal_observable(d1, [3, 1, 2, 1, 2, 3])
+        else:
+            state = random_state(rng, (d0, d1))
+            alice = random_observable(rng, (d0,), degenerate=(d0 >= 3 and t % 2 == 0))
+            bob = random_observable(rng, (d1,), degenerate=(d1 >= 3 and t % 3 == 0))
+        q = (1.0, 2.0, 0.5, 30.0)[t % 4]
+        scenario = TelepathyScenario(state, alice, bob, nonborn_exponent(q))
+        shots = (1, 7, 1000, 20_000)[(t // 4) % 4]
+        mine, oracle = np.random.default_rng([29, t]), np.random.default_rng([29, t])
+        for bit in (1, 0, 1):
+            np.testing.assert_array_equal(
+                channel_simulation(scenario, bit, shots, mine).probs,
+                _reference_channel(scenario, bit, shots, oracle),
+            )
+        assert mine.random() == oracle.random()
+
+
+class _Drawn(Exception):
+    pass
+
+
+class _RefusingGenerator:
+    # Stands in for a Generator and stops at the first draw, so the cap's
+    # boundary is tested without allocating MAX_SHOTS uniforms.
+    def random(self, n):
+        raise _Drawn(n)
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_shots_cap_boundary(bit):
+    scenario = _witness()
+    with pytest.raises(_Drawn) as drawn:
+        channel_simulation(scenario, bit, MAX_SHOTS, _RefusingGenerator())
+    assert drawn.value.args == (MAX_SHOTS,)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match=str(MAX_SHOTS)):
+            channel_simulation(scenario, bit, MAX_SHOTS + 1, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert rng.bit_generator.state == before
 
 
 class TestScenarioValidation:
