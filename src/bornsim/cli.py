@@ -4,7 +4,8 @@
     bornsim verify [--trials N] [--dims-limit D] [--seed S]
     bornsim presets
 
-Exit codes: 0 success, 1 verify property failure, 2 parse/usage error,
+Exit codes: 0 success, 1 verify property failure, 2 parse/usage error
+(including a negative seed and a --dims-limit above MAX_DIMS_LIMIT = 256),
 3 numerical invariant violation (including a pointer setup whose state
 exceeds pointer.POINTER_STATE_MAX_AMPS amplitudes, and a telepathy scenario
 asking for more than signaling.MAX_SHOTS Monte Carlo shots).
@@ -33,6 +34,7 @@ from .measurement import (
 )
 from .observables import embed_observable
 from .pointer import (
+    POINTER_STATE_MAX_AMPS,
     SCHEME_AGREEMENT_TOL,
     brute_force_joint,
     one_pointer_setup,
@@ -182,12 +184,9 @@ def _check_no_signaling(trials: int, seed: int) -> Check:
         rng = np.random.default_rng([seed, 2, t])
         d1 = int(rng.integers(2, 5))
         d2 = int(rng.integers(2, 5))
-        scenario = TelepathyScenario(
-            random_state(rng, (d1, d2)),
-            random_observable(rng, (d1,)),
-            random_observable(rng, (d2,)),
-            BORN,
-        )
+        state = random_state(rng, (d1, d2))
+        parties = [random_observable(rng, (d,)) for d in (d1, d2)]
+        scenario = TelepathyScenario(state, *parties, BORN)
         gap = max(signaling_gap(scenario), signaling_gap(swap_parties(scenario)))
         if gap > worst:
             worst, arg = gap, t
@@ -220,13 +219,11 @@ def _check_witness(seed: int) -> Check:
     mc_dev = 0.0
     for bit, analytic in ((1, with_alice), (0, without_alice)):
         mc = channel_simulation(scenario, bit, 100_000, rng).as_dict()
-        tv = 0.5 * sum(abs(mc[l] - analytic[l]) for l in analytic)
-        mc_dev = max(mc_dev, tv)
-    ok = dev < 1e-6 and mc_dev <= 0.01
+        mc_dev = max(mc_dev, 0.5 * sum(abs(mc[l] - analytic[l]) for l in analytic))
     return Check(
         "telepathy_witness",
         f"analytic_dev={dev:.3g} limit=1e-06 mc_dev={mc_dev:.3g} mc_limit=0.01",
-        ok,
+        dev < 1e-6 and mc_dev <= 0.01,
     )
 
 
@@ -250,9 +247,8 @@ def _check_entropy(trials: int, seed: int) -> Check:
         obs = random_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
         dephased = nonselective_channel(rho, obs)
         s_in, s_out = von_neumann_entropy(rho), von_neumann_entropy(dephased)
-        avg = 0.0
-        for p, post in _classical_branches(dephased, obs)[1].values():
-            avg += p * von_neumann_entropy(post)
+        live = _classical_branches(dephased, obs)[1].values()
+        avg = sum(p * von_neumann_entropy(post) for p, post in live)
         dev = max(s_in - s_out, avg - s_out)
         if dev > worst:
             worst, arg = dev, t
@@ -280,16 +276,9 @@ def _check_ll(trials: int, dims_limit: int, seed: int) -> Check:
             for rec in ll_channel(state, obs, unitaries)
         )
         target = random_state(rng, (d,))
-        prepared = ll_channel(
-            state, obs, state_preparation_unitaries(state, obs, target)
-        )
-        dev = max(
-            dev,
-            max(
-                float(np.max(np.abs(rec.post_state.amps - target.amps)))
-                for rec in prepared
-            ),
-        )
+        unitaries = state_preparation_unitaries(state, obs, target)
+        for rec in ll_channel(state, obs, unitaries):
+            dev = max(dev, float(np.max(np.abs(rec.post_state.amps - target.amps))))
         if dev > worst:
             worst, arg = dev, t
     return Check(
@@ -299,11 +288,19 @@ def _check_ll(trials: int, dims_limit: int, seed: int) -> Check:
     )
 
 
+# Largest --dims-limit whose d x d x d two-pointer state fits the pointer cap.
+MAX_DIMS_LIMIT = round(POINTER_STATE_MAX_AMPS ** (1 / 3))
+
+
 def run_verify(trials: int, dims_limit: int, seed: int, out=print) -> int:
     if trials < 1:
         raise ScenarioParseError(f"--trials must be >= 1, got {trials}")
-    if dims_limit < 2:
-        raise ScenarioParseError(f"--dims-limit must be >= 2, got {dims_limit}")
+    if not 2 <= dims_limit <= MAX_DIMS_LIMIT:
+        raise ScenarioParseError(
+            f"--dims-limit must be between 2 and {MAX_DIMS_LIMIT}, got {dims_limit}"
+        )
+    if seed < 0:
+        raise ScenarioParseError(f"--seed must be >= 0, got {seed}")
     checks = [_check_epr(seed)]
     checks += _check_pointer(trials, dims_limit, seed)
     checks.append(_check_no_signaling(trials, seed))

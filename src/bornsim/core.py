@@ -11,7 +11,7 @@ up front, so downstream code can assume well-formed inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Sequence
 
@@ -111,6 +111,8 @@ class DensityMatrix:
 
     dims: tuple[int, ...]
     entries: np.ndarray
+    # Ascending eigenvalues from the positivity check, reused for the entropy.
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
@@ -126,11 +128,13 @@ class DensityMatrix:
         tr = complex(np.trace(entries))
         if abs(tr - 1.0) > NORM_TOL:
             raise InvalidDensityError(f"density trace {tr!r} is not 1")
-        lo = float(np.linalg.eigvalsh(entries)[0])
+        spectrum = np.linalg.eigvalsh(entries)
+        lo = float(spectrum[0])
         if lo < -PSD_TOL:
             raise InvalidDensityError(f"density has negative eigenvalue {lo!r}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", _frozen(entries))
+        object.__setattr__(self, "spectrum", _frozen(spectrum))
 
     @property
     def dim(self) -> int:
@@ -248,7 +252,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     Eigenvalues in [-PSD_TOL, 0) are treated as exact zeros; anything below
     -PSD_TOL is a positivity violation.
     """
-    evals = np.linalg.eigvalsh(rho.entries)
+    evals = rho.spectrum
     if float(evals[0]) < -PSD_TOL:
         raise InvalidDensityError(f"negative eigenvalue {float(evals[0])!r}")
     evals = np.clip(evals, 0.0, None)

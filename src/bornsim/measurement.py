@@ -25,7 +25,6 @@ from .core import (
     Operator,
     OutcomeDistribution,
     StateVector,
-    apply,
 )
 from .errors import (
     InvalidInputError,
@@ -78,13 +77,10 @@ class MeasurementRecord:
 
 
 def branch_weights(state: StateVector, obs: Observable) -> np.ndarray:
-    """Born branch weights ||P_i psi||^2, in branch order."""
+    """Born branch weights ||P_i psi||^2: block sums of |V^dag psi|^2."""
     if obs.dims != state.dims:
         raise InvalidInputError(f"dims mismatch {obs.dims} vs {state.dims}")
-    w = np.array(
-        [float(np.linalg.norm(apply(p, state)) ** 2) for p in obs.projectors]
-    )
-    return w
+    return np.abs(obs.basis.conj().T @ state.amps) ** 2 @ obs.indicator
 
 
 def _transform_weights(weights: np.ndarray, rule: ProbabilityRule) -> np.ndarray:
@@ -108,8 +104,11 @@ def rule_probabilities(
 
 
 def project_update(state: StateVector, obs: Observable, branch: int) -> StateVector:
-    """Collapse onto one branch: P_i psi / ||P_i psi||."""
-    vec = apply(obs.projector(branch), state)
+    """Collapse onto one branch: P_i psi / ||P_i psi||, with P_i = V_i V_i^dag."""
+    cols = obs.branch_basis(branch)
+    if obs.dims != state.dims:
+        raise InvalidInputError(f"dims mismatch {obs.dims} vs {state.dims}")
+    vec = cols @ (cols.conj().T @ state.amps)
     norm = float(np.linalg.norm(vec))
     if norm**2 <= ZERO_PROB_CUTOFF:
         raise ZeroProbabilityBranchError(
@@ -133,8 +132,7 @@ def measure_selective(
     """
     dist = rule_probabilities(rule, state, obs)
     if force_branch is not None:
-        branch = int(force_branch)
-        obs.projector(branch)  # range check
+        branch = int(force_branch)  # project_update checks the range
     else:
         if rng is None:
             raise InvalidInputError("either rng or force_branch is required")
@@ -228,10 +226,17 @@ def phase_unitaries(
 
 def nonselective_channel(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     """Dephase in the branch decomposition: rho -> sum_i P_i rho P_i."""
+    return DensityMatrix(rho.dims, _dephase(rho, obs)[1])
+
+
+def _dephase(rho: DensityMatrix, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
+    # B = V^dag rho V cut to its diagonal blocks, and V B V^dag = sum_i P_i rho P_i.
     if obs.dims != rho.dims:
         raise InvalidInputError(f"dims mismatch {obs.dims} vs {rho.dims}")
-    out = sum(p.entries @ rho.entries @ p.entries for p in obs.projectors)
-    return DensityMatrix(rho.dims, out)
+    v = obs.basis
+    blocks = v.conj().T @ rho.entries @ v
+    blocks *= obs.labels[:, None] == obs.labels
+    return blocks, v @ blocks @ v.conj().T
 
 
 def _classical_branches(
@@ -242,26 +247,24 @@ def _classical_branches(
 ) -> tuple[np.ndarray, dict[int, tuple[float, DensityMatrix]]]:
     # Born weights Tr(P_i rho P_i) of every branch, and the rule's probability
     # and conditional state of each requested branch (all by default) whose
-    # weight exceeds PSD_TOL.  The blocks are built once, after one
-    # decoherence check.
-    if obs.dims != rho.dims:
-        raise InvalidInputError(f"dims mismatch {obs.dims} vs {rho.dims}")
-    blocks = [p.entries @ rho.entries @ p.entries for p in obs.projectors]
-    dephased = sum(blocks)
+    # weight exceeds PSD_TOL.  Block i of B = V^dag rho V gives P_i rho P_i =
+    # V_i B_ii V_i^dag; B is built once, after one decoherence check.
+    blocks, dephased = _dephase(rho, obs)
     off = float(np.max(np.abs(rho.entries - dephased)))
     if off > DECOHERED_TOL:
         raise NotDecoheredError(
             f"off-block coherences of size {off!r} exceed {DECOHERED_TOL}"
         )
-    weights = np.array([float(np.trace(b).real) for b in blocks])
+    weights = np.diagonal(blocks).real @ obs.indicator
     probs = _transform_weights(weights, rule)
     if branches is None:
         branches = range(obs.branch_count)
-    live = {
-        i: (float(probs[i]), DensityMatrix(rho.dims, blocks[i] / weights[i]))
-        for i in branches
-        if weights[i] > PSD_TOL
-    }
+    live = {}
+    for i in branches:
+        if weights[i] > PSD_TOL:
+            cols, inside = obs.branch_basis(i), obs.labels == i
+            block = cols @ blocks[np.ix_(inside, inside)] @ cols.conj().T
+            live[i] = (float(probs[i]), DensityMatrix(rho.dims, block / weights[i]))
     return weights, live
 
 
@@ -274,7 +277,7 @@ def classical_selective(
     DECOHERED_TOL.  Returns the rule's probability for the branch and the
     conditional state P_i rho P_i / Tr(P_i rho).
     """
-    obs.projector(branch)  # range check
+    obs.eigenvalue(branch)  # range check
     weights, live = _classical_branches(rho, obs, rule, (branch,))
     if branch not in live:
         raise ZeroProbabilityBranchError(

@@ -1,13 +1,17 @@
-"""Observables as ordered families of eigenvalues and orthogonal projectors."""
+"""Observables as one unitary eigenbasis V with a branch label per column.
+
+Branch computations work on V; the dense projectors are a cached view.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
 
-from .core import HERM_TOL, Operator, _check_dims
+from .core import Operator, _check_dims, _frozen
 from .errors import InvalidInputError, InvalidProjectorFamilyError, NotHermitianError
 
 PROJ_TOL = 1e-10
@@ -18,55 +22,46 @@ DEGENERACY_TOL = 1e-9
 class Observable:
     """Hermitian observable resolved into measurement branches.
 
-    Branch i carries eigenvalue eigenvalues[i] and projector projectors[i].
-    Branches are canonically ordered by strictly increasing eigenvalue, the
-    projectors are idempotent, pairwise orthogonal, and sum to the identity,
-    all within PROJ_TOL.  The branch index, not the eigenvalue, is the outcome
-    label used throughout this package.
+    Column c of the unitary basis belongs to branch labels[c].  Branch i
+    carries eigenvalue eigenvalues[i] and projector P_i = V_i V_i^dag onto
+    its columns V_i.  Branches are canonically ordered by strictly increasing
+    eigenvalue, every branch owns at least one column, and V^dag V equals the
+    identity within PROJ_TOL.  The branch index, not the eigenvalue, is the
+    outcome label used throughout this package.
     """
 
     dims: tuple[int, ...]
     eigenvalues: tuple[float, ...]
-    projectors: tuple[Operator, ...]
+    basis: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
         eigenvalues = tuple(float(a) for a in self.eigenvalues)
-        projectors = tuple(self.projectors)
-        if not eigenvalues or len(eigenvalues) != len(projectors):
-            raise InvalidProjectorFamilyError(
-                f"{len(eigenvalues)} eigenvalues for {len(projectors)} projectors"
-            )
+        if not eigenvalues:
+            raise InvalidProjectorFamilyError("observable has no branches")
         if any(not np.isfinite(a) for a in eigenvalues):
             raise InvalidProjectorFamilyError("non-finite eigenvalue")
         if any(b >= a for a, b in zip(eigenvalues[1:], eigenvalues)):
             raise InvalidProjectorFamilyError(
                 f"eigenvalues not strictly increasing: {eigenvalues}"
             )
-        d = prod(dims)
-        for p in projectors:
-            if not isinstance(p, Operator) or p.dims != dims:
-                raise InvalidProjectorFamilyError(
-                    f"projector dims mismatch: expected {dims}"
-                )
-            m = p.entries
-            if np.max(np.abs(m - m.conj().T)) > PROJ_TOL:
-                raise InvalidProjectorFamilyError("projector is not Hermitian")
-            if np.max(np.abs(m @ m - m)) > PROJ_TOL:
-                raise InvalidProjectorFamilyError("projector is not idempotent")
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                cross = projectors[i].entries @ projectors[j].entries
-                if np.max(np.abs(cross)) > PROJ_TOL:
-                    raise InvalidProjectorFamilyError(
-                        f"projectors {i} and {j} are not orthogonal"
-                    )
-        total = sum(p.entries for p in projectors)
-        if np.max(np.abs(total - np.eye(d))) > PROJ_TOL:
-            raise InvalidProjectorFamilyError("projectors do not sum to identity")
+        d, k = prod(dims), len(eigenvalues)
+        basis = np.array(self.basis, dtype=complex)
+        if basis.shape != (d, d) or not np.all(np.isfinite(basis)):
+            raise InvalidProjectorFamilyError(f"basis must be a finite {d} x {d} matrix")
+        labels = np.array(self.labels)
+        if (labels.shape != (d,) or labels.dtype.kind not in "iu" or labels.min() < 0
+                or labels.max() >= k or not np.bincount(labels, minlength=k).all()):
+            raise InvalidProjectorFamilyError(
+                f"{d} basis column labels must cover branches 0..{k - 1}"
+            )
+        if np.max(np.abs(basis.conj().T @ basis - np.eye(d))) > PROJ_TOL:
+            raise InvalidProjectorFamilyError("basis is not unitary")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "basis", _frozen(basis))
+        object.__setattr__(self, "labels", _frozen(labels.astype(np.intp)))
 
     @property
     def branch_count(self) -> int:
@@ -76,6 +71,17 @@ class Observable:
     def dim(self) -> int:
         return prod(self.dims)
 
+    @property
+    def indicator(self) -> np.ndarray:
+        """D x k branch membership of the columns; x @ indicator sums x per branch."""
+        return (self.labels[:, None] == np.arange(self.branch_count)).astype(float)
+
+    @cached_property
+    def projectors(self) -> tuple[Operator, ...]:
+        """Dense projectors V_i V_i^dag in branch order, built on first use."""
+        cols = (self.basis[:, self.labels == i] for i in range(self.branch_count))
+        return tuple(Operator(self.dims, v @ v.conj().T) for v in cols)
+
     def eigenvalue(self, branch: int) -> float:
         self._check_branch(branch)
         return self.eigenvalues[branch]
@@ -84,18 +90,23 @@ class Observable:
         self._check_branch(branch)
         return self.projectors[branch]
 
-    def branch_rank(self, branch: int) -> int:
-        """Multiplicity of a branch: the projector's trace rounded to int."""
+    def branch_basis(self, branch: int) -> np.ndarray:
+        """The orthonormal columns V_i of one branch, a D x rank array."""
         self._check_branch(branch)
-        return int(round(np.trace(self.projectors[branch].entries).real))
+        return self.basis[:, self.labels == branch]
+
+    def branch_rank(self, branch: int) -> int:
+        """Multiplicity of a branch: the number of basis columns it owns."""
+        self._check_branch(branch)
+        return int(np.count_nonzero(self.labels == branch))
 
     def branches(self):
         return tuple(zip(self.eigenvalues, self.projectors))
 
     def matrix(self) -> Operator:
-        """Reconstruct the Hermitian matrix sum_i a_i P_i."""
-        total = sum(a * p.entries for a, p in zip(self.eigenvalues, self.projectors))
-        return Operator(self.dims, total)
+        """Reconstruct the Hermitian matrix sum_i a_i P_i = V diag(a) V^dag."""
+        scaled = self.basis * np.asarray(self.eigenvalues)[self.labels]
+        return Operator(self.dims, scaled @ self.basis.conj().T)
 
     def _check_branch(self, branch: int) -> None:
         if not 0 <= branch < self.branch_count:
@@ -104,30 +115,52 @@ class Observable:
             )
 
 
+def _check_family(stack: np.ndarray) -> None:
+    # Within PROJ_TOL: each projector Hermitian and idempotent, each pair i < j
+    # orthogonal, the sum the identity; the first failure in that order is
+    # reported.  One product per branch, P_i @ [P_i, ..., P_{k-1}], gives P_i P_j.
+    herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    devs = []
+    for i in range(len(stack)):
+        prods = stack[i] @ stack[i:]
+        prods[0] -= stack[i]
+        devs.append(np.abs(prods).max(axis=(1, 2)))
+    for i, dev in enumerate(devs):
+        if max(herm[i], dev[0]) > PROJ_TOL:
+            bad = "Hermitian" if herm[i] > PROJ_TOL else "idempotent"
+            raise InvalidProjectorFamilyError(f"projector is not {bad}")
+    for i, dev in enumerate(devs):
+        if dev.max() > PROJ_TOL:
+            j = i + int(np.argmax(dev > PROJ_TOL))
+            raise InvalidProjectorFamilyError(f"projectors {i} and {j} are not orthogonal")
+    if np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))) > PROJ_TOL:
+        raise InvalidProjectorFamilyError("projectors do not sum to identity")
+
+
 def observable_from_branches(branches, dims=None) -> Observable:
     """Build an Observable from (eigenvalue, projector) pairs.
 
     Projectors may be Operator instances or raw matrices (dims required then).
-    Branches are sorted into canonical increasing-eigenvalue order; the family
-    invariants are validated.
+    Branches are sorted into canonical increasing-eigenvalue order and the
+    family (every branch of rank >= 1) is validated once, here.  V is the
+    eigenbasis of sum_i i * P_i, labelled by its rounded eigenvalues.
     """
     pairs = list(branches)
     if not pairs:
         raise InvalidProjectorFamilyError("no branches given")
-    ops = []
-    for a, p in pairs:
-        if isinstance(p, Operator):
-            ops.append((float(a), p))
-        else:
-            if dims is None:
-                raise InvalidInputError("dims required for raw projector matrices")
-            ops.append((float(a), Operator(dims, p)))
+    if dims is None and not all(isinstance(p, Operator) for _, p in pairs):
+        raise InvalidInputError("dims required for raw projector matrices")
+    ops = [(float(a), p if isinstance(p, Operator) else Operator(dims, p))
+           for a, p in pairs]
     ops.sort(key=lambda pair: pair[0])
-    obs_dims = dims if dims is not None else ops[0][1].dims
+    obs_dims = _check_dims(dims if dims is not None else ops[0][1].dims)
+    if any(p.dims != obs_dims for _, p in ops):
+        raise InvalidProjectorFamilyError(f"projector dims mismatch: expected {obs_dims}")
+    stack = np.stack([p.entries for _, p in ops])
+    _check_family(stack)
+    evals, basis = np.linalg.eigh(np.tensordot(np.arange(len(ops)), stack, axes=1))
     return Observable(
-        _check_dims(obs_dims),
-        tuple(a for a, _ in ops),
-        tuple(p for _, p in ops),
+        obs_dims, tuple(a for a, _ in ops), basis, np.rint(evals).astype(np.intp)
     )
 
 
@@ -138,7 +171,7 @@ def observable_from_matrix(
 
     Eigenvalues closer than degeneracy_tol (single-linkage on the sorted
     spectrum) are merged into one branch whose eigenvalue is the cluster mean
-    and whose projector spans the cluster's eigenvectors.
+    and whose columns are the cluster's eigenvectors.
     """
     if isinstance(h, Operator):
         op = h
@@ -149,26 +182,17 @@ def observable_from_matrix(
         dev = float(np.max(np.abs(op.entries - op.entries.conj().T)))
         raise NotHermitianError(f"matrix deviates from Hermitian by {dev!r}")
     evals, evecs = np.linalg.eigh(op.entries)
-    branches = []
-    start = 0
-    for k in range(1, len(evals) + 1):
-        if k == len(evals) or evals[k] - evals[k - 1] >= degeneracy_tol:
-            vecs = evecs[:, start:k]
-            proj = Operator(op.dims, vecs @ vecs.conj().T)
-            branches.append((float(np.mean(evals[start:k])), proj))
-            start = k
-    return Observable(
-        op.dims,
-        tuple(a for a, _ in branches),
-        tuple(p for _, p in branches),
-    )
+    labels = np.concatenate([[0], np.cumsum(np.diff(evals) >= degeneracy_tol)])
+    means = (float(np.mean(evals[labels == i])) for i in range(labels[-1] + 1))
+    return Observable(op.dims, tuple(means), evecs, labels)
 
 
 def embed_observable(obs: Observable, dims, subsystem: int) -> Observable:
     """Lift an observable on one subsystem to the composite system.
 
-    Each projector becomes 1 (x) ... (x) P_i (x) ... (x) 1 at the given
-    subsystem slot; eigenvalues and branch order are unchanged.
+    The basis becomes 1 (x) ... (x) V (x) ... (x) 1 at the given subsystem
+    slot, and each of its columns keeps the label of its V column;
+    eigenvalues and branch order are unchanged.
     """
     dims = _check_dims(dims)
     if not 0 <= subsystem < len(dims):
@@ -180,8 +204,6 @@ def embed_observable(obs: Observable, dims, subsystem: int) -> Observable:
         )
     before = int(prod(dims[:subsystem]))
     after = int(prod(dims[subsystem + 1 :]))
-    lifted = []
-    for p in obs.projectors:
-        m = np.kron(np.kron(np.eye(before), p.entries), np.eye(after))
-        lifted.append(Operator(dims, m))
-    return Observable(dims, obs.eigenvalues, tuple(lifted))
+    basis = np.kron(np.kron(np.eye(before), obs.basis), np.eye(after))
+    labels = np.tile(np.repeat(obs.labels, after), before)
+    return Observable(dims, obs.eigenvalues, basis, labels)

@@ -19,11 +19,13 @@ register size, the final states are exactly
     U_B U_A psi (x) |0> (x) |0> = sum_ij R_j P_i psi (x) |i> (x) |j>
     U_A psi (x) |0>             = sum_i  P_i psi (x) |i>
 
-run_two_pointer and run_one_pointer evaluate these by contraction with the
-stacked branch projectors, in O(d*n*m) memory.  brute_force_joint is the
-independent oracle: it applies U_A and U_B by their definitions to the full
-register tensor, rolling the pointer axes branch by branch, and never builds
-a matrix.  A setup whose state would exceed POINTER_STATE_MAX_AMPS
+run_two_pointer and run_one_pointer evaluate these on the eigenbases V_A and
+V_B, in O(d*n*m) memory: P_i psi is V_A applied to V_A^dag psi cut to the
+columns of branch i, and R_j P_i psi is V_B applied to V_B^dag P_i psi cut to
+the columns of branch j.  brute_force_joint is the independent oracle: it
+applies U_A and U_B by their definitions, with the dense projectors, to the
+full register tensor, rolling the pointer axes branch by branch, and never
+builds a matrix.  A setup whose state would exceed POINTER_STATE_MAX_AMPS
 amplitudes is rejected on construction.
 """
 
@@ -190,26 +192,30 @@ def _joint_from_cells(cells: np.ndarray, residual: float) -> JointDistribution:
     return JointDistribution(cells)
 
 
-def _stacked(obs: Observable) -> np.ndarray:
-    # Projector matrices stacked along axis 0, in branch order.
-    return np.stack([p.entries for p in obs.projectors])
+def _tagged(setup: PointerSchemeSetup) -> np.ndarray:
+    # Column i is P_i psi0: V_A times c = V_A^dag psi0 cut to branch i.
+    obs_a = setup.obs_a
+    c = obs_a.basis.conj().T @ setup.small_state.amps
+    return obs_a.basis @ (c[:, None] * obs_a.indicator)
 
 
 def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
     """Evolve psi0 (x) |0> (x) |0> through U_B U_A and read both pointers.
 
-    The final state sum_ij R_j P_i psi0 (x) |i> (x) |j> is contracted from
-    the stacked projectors without building U_A or U_B.  Returns it and the
-    joint distribution over (first-observable branch, second-observable
-    branch).
+    The final state sum_ij R_j P_i psi0 (x) |i> (x) |j> is built from the
+    two eigenbases without building U_A or U_B.  Returns it and the joint
+    distribution over (first-observable branch, second-observable branch).
     """
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("setup is not in two-pointer mode")
-    n, m = setup.n_pointer1, setup.m_pointer2
-    na, nb = setup.obs_a.branch_count, setup.obs_b.branch_count
-    tagged = _stacked(setup.obs_a) @ setup.small_state.amps  # row i is P_i psi0
-    amps = np.zeros((setup.small_state.dim, n, m), dtype=complex)
-    amps[:, :na, :nb] = np.einsum("jab,ib->aij", _stacked(setup.obs_b), tagged)
+    n, m, d = setup.n_pointer1, setup.m_pointer2, setup.small_state.dim
+    obs_b = setup.obs_b
+    na, nb = setup.obs_a.branch_count, obs_b.branch_count
+    # split[:, i, j] = V_B^dag R_j P_i psi0, V_B^dag P_i psi0 cut to branch j.
+    in_b = obs_b.basis.conj().T @ _tagged(setup)
+    split = in_b[:, :, None] * obs_b.indicator[:, None]
+    amps = np.zeros((d, n, m), dtype=complex)
+    amps[:, :na, :nb] = (obs_b.basis @ split.reshape(d, -1)).reshape(d, na, nb)
     final = StateVector(setup.small_state.dims + (n, m), amps)
     cells = (np.abs(amps) ** 2).sum(axis=0)
     joint = _joint_from_cells(cells[:na, :nb], float(cells.sum() - cells[:na, :nb].sum()))
@@ -221,20 +227,16 @@ def run_one_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistri
 
     The final state sum_i P_i psi0 (x) |i> is written without building U_A.
     The joint cell (i, j) is ||R_j P_i psi0||^2, read off the pointer-tagged
-    system blocks of the final state.
+    system blocks of the final state as block sums of |V_B^dag P_i psi0|^2.
     """
     if setup.mode != ONE_POINTER:
         raise InvalidInputError("setup is not in one-pointer mode")
-    n = setup.n_pointer1
-    na, nb = setup.obs_a.branch_count, setup.obs_b.branch_count
+    n, na = setup.n_pointer1, setup.obs_a.branch_count
+    obs_b = setup.obs_b
     blocks = np.zeros((setup.small_state.dim, n), dtype=complex)
-    blocks[:, :na] = (_stacked(setup.obs_a) @ setup.small_state.amps).T
+    blocks[:, :na] = _tagged(setup)
     final = StateVector(setup.small_state.dims + (n,), blocks)
-    cells = np.zeros((na, nb))
-    for i in range(na):
-        tagged = blocks[:, i]  # P_i psi0
-        for j, r in enumerate(setup.obs_b.projectors):
-            cells[i, j] = float(np.linalg.norm(r.entries @ tagged) ** 2)
+    cells = (np.abs(obs_b.basis.conj().T @ blocks[:, :na]) ** 2).T @ obs_b.indicator
     residual = float((np.abs(blocks) ** 2).sum() - cells.sum())
     joint = _joint_from_cells(cells, residual)
     return final, joint

@@ -10,8 +10,8 @@ from math import prod
 
 import numpy as np
 
-from .core import DensityMatrix, Operator, StateVector
-from .observables import Observable, observable_from_branches
+from .core import DensityMatrix, StateVector
+from .observables import Observable
 
 
 def random_state(rng: np.random.Generator, dims) -> StateVector:
@@ -63,10 +63,5 @@ def random_observable(
     # Gaps >= 0.1 keep clustering in observable_from_matrix unambiguous.
     eigenvalues = np.cumsum(rng.uniform(0.1, 2.0, size=k)) - 1.0
     basis = random_unitary(rng, d)
-    branches = []
-    start = 0
-    for a, r in zip(eigenvalues, ranks):
-        cols = basis[:, start : start + r]
-        branches.append((float(a), Operator(tuple(dims), cols @ cols.conj().T)))
-        start += r
-    return observable_from_branches(branches, tuple(dims))
+    labels = np.repeat(np.arange(k), ranks)
+    return Observable(tuple(dims), tuple(map(float, eigenvalues)), basis, labels)

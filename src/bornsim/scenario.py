@@ -239,8 +239,9 @@ def parse_scenario(text: str, source: str) -> Scenario:
         raise ScenarioParseError(
             f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}"
         )
-    seed_value = _take(fields, "seed")
-    seed = DEFAULT_SEED if seed_value is None else _parse_int(seed_value, "seed")
+    seed = _parse_int(_take(fields, "seed", str(DEFAULT_SEED)), "seed")
+    if seed < 0:
+        raise ScenarioParseError(f"field 'seed': must be >= 0, got {seed}")
     return Scenario(kind, source, seed, fields)
 
 
@@ -264,8 +265,8 @@ def _state_records(prefix: str, state: StateVector) -> Records:
     return [(f"{prefix}.{k}", fmt_complex(z)) for k, z in enumerate(state.amps)]
 
 
-def _distribution_records(prefix: str, labels, probs) -> Records:
-    return [(f"{prefix}.{l}", fmt_real(p)) for l, p in zip(labels, probs)]
+def _distribution_records(prefix: str, dist) -> Records:
+    return [(f"{prefix}.{l}", fmt_real(p)) for l, p in zip(dist.labels, dist.probs)]
 
 
 # ------------------------------------------------------------------- runners
@@ -284,20 +285,9 @@ def _run_pointer(scn: Scenario) -> Records:
         obs_a = _resolve_observable(fields, "obs_a", state.dims)
         obs_b = _resolve_observable(fields, "obs_b", state.dims)
         mode = scn.kind
-        n1_value = _take(fields, "pointer1_size")
-        n1 = (
-            obs_a.branch_count
-            if n1_value is None
-            else _parse_int(n1_value, "pointer1_size")
-        )
-        m2 = None
-        if scn.kind == "two_pointer":
-            m2_value = _take(fields, "pointer2_size")
-            m2 = (
-                obs_b.branch_count
-                if m2_value is None
-                else _parse_int(m2_value, "pointer2_size")
-            )
+        size = lambda key, obs: _parse_int(_take(fields, key, str(obs.branch_count)), key)
+        n1 = size("pointer1_size", obs_a)
+        m2 = size("pointer2_size", obs_b) if scn.kind == "two_pointer" else None
     _reject_unknown(fields)
 
     if mode == "two_pointer":
@@ -313,19 +303,17 @@ def _run_pointer(scn: Scenario) -> Records:
         cross_dev = float(np.max(np.abs(joint.probs - run_two_pointer(twin)[1].probs)))
         cross_key = "two_pointer_joint_max_dev"
 
-    records: Records = []
-    records += [
-        (f"eigenvalue_a.{i}", fmt_real(a)) for i, a in enumerate(obs_a.eigenvalues)
-    ]
-    records += [
-        (f"eigenvalue_b.{j}", fmt_real(b)) for j, b in enumerate(obs_b.eigenvalues)
+    records: Records = [
+        (f"eigenvalue_{side}.{i}", fmt_real(a))
+        for side, obs in (("a", obs_a), ("b", obs_b))
+        for i, a in enumerate(obs.eigenvalues)
     ]
     na, nb = joint.branch_counts
     for i in range(na):
         for j in range(nb):
             records.append((f"p_ij.{i}.{j}", fmt_real(joint.probs[i, j])))
     marg = marginal_a(joint)
-    records += _distribution_records("p_i", marg.labels, marg.probs)
+    records += _distribution_records("p_i", marg)
     for i in range(na):
         if float(marg.probs[i]) <= ZERO_PROB_CUTOFF:
             continue
@@ -349,14 +337,12 @@ def _run_ll(scn: Scenario) -> Records:
     obs = _resolve_observable(fields, "obs", state.dims, default="sigma_z")
     records: Records = []
     if scn.kind == "stern_gerlach":
-        omegas_value = _take(fields, "omegas")
-        omegas = (
-            [0.5 * (n + 1) for n in range(obs.branch_count)]
-            if omegas_value is None
-            else _parse_floats(omegas_value, "omegas")
-        )
-        dt_value = _take(fields, "dt")
-        dt = 1.0 if dt_value is None else _parse_float(dt_value, "dt")
+        omegas = _take(fields, "omegas")
+        if omegas is None:
+            omegas = [0.5 * (n + 1) for n in range(obs.branch_count)]
+        else:
+            omegas = _parse_floats(omegas, "omegas")
+        dt = _parse_float(_take(fields, "dt", "1.0"), "dt")
         _reject_unknown(fields)
         unitaries = phase_unitaries(obs, omegas, dt)
         output = ll_channel(state, obs, unitaries)
@@ -414,8 +400,7 @@ def _run_telepathy(scn: Scenario) -> Records:
     default_b = "sigma_z" if state.dims[1] == 2 else None
     obs_a = _resolve_observable(fields, "obs_a", (state.dims[0],), default=default_a)
     obs_b = _resolve_observable(fields, "obs_b", (state.dims[1],), default=default_b)
-    shots_value = _take(fields, "shots")
-    shots = 0 if shots_value is None else _parse_int(shots_value, "shots")
+    shots = _parse_int(_take(fields, "shots", "0"), "shots")
     if shots < 0:
         raise ScenarioParseError(f"field 'shots': must be >= 0, got {shots}")
     _reject_unknown(fields)
@@ -425,12 +410,8 @@ def _run_telepathy(scn: Scenario) -> Records:
     records: Records = [("rule", rule_value)]
     if rule.exponent != 1.0:
         records.append(("q", fmt_real(rule.exponent)))
-    records += _distribution_records(
-        "p_with_alice", with_alice.labels, with_alice.probs
-    )
-    records += _distribution_records(
-        "p_without_alice", without_alice.labels, without_alice.probs
-    )
+    records += _distribution_records("p_with_alice", with_alice)
+    records += _distribution_records("p_without_alice", without_alice)
     records.append(("signaling_gap", fmt_real(tv_distance(with_alice, without_alice))))
     if shots > 0:
         rng = np.random.default_rng(scn.seed)
@@ -438,10 +419,8 @@ def _run_telepathy(scn: Scenario) -> Records:
         mc_without = channel_simulation(scenario, 0, shots, rng)
         gap = float(0.5 * np.abs(mc_with.probs - mc_without.probs).sum())
         records.append(("mc_shots", str(shots)))
-        records += _distribution_records("mc_p_with_alice", mc_with.labels, mc_with.probs)
-        records += _distribution_records(
-            "mc_p_without_alice", mc_without.labels, mc_without.probs
-        )
+        records += _distribution_records("mc_p_with_alice", mc_with)
+        records += _distribution_records("mc_p_without_alice", mc_without)
         records.append(("mc_gap", fmt_real(gap)))
     return records
 

@@ -8,11 +8,13 @@ weights
 
     W[i, j] = ||(P_i (x) R_j) psi||^2 = ||P_i M R_j^T||^2
 
-of Alice's projectors P_i and Bob's projectors R_j.  Without Alice, Bob's
-rule acts on his Born weights W.sum(axis=0).  If Alice measured, the state is
-the proper mixture of her collapsed branches: branch i has Born weight
-W[i].sum() and Bob's rule acts on row W[i] (the rule is scale invariant), so
-his arm is the weighted mixture of the per-row distributions.  The signaling
+of Alice's projectors P_i and Bob's projectors R_j, computed from the parties'
+eigenbases V_A and V_B as the sum of |V_A^dag M conj(V_B)|^2 over the rows of
+Alice's branch i and the columns of Bob's branch j.  Without Alice, Bob's rule
+acts on his Born weights W.sum(axis=0).  If Alice measured, the state is the
+proper mixture of her collapsed branches: branch i has Born weight W[i].sum()
+and Bob's rule acts on row W[i] (the rule is scale invariant), so his arm is
+the weighted mixture of the per-row distributions.  The signaling
 gap is the total variation distance between Bob's two arms.  Under the Born
 rule the gap vanishes identically (no signaling); rules with any other
 exponent produce a nonzero gap on suitable entangled states, which is what
@@ -62,16 +64,12 @@ class TelepathyScenario:
 
 
 def _cell_weights(scenario: TelepathyScenario) -> np.ndarray:
-    # W[i, j] = ||P_i M R_j^T||^2, shape (Alice branches, Bob branches).
+    # W[i, j] = ||P_i M R_j^T||^2, shape (Alice branches, Bob branches): block
+    # sums of |V_A^dag M conj(V_B)|^2 over Alice's rows and Bob's columns.
+    alice, bob = scenario.alice_obs, scenario.bob_obs
     m = scenario.state.amps.reshape(scenario.state.dims)
-    tagged = np.stack([p.entries for p in scenario.alice_obs.projectors]) @ m
-    return np.stack(
-        [
-            (np.abs(tagged @ r.entries.T) ** 2).sum(axis=(1, 2))
-            for r in scenario.bob_obs.projectors
-        ],
-        axis=1,
-    )
+    amps = np.abs(alice.basis.conj().T @ m @ bob.basis.conj()) ** 2
+    return alice.indicator.T @ amps @ bob.indicator
 
 
 def _alice_branches(

@@ -1,9 +1,11 @@
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from bornsim.cli import main
+from bornsim.cli import MAX_DIMS_LIMIT, main
+from bornsim.pointer import POINTER_STATE_MAX_AMPS, SCHEME_AGREEMENT_TOL
 from bornsim.presets import SCENARIO_PRESETS
 
 
@@ -102,7 +104,7 @@ def test_scenario_file_with_matrix_observable(tmp_path, capsys):
     assert lines["seed"] == "77"
     assert lines["p_i.0"] == "0.64"
     assert lines["p_i.1"] == "0.36"
-    assert lines["oracle_joint_max_dev"] == "0"
+    assert float(lines["oracle_joint_max_dev"]) < SCHEME_AGREEMENT_TOL
 
 
 def test_scenario_file_with_branch_observable(tmp_path, capsys):
@@ -293,6 +295,35 @@ def test_verify_rejects_bad_args(capsys):
     assert code == 2 and "parse error" in err
     code, _, err = run_cli(capsys, "verify", "--dims-limit", "1")
     assert code == 2 and "parse error" in err
+
+
+def test_negative_seed_is_a_usage_error(tmp_path):
+    proc = run_proc("verify", "--seed", "-1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "parse error: --seed must be >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    path = tmp_path / "negative_seed.scn"
+    path.write_text("kind = telepathy\nstate = bell_pair\nseed = -1\nshots = 10\n")
+    proc = run_proc("run", str(path))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "parse error: field 'seed': must be >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_dims_limit_above_the_pointer_cap_is_refused_before_any_trial(capsys):
+    # The largest --dims-limit is the largest d whose d x d x d two-pointer
+    # state fits POINTER_STATE_MAX_AMPS; no trial at that size runs here.
+    assert MAX_DIMS_LIMIT == 256
+    assert MAX_DIMS_LIMIT**3 <= POINTER_STATE_MAX_AMPS < (MAX_DIMS_LIMIT + 1) ** 3
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify", "--trials", "1", "--dims-limit", "257")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "parse error: --dims-limit must be between 2 and 256, got 257" in err
+    assert peak < 2**20
 
 
 def test_usage_error_exits_2():

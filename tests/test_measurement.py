@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bornsim import (
     BORN,
     DensityMatrix,
+    InvalidDensityError,
     InvalidInputError,
     NotDecoheredError,
     NotUnitaryError,
@@ -28,7 +29,7 @@ from bornsim import (
     state_preparation_unitaries,
     von_neumann_entropy,
 )
-from bornsim import cli, measurement, scenario
+from bornsim import cli, core, measurement, scenario
 from bornsim.measurement import _classical_branches, _transform_weights
 from bornsim.rand import random_observable, random_state, random_unitary
 
@@ -338,3 +339,53 @@ def test_classical_blocks_built_once_per_state(monkeypatch):
     check = cli._check_entropy(trials=0, seed=1234)
     assert check.passed
     assert len(calls) == 50 and sum(calls) > 50
+
+
+def test_one_eigvalsh_per_density_in_entropy_demo(monkeypatch):
+    # The positivity check's spectrum is kept on the DensityMatrix and reused
+    # by von_neumann_entropy, so every density costs one eigvalsh.
+    text = (
+        "kind = entropy_demo\nstate = 0.3 0.5-0.2i 0.1 0.7\n"
+        "obs = matrix 1 0 0 0; 0 1 0.5i 0; 0 -0.5i 2 0; 0 0 0 1\n"
+    )
+    cached = scenario.run_scenario(scenario.parse_scenario(text, "demo"))
+
+    def recomputing(rho):
+        # von_neumann_entropy as it was: diagonalise again.
+        evals = np.linalg.eigvalsh(rho.entries)
+        evals = np.clip(evals, 0.0, None)
+        pos = evals[evals > 0.0]
+        return float(-(pos * np.log2(pos)).sum())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario, "von_neumann_entropy", recomputing)
+        recomputed = scenario.run_scenario(scenario.parse_scenario(text, "demo"))
+    assert [r for r in cached if r[0].startswith("entropy_")] == [
+        r for r in recomputed if r[0].startswith("entropy_")
+    ]
+    assert cached == recomputed
+
+    densities, eigvalsh_calls = [], []
+    original_eigvalsh, original_init = np.linalg.eigvalsh, DensityMatrix.__post_init__
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        eigvalsh_calls.append(a.shape)
+        return original_eigvalsh(a, *args, **kwargs)
+
+    def counting_init(self):
+        densities.append(self)
+        original_init(self)
+
+    monkeypatch.setattr(core.np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting_init)
+    records = dict(scenario.run_scenario(scenario.parse_scenario(text, "demo")))
+    # rho, the dephased state and one conditional state per live branch.
+    assert len(densities) == 2 + sum(k.startswith("p.") for k in records)
+    assert len(eigvalsh_calls) == len(densities)
+
+
+def test_entropy_still_rejects_negative_spectrum():
+    rho = DensityMatrix((2,), np.diag([0.5, 0.5]))
+    object.__setattr__(rho, "spectrum", np.array([-1e-9, 1.0]))
+    with pytest.raises(InvalidDensityError):
+        von_neumann_entropy(rho)

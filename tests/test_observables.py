@@ -1,16 +1,22 @@
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornsim import (
     InvalidInputError,
     InvalidProjectorFamilyError,
     NotHermitianError,
+    Observable,
     Operator,
     embed_observable,
     observable_from_branches,
     observable_from_matrix,
 )
-from bornsim.rand import random_observable, random_unitary
+from bornsim.observables import PROJ_TOL
+from bornsim.rand import random_density, random_observable, random_unitary
 
 SIGMA_Z = np.diag([1.0, -1.0])
 
@@ -140,3 +146,210 @@ def test_embed_observable_validation():
         embed_observable(obs, (3, 2), 0)  # dim mismatch at slot 0
     with pytest.raises(InvalidInputError):
         embed_observable(obs, (2, 2), 5)
+
+
+def test_embed_observable_keeps_branch_labels():
+    obs = random_observable(np.random.default_rng(5), (3,), degenerate=True)
+    for dims, slot in (((3, 2), 0), ((2, 3), 1), ((2, 3, 2), 1)):
+        lifted = embed_observable(obs, dims, slot)
+        assert lifted.branch_count == obs.branch_count
+        for i, p in enumerate(obs.projectors):
+            factors = [np.eye(d) for d in dims]
+            factors[slot] = p.entries
+            expected = factors[0]
+            for f in factors[1:]:
+                expected = np.kron(expected, f)
+            np.testing.assert_allclose(lifted.projector(i).entries, expected, atol=1e-14)
+            assert lifted.branch_rank(i) == obs.branch_rank(i) * prod(dims) // 3
+
+
+class TestSpectralRepresentation:
+    def test_projectors_are_a_cached_view_of_the_basis(self, rng):
+        obs = random_observable(rng, (6,), degenerate=True)
+        assert obs.projectors is obs.projectors
+        for i in range(obs.branch_count):
+            cols = obs.branch_basis(i)
+            assert cols.shape == (6, obs.branch_rank(i))
+            np.testing.assert_allclose(
+                obs.projector(i).entries, cols @ cols.conj().T, atol=1e-15
+            )
+
+    def test_basis_and_labels_are_read_only(self, rng):
+        obs = random_observable(rng, (4,))
+        for arr in (obs.basis, obs.labels):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize(
+        "basis, labels",
+        [
+            (np.eye(3)[:, :2], [0, 0, 1]),  # not square
+            (np.full((3, 3), np.nan), [0, 0, 1]),  # not finite
+            (np.eye(3), [0, 1]),  # a column without a label
+            (np.eye(3), [0, 0, 0]),  # branch 1 owns no column
+            (np.eye(3), [0, 2, 1]),  # label beyond the branch count
+            (np.eye(3), [0, -1, 1]),
+            (np.eye(3), [0, 0.5, 1]),
+            (np.eye(3) + 2e-10, [0, 0, 1]),  # not unitary within PROJ_TOL
+        ],
+    )
+    def test_bad_representation_rejected(self, basis, labels):
+        with pytest.raises(InvalidProjectorFamilyError):
+            Observable((3,), (0.0, 1.0), basis, labels)
+
+    def test_unitarity_tolerance_boundary(self):
+        # A real rotation scaled by 1 + e has V^dag V - 1 = (2e + e^2) on the
+        # diagonal.
+        def scaled(e):
+            c, s = np.cos(0.3), np.sin(0.3)
+            rotation = np.array([[c, -s], [s, c]])
+            return Observable((2,), (0.0, 1.0), (1 + e) * rotation, [0, 1])
+
+        scaled(0.45 * PROJ_TOL)
+        with pytest.raises(InvalidProjectorFamilyError):
+            scaled(0.55 * PROJ_TOL)
+
+    def test_zero_rank_branch_rejected(self):
+        # The loop validator accepted a zero projector; a branch must now own
+        # at least one basis column.
+        zero = np.zeros((2, 2))
+        with pytest.raises(InvalidProjectorFamilyError):
+            observable_from_branches([(0.0, np.eye(2)), (1.0, zero)], (2,))
+
+
+# ------------------------------------------------- the boundary against its oracle
+
+
+def _loop_validate(pairs, dims) -> None:
+    """The projector-family validator as it was before the spectral refactor,
+    with its messages: sort by eigenvalue, then check the eigenvalues, every
+    projector, every pair and the sum, one matrix at a time.  Kept as the
+    oracle for observable_from_branches."""
+    raw = lambda p: p.entries if isinstance(p, Operator) else np.asarray(p, dtype=complex)
+    pairs = sorted(((float(a), raw(p)) for a, p in pairs), key=lambda pair: pair[0])
+    if not pairs:
+        raise InvalidProjectorFamilyError("no branches given")
+    eigenvalues = tuple(a for a, _ in pairs)
+    projectors = [p for _, p in pairs]
+    if any(not np.isfinite(a) for a in eigenvalues):
+        raise InvalidProjectorFamilyError("non-finite eigenvalue")
+    if any(b >= a for a, b in zip(eigenvalues[1:], eigenvalues)):
+        raise InvalidProjectorFamilyError(
+            f"eigenvalues not strictly increasing: {eigenvalues}"
+        )
+    d = prod(dims)
+    for m in projectors:
+        if m.shape != (d, d):
+            raise InvalidProjectorFamilyError(f"projector dims mismatch: expected {dims}")
+        if np.max(np.abs(m - m.conj().T)) > PROJ_TOL:
+            raise InvalidProjectorFamilyError("projector is not Hermitian")
+        if np.max(np.abs(m @ m - m)) > PROJ_TOL:
+            raise InvalidProjectorFamilyError("projector is not idempotent")
+    for i in range(len(projectors)):
+        for j in range(i + 1, len(projectors)):
+            if np.max(np.abs(projectors[i] @ projectors[j])) > PROJ_TOL:
+                raise InvalidProjectorFamilyError(
+                    f"projectors {i} and {j} are not orthogonal"
+                )
+    if np.max(np.abs(sum(projectors) - np.eye(d))) > PROJ_TOL:
+        raise InvalidProjectorFamilyError("projectors do not sum to identity")
+
+
+def _outcome(fn, *args):
+    """None, or the type and message of what fn raised."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+PERTURBATIONS = ("none", "hermitian", "idempotent", "orthogonal", "incomplete", "several")
+
+
+def _perturbed_family(seed: int, d: int, k: int, kind: str, factor: float):
+    """A valid k-branch family on dimension d, with branch 0 perturbed so that
+    the check named by kind deviates by factor * PROJ_TOL (up to O(PROJ_TOL^2)).
+
+    hermitian: + (i e / 2)|a><a|, so P - P^dag has one entry of size e.
+    idempotent: + e/m |u><u|, u a column of branch 0 and m = max|u u^dag|:
+        P^2 - P and the sum both deviate by e.
+    orthogonal: + e/m |y><y| with y a column of branch 1: P_0 P_1, P_0^2 - P_0
+        and the sum deviate by e.
+    incomplete: - e/m |u><u|: the sum deviates by e, P^2 - P by e (1 - e/m).
+    several: random kicks of size up to e on every branch, some not Hermitian.
+    """
+    rng = np.random.default_rng(seed)
+    basis = random_unitary(rng, d)
+    cuts = np.sort(rng.choice(np.arange(1, d), size=k - 1, replace=False))
+    edges = np.concatenate([[0], cuts, [d]])
+    cols = [basis[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+    projectors = [c @ c.conj().T for c in cols]
+    eps = factor * PROJ_TOL
+    if kind == "hermitian":
+        a = int(rng.integers(d))
+        projectors[0][a, a] += 0.5j * eps
+    elif kind in ("idempotent", "orthogonal", "incomplete"):
+        u = cols[1 if kind == "orthogonal" else 0][:, 0]
+        outer = np.outer(u, u.conj())
+        sign = -1.0 if kind == "incomplete" else 1.0
+        projectors[0] = projectors[0] + sign * eps / np.abs(outer).max() * outer
+    elif kind == "several":
+        # Independent defects on different branches, so the order in which
+        # the checks run decides which one is reported.
+        for p in projectors:
+            kick = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            if rng.random() < 0.7:
+                kick += kick.conj().T
+            p += eps * rng.uniform(0.0, 1.0) * kick
+    eigenvalues = np.cumsum(rng.uniform(0.1, 2.0, size=k))
+    order = rng.permutation(k)  # observable_from_branches sorts them back
+    return [(float(eigenvalues[i]), projectors[i]) for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 6),
+    data=st.data(),
+    kind=st.sampled_from(PERTURBATIONS),
+    factor=st.one_of(st.sampled_from([0.5, 0.9, 1.1, 2.0]), st.floats(0.25, 4.0)),
+)
+def test_boundary_rejects_what_the_loop_validator_rejects(seed, d, data, kind, factor):
+    # Same verdict, same exception type and same message: the vectorized
+    # checks report the first failure in the loop validator's order.
+    k = data.draw(st.integers(2, d), label="branches")
+    pairs = _perturbed_family(seed, d, k, kind, factor)
+    expected = _outcome(_loop_validate, pairs, (d,))
+    assert _outcome(observable_from_branches, pairs, (d,)) == expected
+    if kind == "none" or (kind != "several" and factor in (0.5, 0.9)):
+        assert expected is None
+    elif kind != "several" and factor in (1.1, 2.0):
+        assert expected is not None and expected[0] is InvalidProjectorFamilyError
+
+
+@pytest.mark.parametrize("kind", PERTURBATIONS[1:-1])
+def test_perturbations_straddle_the_tolerance(kind):
+    for seed in range(5):
+        inside = _perturbed_family(seed, 5, 3, kind, 0.9)
+        outside = _perturbed_family(seed, 5, 3, kind, 1.1)
+        assert _outcome(_loop_validate, inside, (5,)) is None
+        assert _outcome(observable_from_branches, inside, (5,)) is None
+        assert _outcome(_loop_validate, outside, (5,))[0] is InvalidProjectorFamilyError
+        with pytest.raises(InvalidProjectorFamilyError):
+            observable_from_branches(outside, (5,))
+
+
+@pytest.mark.parametrize("d", [64, 128, 256])
+def test_random_objects_pass_absolute_checks_at_large_dimension(d):
+    # Tolerance audit.  The seed fixes the branch counts (58, 32 and 31); the
+    # loop oracle costs O(k^2 d^3), so the branch count sets this test's run
+    # time.
+    rng = np.random.default_rng([2, d])
+    rho = random_density(rng, (d,)).entries
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+    assert abs(np.trace(rho) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+    obs = random_observable(rng, (d,))
+    assert np.max(np.abs(obs.basis.conj().T @ obs.basis - np.eye(d))) <= 1e-10
+    _loop_validate(obs.branches(), (d,))

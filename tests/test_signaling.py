@@ -135,6 +135,19 @@ def test_large_bipartite_state_matches_cell_weights():
     _assert_arms(swap_parties(quadratic), _cell_reference_arms(cells.T, 2.0), 1e-12)
 
 
+def test_born_rule_does_not_signal_at_256_by_256():
+    # Random observables with Haar eigenbases on a 256 x 256 random state:
+    # 65536 amplitudes, up to 256 branches per party.
+    rng = np.random.default_rng(256)
+    state = random_state(rng, (256, 256))
+    scenario = TelepathyScenario(
+        state, random_observable(rng, (256,)), random_observable(rng, (256,)), BORN
+    )
+    assert scenario.alice_obs.branch_count > 1 and scenario.bob_obs.branch_count > 1
+    assert signaling_gap(scenario) < 1e-12
+    assert signaling_gap(swap_parties(scenario)) < 1e-12
+
+
 def test_bell_cell_weights():
     # Alice's branch 0 (eigenvalue -1, her |1>) pairs only with Bob's branch 0.
     cells = _cell_weights(TelepathyScenario(BELL, SIGMA_Z, SIGMA_Z))
