@@ -4,6 +4,10 @@
     bornsim verify [--trials N] [--dims-limit D] [--seed S]
     bornsim presets
 
+verify prints one line per property.  Its randomized properties are rows of
+one table run by one trial loop; trial t of a row draws from
+default_rng([seed, stream, t]), which the line's worst_seed names.
+
 Exit codes: 0 success, 1 verify property failure, 2 parse/usage error
 (including a negative seed and a --dims-limit above MAX_DIMS_LIMIT = 256),
 3 numerical invariant violation (including a pointer setup whose state
@@ -17,10 +21,11 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import Operator, von_neumann_entropy
+from .core import Operator, tv_distance, von_neumann_entropy
 from .errors import BornsimError
 from .measurement import (
     BORN,
@@ -36,11 +41,10 @@ from .observables import embed_observable
 from .pointer import (
     POINTER_STATE_MAX_AMPS,
     SCHEME_AGREEMENT_TOL,
-    brute_force_joint,
+    _evolve_checked,
+    _projection_deviation,
     one_pointer_setup,
-    projection_equivalence_report,
     run_one_pointer,
-    run_two_pointer,
     two_pointer_setup,
 )
 from .presets import (
@@ -60,8 +64,7 @@ from .scenario import (
 )
 from .signaling import (
     TelepathyScenario,
-    bob_distribution_with_alice,
-    bob_distribution_without_alice,
+    _bob_arms,
     channel_simulation,
     signaling_gap,
     swap_parties,
@@ -126,75 +129,13 @@ def cmd_presets(args) -> int:
 
 # ------------------------------------------------------------ verify batteries
 
-def _check_epr(seed: int) -> Check:
-    setup = one_pointer_setup(
-        state_preset("minus"), observable_preset("sigma_z"), observable_preset("sigma_z")
-    )
-    final, _ = run_one_pointer(setup)
+def _check_epr() -> Check:
+    sigma_z = observable_preset("sigma_z")
+    final, _ = run_one_pointer(one_pointer_setup(state_preset("minus"), sigma_z, sigma_z))
     s = 1.0 / np.sqrt(2.0)
     expected = np.array([0.0, s, -s, 0.0], dtype=complex)
     dev = float(np.max(np.abs(final.amps - expected)))
     return Check("epr_reproduction", f"worst={dev:.3g} limit=1e-12", dev < 1e-12)
-
-
-def _check_pointer(trials: int, dims_limit: int, seed: int) -> list[Check]:
-    worst_equiv = worst_pair = worst_oracle = 0.0
-    arg_equiv = arg_pair = arg_oracle = 0
-    degenerate_count = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 1, t])
-        d = int(rng.integers(2, dims_limit + 1))
-        degenerate = d >= 3 and t % 3 == 0
-        if degenerate:
-            degenerate_count += 1
-        obs_a = random_observable(rng, (d,), degenerate=degenerate)
-        obs_b = random_observable(rng, (d,), degenerate=degenerate)
-        state = random_state(rng, (d,))
-        two = two_pointer_setup(state, obs_a, obs_b)
-        one = one_pointer_setup(state, obs_a, obs_b)
-        _, joint_two = run_two_pointer(two)
-        _, joint_one = run_one_pointer(one)
-        dev = max(
-            projection_equivalence_report(two), projection_equivalence_report(one)
-        )
-        if dev > worst_equiv:
-            worst_equiv, arg_equiv = dev, t
-        dev = float(np.max(np.abs(joint_two.probs - joint_one.probs)))
-        if dev > worst_pair:
-            worst_pair, arg_pair = dev, t
-        dev = float(np.max(np.abs(brute_force_joint(two).probs - joint_two.probs)))
-        if dev > worst_oracle:
-            worst_oracle, arg_oracle = dev, t
-    mk = lambda name, worst, arg, limit: Check(
-        name,
-        f"worst={worst:.3g} limit={limit:g} trials={trials} "
-        f"degenerate={degenerate_count} worst_seed=[{seed},1,{arg}]",
-        worst < limit,
-    )
-    return [
-        mk("projection_equivalence", worst_equiv, arg_equiv, 1e-10),
-        mk("scheme_agreement", worst_pair, arg_pair, SCHEME_AGREEMENT_TOL),
-        mk("oracle_agreement", worst_oracle, arg_oracle, SCHEME_AGREEMENT_TOL),
-    ]
-
-
-def _check_no_signaling(trials: int, seed: int) -> Check:
-    worst, arg = 0.0, 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 2, t])
-        d1 = int(rng.integers(2, 5))
-        d2 = int(rng.integers(2, 5))
-        state = random_state(rng, (d1, d2))
-        parties = [random_observable(rng, (d,)) for d in (d1, d2)]
-        scenario = TelepathyScenario(state, *parties, BORN)
-        gap = max(signaling_gap(scenario), signaling_gap(swap_parties(scenario)))
-        if gap > worst:
-            worst, arg = gap, t
-    return Check(
-        "no_signaling_born",
-        f"worst={worst:.3g} limit=1e-12 trials={trials} worst_seed=[{seed},2,{arg}]",
-        worst < 1e-12,
-    )
 
 
 def _check_witness(seed: int) -> Check:
@@ -204,8 +145,8 @@ def _check_witness(seed: int) -> Check:
         observable_preset("sigma_z"),
         ProbabilityRule(2.0),
     )
-    with_alice = bob_distribution_with_alice(scenario).as_dict()
-    without_alice = bob_distribution_without_alice(scenario).as_dict()
+    arms = _bob_arms(scenario)
+    with_alice, without_alice = (arm.as_dict() for arm in arms)
     # Branch 1 of sigma_z carries eigenvalue +1, i.e. the |0> component.
     pw = 0.36**2 / (0.36**2 + 0.64**2)
     dev = max(
@@ -213,7 +154,7 @@ def _check_witness(seed: int) -> Check:
         abs(with_alice[0] - 0.64),
         abs(without_alice[1] - pw),
         abs(without_alice[0] - (1.0 - pw)),
-        abs(signaling_gap(scenario) - (0.36 - pw)),
+        abs(tv_distance(*arms) - (0.36 - pw)),
     )
     rng = np.random.default_rng([seed, 3])
     mc_dev = 0.0
@@ -237,55 +178,94 @@ def _check_born_marginals() -> Check:
     return Check("born_marginals", f"worst={dev:.3g} limit=1e-12", dev < 1e-12)
 
 
-def _check_entropy(trials: int, seed: int) -> Check:
-    n = max(50, trials // 4)
-    worst, arg = -np.inf, 0
-    for t in range(n):
-        rng = np.random.default_rng([seed, 4, t])
-        d = int(rng.integers(2, 9))
-        rho = random_density(rng, (d,))
-        obs = random_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
-        dephased = nonselective_channel(rho, obs)
-        s_in, s_out = von_neumann_entropy(rho), von_neumann_entropy(dephased)
-        live = _classical_branches(dephased, obs)[1].values()
-        avg = sum(p * von_neumann_entropy(post) for p, post in live)
-        dev = max(s_in - s_out, avg - s_out)
-        if dev > worst:
-            worst, arg = dev, t
-    return Check(
-        "entropy_monotonicity",
-        f"worst={worst:.3g} limit=1e-10 trials={n} worst_seed=[{seed},4,{arg}]",
-        worst < 1e-10,
-    )
+# A trial returns one deviation per property of its row, then the row's
+# per-trial tallies (0 or 1 each).
+
+def _pointer_trial(rng, t: int, dims_limit: int) -> tuple:
+    d = int(rng.integers(2, dims_limit + 1))
+    degenerate = d >= 3 and t % 3 == 0
+    obs_a = random_observable(rng, (d,), degenerate=degenerate)
+    obs_b = random_observable(rng, (d,), degenerate=degenerate)
+    state = random_state(rng, (d,))
+    _, joint_two, equiv_two, oracle = _evolve_checked(two_pointer_setup(state, obs_a, obs_b))
+    one = one_pointer_setup(state, obs_a, obs_b)
+    _, joint_one = run_one_pointer(one)
+    equiv = max(equiv_two, _projection_deviation(one, joint_one))
+    pair = float(np.max(np.abs(joint_two.probs - joint_one.probs)))
+    return equiv, pair, oracle, degenerate
 
 
-def _check_ll(trials: int, dims_limit: int, seed: int) -> Check:
-    n = max(50, trials // 4)
-    worst, arg = 0.0, 0
-    for t in range(n):
-        rng = np.random.default_rng([seed, 5, t])
-        d = int(rng.integers(2, dims_limit + 1))
-        state = random_state(rng, (d,))
-        obs = random_observable(rng, (d,))
-        unitaries = [
-            Operator((d,), random_unitary(rng, d)) for _ in range(obs.branch_count)
-        ]
-        weights = branch_weights(state, obs)
-        dev = max(
-            abs(rec.probability - weights[rec.branch_index])
-            for rec in ll_channel(state, obs, unitaries)
+def _no_signaling_trial(rng, t: int, dims_limit: int) -> tuple:
+    d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    state = random_state(rng, (d1, d2))
+    parties = [random_observable(rng, (d,)) for d in (d1, d2)]
+    scenario = TelepathyScenario(state, *parties, BORN)
+    return (max(signaling_gap(scenario), signaling_gap(swap_parties(scenario))),)
+
+
+def _entropy_trial(rng, t: int, dims_limit: int) -> tuple:
+    d = int(rng.integers(2, 9))
+    rho = random_density(rng, (d,))
+    obs = random_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
+    dephased = nonselective_channel(rho, obs)
+    s_in, s_out = von_neumann_entropy(rho), von_neumann_entropy(dephased)
+    live = _classical_branches(dephased, obs)[1].values()
+    avg = sum(p * von_neumann_entropy(post) for p, post in live)
+    return (max(s_in - s_out, avg - s_out),)
+
+
+def _ll_trial(rng, t: int, dims_limit: int) -> tuple:
+    d = int(rng.integers(2, dims_limit + 1))
+    state = random_state(rng, (d,))
+    obs = random_observable(rng, (d,))
+    unitaries = [Operator((d,), random_unitary(rng, d)) for _ in range(obs.branch_count)]
+    weights = branch_weights(state, obs)
+    records = ll_channel(state, obs, unitaries)
+    dev = max(abs(rec.probability - weights[rec.branch_index]) for rec in records)
+    target = random_state(rng, (d,))
+    unitaries = state_preparation_unitaries(state, obs, target)
+    for rec in ll_channel(state, obs, unitaries):
+        dev = max(dev, float(np.max(np.abs(rec.post_state.amps - target.amps))))
+    return (dev,)
+
+
+@dataclass(frozen=True)
+class _Battery:
+    limits: tuple[tuple[str, float], ...]  # (property, limit) per deviation
+    stream: int
+    trial: Callable[[np.random.Generator, int, int], tuple]
+    few: bool = False  # max(50, trials // 4) trials instead of trials
+    tallies: tuple[str, ...] = ()
+
+
+_POINTER = _Battery(
+    (("projection_equivalence", 1e-10), ("scheme_agreement", SCHEME_AGREEMENT_TOL),
+     ("oracle_agreement", SCHEME_AGREEMENT_TOL)),
+    1, _pointer_trial, tallies=("degenerate",),
+)
+_NO_SIGNALING = _Battery((("no_signaling_born", 1e-12),), 2, _no_signaling_trial)
+_ENTROPY = _Battery((("entropy_monotonicity", 1e-10),), 4, _entropy_trial, few=True)
+_LL = _Battery((("ll_channel_invariance", 1e-12),), 5, _ll_trial, few=True)
+
+
+def _run_battery(row: _Battery, trials: int, dims_limit: int, seed: int) -> list[Check]:
+    n = max(50, trials // 4) if row.few else trials
+    rngs = (np.random.default_rng([seed, row.stream, t]) for t in range(n))
+    results = np.array([row.trial(rng, t, dims_limit) for t, rng in enumerate(rngs)])
+    k = len(row.limits)
+    totals = results[:, k:].sum(axis=0)
+    tallies = "".join(f" {name}={int(c)}" for name, c in zip(row.tallies, totals))
+    # Each property's first worst trial; a NaN deviation counts as the worst.
+    worst_trials = results[:, :k].argmax(axis=0)
+    return [
+        Check(
+            name,
+            f"worst={results[t, i]:.3g} limit={limit:g} trials={n}{tallies} "
+            f"worst_seed=[{seed},{row.stream},{t}]",
+            bool(results[t, i] < limit),
         )
-        target = random_state(rng, (d,))
-        unitaries = state_preparation_unitaries(state, obs, target)
-        for rec in ll_channel(state, obs, unitaries):
-            dev = max(dev, float(np.max(np.abs(rec.post_state.amps - target.amps))))
-        if dev > worst:
-            worst, arg = dev, t
-    return Check(
-        "ll_channel_invariance",
-        f"worst={worst:.3g} limit=1e-12 trials={n} worst_seed=[{seed},5,{arg}]",
-        worst < 1e-12,
-    )
+        for i, ((name, limit), t) in enumerate(zip(row.limits, worst_trials))
+    ]
 
 
 # Largest --dims-limit whose d x d x d two-pointer state fits the pointer cap.
@@ -301,13 +281,11 @@ def run_verify(trials: int, dims_limit: int, seed: int, out=print) -> int:
         )
     if seed < 0:
         raise ScenarioParseError(f"--seed must be >= 0, got {seed}")
-    checks = [_check_epr(seed)]
-    checks += _check_pointer(trials, dims_limit, seed)
-    checks.append(_check_no_signaling(trials, seed))
-    checks.append(_check_witness(seed))
-    checks.append(_check_born_marginals())
-    checks.append(_check_entropy(trials, seed))
-    checks.append(_check_ll(trials, dims_limit, seed))
+    battery = lambda row: _run_battery(row, trials, dims_limit, seed)
+    checks = [
+        _check_epr(), *battery(_POINTER), *battery(_NO_SIGNALING), _check_witness(seed),
+        _check_born_marginals(), *battery(_ENTROPY), *battery(_LL),
+    ]
     for c in checks:
         out(f"{c.name:<24} {c.detail}  {'PASS' if c.passed else 'FAIL'}")
     failed = [c for c in checks if not c.passed]

@@ -141,6 +141,20 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
+def _checked_probabilities(probs: np.ndarray, kind: str = "") -> np.ndarray:
+    # Finite, no entry below -1e-12, total 1 within 1e-10.  Returns the
+    # entries with the tiny negative round-off clipped to zero, read-only.
+    if not np.all(np.isfinite(probs)):
+        raise InvalidInputError(f"{kind}probabilities contain non-finite entries")
+    if np.min(probs, initial=0.0) < -1e-12:
+        raise InvalidInputError(f"negative {kind}probability {probs.min()!r}")
+    probs = np.clip(probs, 0.0, None)
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-10:
+        raise InvalidInputError(f"{kind}probabilities sum to {total!r}, not 1")
+    return _frozen(probs)
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probability distribution over a finite set of outcome labels.
@@ -162,16 +176,8 @@ class OutcomeDistribution:
             raise InvalidInputError(
                 f"{probs.size} probabilities for {len(labels)} labels"
             )
-        if not np.all(np.isfinite(probs)):
-            raise InvalidInputError("probabilities contain non-finite entries")
-        if np.min(probs, initial=0.0) < -1e-12:
-            raise InvalidInputError(f"negative probability {probs.min()!r}")
-        probs = np.clip(probs, 0.0, None)
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise InvalidInputError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", _frozen(probs))
+        object.__setattr__(self, "probs", _checked_probabilities(probs))
 
     def prob_of(self, label) -> float:
         try:

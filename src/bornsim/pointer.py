@@ -39,6 +39,7 @@ import numpy as np
 from .core import (
     OutcomeDistribution,
     StateVector,
+    _checked_probabilities,
     basis_state,
     tensor,
 )
@@ -156,16 +157,7 @@ class JointDistribution:
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 2:
             raise InvalidInputError(f"joint must be a matrix, got shape {probs.shape}")
-        if not np.all(np.isfinite(probs)):
-            raise InvalidInputError("joint contains non-finite entries")
-        if float(probs.min()) < -1e-12:
-            raise InvalidInputError(f"negative joint probability {probs.min()!r}")
-        probs = np.clip(probs, 0.0, None)
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise InvalidInputError(f"joint total {total!r} is not 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _checked_probabilities(probs, "joint "))
 
     @property
     def branch_counts(self) -> tuple[int, int]:
@@ -262,16 +254,9 @@ def conditional_b_given_a(joint: JointDistribution, branch_a: int) -> OutcomeDis
     return OutcomeDistribution(tuple(range(nb)), row / p_a)
 
 
-def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
-    """Worst |p(j|i) - Born_j(collapsed state)| over all live branch pairs.
-
-    This is the quantitative check that the pointer readout statistics agree
-    with the projection postulate applied to the small system alone.
-    """
-    if setup.mode == TWO_POINTER:
-        joint = run_two_pointer(setup)[1]
-    else:
-        joint = run_one_pointer(setup)[1]
+def _projection_deviation(setup: PointerSchemeSetup, joint: JointDistribution) -> float:
+    # Worst |p(j|i) - Born_j(P_i psi0 / ||P_i psi0||)| over the live rows of
+    # a joint the setup has already produced.
     marg = marginal_a(joint)
     worst = 0.0
     for i in range(setup.obs_a.branch_count):
@@ -282,6 +267,16 @@ def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
         born = rule_probabilities(BORN, collapsed, setup.obs_b)
         worst = max(worst, float(np.max(np.abs(cond.probs - born.probs))))
     return worst
+
+
+def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
+    """Worst |p(j|i) - Born_j(collapsed state)| over all live branch pairs.
+
+    This is the quantitative check that the pointer readout statistics agree
+    with the projection postulate applied to the small system alone.
+    """
+    run = run_two_pointer if setup.mode == TWO_POINTER else run_one_pointer
+    return _projection_deviation(setup, run(setup)[1])
 
 
 def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
@@ -308,3 +303,20 @@ def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
         pos1[inside] * nb + pos2[inside], weights=probs[inside], minlength=na * nb
     ).reshape(na, nb)
     return _joint_from_cells(cells, float(probs[~inside].sum()))
+
+
+def _evolve_checked(
+    setup: PointerSchemeSetup,
+) -> tuple[StateVector, JointDistribution, float, float]:
+    # Evolve the setup once; return the final state, the joint, its projection
+    # deviation and the worst gap to an independent joint: the oracle for two
+    # pointers, the default-size two-pointer twin for one pointer.
+    if setup.mode == TWO_POINTER:
+        final, joint = run_two_pointer(setup)
+        other = brute_force_joint(setup)
+    else:
+        final, joint = run_one_pointer(setup)
+        twin = two_pointer_setup(setup.small_state, setup.obs_a, setup.obs_b)
+        other = run_two_pointer(twin)[1]
+    cross = float(np.max(np.abs(joint.probs - other.probs)))
+    return final, joint, _projection_deviation(setup, joint), cross

@@ -40,14 +40,12 @@ from .measurement import (
 )
 from .observables import observable_from_branches, observable_from_matrix
 from .pointer import (
-    brute_force_joint,
+    ONE_POINTER,
+    TWO_POINTER,
+    PointerSchemeSetup,
+    _evolve_checked,
     conditional_b_given_a,
     marginal_a,
-    one_pointer_setup,
-    projection_equivalence_report,
-    run_one_pointer,
-    run_two_pointer,
-    two_pointer_setup,
 )
 from .presets import observable_preset, state_preset
 from .signaling import TelepathyScenario, _bob_arms, channel_simulation
@@ -277,9 +275,7 @@ def _run_pointer(scn: Scenario) -> Records:
         state = state_preset("minus")
         obs_a = observable_preset("sigma_z")
         obs_b = _resolve_observable(fields, "obs_b", state.dims, default="sigma_z")
-        mode = "one_pointer"
-        n1 = obs_a.branch_count
-        m2 = None
+        mode, n1, m2 = ONE_POINTER, obs_a.branch_count, None
     else:
         state = _resolve_state(fields)
         obs_a = _resolve_observable(fields, "obs_a", state.dims)
@@ -287,21 +283,11 @@ def _run_pointer(scn: Scenario) -> Records:
         mode = scn.kind
         size = lambda key, obs: _parse_int(_take(fields, key, str(obs.branch_count)), key)
         n1 = size("pointer1_size", obs_a)
-        m2 = size("pointer2_size", obs_b) if scn.kind == "two_pointer" else None
+        m2 = size("pointer2_size", obs_b) if mode == TWO_POINTER else None
     _reject_unknown(fields)
-
-    if mode == "two_pointer":
-        setup = two_pointer_setup(state, obs_a, obs_b, n1, m2)
-        final, joint = run_two_pointer(setup)
-        oracle = brute_force_joint(setup)
-        cross_dev = float(np.max(np.abs(joint.probs - oracle.probs)))
-        cross_key = "oracle_joint_max_dev"
-    else:
-        setup = one_pointer_setup(state, obs_a, obs_b, n1)
-        final, joint = run_one_pointer(setup)
-        twin = two_pointer_setup(state, obs_a, obs_b)
-        cross_dev = float(np.max(np.abs(joint.probs - run_two_pointer(twin)[1].probs)))
-        cross_key = "two_pointer_joint_max_dev"
+    setup = PointerSchemeSetup(state, obs_a, obs_b, n1, m2, mode)
+    final, joint, deviation, cross_dev = _evolve_checked(setup)
+    cross_key = "oracle_joint_max_dev" if mode == TWO_POINTER else "two_pointer_joint_max_dev"
 
     records: Records = [
         (f"eigenvalue_{side}.{i}", fmt_real(a))
@@ -322,9 +308,7 @@ def _run_pointer(scn: Scenario) -> Records:
             (f"p_j_given_i.{i}.{j}", fmt_real(p))
             for j, p in zip(cond.labels, cond.probs)
         ]
-    records.append(
-        ("max_projection_deviation", fmt_real(projection_equivalence_report(setup)))
-    )
+    records.append(("max_projection_deviation", fmt_real(deviation)))
     records.append((cross_key, fmt_real(cross_dev)))
     if final.dim <= 64:
         records += _state_records("final_state", final)

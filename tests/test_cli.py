@@ -1,12 +1,20 @@
+import contextlib
+import io
+import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from bornsim import cli, pointer, scenario
 from bornsim.cli import MAX_DIMS_LIMIT, main
 from bornsim.pointer import POINTER_STATE_MAX_AMPS, SCHEME_AGREEMENT_TOL
 from bornsim.presets import SCENARIO_PRESETS
+from bornsim.scenario import KINDS
 
 
 def run_cli(capsys, *argv):
@@ -336,3 +344,176 @@ def test_module_entry_point():
     proc = run_proc("run", "epr_bohm")
     assert proc.returncode == 0
     assert "scenario epr_bohm" in proc.stdout
+
+
+def _verify_layout(seed, trials, degenerate, few):
+    # One regex per verify line: names, order, limits, trial counts and seed
+    # streams are fixed; the measured worst values and worst trials are not.
+    w = r"worst=\S+"
+    pointer = rf"trials={trials} degenerate={degenerate} worst_seed=\[{seed},1,\d+\]"
+    rows = [
+        ("epr_reproduction", rf"{w} limit=1e-12"),
+        ("projection_equivalence", rf"{w} limit=1e-10 {pointer}"),
+        ("scheme_agreement", rf"{w} limit=1e-12 {pointer}"),
+        ("oracle_agreement", rf"{w} limit=1e-12 {pointer}"),
+        ("no_signaling_born", rf"{w} limit=1e-12 trials={trials} worst_seed=\[{seed},2,\d+\]"),
+        ("telepathy_witness", r"analytic_dev=\S+ limit=1e-06 mc_dev=\S+ mc_limit=0\.01"),
+        ("born_marginals", rf"{w} limit=1e-12"),
+        ("entropy_monotonicity", rf"{w} limit=1e-10 trials={few} worst_seed=\[{seed},4,\d+\]"),
+        ("ll_channel_invariance", rf"{w} limit=1e-12 trials={few} worst_seed=\[{seed},5,\d+\]"),
+    ]
+    lines = [re.escape(f"{name:<24} ") + body + "  PASS" for name, body in rows]
+    return lines + [re.escape("verify: all 9 properties passed")]
+
+
+@pytest.mark.parametrize(
+    "argv, layout",
+    [
+        ((), (1234, 200, 54, 50)),
+        (("--trials", "7", "--dims-limit", "5", "--seed", "99"), (99, 7, 3, 50)),
+    ],
+)
+def test_verify_layout_is_pinned(capsys, argv, layout):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    expected = _verify_layout(*layout)
+    assert len(lines) == len(expected)
+    for line, pattern in zip(lines, expected):
+        assert re.fullmatch(pattern, line), (line, pattern)
+
+
+def test_every_pointer_setup_is_evolved_once(tmp_path, capsys, monkeypatch):
+    # verify and run evolve each pointer setup they build exactly once: the
+    # projection deviation and the cross-checks reuse the one joint.
+    evolved = []
+    for name in ("run_two_pointer", "run_one_pointer"):
+
+        def counting(setup, original=getattr(pointer, name)):
+            evolved.append(setup)  # held, so no two setups share an id
+            return original(setup)
+
+        for module in (pointer, cli, scenario):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    code, _, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
+    assert code == 0
+    base = "state = 0.6 0.8i\nobs_a = sigma_z\nobs_b = sigma_x\npointer1_size = 3\n"
+    for kind, extra in (("two_pointer", "pointer2_size = 4\n"), ("one_pointer", "")):
+        path = tmp_path / f"{kind}.scn"
+        path.write_text(f"kind = {kind}\n{base}{extra}")
+        code, _, err = run_cli(capsys, "run", str(path))
+        assert code == 0, err
+    counts = Counter(id(setup) for setup in evolved)
+    # verify: the epr setup, then one two-pointer and one one-pointer setup
+    # per trial; run: the two-pointer file, the one-pointer file and its twin.
+    assert len(counts) == 1 + 2 * 10 + 3
+    assert set(counts.values()) == {1}
+
+
+# Scenario text for the parser fuzz: each kind's real keys with plausible
+# values at dims <= 4, pointer sizes <= 64 and shots <= 1000, one value in
+# sixteen replaced by a junk token, and one text in four with a junk line.
+_JUNK = st.sampled_from(
+    ["", "x", "=", "==", ";", "; ;", "#", "nan", "inf", "-inf", "1e400", "-1", "0",
+     "1e-320", "0x10", "1i", "i", "+-1", "1 2;", "matrix", "branches", "()",
+     "asymmetric(", "asymmetric(2)", "asymmetric(nan)", "\t", "é", "1_0"]
+)
+_AMPS = st.lists(
+    st.sampled_from(["0", "1", "-1", "0.5", "0.6", "0.8i", "0.5-0.5i", "1e-9", "3"]),
+    min_size=1, max_size=4,
+).map(" ".join)
+_STATE = st.one_of(
+    st.sampled_from(["up", "down", "plus", "minus", "bell_pair", "epr_bohm",
+                     "asymmetric(0.36)", "asymmetric(1)", "nowhere"]),
+    _AMPS,
+)
+_DIMS = st.lists(st.sampled_from("012234"), min_size=1, max_size=3).map(" ".join)
+_MATRIX = st.sampled_from(
+    ["1 0; 0 -1", "0 1; 1 0", "1 0; 0 0", "0 0; 0 1", "1 0; 0 1", "1 2; 3 4",
+     "0 -1i; 1i 0", "1 0 0; 0 2 0; 0 0 2", "1 0 0 0; 0 1 0 0; 0 0 -1 0; 0 0 0 -1",
+     "0.5 0.5; 0.5 0.5", "1 0; 0", "nan 0; 0 1"]
+)
+_OBS = st.one_of(
+    st.sampled_from(["sigma_z", "sigma_x", "sigma_y", "matrix", "spin"]),
+    _MATRIX.map(lambda m: f"matrix {m}"),
+)
+_NUMBERS = st.lists(st.sampled_from(["-1", "0", "0.5", "1", "2", "1e3"]), min_size=1,
+                    max_size=4).map(" ".join)
+
+
+def _line(key, values):
+    return st.integers(0, 15).flatmap(lambda r: _JUNK if r == 15 else values).map(
+        lambda v: [f"{key} = {v}"]
+    )
+
+
+def _maybe(lines):
+    return st.one_of(lines, st.just([]))
+
+
+def _rarely(lines):
+    return st.integers(0, 3).flatmap(lambda r: lines if r == 3 else st.just([]))
+
+
+def _observable(base):
+    # A preset or inline matrix, or a branch family whose projector count
+    # may not match its eigenvalues.
+    family = st.tuples(_line(f"{base}.eigenvalues", _NUMBERS), st.lists(_MATRIX, max_size=3))
+    family = family.map(
+        lambda t: [f"{base} = branches", *t[0],
+                   *(f"{base}.projector.{i} = {m}" for i, m in enumerate(t[1]))]
+    )
+    return st.one_of(_line(base, _OBS), family)
+
+
+_STATE_LINES = [_line("state", _STATE), _rarely(_line("state_dims", _DIMS))]
+_KIND_FIELDS = {
+    "two_pointer": [*_STATE_LINES, _observable("obs_a"), _observable("obs_b"),
+                    _maybe(_line("pointer1_size", st.integers(-1, 64).map(str))),
+                    _maybe(_line("pointer2_size", st.integers(-1, 64).map(str)))],
+    "one_pointer": [*_STATE_LINES, _observable("obs_a"), _observable("obs_b"),
+                    _maybe(_line("pointer1_size", st.integers(-1, 64).map(str)))],
+    "epr": [_maybe(_observable("obs_b"))],
+    "stern_gerlach": [_maybe(_line("state", _STATE)), _maybe(_observable("obs")),
+                      _maybe(_line("omegas", _NUMBERS)),
+                      _maybe(_line("dt", st.sampled_from(["1", "0.7", "0", "-1"])))],
+    "ll_scheme": [_maybe(_line("state", _STATE)), _maybe(_observable("obs")),
+                  _maybe(_line("target", _STATE)), _rarely(_line("target_dims", _DIMS))],
+    "telepathy": [_line("state", st.one_of(st.just("bell_pair"), _STATE)),
+                  _maybe(_line("state_dims", st.one_of(st.just("2 2"), _DIMS))),
+                  _maybe(_observable("obs_a")), _maybe(_observable("obs_b")),
+                  _maybe(_line("rule", st.sampled_from(["born", "nonborn_exponent", "x"]))),
+                  _maybe(_line("q", _NUMBERS)),
+                  _maybe(_line("shots", st.integers(-1, 1000).map(str)))],
+    "entropy_demo": [*_STATE_LINES, _maybe(_observable("obs"))],
+}
+_NOISE = st.integers(0, 3).flatmap(
+    lambda r: st.just([]) if r < 3 else st.one_of(
+        _JUNK.map(lambda l: [l]),
+        st.tuples(st.sampled_from(["seed", "state", "obs", "obs_a", "q", "bogus"]), _JUNK)
+        .map(lambda kv: [" = ".join(kv)]),
+    )
+)
+_SCENARIO_TEXT = st.sampled_from(KINDS).flatmap(
+    lambda kind: st.tuples(
+        st.just([f"kind = {kind}"]),
+        _maybe(_line("seed", st.integers(-2, 10**6).map(str))),
+        *_KIND_FIELDS[kind],
+        _NOISE,
+    )
+).map(lambda groups: "\n".join(line for group in groups for line in group))
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_SCENARIO_TEXT)
+def test_scenario_parser_fuzz_exits_cleanly(tmp_path, text):
+    # Any scenario text ends with exit 0, 2 or 3, never with an exception.
+    path = tmp_path / "fuzz.scn"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["run", str(path), "--format", "records"])
+    assert code in (0, 2, 3)

@@ -336,7 +336,7 @@ def test_classical_blocks_built_once_per_state(monkeypatch):
     assert len(calls) == 1
     assert "p.0" in records and "p.1" in records
     calls.clear()
-    check = cli._check_entropy(trials=0, seed=1234)
+    (check,) = cli._run_battery(cli._ENTROPY, trials=0, dims_limit=6, seed=1234)
     assert check.passed
     assert len(calls) == 50 and sum(calls) > 50
 

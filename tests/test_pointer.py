@@ -3,6 +3,7 @@ import pytest
 
 from bornsim import (
     InvalidInputError,
+    JointDistribution,
     Operator,
     PointerSchemeSetup,
     StateVector,
@@ -22,7 +23,7 @@ from bornsim import (
     two_pointer_setup,
 )
 from bornsim.core import density_from_pure
-from bornsim.pointer import POINTER_STATE_MAX_AMPS, _couple
+from bornsim.pointer import POINTER_STATE_MAX_AMPS, _couple, _evolve_checked
 from bornsim.rand import random_observable, random_state, random_unitary
 
 SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
@@ -191,6 +192,54 @@ def test_projection_equivalence_report(rng):
         state, obs_a, obs_b = _random_pair(rng, d, degenerate=(d >= 3))
         assert projection_equivalence_report(two_pointer_setup(state, obs_a, obs_b)) < 1e-10
         assert projection_equivalence_report(one_pointer_setup(state, obs_a, obs_b)) < 1e-10
+
+
+def test_evolve_checked_matches_the_public_readouts(rng):
+    # One evolution gives what the public report, the oracle and the twin
+    # two-pointer run give separately, bit for bit.
+    for _ in range(6):
+        d = int(rng.integers(2, 6))
+        state, obs_a, obs_b = _random_pair(rng, d, degenerate=(d >= 3))
+        two = two_pointer_setup(state, obs_a, obs_b, obs_a.branch_count + 1)
+        one = one_pointer_setup(state, obs_a, obs_b)
+        final, joint, deviation, cross = _evolve_checked(two)
+        assert np.array_equal(final.amps, run_two_pointer(two)[0].amps)
+        assert deviation == projection_equivalence_report(two)
+        assert cross == np.max(np.abs(joint.probs - brute_force_joint(two).probs))
+        final, joint, deviation, cross = _evolve_checked(one)
+        assert np.array_equal(final.amps, run_one_pointer(one)[0].amps)
+        assert deviation == projection_equivalence_report(one)
+        twin = run_two_pointer(two_pointer_setup(state, obs_a, obs_b))[1]
+        assert cross == np.max(np.abs(joint.probs - twin.probs))
+
+
+class TestJointDistribution:
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(InvalidInputError, match="must be a matrix"):
+            JointDistribution([0.5, 0.5])
+        with pytest.raises(InvalidInputError, match="must be a matrix"):
+            JointDistribution(np.full((2, 2, 1), 0.25))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            JointDistribution([[0.5, bad], [0.25, 0.25]])
+
+    def test_rejects_a_negative_entry(self):
+        with pytest.raises(InvalidInputError, match="negative joint probability"):
+            JointDistribution([[0.5, 0.5 + 2e-12], [-2e-12, 0.0]])
+
+    @pytest.mark.parametrize("off", [2e-10, -2e-10, 0.5])
+    def test_rejects_a_total_off_one(self, off):
+        with pytest.raises(InvalidInputError, match="sum to"):
+            JointDistribution([[0.5, 0.5 + off]])
+
+    def test_clips_round_off_and_freezes(self):
+        joint = JointDistribution([[0.5, 0.5 + 5e-11], [-1e-13, 1e-13]])
+        assert joint.probs[1, 0] == 0.0 and joint.probs.min() == 0.0
+        assert joint.branch_counts == (2, 2)
+        with pytest.raises(ValueError):
+            joint.probs[0, 0] = 1.0
 
 
 def test_oversized_pointer_registers():
