@@ -23,9 +23,9 @@ run_two_pointer and run_one_pointer evaluate these on the eigenbases V_A and
 V_B, in O(d*n*m) memory: P_i psi is V_A applied to V_A^dag psi cut to the
 columns of branch i, and R_j P_i psi is V_B applied to V_B^dag P_i psi cut to
 the columns of branch j.  brute_force_joint is the independent oracle: it
-applies U_A and U_B by their definitions, with the dense projectors, to the
-full register tensor, rolling the pointer axes branch by branch, and never
-builds a matrix.  A setup whose state would exceed POINTER_STATE_MAX_AMPS
+applies U_A and U_B by their definitions to the full register tensor, rolling
+the pointer axes branch by branch and projecting with each branch's columns,
+and never builds a matrix.  A setup whose state would exceed POINTER_STATE_MAX_AMPS
 amplitudes is rejected on construction.
 """
 
@@ -166,13 +166,14 @@ class JointDistribution:
 
 def _couple(amps: np.ndarray, obs: Observable, axis: int) -> np.ndarray:
     # sum_k P_k (x) Shift(k) on the pointer axis of a (d, ...) register tensor:
-    # branch k rolls the pointer by k (wrap-around included), then P_k acts
-    # on the system axis.  One branch at a time into one accumulator.
+    # branch k rolls the pointer by k (wrap-around included), then
+    # P_k = V_k V_k^dag acts on the system axis.  One branch at a time.
     d = amps.shape[0]
     out = np.zeros_like(amps)
-    for k, p in enumerate(obs.projectors):
+    for k in range(obs.branch_count):
+        v = obs.branch_basis(k)
         rolled = np.roll(amps, k, axis=axis).reshape(d, -1)
-        out += (p.entries @ rolled).reshape(amps.shape)
+        out += (v @ (v.conj().T @ rolled)).reshape(amps.shape)
     return out
 
 

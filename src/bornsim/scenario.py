@@ -294,13 +294,10 @@ def _run_pointer(scn: Scenario) -> Records:
         for side, obs in (("a", obs_a), ("b", obs_b))
         for i, a in enumerate(obs.eigenvalues)
     ]
-    na, nb = joint.branch_counts
-    for i in range(na):
-        for j in range(nb):
-            records.append((f"p_ij.{i}.{j}", fmt_real(joint.probs[i, j])))
+    records += [(f"p_ij.{i}.{j}", fmt_real(p)) for (i, j), p in np.ndenumerate(joint.probs)]
     marg = marginal_a(joint)
     records += _distribution_records("p_i", marg)
-    for i in range(na):
+    for i in marg.labels:
         if float(marg.probs[i]) <= ZERO_PROB_CUTOFF:
             continue
         cond = conditional_b_given_a(joint, i)

@@ -181,6 +181,15 @@ def test_brute_force_oracle_agrees(rng):
         assert float(np.max(np.abs(oracle.probs - joint.probs))) < 1e-12
 
 
+def test_brute_force_oracle_builds_no_dense_projector(rng):
+    # The oracle projects with each branch's basis columns; the cached dense
+    # projector view of either observable stays unbuilt.
+    state, obs_a, obs_b = _random_pair(rng, 5, degenerate=True)
+    brute_force_joint(two_pointer_setup(state, obs_a, obs_b, 4, 6))
+    assert "projectors" not in obs_a.__dict__
+    assert "projectors" not in obs_b.__dict__
+
+
 def test_brute_force_needs_two_pointers():
     with pytest.raises(InvalidInputError):
         brute_force_joint(one_pointer_setup(PLUS, SIGMA_Z, SIGMA_X))
