@@ -25,8 +25,8 @@ columns of branch i, and R_j P_i psi is V_B applied to V_B^dag P_i psi cut to
 the columns of branch j.  brute_force_joint is the independent oracle: it
 applies U_A and U_B by their definitions to the full register tensor, rolling
 the pointer axes branch by branch and projecting with each branch's columns,
-and never builds a matrix.  A setup whose state would exceed POINTER_STATE_MAX_AMPS
-amplitudes is rejected on construction.
+and never builds a matrix.  A setup whose state would exceed
+POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
 """
 
 from __future__ import annotations
