@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Operator, tv_distance, von_neumann_entropy
+from .core import DensityMatrix, Operator, tv_distance, von_neumann_entropy
 from .errors import BornsimError
 from .measurement import (
     BORN,
@@ -33,7 +33,6 @@ from .measurement import (
     _classical_branches,
     branch_weights,
     ll_channel,
-    nonselective_channel,
     rule_probabilities,
     state_preparation_unitaries,
 )
@@ -64,10 +63,10 @@ from .scenario import (
 )
 from .signaling import (
     TelepathyScenario,
+    _arms,
     _bob_arms,
+    _cell_weights,
     channel_simulation,
-    signaling_gap,
-    swap_parties,
 )
 
 
@@ -199,18 +198,19 @@ def _no_signaling_trial(rng, t: int, dims_limit: int) -> tuple:
     d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     state = random_state(rng, (d1, d2))
     parties = [random_observable(rng, (d,)) for d in (d1, d2)]
-    scenario = TelepathyScenario(state, *parties, BORN)
-    return (max(signaling_gap(scenario), signaling_gap(swap_parties(scenario))),)
+    # Swapping the parties transposes W, so both directions come from one W.
+    cells = _cell_weights(TelepathyScenario(state, *parties, BORN))
+    return (max(tv_distance(*_arms(cells, BORN)), tv_distance(*_arms(cells.T, BORN))),)
 
 
 def _entropy_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, 9))
     rho = random_density(rng, (d,))
     obs = random_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
-    dephased = nonselective_channel(rho, obs)
-    s_in, s_out = von_neumann_entropy(rho), von_neumann_entropy(dephased)
-    live = _classical_branches(dephased, obs)[1].values()
-    avg = sum(p * von_neumann_entropy(post) for p, post in live)
+    dephased, _, live = _classical_branches(rho, obs)
+    s_in = von_neumann_entropy(rho)
+    s_out = von_neumann_entropy(DensityMatrix(rho.dims, dephased))
+    avg = sum(p * von_neumann_entropy(post) for p, post in live.values())
     return (max(s_in - s_out, avg - s_out),)
 
 

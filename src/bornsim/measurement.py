@@ -84,13 +84,15 @@ def branch_weights(state: StateVector, obs: Observable) -> np.ndarray:
 
 
 def _transform_weights(weights: np.ndarray, rule: ProbabilityRule) -> np.ndarray:
+    # The rule's probabilities along the last axis, one distribution per row.
     w = np.clip(weights, 0.0, None)
-    if rule.exponent != 1.0 and w.max() > 0.0:
-        # Scale the largest weight to 1 first, so w**q cannot underflow to an
-        # all-zero vector (or overflow) for large exponents.
-        w = (w / w.max()) ** rule.exponent
-    total = float(w.sum())
-    if total <= 0.0:
+    if rule.exponent != 1.0:
+        # Scale each row's largest weight to 1 first, so w**q cannot
+        # underflow to an all-zero row (or overflow) for large exponents.
+        peak = w.max(axis=-1, keepdims=True)
+        w = (w / np.where(peak > 0.0, peak, 1.0)) ** rule.exponent
+    total = w.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise InvalidInputError("all branch weights vanish")
     return w / total
 
@@ -105,16 +107,24 @@ def rule_probabilities(
 
 def project_update(state: StateVector, obs: Observable, branch: int) -> StateVector:
     """Collapse onto one branch: P_i psi / ||P_i psi||, with P_i = V_i V_i^dag."""
-    cols = obs.branch_basis(branch)
+    obs.eigenvalue(branch)  # range check
+    return StateVector(state.dims, _collapsed(state, obs, np.array([branch]))[:, 0])
+
+
+def _collapsed(state: StateVector, obs: Observable, branches: np.ndarray) -> np.ndarray:
+    # Columns P_i psi / ||P_i psi|| for the given branch indices, from one
+    # product V (c * 1_i) with c = V^dag psi; a branch of weight at or below
+    # ZERO_PROB_CUTOFF raises.
     if obs.dims != state.dims:
         raise InvalidInputError(f"dims mismatch {obs.dims} vs {state.dims}")
-    vec = cols @ (cols.conj().T @ state.amps)
-    norm = float(np.linalg.norm(vec))
-    if norm**2 <= ZERO_PROB_CUTOFF:
-        raise ZeroProbabilityBranchError(
-            f"branch {branch} has weight {norm**2!r}"
-        )
-    return StateVector(state.dims, vec / norm)
+    c = obs.basis.conj().T @ state.amps
+    cols = obs.basis @ (c[:, None] * obs.indicator[:, branches])
+    norms = np.linalg.norm(cols, axis=0)
+    dead = np.flatnonzero(norms**2 <= ZERO_PROB_CUTOFF)
+    if dead.size:
+        k = dead[0]
+        raise ZeroProbabilityBranchError(f"branch {branches[k]} has weight {norms[k]**2!r}")
+    return cols / norms
 
 
 def measure_selective(
@@ -162,16 +172,12 @@ def ll_channel(
         if not u.is_unitary(UNITARY_TOL):
             raise NotUnitaryError(f"post-measurement operator {n} is not unitary")
     weights = branch_weights(state, obs)
-    records = []
-    for n in range(obs.branch_count):
-        if weights[n] <= ZERO_PROB_CUTOFF:
-            continue
-        collapsed = project_update(state, obs, n)
-        evolved = StateVector(state.dims, post_unitaries[n].entries @ collapsed.amps)
-        records.append(
-            MeasurementRecord(n, obs.eigenvalue(n), float(weights[n]), evolved)
-        )
-    return records
+    live = np.flatnonzero(weights > ZERO_PROB_CUTOFF)
+    return [
+        MeasurementRecord(n, obs.eigenvalue(n), float(weights[n]),
+                          StateVector(state.dims, post_unitaries[n].entries @ x))
+        for n, x in zip(live.tolist(), _collapsed(state, obs, live).T)
+    ]
 
 
 def _orthonormal_completion(v: np.ndarray) -> np.ndarray:
@@ -193,16 +199,11 @@ def state_preparation_unitaries(
     """
     if target.dims != state.dims:
         raise InvalidInputError(f"target dims {target.dims} != {state.dims}")
-    weights = branch_weights(state, obs)
+    live = np.flatnonzero(branch_weights(state, obs) > ZERO_PROB_CUTOFF)
     to_target = _orthonormal_completion(target.amps)
-    out = []
-    for n in range(obs.branch_count):
-        if weights[n] <= ZERO_PROB_CUTOFF:
-            out.append(Operator(state.dims, np.eye(state.dim)))
-            continue
-        collapsed = project_update(state, obs, n)
-        from_collapsed = _orthonormal_completion(collapsed.amps)
-        out.append(Operator(state.dims, to_target @ from_collapsed.conj().T))
+    out = [Operator(state.dims, np.eye(state.dim))] * obs.branch_count
+    for n, x in zip(live.tolist(), _collapsed(state, obs, live).T):
+        out[n] = Operator(state.dims, to_target @ _orthonormal_completion(x).conj().T)
     return out
 
 
@@ -244,17 +245,13 @@ def _classical_branches(
     obs: Observable,
     rule: ProbabilityRule = BORN,
     branches: Sequence[int] | None = None,
-) -> tuple[np.ndarray, dict[int, tuple[float, DensityMatrix]]]:
-    # Born weights Tr(P_i rho P_i) of every branch, and the rule's probability
-    # and conditional state of each requested branch (all by default) whose
-    # weight exceeds PSD_TOL.  Block i of B = V^dag rho V gives P_i rho P_i =
-    # V_i B_ii V_i^dag; B is built once, after one decoherence check.
+) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[float, DensityMatrix]]]:
+    # Dephase rho once: the entries of sum_i P_i rho P_i, the Born weights
+    # Tr(P_i rho P_i) of every branch, and the rule's probability and
+    # conditional state of each requested branch (all by default) whose
+    # weight exceeds PSD_TOL.  Block i of B = V^dag rho V gives
+    # P_i rho P_i = V_i B_ii V_i^dag.
     blocks, dephased = _dephase(rho, obs)
-    off = float(np.max(np.abs(rho.entries - dephased)))
-    if off > DECOHERED_TOL:
-        raise NotDecoheredError(
-            f"off-block coherences of size {off!r} exceed {DECOHERED_TOL}"
-        )
     weights = np.diagonal(blocks).real @ obs.indicator
     probs = _transform_weights(weights, rule)
     if branches is None:
@@ -265,7 +262,7 @@ def _classical_branches(
             cols, inside = obs.branch_basis(i), obs.labels == i
             block = cols @ blocks[np.ix_(inside, inside)] @ cols.conj().T
             live[i] = (float(probs[i]), DensityMatrix(rho.dims, block / weights[i]))
-    return weights, live
+    return dephased, weights, live
 
 
 def classical_selective(
@@ -278,7 +275,12 @@ def classical_selective(
     conditional state P_i rho P_i / Tr(P_i rho).
     """
     obs.eigenvalue(branch)  # range check
-    weights, live = _classical_branches(rho, obs, rule, (branch,))
+    dephased, weights, live = _classical_branches(rho, obs, rule, (branch,))
+    off = float(np.max(np.abs(rho.entries - dephased)))
+    if off > DECOHERED_TOL:
+        raise NotDecoheredError(
+            f"off-block coherences of size {off!r} exceed {DECOHERED_TOL}"
+        )
     if branch not in live:
         raise ZeroProbabilityBranchError(
             f"branch {branch} has weight {weights[branch]!r}"

@@ -11,7 +11,9 @@ After the coupling, pointer position i tags branch i, so reading the pointers
 in the computational basis realizes the measurement without any direct
 reference to a collapse rule.  The joint statistics reproduce the projection
 postulate: p(j|i) equals the Born distribution of the second observable on
-the collapsed state P_i psi / ||P_i psi||.
+the collapsed state P_i psi / ||P_i psi||.  The check takes the collapsed
+states of all live rows from psi alone, as the columns of one product
+V_A (c * 1_i) with c = V_A^dag psi, and their Born rows as block sums.
 
 Because every pointer starts in |0> and each shift moves it by less than the
 register size, the final states are exactly
@@ -44,7 +46,7 @@ from .core import (
     tensor,
 )
 from .errors import InvalidInputError, ZeroProbabilityBranchError
-from .measurement import BORN, ZERO_PROB_CUTOFF, project_update, rule_probabilities
+from .measurement import BORN, ZERO_PROB_CUTOFF, _collapsed, _transform_weights
 from .observables import Observable
 
 TWO_POINTER = "two_pointer"
@@ -257,17 +259,17 @@ def conditional_b_given_a(joint: JointDistribution, branch_a: int) -> OutcomeDis
 
 def _projection_deviation(setup: PointerSchemeSetup, joint: JointDistribution) -> float:
     # Worst |p(j|i) - Born_j(P_i psi0 / ||P_i psi0||)| over the live rows of
-    # a joint the setup has already produced.
-    marg = marginal_a(joint)
-    worst = 0.0
-    for i in range(setup.obs_a.branch_count):
-        if float(marg.probs[i]) <= ZERO_PROB_CUTOFF:
-            continue
-        cond = conditional_b_given_a(joint, i)
-        collapsed = project_update(setup.small_state, setup.obs_a, i)
-        born = rule_probabilities(BORN, collapsed, setup.obs_b)
-        worst = max(worst, float(np.max(np.abs(cond.probs - born.probs))))
-    return worst
+    # a joint the setup has already produced.  The collapsed states of all
+    # live rows come from the small state alone, in one product; their Born
+    # rows are block sums of |V_B^dag x_i|^2.
+    rows = joint.probs.sum(axis=1)
+    live = np.flatnonzero(rows > ZERO_PROB_CUTOFF)
+    obs_b = setup.obs_b
+    collapsed = _collapsed(setup.small_state, setup.obs_a, live)
+    born = _transform_weights((np.abs(obs_b.basis.conj().T @ collapsed) ** 2).T
+                              @ obs_b.indicator, BORN)
+    cond = joint.probs[live] / rows[live, None]
+    return float(np.max(np.abs(cond - born), initial=0.0))
 
 
 def projection_equivalence_report(setup: PointerSchemeSetup) -> float:

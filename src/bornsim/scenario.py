@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DensityMatrix,
     Operator,
     StateVector,
     density_from_pure,
@@ -33,7 +34,6 @@ from .measurement import (
     ProbabilityRule,
     _classical_branches,
     ll_channel,
-    nonselective_channel,
     phase_unitaries,
     project_update,
     state_preparation_unitaries,
@@ -44,8 +44,6 @@ from .pointer import (
     TWO_POINTER,
     PointerSchemeSetup,
     _evolve_checked,
-    conditional_b_given_a,
-    marginal_a,
 )
 from .presets import observable_preset, state_preset
 from .signaling import TelepathyScenario, _bob_arms, channel_simulation
@@ -98,11 +96,14 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-def _parse_int(value: str, key: str) -> int:
+def _parse_int(value: str, key: str, least: int | None = None) -> int:
     try:
-        return int(value)
+        out = int(value)
     except ValueError:
         raise ScenarioParseError(f"field '{key}': expected an integer, got {value!r}")
+    if least is not None and out < least:
+        raise ScenarioParseError(f"field '{key}': must be >= {least}, got {out}")
+    return out
 
 
 def _parse_float(value: str, key: str) -> float:
@@ -135,7 +136,7 @@ def _parse_complex_list(value: str, key: str) -> list[complex]:
     return [_parse_complex(tok, key) for tok in value.split()]
 
 
-def _parse_matrix(value: str, key: str) -> np.ndarray:
+def _parse_matrix(value: str, key: str, dims) -> np.ndarray:
     rows = [r.strip() for r in value.split(";")]
     if any(not r for r in rows):
         raise ScenarioParseError(f"field '{key}': empty matrix row")
@@ -143,6 +144,10 @@ def _parse_matrix(value: str, key: str) -> np.ndarray:
     width = len(parsed[0])
     if any(len(r) != width for r in parsed):
         raise ScenarioParseError(f"field '{key}': ragged matrix rows")
+    if len(parsed) != width or width != int(np.prod(dims)):
+        raise ScenarioParseError(
+            f"field '{key}': {len(parsed)} x {width} matrix does not match dims {dims}"
+        )
     return np.array(parsed, dtype=complex)
 
 
@@ -185,7 +190,7 @@ def _resolve_state(fields: dict, key: str = "state", default: str | None = None)
 
 def _resolve_observable(fields: dict, base: str, dims, default: str | None = None):
     """Resolve an observable field: preset name, inline matrix, or branch family."""
-    value = _take(fields, base, default)
+    value, dims = _take(fields, base, default), tuple(dims)
     if value is None:
         raise ScenarioParseError(f"missing required field '{base}'")
     sub = {k: fields.pop(k) for k in list(fields) if k.startswith(base + ".")}
@@ -199,26 +204,26 @@ def _resolve_observable(fields: dict, base: str, dims, default: str | None = Non
             proj_key = f"{base}.projector.{idx}"
             if proj_key not in sub:
                 raise ScenarioParseError(f"missing required field '{proj_key}'")
-            branches.append((a, _parse_matrix(sub.pop(proj_key), proj_key)))
+            branches.append((a, _parse_matrix(sub.pop(proj_key), proj_key, dims)))
         if sub:
             raise ScenarioParseError(f"unknown fields: {', '.join(sorted(sub))}")
         # Family validation happens in the domain layer; violations are
         # invariant errors, not parse errors.
-        return observable_from_branches(branches, tuple(dims))
+        return observable_from_branches(branches, dims)
     if sub:
         raise ScenarioParseError(f"unknown fields: {', '.join(sorted(sub))}")
     if value.startswith("matrix"):
         body = value[len("matrix") :].strip()
         if not body:
             raise ScenarioParseError(f"field '{base}': 'matrix' needs entries")
-        return observable_from_matrix(_parse_matrix(body, base), dims=tuple(dims))
+        return observable_from_matrix(_parse_matrix(body, base, dims), dims=dims)
     try:
         obs = observable_preset(value)
     except InvalidInputError as exc:
         raise ScenarioParseError(f"field '{base}': {exc}")
-    if obs.dims != tuple(dims):
+    if obs.dims != dims:
         raise ScenarioParseError(
-            f"field '{base}': preset dims {obs.dims} do not match {tuple(dims)}"
+            f"field '{base}': preset dims {obs.dims} do not match {dims}"
         )
     return obs
 
@@ -237,9 +242,7 @@ def parse_scenario(text: str, source: str) -> Scenario:
         raise ScenarioParseError(
             f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}"
         )
-    seed = _parse_int(_take(fields, "seed", str(DEFAULT_SEED)), "seed")
-    if seed < 0:
-        raise ScenarioParseError(f"field 'seed': must be >= 0, got {seed}")
+    seed = _parse_int(_take(fields, "seed", str(DEFAULT_SEED)), "seed", least=0)
     return Scenario(kind, source, seed, fields)
 
 
@@ -281,9 +284,9 @@ def _run_pointer(scn: Scenario) -> Records:
         obs_a = _resolve_observable(fields, "obs_a", state.dims)
         obs_b = _resolve_observable(fields, "obs_b", state.dims)
         mode = scn.kind
-        size = lambda key, obs: _parse_int(_take(fields, key, str(obs.branch_count)), key)
-        n1 = size("pointer1_size", obs_a)
-        m2 = size("pointer2_size", obs_b) if mode == TWO_POINTER else None
+        size = lambda key, k: _parse_int(_take(fields, key, str(k)), key, least=k)
+        n1 = size("pointer1_size", obs_a.branch_count)
+        m2 = size("pointer2_size", obs_b.branch_count) if mode == TWO_POINTER else None
     _reject_unknown(fields)
     setup = PointerSchemeSetup(state, obs_a, obs_b, n1, m2, mode)
     final, joint, deviation, cross_dev = _evolve_checked(setup)
@@ -295,16 +298,10 @@ def _run_pointer(scn: Scenario) -> Records:
         for i, a in enumerate(obs.eigenvalues)
     ]
     records += [(f"p_ij.{i}.{j}", fmt_real(p)) for (i, j), p in np.ndenumerate(joint.probs)]
-    marg = marginal_a(joint)
-    records += _distribution_records("p_i", marg)
-    for i in marg.labels:
-        if float(marg.probs[i]) <= ZERO_PROB_CUTOFF:
-            continue
-        cond = conditional_b_given_a(joint, i)
-        records += [
-            (f"p_j_given_i.{i}.{j}", fmt_real(p))
-            for j, p in zip(cond.labels, cond.probs)
-        ]
+    rows = joint.probs.sum(axis=1)
+    records += [(f"p_i.{i}", fmt_real(p)) for i, p in enumerate(rows)]
+    records += [(f"p_j_given_i.{i}.{j}", fmt_real(p / rows[i]))
+                for (i, j), p in np.ndenumerate(joint.probs) if rows[i] > ZERO_PROB_CUTOFF]
     records.append(("max_projection_deviation", fmt_real(deviation)))
     records.append((cross_key, fmt_real(cross_dev)))
     if final.dim <= 64:
@@ -323,6 +320,9 @@ def _run_ll(scn: Scenario) -> Records:
             omegas = [0.5 * (n + 1) for n in range(obs.branch_count)]
         else:
             omegas = _parse_floats(omegas, "omegas")
+            if len(omegas) != obs.branch_count:
+                raise ScenarioParseError(f"field 'omegas': {len(omegas)} frequencies "
+                                         f"for {obs.branch_count} branches")
         dt = _parse_float(_take(fields, "dt", "1.0"), "dt")
         _reject_unknown(fields)
         unitaries = phase_unitaries(obs, omegas, dt)
@@ -336,6 +336,8 @@ def _run_ll(scn: Scenario) -> Records:
         records.append(("phase_only_max_dev", fmt_real(phase_dev)))
         return records
     target = _resolve_state(fields, key="target") if "target" in fields else None
+    if target is not None and target.dims != state.dims:
+        raise ScenarioParseError(f"field 'target': dims {target.dims} != {state.dims}")
     _reject_unknown(fields)
     if target is None:
         eye = np.eye(state.dim, dtype=complex)
@@ -381,9 +383,7 @@ def _run_telepathy(scn: Scenario) -> Records:
     default_b = "sigma_z" if state.dims[1] == 2 else None
     obs_a = _resolve_observable(fields, "obs_a", (state.dims[0],), default=default_a)
     obs_b = _resolve_observable(fields, "obs_b", (state.dims[1],), default=default_b)
-    shots = _parse_int(_take(fields, "shots", "0"), "shots")
-    if shots < 0:
-        raise ScenarioParseError(f"field 'shots': must be >= 0, got {shots}")
+    shots = _parse_int(_take(fields, "shots", "0"), "shots", least=0)
     _reject_unknown(fields)
 
     scenario = TelepathyScenario(state, obs_a, obs_b, rule)
@@ -412,13 +412,14 @@ def _run_entropy_demo(scn: Scenario) -> Records:
     obs = _resolve_observable(fields, "obs", state.dims, default="sigma_z")
     _reject_unknown(fields)
     rho = density_from_pure(state)
-    dephased = nonselective_channel(rho, obs)
+    dephased, _, live = _classical_branches(rho, obs)
+    dephased = DensityMatrix(rho.dims, dephased)
     records: Records = [
         ("entropy_initial", fmt_real(von_neumann_entropy(rho))),
         ("entropy_nonselective", fmt_real(von_neumann_entropy(dephased))),
     ]
     avg = 0.0
-    for i, (p, post) in _classical_branches(dephased, obs)[1].items():
+    for i, (p, post) in live.items():
         s = von_neumann_entropy(post)
         avg += p * s
         records.append((f"p.{i}", fmt_real(p)))

@@ -14,11 +14,13 @@ Alice's branch i and the columns of Bob's branch j.  Without Alice, Bob's rule
 acts on his Born weights W.sum(axis=0).  If Alice measured, the state is the
 proper mixture of her collapsed branches: branch i has Born weight W[i].sum()
 and Bob's rule acts on row W[i] (the rule is scale invariant), so his arm is
-the weighted mixture of the per-row distributions.  The signaling
-gap is the total variation distance between Bob's two arms.  Under the Born
-rule the gap vanishes identically (no signaling); rules with any other
-exponent produce a nonzero gap on suitable entangled states, which is what
-makes them operationally inadmissible.
+the weighted mixture of the per-row distributions, all rows transformed at
+once.  Swapping the parties transposes W, since V_B^dag M^T conj(V_A) =
+(V_A^dag M conj(V_B))^T.  The signaling gap is the total variation distance
+between Bob's two arms.  Under the Born rule the gap vanishes identically
+(no signaling); rules with any other exponent produce a nonzero gap on
+suitable entangled states, which is what makes them operationally
+inadmissible.
 """
 
 from __future__ import annotations
@@ -74,24 +76,26 @@ def _cell_weights(scenario: TelepathyScenario) -> np.ndarray:
 
 def _alice_branches(
     cells: np.ndarray, rule: ProbabilityRule
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    # Alice's live branch weights (renormalised) and Bob's rule on each branch.
+) -> tuple[np.ndarray, np.ndarray]:
+    # Alice's live branch weights (renormalised) and Bob's rule on each live
+    # row of W, one row per branch.
     alice = cells.sum(axis=1)
     live = alice > ZERO_PROB_CUTOFF
-    rows = [_transform_weights(row, rule) for row in cells[live]]
-    return alice[live] / alice[live].sum(), rows
+    return alice[live] / alice[live].sum(), _transform_weights(cells[live], rule)
 
 
-def _bob_arms(
-    scenario: TelepathyScenario,
-) -> tuple[OutcomeDistribution, OutcomeDistribution]:
-    # Bob's with-Alice and without-Alice distributions from one W.
-    cells = _cell_weights(scenario)
-    weights, rows = _alice_branches(cells, scenario.bob_rule)
-    labels = tuple(range(scenario.bob_obs.branch_count))
-    mixed = sum(w * probs for w, probs in zip(weights, rows))
-    intact = _transform_weights(cells.sum(axis=0), scenario.bob_rule)
+def _arms(cells: np.ndarray, rule: ProbabilityRule) -> tuple[OutcomeDistribution, ...]:
+    # Bob's with-Alice and without-Alice arms read off the cell weights W.
+    weights, rows = _alice_branches(cells, rule)
+    labels = tuple(range(cells.shape[1]))
+    mixed = (weights[:, None] * rows).sum(axis=0)
+    intact = _transform_weights(cells.sum(axis=0), rule)
     return OutcomeDistribution(labels, mixed), OutcomeDistribution(labels, intact)
+
+
+def _bob_arms(scenario: TelepathyScenario) -> tuple[OutcomeDistribution, ...]:
+    # Bob's with-Alice and without-Alice distributions from one W.
+    return _arms(_cell_weights(scenario), scenario.bob_rule)
 
 
 def swap_parties(scenario: TelepathyScenario) -> TelepathyScenario:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bornsim import cli, pointer, scenario
+from bornsim import cli, measurement, pointer, scenario, signaling
 from bornsim.cli import MAX_DIMS_LIMIT, main
 from bornsim.pointer import POINTER_STATE_MAX_AMPS, SCHEME_AGREEMENT_TOL
 from bornsim.presets import SCENARIO_PRESETS
@@ -409,6 +409,66 @@ def test_every_pointer_setup_is_evolved_once(tmp_path, capsys, monkeypatch):
     # per trial; run: the two-pointer file, the one-pointer file and its twin.
     assert len(counts) == 1 + 2 * 10 + 3
     assert set(counts.values()) == {1}
+
+
+def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
+    # The pointer battery checks the projection postulate from whole-observable
+    # arrays: no collapsed state, conditional or Born distribution per branch.
+    # The no-signaling battery reads both directions off one W per trial.
+    calls, battery = Counter(), [None]
+
+    def tracking(row, *args, original=cli._run_battery):
+        battery[0] = row.stream
+        try:
+            return original(row, *args)
+        finally:
+            battery[0] = None
+
+    monkeypatch.setattr(cli, "_run_battery", tracking)
+    names = ("project_update", "rule_probabilities", "conditional_b_given_a", "_cell_weights")
+    for name, home in zip(names, (measurement, measurement, pointer, signaling)):
+        original = getattr(home, name)
+
+        def counting(*args, original=original, name=name):
+            calls[battery[0], name] += 1
+            return original(*args)
+
+        for module in (measurement, pointer, signaling, cli, scenario):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    code, _, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
+    assert code == 0
+    stream = cli._POINTER.stream
+    assert [calls[stream, name] for name in names[:3]] == [0, 0, 0]
+    assert calls[cli._NO_SIGNALING.stream, "_cell_weights"] == 10
+    # The hooks are live: the one-shot checks outside the batteries hit them.
+    assert calls[None, "rule_probabilities"] > 0 and calls[None, "_cell_weights"] > 0
+
+
+@pytest.mark.parametrize(
+    "key, body",
+    [
+        ("obs_a", "kind = one_pointer\nstate = plus\nobs_a = matrix 1 0 0; 0 2 0; 0 0 3\n"
+                  "obs_b = sigma_x\n"),
+        ("obs.projector.1", "kind = entropy_demo\nstate = plus\nobs = branches\n"
+                            "obs.eigenvalues = 0 1\nobs.projector.0 = 1 0; 0 0\n"
+                            "obs.projector.1 = 0 0 0; 0 1 0; 0 0 0\n"),
+        ("omegas", "kind = stern_gerlach\nomegas = 0.8 2.3 3.1\n"),
+        ("pointer1_size", "kind = one_pointer\nstate = plus\nobs_a = sigma_z\n"
+                          "obs_b = sigma_x\npointer1_size = 1\n"),
+        ("pointer2_size", "kind = two_pointer\nstate = plus\nobs_a = sigma_z\n"
+                          "obs_b = sigma_x\npointer2_size = -1\n"),
+        ("target", "kind = ll_scheme\nstate = plus\ntarget = 1 0 0\n"),
+    ],
+)
+def test_size_mismatches_are_parse_errors(tmp_path, capsys, key, body):
+    # Fields that disagree in size are a malformed file, caught before any
+    # object is built from them.
+    path = tmp_path / "mismatch.scn"
+    path.write_text(body)
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"parse error: field '{key}': ")
 
 
 # Scenario text for the parser fuzz: each kind's real keys with plausible

@@ -12,6 +12,7 @@ from bornsim import (
     NotUnitaryError,
     Operator,
     ProbabilityRule,
+    ZERO_PROB_CUTOFF,
     StateVector,
     ZeroProbabilityBranchError,
     basis_state,
@@ -30,7 +31,7 @@ from bornsim import (
     von_neumann_entropy,
 )
 from bornsim import cli, core, measurement, scenario
-from bornsim.measurement import _classical_branches, _transform_weights
+from bornsim.measurement import _classical_branches, _orthonormal_completion, _transform_weights
 from bornsim.rand import random_observable, random_state, random_unitary
 
 SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
@@ -229,6 +230,47 @@ class TestLLChannel:
             ll_channel(PLUS, SIGMA_Z, [eye3, eye3])
 
 
+def _collapse_reference(state, obs, branch):
+    # Oracle: P_i psi / ||P_i psi|| from branch i's own columns alone.
+    cols = obs.branch_basis(branch)
+    vec = cols @ (cols.conj().T @ state.amps)
+    return vec / np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_batched_collapse_equals_a_per_branch_collapse(seed):
+    # ll_channel, state_preparation_unitaries and project_update against a
+    # per-branch collapse; every third state lies in one eigenspace, so
+    # the other branches are dead.
+    rng = np.random.default_rng([seed, 12])
+    d = int(rng.integers(2, 9))
+    obs = random_observable(rng, (d,), degenerate=(d >= 3 and seed % 2 == 0))
+    state = random_state(rng, (d,))
+    if seed % 3 == 0:
+        state = StateVector((d,), _collapse_reference(state, obs, obs.branch_count - 1))
+    weights = branch_weights(state, obs)
+    live = [n for n in range(obs.branch_count) if weights[n] > ZERO_PROB_CUTOFF]
+    unitaries = [Operator((d,), random_unitary(rng, d)) for _ in range(obs.branch_count)]
+    records = ll_channel(state, obs, unitaries)
+    assert [rec.branch_index for rec in records] == live
+    for rec in records:
+        n = rec.branch_index
+        assert type(n) is int and rec.eigenvalue == obs.eigenvalue(n)
+        assert rec.probability == weights[n]
+        want = unitaries[n].entries @ _collapse_reference(state, obs, n)
+        assert np.max(np.abs(rec.post_state.amps - want)) <= 1e-14
+        got = project_update(state, obs, n).amps
+        assert np.max(np.abs(got - _collapse_reference(state, obs, n))) <= 1e-14
+    target = random_state(rng, (d,))
+    to_target = _orthonormal_completion(target.amps)
+    for n, u in enumerate(state_preparation_unitaries(state, obs, target)):
+        if n not in live:
+            assert np.array_equal(u.entries, np.eye(d))
+            continue
+        from_collapsed = _orthonormal_completion(_collapse_reference(state, obs, n))
+        assert np.max(np.abs(u.entries - to_target @ from_collapsed.conj().T)) <= 1e-14
+
+
 class TestPhaseUnitaries:
     def test_pure_phase_channel(self):
         unitaries = phase_unitaries(SIGMA_Z, [0.8, 2.3], dt=1.0)
@@ -339,6 +381,24 @@ def test_classical_blocks_built_once_per_state(monkeypatch):
     (check,) = cli._run_battery(cli._ENTROPY, trials=0, dims_limit=6, seed=1234)
     assert check.passed
     assert len(calls) == 50 and sum(calls) > 50
+
+
+def test_entropy_path_dephases_once(monkeypatch):
+    # The dephased state and the live branches come from one _dephase call
+    # per entropy trial and per entropy_demo run.
+    calls = []
+
+    def counting(rho, obs, original=measurement._dephase):
+        calls.append(obs.branch_count)
+        return original(rho, obs)
+
+    monkeypatch.setattr(measurement, "_dephase", counting)
+    (check,) = cli._run_battery(cli._ENTROPY, trials=0, dims_limit=6, seed=1234)
+    assert check.passed and len(calls) == 50
+    calls.clear()
+    text = "kind = entropy_demo\nstate = 0.6 0.8\n"
+    records = dict(scenario.run_scenario(scenario.parse_scenario(text, "tilted")))
+    assert len(calls) == 1 and "entropy_nonselective" in records
 
 
 def test_one_eigvalsh_per_density_in_entropy_demo(monkeypatch):

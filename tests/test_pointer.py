@@ -23,7 +23,13 @@ from bornsim import (
     two_pointer_setup,
 )
 from bornsim.core import density_from_pure
-from bornsim.pointer import POINTER_STATE_MAX_AMPS, _couple, _evolve_checked
+from bornsim.measurement import BORN, ZERO_PROB_CUTOFF, project_update, rule_probabilities
+from bornsim.pointer import (
+    POINTER_STATE_MAX_AMPS,
+    _couple,
+    _evolve_checked,
+    _projection_deviation,
+)
 from bornsim.rand import random_observable, random_state, random_unitary
 
 SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
@@ -220,6 +226,83 @@ def test_evolve_checked_matches_the_public_readouts(rng):
         assert deviation == projection_equivalence_report(one)
         twin = run_two_pointer(two_pointer_setup(state, obs_a, obs_b))[1]
         assert cross == np.max(np.abs(joint.probs - twin.probs))
+
+
+def _loop_projection_deviation(setup, joint):
+    # Oracle: the per-branch check, one validated conditional, collapsed
+    # state and Born distribution per live row of the joint.
+    marg = marginal_a(joint)
+    worst = 0.0
+    for i in range(setup.obs_a.branch_count):
+        if float(marg.probs[i]) <= ZERO_PROB_CUTOFF:
+            continue
+        cond = conditional_b_given_a(joint, i)
+        collapsed = project_update(setup.small_state, setup.obs_a, i)
+        born = rule_probabilities(BORN, collapsed, setup.obs_b)
+        worst = max(worst, float(np.max(np.abs(cond.probs - born.probs))))
+    return worst
+
+
+def _in_one_eigenspace(rng, obs, branch):
+    # A random unit vector inside one branch's eigenspace: every other row
+    # of a joint with obs as the first observable is dead.
+    cols = obs.branch_basis(branch)
+    amps = cols @ (rng.normal(size=cols.shape[1]) + 1j * rng.normal(size=cols.shape[1]))
+    return StateVector(obs.dims, amps / np.linalg.norm(amps))
+
+
+def _random_setups(seed):
+    # Two- and one-pointer setups, default and oversized registers, with
+    # degenerate observables on every other draw and, on every third, a
+    # state inside one eigenspace of the first observable.
+    rng = np.random.default_rng([seed, 10])
+    d = int(rng.integers(2, 9))
+    state, obs_a, obs_b = _random_pair(rng, d, degenerate=(d >= 3 and seed % 2 == 0))
+    if seed % 3 == 0:
+        state = _in_one_eigenspace(rng, obs_a, int(rng.integers(obs_a.branch_count)))
+    extra = int(rng.integers(0, 3))
+    na, nb = obs_a.branch_count, obs_b.branch_count
+    return [
+        two_pointer_setup(state, obs_a, obs_b),
+        two_pointer_setup(state, obs_a, obs_b, na + extra, nb + 2 - extra),
+        one_pointer_setup(state, obs_a, obs_b),
+        one_pointer_setup(state, obs_a, obs_b, na + 1 + extra),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_batched_projection_deviation_equals_the_branch_loop(seed):
+    setups, dead_rows = _random_setups(seed), 0
+    for setup in setups:
+        run = run_two_pointer if setup.mode == "two_pointer" else run_one_pointer
+        joint = run(setup)[1]
+        dead_rows += int(np.sum(joint.probs.sum(axis=1) <= ZERO_PROB_CUTOFF))
+        batched = _projection_deviation(setup, joint)
+        assert abs(batched - _loop_projection_deviation(setup, joint)) <= 1e-14
+        assert batched < 1e-10
+    if seed % 3 == 0 and setups[0].obs_a.branch_count > 1:
+        assert dead_rows > 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_projection_deviation_raises_like_the_branch_loop(seed):
+    # A joint whose live rows the setup's state cannot reach: the first
+    # observable's other branches have no collapsed weight.
+    rng = np.random.default_rng([seed, 11])
+    d = int(rng.integers(2, 9))
+    _, obs_a, obs_b = _random_pair(rng, d, degenerate=(d >= 3 and seed % 2 == 0))
+    if obs_a.branch_count == 1:
+        obs_a = SIGMA_Z if d == 2 else observable_from_matrix(np.diag(np.arange(d)))
+    confined = _in_one_eigenspace(rng, obs_a, 0)
+    spread = random_state(rng, (d,))
+    for make in (two_pointer_setup, one_pointer_setup):
+        run = run_two_pointer if make is two_pointer_setup else run_one_pointer
+        joint = run(make(spread, obs_a, obs_b))[1]
+        setup = make(confined, obs_a, obs_b)
+        with pytest.raises(ZeroProbabilityBranchError):
+            _loop_projection_deviation(setup, joint)
+        with pytest.raises(ZeroProbabilityBranchError):
+            _projection_deviation(setup, joint)
 
 
 class TestJointDistribution:

@@ -28,7 +28,15 @@ from bornsim import signaling
 from bornsim.presets import observable_preset, state_preset
 from bornsim.rand import random_observable, random_state, random_unitary
 from bornsim.scenario import parse_scenario, run_scenario
-from bornsim.signaling import MAX_SHOTS, _alice_branches, _cell_weights, _sample_counts
+from bornsim.measurement import _transform_weights
+from bornsim.signaling import (
+    MAX_SHOTS,
+    _alice_branches,
+    _arms,
+    _bob_arms,
+    _cell_weights,
+    _sample_counts,
+)
 
 SIGMA_Z = observable_preset("sigma_z")
 SIGMA_X = observable_from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -101,6 +109,42 @@ def test_arms_match_lifted_projector_reference():
         )
         for s in (scenario, swap_parties(scenario)):
             _assert_arms(s, _lifted_reference_arms(s), 1e-12)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 0.5, 30.0])
+def test_swapped_arms_read_off_the_transposed_cells(q):
+    # Swapping the parties transposes W, so the transposed cells give the
+    # arms of swap_parties without a second W.
+    for t in range(40):
+        rng = np.random.default_rng([18, t])
+        d0, d1 = (int(x) for x in rng.integers(2, 7, size=2))
+        scenario = TelepathyScenario(
+            random_state(rng, (d0, d1)),
+            random_observable(rng, (d0,), degenerate=(d0 >= 3 and t % 2 == 0)),
+            random_observable(rng, (d1,), degenerate=(d1 >= 3 and t % 3 == 0)),
+            nonborn_exponent(q),
+        )
+        swapped = _arms(_cell_weights(scenario).T, scenario.bob_rule)
+        for got, want in zip(swapped, _bob_arms(swap_parties(scenario))):
+            assert np.max(np.abs(got.probs - want.probs)) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.just(0.0) | st.floats(1e-300, 1.0), min_size=3, max_size=3)
+        .filter(lambda row: max(row) > 0.0),
+        min_size=1, max_size=6,
+    ),
+    st.sampled_from([1.0, 2.0, 0.5, 30.0, 1e3]),
+)
+def test_rule_on_rows_equals_the_rule_on_each_row(rows, q):
+    # One 2-D transform gives every row's 1-D transform bit for bit, so the
+    # Monte Carlo channel draws from the same arrays as before.
+    rule = nonborn_exponent(q)
+    batched = _transform_weights(np.array(rows), rule)
+    for row, got in zip(rows, batched):
+        assert np.array_equal(got, _transform_weights(np.array(row), rule))
 
 
 def _ranked_observable(rng, d, rank):
