@@ -31,7 +31,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _check_dims(dims) -> tuple[int, ...]:
     try:
-        out = tuple(int(d) for d in dims)
+        out = tuple(map(int, dims))
     except TypeError:
         raise InvalidInputError(f"dims must be an iterable of ints, got {dims!r}")
     if not out or any(d < 1 for d in out):
@@ -40,7 +40,8 @@ def _check_dims(dims) -> tuple[int, ...]:
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    # isfinite of a complex entry is False if either part is non-finite.
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{what} contains non-finite entries")
 
 
@@ -63,7 +64,7 @@ class StateVector:
                 f"amplitude count {amps.size} does not match dims {dims}"
             )
         _check_finite(amps, "state vector")
-        norm = float(np.linalg.norm(amps))
+        norm = float(np.vdot(amps, amps).real) ** 0.5
         if abs(norm - 1.0) > NORM_TOL:
             raise InvalidInputError(f"state vector norm {norm!r} is not 1")
         object.__setattr__(self, "dims", dims)
@@ -98,11 +99,11 @@ class Operator:
         return self.entries.shape[0]
 
     def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
+        return bool(np.abs(self.entries - self.entries.conj().T).max() <= tol)
 
     def is_unitary(self, tol: float = HERM_TOL) -> bool:
         gram = self.entries.conj().T @ self.entries
-        return bool(np.max(np.abs(gram - np.eye(self.dim))) <= tol)
+        return bool(np.abs(gram - np.eye(self.dim)).max() <= tol)
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class DensityMatrix:
                 f"density shape {entries.shape} does not match dims {dims}"
             )
         _check_finite(entries, "density matrix")
-        if np.max(np.abs(entries - entries.conj().T)) > HERM_TOL:
+        if np.abs(entries - entries.conj().T).max() > HERM_TOL:
             raise InvalidDensityError("density matrix is not Hermitian")
         tr = complex(np.trace(entries))
         if abs(tr - 1.0) > NORM_TOL:
@@ -144,11 +145,11 @@ class DensityMatrix:
 def _checked_probabilities(probs: np.ndarray, kind: str = "") -> np.ndarray:
     # Finite, no entry below -1e-12, total 1 within 1e-10.  Returns the
     # entries with the tiny negative round-off clipped to zero, read-only.
-    if not np.all(np.isfinite(probs)):
+    if not np.isfinite(probs).all():
         raise InvalidInputError(f"{kind}probabilities contain non-finite entries")
-    if np.min(probs, initial=0.0) < -1e-12:
+    if probs.min(initial=0.0) < -1e-12:
         raise InvalidInputError(f"negative {kind}probability {probs.min()!r}")
-    probs = np.clip(probs, 0.0, None)
+    probs = np.maximum(probs, 0.0)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:
         raise InvalidInputError(f"{kind}probabilities sum to {total!r}, not 1")
@@ -261,7 +262,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     evals = rho.spectrum
     if float(evals[0]) < -PSD_TOL:
         raise InvalidDensityError(f"negative eigenvalue {float(evals[0])!r}")
-    evals = np.clip(evals, 0.0, None)
+    evals = np.maximum(evals, 0.0)
     pos = evals[evals > 0.0]
     return float(-(pos * np.log2(pos)).sum())
 

@@ -85,14 +85,14 @@ def branch_weights(state: StateVector, obs: Observable) -> np.ndarray:
 
 def _transform_weights(weights: np.ndarray, rule: ProbabilityRule) -> np.ndarray:
     # The rule's probabilities along the last axis, one distribution per row.
-    w = np.clip(weights, 0.0, None)
+    w = np.maximum(weights, 0.0)
     if rule.exponent != 1.0:
         # Scale each row's largest weight to 1 first, so w**q cannot
         # underflow to an all-zero row (or overflow) for large exponents.
         peak = w.max(axis=-1, keepdims=True)
         w = (w / np.where(peak > 0.0, peak, 1.0)) ** rule.exponent
     total = w.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0.0):
+    if (total <= 0.0).any():
         raise InvalidInputError("all branch weights vanish")
     return w / total
 
@@ -166,11 +166,19 @@ def ll_channel(
         raise InvalidInputError(
             f"{len(post_unitaries)} unitaries for {obs.branch_count} branches"
         )
-    for n, u in enumerate(post_unitaries):
-        if u.dims != state.dims:
-            raise InvalidInputError(f"unitary {n} dims {u.dims} != {state.dims}")
-        if not u.is_unitary(UNITARY_TOL):
-            raise NotUnitaryError(f"post-measurement operator {n} is not unitary")
+    # One stacked Gram product checks every operator before the first with wrong
+    # dims; the first failure in operator order is reported (a NaN Gram fails).
+    fit = next((n for n, u in enumerate(post_unitaries) if u.dims != state.dims),
+               len(post_unitaries))
+    if fit:
+        stack = np.stack([u.entries for u in post_unitaries[:fit]])
+        gram = stack.conj().transpose(0, 2, 1) @ stack - np.eye(state.dim)
+        bad = np.flatnonzero(~(np.abs(gram).max(axis=(1, 2)) <= UNITARY_TOL))
+        if bad.size:
+            raise NotUnitaryError(f"post-measurement operator {bad[0]} is not unitary")
+    if fit < len(post_unitaries):
+        u = post_unitaries[fit]
+        raise InvalidInputError(f"unitary {fit} dims {u.dims} != {state.dims}")
     weights = branch_weights(state, obs)
     live = np.flatnonzero(weights > ZERO_PROB_CUTOFF)
     return [
@@ -276,7 +284,7 @@ def classical_selective(
     """
     obs.eigenvalue(branch)  # range check
     dephased, weights, live = _classical_branches(rho, obs, rule, (branch,))
-    off = float(np.max(np.abs(rho.entries - dephased)))
+    off = float(np.abs(rho.entries - dephased).max())
     if off > DECOHERED_TOL:
         raise NotDecoheredError(
             f"off-block coherences of size {off!r} exceed {DECOHERED_TOL}"

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -37,10 +37,10 @@ class Observable:
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
-        eigenvalues = tuple(float(a) for a in self.eigenvalues)
+        eigenvalues = tuple(map(float, self.eigenvalues))
         if not eigenvalues:
             raise InvalidProjectorFamilyError("observable has no branches")
-        if any(not np.isfinite(a) for a in eigenvalues):
+        if not all(map(isfinite, eigenvalues)):
             raise InvalidProjectorFamilyError("non-finite eigenvalue")
         if any(b >= a for a, b in zip(eigenvalues[1:], eigenvalues)):
             raise InvalidProjectorFamilyError(
@@ -48,15 +48,15 @@ class Observable:
             )
         d, k = prod(dims), len(eigenvalues)
         basis = np.array(self.basis, dtype=complex)
-        if basis.shape != (d, d) or not np.all(np.isfinite(basis)):
+        if basis.shape != (d, d) or not np.isfinite(basis).all():
             raise InvalidProjectorFamilyError(f"basis must be a finite {d} x {d} matrix")
         labels = np.array(self.labels)
-        if (labels.shape != (d,) or labels.dtype.kind not in "iu" or labels.min() < 0
-                or labels.max() >= k or not np.bincount(labels, minlength=k).all()):
+        if (labels.shape != (d,) or labels.dtype.kind not in "iu"
+                or set(labels.tolist()) != set(range(k))):
             raise InvalidProjectorFamilyError(
                 f"{d} basis column labels must cover branches 0..{k - 1}"
             )
-        if np.max(np.abs(basis.conj().T @ basis - np.eye(d))) > PROJ_TOL:
+        if np.abs(basis.conj().T @ basis - np.eye(d)).max() > PROJ_TOL:
             raise InvalidProjectorFamilyError("basis is not unitary")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "eigenvalues", eigenvalues)
@@ -71,10 +71,10 @@ class Observable:
     def dim(self) -> int:
         return prod(self.dims)
 
-    @property
+    @cached_property
     def indicator(self) -> np.ndarray:
         """D x k branch membership of the columns; x @ indicator sums x per branch."""
-        return (self.labels[:, None] == np.arange(self.branch_count)).astype(float)
+        return _frozen((self.labels[:, None] == np.arange(self.branch_count)).astype(float))
 
     @cached_property
     def projectors(self) -> tuple[Operator, ...]:
@@ -133,7 +133,7 @@ def _check_family(stack: np.ndarray) -> None:
         if dev.max() > PROJ_TOL:
             j = i + int(np.argmax(dev > PROJ_TOL))
             raise InvalidProjectorFamilyError(f"projectors {i} and {j} are not orthogonal")
-    if np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))) > PROJ_TOL:
+    if np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max() > PROJ_TOL:
         raise InvalidProjectorFamilyError("projectors do not sum to identity")
 
 
@@ -179,7 +179,7 @@ def observable_from_matrix(
         m = np.asarray(h, dtype=complex)
         op = Operator(dims if dims is not None else (m.shape[0],), m)
     if not op.is_hermitian():
-        dev = float(np.max(np.abs(op.entries - op.entries.conj().T)))
+        dev = float(np.abs(op.entries - op.entries.conj().T).max())
         raise NotHermitianError(f"matrix deviates from Hermitian by {dev!r}")
     evals, evecs = np.linalg.eigh(op.entries)
     labels = np.concatenate([[0], np.cumsum(np.diff(evals) >= degeneracy_tol)])

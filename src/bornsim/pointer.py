@@ -25,9 +25,11 @@ run_two_pointer and run_one_pointer evaluate these on the eigenbases V_A and
 V_B, in O(d*n*m) memory: P_i psi is V_A applied to V_A^dag psi cut to the
 columns of branch i, and R_j P_i psi is V_B applied to V_B^dag P_i psi cut to
 the columns of branch j.  brute_force_joint is the independent oracle: it
-applies U_A and U_B by their definitions to the full register tensor, rolling
-the pointer axes branch by branch and projecting with each branch's columns,
-and never builds a matrix.  A setup whose state would exceed
+applies U_A and U_B by their definitions to the full register tensor, wrap-
+around included, and never builds a matrix.  As sum_k P_k (x) Shift(k) =
+(V (x) 1)(sum_c |c><c| (x) Shift(l_c))(V^dag (x) 1), l_c the branch of column
+c of V, each coupling rotates with V^dag, shifts eigen-row c by l_c along the
+pointer axis (one gather) and rotates back.  A setup whose state would exceed
 POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
 """
 
@@ -38,13 +40,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import (
-    OutcomeDistribution,
-    StateVector,
-    _checked_probabilities,
-    basis_state,
-    tensor,
-)
+from .core import OutcomeDistribution, StateVector, _checked_probabilities
 from .errors import InvalidInputError, ZeroProbabilityBranchError
 from .measurement import BORN, ZERO_PROB_CUTOFF, _collapsed, _transform_weights
 from .observables import Observable
@@ -168,15 +164,14 @@ class JointDistribution:
 
 def _couple(amps: np.ndarray, obs: Observable, axis: int) -> np.ndarray:
     # sum_k P_k (x) Shift(k) on the pointer axis of a (d, ...) register tensor:
-    # branch k rolls the pointer by k (wrap-around included), then
-    # P_k = V_k V_k^dag acts on the system axis.  One branch at a time.
-    d = amps.shape[0]
-    out = np.zeros_like(amps)
-    for k in range(obs.branch_count):
-        v = obs.branch_basis(k)
-        rolled = np.roll(amps, k, axis=axis).reshape(d, -1)
-        out += (v @ (v.conj().T @ rolled)).reshape(amps.shape)
-    return out
+    # eigen-row c of V^dag amps moves by labels[c] along the pointer axis,
+    # wrap-around included, and V rotates the result back.
+    d, size = amps.shape[0], amps.shape[axis]
+    rows = (obs.basis.conj().T @ amps.reshape(d, -1)).reshape(amps.shape)
+    shape = [d if a == 0 else size if a == axis else 1 for a in range(amps.ndim)]
+    index = ((np.arange(size) - obs.labels[:, None]) % size).reshape(shape)
+    shifted = np.take_along_axis(rows, index, axis=axis)
+    return (obs.basis @ shifted.reshape(d, -1)).reshape(amps.shape)
 
 
 def _joint_from_cells(cells: np.ndarray, residual: float) -> JointDistribution:
@@ -269,7 +264,7 @@ def _projection_deviation(setup: PointerSchemeSetup, joint: JointDistribution) -
     born = _transform_weights((np.abs(obs_b.basis.conj().T @ collapsed) ** 2).T
                               @ obs_b.indicator, BORN)
     cond = joint.probs[live] / rows[live, None]
-    return float(np.max(np.abs(cond - born), initial=0.0))
+    return float(np.abs(cond - born).max(initial=0.0))
 
 
 def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
@@ -286,17 +281,19 @@ def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
     """Joint distribution by exhaustive enumeration of composite basis outcomes.
 
     Applies U_A and then U_B by their definitions to the (d, n, m) register
-    tensor of psi0 (x) |0> (x) |0>, without building either matrix, then bins
-    the Born probability of every composite basis state by its two pointer
-    positions.  Deliberately independent of both the contraction and the
-    block-norm readout in run_two_pointer; kept as an oracle for
-    cross-checking.
+    tensor of psi0 (x) |0> (x) |0>, without building either matrix: each
+    coupling rotates the tensor into the observable's eigenbasis, shifts
+    eigen-row c along its pointer axis by the branch label of column c (a
+    gather, wrap-around included) and rotates back.  It then bins the Born
+    probability of every composite basis state by its two pointer positions.
+    Deliberately independent of both the contraction and the block-norm
+    readout in run_two_pointer; kept as an oracle for cross-checking.
     """
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("brute force readout needs a two-pointer setup")
     n, m = setup.n_pointer1, setup.m_pointer2
-    start = tensor([setup.small_state, basis_state(n, 0), basis_state(m, 0)])
-    amps = start.amps.reshape(setup.small_state.dim, n, m)
+    amps = np.zeros((setup.small_state.dim, n, m), dtype=complex)
+    amps[:, 0, 0] = setup.small_state.amps
     amps = _couple(_couple(amps, setup.obs_a, axis=1), setup.obs_b, axis=2)
     na, nb = setup.obs_a.branch_count, setup.obs_b.branch_count
     probs = np.abs(amps.reshape(-1)) ** 2
@@ -321,5 +318,5 @@ def _evolve_checked(
         final, joint = run_one_pointer(setup)
         twin = two_pointer_setup(setup.small_state, setup.obs_a, setup.obs_b)
         other = run_two_pointer(twin)[1]
-    cross = float(np.max(np.abs(joint.probs - other.probs)))
+    cross = float(np.abs(joint.probs - other.probs).max())
     return final, joint, _projection_deviation(setup, joint), cross

@@ -374,7 +374,10 @@ def _run_telepathy(scn: Scenario) -> Records:
         q_value = _take(fields, "q")
         if q_value is None:
             raise ScenarioParseError("missing required field 'q'")
-        rule = ProbabilityRule(_parse_float(q_value, "q"))
+        q = _parse_float(q_value, "q")
+        if q <= 0.0:
+            raise ScenarioParseError(f"field 'q': must be > 0, got {q_value}")
+        rule = ProbabilityRule(q)
     else:
         raise ScenarioParseError(
             f"field 'rule': expected born or nonborn_exponent, got {rule_value!r}"

@@ -178,6 +178,16 @@ def test_large_exponent_does_not_underflow(tmp_path, capsys):
     assert lines["signaling_gap"] == "0.36"
 
 
+@pytest.mark.parametrize("q", ["0", "-2"])
+def test_nonpositive_exponent_is_parse_error(tmp_path, capsys, q):
+    path = tmp_path / "bad_q.scn"
+    path.write_text(f"kind = telepathy\nstate = asymmetric(0.36)\n"
+                    f"rule = nonborn_exponent\nq = {q}\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2 and out == ""
+    assert err == f"parse error: field 'q': must be > 0, got {q}\n"
+
+
 def test_large_two_pointer_file_is_oracle_checked(tmp_path, capsys):
     # Composite dimension 2*120*120 = 28800: the oracle applies the couplings
     # to the register tensor and never builds a dense shift unitary.

@@ -229,6 +229,20 @@ class TestLLChannel:
         with pytest.raises(InvalidInputError):
             ll_channel(PLUS, SIGMA_Z, [eye3, eye3])
 
+    def test_first_failing_operator_is_named(self):
+        # One stacked check over all operators still reports the first
+        # failure, in operator order, with its index.
+        qutrit = StateVector((3,), np.ones(3) / np.sqrt(3.0))
+        obs = observable_from_matrix(np.diag([0.0, 1.0, 2.0]))
+        eye, eye2 = Operator((3,), np.eye(3)), Operator((2,), np.eye(2))
+        bad = Operator((3,), np.diag([1.0, 1.0, 1.0 + 1e-9]))
+        with pytest.raises(NotUnitaryError, match=r"^post-measurement operator 1 is not unitary$"):
+            ll_channel(qutrit, obs, [eye, bad, eye])
+        with pytest.raises(NotUnitaryError, match=r"^post-measurement operator 1 is not unitary$"):
+            ll_channel(qutrit, obs, [eye, bad, eye2])
+        with pytest.raises(InvalidInputError, match=r"^unitary 1 dims \(2,\) != \(3,\)$"):
+            ll_channel(qutrit, obs, [eye, eye2, bad])
+
 
 def _collapse_reference(state, obs, branch):
     # Oracle: P_i psi / ||P_i psi|| from branch i's own columns alone.

@@ -126,6 +126,14 @@ def test_branch_accessor_range():
         obs.eigenvalue(-1)
 
 
+def test_indicator_is_cached_and_read_only():
+    obs = observable_from_matrix(np.diag([0.0, 1.0, 1.0]))
+    assert obs.indicator is obs.indicator
+    np.testing.assert_array_equal(obs.indicator, [[1, 0], [0, 1], [0, 1]])
+    with pytest.raises(ValueError):
+        obs.indicator[0, 0] = 0.0
+
+
 def test_random_observable_unitary_basis(rng):
     u = random_unitary(rng, 5)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)

@@ -24,6 +24,7 @@ from bornsim import (
 )
 from bornsim.core import density_from_pure
 from bornsim.measurement import BORN, ZERO_PROB_CUTOFF, project_update, rule_probabilities
+from bornsim.observables import Observable
 from bornsim.pointer import (
     POINTER_STATE_MAX_AMPS,
     _couple,
@@ -188,12 +189,28 @@ def test_brute_force_oracle_agrees(rng):
 
 
 def test_brute_force_oracle_builds_no_dense_projector(rng):
-    # The oracle projects with each branch's basis columns; the cached dense
-    # projector view of either observable stays unbuilt.
+    # The oracle works on the eigenbasis; the cached dense projector view of
+    # either observable stays unbuilt.
     state, obs_a, obs_b = _random_pair(rng, 5, degenerate=True)
     brute_force_joint(two_pointer_setup(state, obs_a, obs_b, 4, 6))
     assert "projectors" not in obs_a.__dict__
     assert "projectors" not in obs_b.__dict__
+
+
+def test_brute_force_oracle_needs_no_branch_columns_or_roll(rng, monkeypatch):
+    # The couplings act in the eigenbasis as one gather: no per-branch column
+    # slice of V and no np.roll of the register tensor.
+    state, obs_a, obs_b = _random_pair(rng, 5, degenerate=True)
+    setup = two_pointer_setup(state, obs_a, obs_b, 4, 6)
+    _, joint = run_two_pointer(setup)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle must not call this")
+
+    monkeypatch.setattr(Observable, "branch_basis", refuse)
+    monkeypatch.setattr(np, "roll", refuse)
+    oracle = brute_force_joint(setup)
+    assert float(np.max(np.abs(oracle.probs - joint.probs))) < 1e-12
 
 
 def test_brute_force_needs_two_pointers():

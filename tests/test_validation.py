@@ -1,0 +1,99 @@
+"""Validation table for the value types: which inputs each constructor
+rejects, with which exception class and message, plus the round-off it
+repairs.  Pins the checks themselves, so a cheaper check must reject and
+report exactly what the old one did."""
+
+import numpy as np
+import pytest
+
+from bornsim.core import DensityMatrix, Operator, OutcomeDistribution, StateVector
+from bornsim.errors import InvalidInputError, InvalidProjectorFamilyError
+from bornsim.observables import Observable
+from bornsim.pointer import JointDistribution
+
+NAN_IMAG = complex(0.0, np.nan)
+INF_REAL = complex(np.inf, 0.0)
+
+
+def _with(base, index, value):
+    out = np.array(base, dtype=complex)
+    out[index] = value
+    return out
+
+
+_HALF = np.full((2, 2), 0.5, dtype=complex)  # the density of |+>
+_EYE = np.eye(2, dtype=complex)
+
+REJECTED = [
+    # (case, constructor, exception class, exact message)
+    ("state nan imag", lambda: StateVector((2,), _with([1, 0], 1, NAN_IMAG)),
+     InvalidInputError, "state vector contains non-finite entries"),
+    ("state inf real", lambda: StateVector((2,), _with([1, 0], 1, INF_REAL)),
+     InvalidInputError, "state vector contains non-finite entries"),
+    ("state norm 1 + 2e-10", lambda: StateVector((1,), [1 + 2e-10]),
+     InvalidInputError, "state vector norm 1.0000000002 is not 1"),
+    ("state norm overflow", lambda: StateVector((2,), [1e200, 0.0]),
+     InvalidInputError, "state vector norm inf is not 1"),
+    ("operator nan imag", lambda: Operator((2,), _with(_EYE, (0, 1), NAN_IMAG)),
+     InvalidInputError, "operator contains non-finite entries"),
+    ("operator inf real", lambda: Operator((2,), _with(_EYE, (1, 0), INF_REAL)),
+     InvalidInputError, "operator contains non-finite entries"),
+    ("density nan imag", lambda: DensityMatrix((2,), _with(_HALF, (0, 1), NAN_IMAG)),
+     InvalidInputError, "density matrix contains non-finite entries"),
+    ("density inf real", lambda: DensityMatrix((2,), _with(_HALF, (1, 1), INF_REAL)),
+     InvalidInputError, "density matrix contains non-finite entries"),
+    ("outcome nan", lambda: OutcomeDistribution((0, 1), [np.nan, 1.0]),
+     InvalidInputError, "probabilities contain non-finite entries"),
+    ("outcome -2e-12", lambda: OutcomeDistribution((0, 1), [-2e-12, 1.0]),
+     InvalidInputError, f"negative probability {np.float64(-2e-12)!r}"),
+    ("outcome sum 1 + 2e-10", lambda: OutcomeDistribution((0, 1), [0.5, 0.5 + 2e-10]),
+     InvalidInputError, f"probabilities sum to {0.5 + (0.5 + 2e-10)!r}, not 1"),
+    ("joint nan", lambda: JointDistribution([[np.nan, 0.5], [0.5, 0.0]]),
+     InvalidInputError, "joint probabilities contain non-finite entries"),
+    ("joint -2e-12", lambda: JointDistribution([[-2e-12, 0.5], [0.5, 0.0]]),
+     InvalidInputError, f"negative joint probability {np.float64(-2e-12)!r}"),
+    ("joint sum 1 + 2e-10", lambda: JointDistribution([[0.5, 0.0], [0.0, 0.5 + 2e-10]]),
+     InvalidInputError, f"joint probabilities sum to {0.5 + (0.5 + 2e-10)!r}, not 1"),
+    ("observable inf eigenvalue", lambda: Observable((2,), (0.0, np.inf), _EYE, [0, 1]),
+     InvalidProjectorFamilyError, "non-finite eigenvalue"),
+    ("observable nan eigenvalue", lambda: Observable((2,), (np.nan, 1.0), _EYE, [0, 1]),
+     InvalidProjectorFamilyError, "non-finite eigenvalue"),
+    ("observable nan basis", lambda: Observable((2,), (0.0, 1.0),
+                                                _with(_EYE, (1, 0), NAN_IMAG), [0, 1]),
+     InvalidProjectorFamilyError, "basis must be a finite 2 x 2 matrix"),
+    ("observable missing label", lambda: Observable((2,), (0.0, 1.0), _EYE, [0, 0]),
+     InvalidProjectorFamilyError, "2 basis column labels must cover branches 0..1"),
+    ("observable label out of range", lambda: Observable((2,), (0.0, 1.0), _EYE, [0, 2]),
+     InvalidProjectorFamilyError, "2 basis column labels must cover branches 0..1"),
+    ("observable negative label", lambda: Observable((2,), (0.0, 1.0), _EYE, [-1, 1]),
+     InvalidProjectorFamilyError, "2 basis column labels must cover branches 0..1"),
+    ("observable float labels", lambda: Observable((2,), (0.0, 1.0), _EYE, [0.0, 1.0]),
+     InvalidProjectorFamilyError, "2 basis column labels must cover branches 0..1"),
+    ("observable basis 2e-10 off unitary",
+     lambda: Observable((2,), (0.0, 1.0), np.diag([1.0, np.sqrt(1 + 2e-10)]), [0, 1]),
+     InvalidProjectorFamilyError, "basis is not unitary"),
+]
+
+
+@pytest.mark.parametrize("build, cls, message",
+                         [case[1:] for case in REJECTED], ids=[case[0] for case in REJECTED])
+def test_rejected_with_class_and_message(build, cls, message):
+    with pytest.raises(cls) as info:
+        build()
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+def test_round_off_negative_is_clipped_to_exact_zero():
+    for probs in (OutcomeDistribution((0, 1), [-1e-13, 1.0]).probs,
+                  JointDistribution([[-1e-13, 0.5], [0.5, 0.0]]).probs.reshape(-1)):
+        assert probs[0] == 0.0 and not np.signbit(probs[0])
+        assert not probs.flags.writeable
+
+
+def test_in_tolerance_inputs_are_accepted():
+    # Half of each tolerance away from exact: accepted unchanged.
+    assert StateVector((1,), [1 + 5e-11]).amps[0] == 1 + 5e-11
+    assert OutcomeDistribution((0, 1), [0.5, 0.5 + 5e-11]).probs[1] == 0.5 + 5e-11
+    obs = Observable((2,), (0.0, 1.0), np.diag([1.0, np.sqrt(1 + 5e-11)]), [0, 1])
+    assert obs.branch_count == 2
