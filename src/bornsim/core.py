@@ -148,7 +148,7 @@ def _checked_probabilities(probs: np.ndarray, kind: str = "") -> np.ndarray:
     if not np.isfinite(probs).all():
         raise InvalidInputError(f"{kind}probabilities contain non-finite entries")
     if probs.min(initial=0.0) < -1e-12:
-        raise InvalidInputError(f"negative {kind}probability {probs.min()!r}")
+        raise InvalidInputError(f"negative {kind}probability {float(probs.min())!r}")
     probs = np.maximum(probs, 0.0)
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-10:

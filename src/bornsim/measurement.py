@@ -80,7 +80,7 @@ def branch_weights(state: StateVector, obs: Observable) -> np.ndarray:
     """Born branch weights ||P_i psi||^2: block sums of |V^dag psi|^2."""
     if obs.dims != state.dims:
         raise InvalidInputError(f"dims mismatch {obs.dims} vs {state.dims}")
-    return np.abs(obs.basis.conj().T @ state.amps) ** 2 @ obs.indicator
+    return obs.weights(state.amps)
 
 
 def _transform_weights(weights: np.ndarray, rule: ProbabilityRule) -> np.ndarray:
@@ -112,13 +112,11 @@ def project_update(state: StateVector, obs: Observable, branch: int) -> StateVec
 
 
 def _collapsed(state: StateVector, obs: Observable, branches: np.ndarray) -> np.ndarray:
-    # Columns P_i psi / ||P_i psi|| for the given branch indices, from one
-    # product V (c * 1_i) with c = V^dag psi; a branch of weight at or below
-    # ZERO_PROB_CUTOFF raises.
+    # Columns P_i psi / ||P_i psi|| for the given branch indices; a branch of
+    # weight at or below ZERO_PROB_CUTOFF raises.
     if obs.dims != state.dims:
         raise InvalidInputError(f"dims mismatch {obs.dims} vs {state.dims}")
-    c = obs.basis.conj().T @ state.amps
-    cols = obs.basis @ (c[:, None] * obs.indicator[:, branches])
+    cols = obs.split(state.amps, branches)
     norms = np.linalg.norm(cols, axis=0)
     dead = np.flatnonzero(norms**2 <= ZERO_PROB_CUTOFF)
     if dead.size:

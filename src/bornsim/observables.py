@@ -82,6 +82,27 @@ class Observable:
         cols = (self.basis[:, self.labels == i] for i in range(self.branch_count))
         return tuple(Operator(self.dims, v @ v.conj().T) for v in cols)
 
+    def weights(self, x: np.ndarray) -> np.ndarray:
+        """Branch weights ||P_i x||^2 as block sums of |V^dag x|^2.
+
+        A vector x of shape (D,) gives shape (k,); the columns of a (D, n)
+        array give one row each, shape (n, k).
+        """
+        return (np.abs(self.basis.conj().T @ x) ** 2).T @ self.indicator
+
+    def split(self, x: np.ndarray, branches: np.ndarray | None = None) -> np.ndarray:
+        """The parts P_i x, from one product V (c * 1_i) with c = V^dag x.
+
+        A vector x of shape (D,) gives the parts as columns, shape (D, k); a
+        (D, n) array gives shape (D, n, k).  branches, an index array, picks
+        the parts to build and their order (all k by default).
+        """
+        ind = self.indicator if branches is None else self.indicator[:, branches]
+        if x.ndim == 2:
+            ind = ind[:, None]
+        cut = (self.basis.conj().T @ x)[..., None] * ind
+        return (self.basis @ cut.reshape(len(cut), -1)).reshape(cut.shape)
+
     def eigenvalue(self, branch: int) -> float:
         self._check_branch(branch)
         return self.eigenvalues[branch]

@@ -12,8 +12,8 @@ in the computational basis realizes the measurement without any direct
 reference to a collapse rule.  The joint statistics reproduce the projection
 postulate: p(j|i) equals the Born distribution of the second observable on
 the collapsed state P_i psi / ||P_i psi||.  The check takes the collapsed
-states of all live rows from psi alone, as the columns of one product
-V_A (c * 1_i) with c = V_A^dag psi, and their Born rows as block sums.
+states of all live rows from psi alone, and their Born rows as the second
+observable's branch weights.
 
 Because every pointer starts in |0> and each shift moves it by less than the
 register size, the final states are exactly
@@ -21,12 +21,12 @@ register size, the final states are exactly
     U_B U_A psi (x) |0> (x) |0> = sum_ij R_j P_i psi (x) |i> (x) |j>
     U_A psi (x) |0>             = sum_i  P_i psi (x) |i>
 
-run_two_pointer and run_one_pointer evaluate these on the eigenbases V_A and
-V_B, in O(d*n*m) memory: P_i psi is V_A applied to V_A^dag psi cut to the
-columns of branch i, and R_j P_i psi is V_B applied to V_B^dag P_i psi cut to
-the columns of branch j.  brute_force_joint is the independent oracle: it
-applies U_A and U_B by their definitions to the full register tensor, wrap-
-around included, and never builds a matrix.  As sum_k P_k (x) Shift(k) =
+that is, psi split into the branches of A, and each part split again into
+the branches of B.  run_two_pointer and run_one_pointer write the parts
+obs_b.split(obs_a.split(psi)) and obs_a.split(psi) into the pointer slots,
+in O(d*n*m) memory.  brute_force_joint is the independent oracle: it applies
+U_A and U_B by their definitions to the full register tensor, wrap-around
+included, and never builds a matrix.  As sum_k P_k (x) Shift(k) =
 (V (x) 1)(sum_c |c><c| (x) Shift(l_c))(V^dag (x) 1), l_c the branch of column
 c of V, each coupling rotates with V^dag, shifts eigen-row c by l_c along the
 pointer axis (one gather) and rotates back.  A setup whose state would exceed
@@ -36,7 +36,6 @@ POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .observables import Observable
 
 TWO_POINTER = "two_pointer"
 ONE_POINTER = "one_pointer"
-Mode = Literal["two_pointer", "one_pointer"]
 
 # The two scheme variants and the brute-force readout must agree this tightly.
 SCHEME_AGREEMENT_TOL = 1e-12
@@ -61,8 +59,9 @@ class PointerSchemeSetup:
     """A small system, two observables, and the pointer register sizes.
 
     n_pointer1 (>= branch count of obs_a) is the size of the first pointer;
-    m_pointer2 likewise for the second pointer and obs_b, and must be None in
-    one-pointer mode where the second observable is measured directly.
+    m_pointer2 likewise for the second pointer and obs_b.  There is no mode
+    argument: m_pointer2=None makes a one-pointer setup, where the second
+    observable is measured directly.
     """
 
     small_state: StateVector
@@ -70,7 +69,6 @@ class PointerSchemeSetup:
     obs_b: Observable
     n_pointer1: int
     m_pointer2: int | None
-    mode: Mode
 
     def __post_init__(self):
         if self.obs_a.dims != self.small_state.dims:
@@ -83,31 +81,30 @@ class PointerSchemeSetup:
                 f"second observable dims {self.obs_b.dims} != state dims "
                 f"{self.small_state.dims}"
             )
-        if self.mode not in (TWO_POINTER, ONE_POINTER):
-            raise InvalidInputError(f"unknown mode {self.mode!r}")
         n = int(self.n_pointer1)
         if n < self.obs_a.branch_count:
             raise InvalidInputError(
                 f"pointer-1 size {n} < branch count {self.obs_a.branch_count}"
             )
         object.__setattr__(self, "n_pointer1", n)
-        if self.mode == TWO_POINTER:
-            if self.m_pointer2 is None:
-                raise InvalidInputError("two-pointer mode needs m_pointer2")
+        if self.m_pointer2 is not None:
             m = int(self.m_pointer2)
             if m < self.obs_b.branch_count:
                 raise InvalidInputError(
                     f"pointer-2 size {m} < branch count {self.obs_b.branch_count}"
                 )
             object.__setattr__(self, "m_pointer2", m)
-        elif self.m_pointer2 is not None:
-            raise InvalidInputError("one-pointer mode takes no m_pointer2")
         amps = self.small_state.dim * n * (self.m_pointer2 or 1)
         if amps > POINTER_STATE_MAX_AMPS:
             raise InvalidInputError(
                 f"pointer state of {amps} amplitudes exceeds the cap "
                 f"{POINTER_STATE_MAX_AMPS}"
             )
+
+    @property
+    def mode(self) -> str:
+        """TWO_POINTER with a second pointer register, else ONE_POINTER."""
+        return ONE_POINTER if self.m_pointer2 is None else TWO_POINTER
 
 
 def two_pointer_setup(
@@ -124,7 +121,6 @@ def two_pointer_setup(
         obs_b,
         obs_a.branch_count if n_pointer1 is None else n_pointer1,
         obs_b.branch_count if m_pointer2 is None else m_pointer2,
-        TWO_POINTER,
     )
 
 
@@ -141,7 +137,6 @@ def one_pointer_setup(
         obs_b,
         obs_a.branch_count if n_pointer1 is None else n_pointer1,
         None,
-        ONE_POINTER,
     )
 
 
@@ -182,54 +177,40 @@ def _joint_from_cells(cells: np.ndarray, residual: float) -> JointDistribution:
     return JointDistribution(cells)
 
 
-def _tagged(setup: PointerSchemeSetup) -> np.ndarray:
-    # Column i is P_i psi0: V_A times c = V_A^dag psi0 cut to branch i.
-    obs_a = setup.obs_a
-    c = obs_a.basis.conj().T @ setup.small_state.amps
-    return obs_a.basis @ (c[:, None] * obs_a.indicator)
-
-
 def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
     """Evolve psi0 (x) |0> (x) |0> through U_B U_A and read both pointers.
 
-    The final state sum_ij R_j P_i psi0 (x) |i> (x) |j> is built from the
-    two eigenbases without building U_A or U_B.  Returns it and the joint
-    distribution over (first-observable branch, second-observable branch).
+    The final state sum_ij R_j P_i psi0 (x) |i> (x) |j> is psi0 split into
+    the branches of obs_a and each part into those of obs_b, written into
+    pointer slots (i, j) without building U_A or U_B.  Returns it and the
+    joint cells ||R_j P_i psi0||^2 over (obs_a branch, obs_b branch).
     """
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("setup is not in two-pointer mode")
     n, m, d = setup.n_pointer1, setup.m_pointer2, setup.small_state.dim
-    obs_b = setup.obs_b
-    na, nb = setup.obs_a.branch_count, obs_b.branch_count
-    # split[:, i, j] = V_B^dag R_j P_i psi0, V_B^dag P_i psi0 cut to branch j.
-    in_b = obs_b.basis.conj().T @ _tagged(setup)
-    split = in_b[:, :, None] * obs_b.indicator[:, None]
+    parts = setup.obs_b.split(setup.obs_a.split(setup.small_state.amps))
+    na, nb = parts.shape[1:]
     amps = np.zeros((d, n, m), dtype=complex)
-    amps[:, :na, :nb] = (obs_b.basis @ split.reshape(d, -1)).reshape(d, na, nb)
+    amps[:, :na, :nb] = parts
     final = StateVector(setup.small_state.dims + (n, m), amps)
-    cells = (np.abs(amps) ** 2).sum(axis=0)
-    joint = _joint_from_cells(cells[:na, :nb], float(cells.sum() - cells[:na, :nb].sum()))
-    return final, joint
+    return final, JointDistribution((np.abs(parts) ** 2).sum(axis=0))
 
 
 def run_one_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
     """Evolve psi0 (x) |0> through U_A, then measure obs_b on the system directly.
 
-    The final state sum_i P_i psi0 (x) |i> is written without building U_A.
-    The joint cell (i, j) is ||R_j P_i psi0||^2, read off the pointer-tagged
-    system blocks of the final state as block sums of |V_B^dag P_i psi0|^2.
+    The final state sum_i P_i psi0 (x) |i> is psi0 split into the branches
+    of obs_a, written into pointer slot i without building U_A.  The joint
+    cell (i, j) is ||R_j P_i psi0||^2, the obs_b branch weights of part i.
     """
     if setup.mode != ONE_POINTER:
         raise InvalidInputError("setup is not in one-pointer mode")
-    n, na = setup.n_pointer1, setup.obs_a.branch_count
-    obs_b = setup.obs_b
+    parts = setup.obs_a.split(setup.small_state.amps)
+    n, na = setup.n_pointer1, parts.shape[1]
     blocks = np.zeros((setup.small_state.dim, n), dtype=complex)
-    blocks[:, :na] = _tagged(setup)
+    blocks[:, :na] = parts
     final = StateVector(setup.small_state.dims + (n,), blocks)
-    cells = (np.abs(obs_b.basis.conj().T @ blocks[:, :na]) ** 2).T @ obs_b.indicator
-    residual = float((np.abs(blocks) ** 2).sum() - cells.sum())
-    joint = _joint_from_cells(cells, residual)
-    return final, joint
+    return final, JointDistribution(setup.obs_b.weights(parts))
 
 
 def marginal_a(joint: JointDistribution) -> OutcomeDistribution:
@@ -256,13 +237,11 @@ def _projection_deviation(setup: PointerSchemeSetup, joint: JointDistribution) -
     # Worst |p(j|i) - Born_j(P_i psi0 / ||P_i psi0||)| over the live rows of
     # a joint the setup has already produced.  The collapsed states of all
     # live rows come from the small state alone, in one product; their Born
-    # rows are block sums of |V_B^dag x_i|^2.
+    # rows are the obs_b branch weights of those states.
     rows = joint.probs.sum(axis=1)
     live = np.flatnonzero(rows > ZERO_PROB_CUTOFF)
-    obs_b = setup.obs_b
     collapsed = _collapsed(setup.small_state, setup.obs_a, live)
-    born = _transform_weights((np.abs(obs_b.basis.conj().T @ collapsed) ** 2).T
-                              @ obs_b.indicator, BORN)
+    born = _transform_weights(setup.obs_b.weights(collapsed), BORN)
     cond = joint.probs[live] / rows[live, None]
     return float(np.abs(cond - born).max(initial=0.0))
 

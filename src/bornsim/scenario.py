@@ -40,7 +40,6 @@ from .measurement import (
 )
 from .observables import observable_from_branches, observable_from_matrix
 from .pointer import (
-    ONE_POINTER,
     TWO_POINTER,
     PointerSchemeSetup,
     _evolve_checked,
@@ -278,19 +277,18 @@ def _run_pointer(scn: Scenario) -> Records:
         state = state_preset("minus")
         obs_a = observable_preset("sigma_z")
         obs_b = _resolve_observable(fields, "obs_b", state.dims, default="sigma_z")
-        mode, n1, m2 = ONE_POINTER, obs_a.branch_count, None
+        n1, m2 = obs_a.branch_count, None
     else:
         state = _resolve_state(fields)
         obs_a = _resolve_observable(fields, "obs_a", state.dims)
         obs_b = _resolve_observable(fields, "obs_b", state.dims)
-        mode = scn.kind
         size = lambda key, k: _parse_int(_take(fields, key, str(k)), key, least=k)
         n1 = size("pointer1_size", obs_a.branch_count)
-        m2 = size("pointer2_size", obs_b.branch_count) if mode == TWO_POINTER else None
+        m2 = size("pointer2_size", obs_b.branch_count) if scn.kind == TWO_POINTER else None
     _reject_unknown(fields)
-    setup = PointerSchemeSetup(state, obs_a, obs_b, n1, m2, mode)
+    setup = PointerSchemeSetup(state, obs_a, obs_b, n1, m2)
     final, joint, deviation, cross_dev = _evolve_checked(setup)
-    cross_key = "oracle_joint_max_dev" if mode == TWO_POINTER else "two_pointer_joint_max_dev"
+    cross_key = "two_pointer_joint_max_dev" if m2 is None else "oracle_joint_max_dev"
 
     records: Records = [
         (f"eigenvalue_{side}.{i}", fmt_real(a))
@@ -401,11 +399,10 @@ def _run_telepathy(scn: Scenario) -> Records:
         rng = np.random.default_rng(scn.seed)
         mc_with = channel_simulation(scenario, 1, shots, rng)
         mc_without = channel_simulation(scenario, 0, shots, rng)
-        gap = float(0.5 * np.abs(mc_with.probs - mc_without.probs).sum())
         records.append(("mc_shots", str(shots)))
         records += _distribution_records("mc_p_with_alice", mc_with)
         records += _distribution_records("mc_p_without_alice", mc_without)
-        records.append(("mc_gap", fmt_real(gap)))
+        records.append(("mc_gap", fmt_real(tv_distance(mc_with, mc_without))))
     return records
 
 

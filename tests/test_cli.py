@@ -587,3 +587,18 @@ def test_scenario_parser_fuzz_exits_cleanly(tmp_path, text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["run", str(path), "--format", "records"])
     assert code in (0, 2, 3)
+
+
+def test_ll_channel_invariance_fails_on_shifted_weights(capsys, monkeypatch):
+    # The property's reference probabilities are <psi|P_n psi>, not the
+    # branch_weights function ll_channel calls, so weights off by 1e-9 must
+    # FAIL wherever the function is bound.
+    original = measurement.branch_weights
+    for module in (measurement, pointer, scenario, signaling, cli):
+        if getattr(module, "branch_weights", None) is original:
+            monkeypatch.setattr(module, "branch_weights", lambda *a: original(*a) + 1e-9)
+    code, out, _ = run_cli(capsys, "verify", "--trials", "40")
+    assert code == 1
+    failed = [l.split()[0] for l in out.splitlines() if l.endswith("FAIL")]
+    assert failed == ["ll_channel_invariance"]
+    assert "verify: 1 of 9 properties FAILED" in out

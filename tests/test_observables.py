@@ -182,6 +182,39 @@ class TestSpectralRepresentation:
                 obs.projector(i).entries, cols @ cols.conj().T, atol=1e-15
             )
 
+    @pytest.mark.parametrize("d, degenerate", [(2, False), (5, False), (6, True), (7, True)])
+    def test_split_and_weights_match_dense_projectors(self, rng, d, degenerate):
+        obs = random_observable(rng, (d,), degenerate=degenerate)
+        dense = np.stack([p.entries for p in obs.projectors])  # (k, D, D)
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        xs = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+        parts = obs.split(x)
+        assert parts.shape == (d, obs.branch_count)
+        np.testing.assert_allclose(parts, (dense @ x).T, atol=1e-13)
+        np.testing.assert_allclose(parts.sum(axis=1), x, atol=1e-13)
+        np.testing.assert_allclose(obs.weights(x), np.linalg.norm(dense @ x, axis=1) ** 2,
+                                   atol=1e-13)
+        parts = obs.split(xs)
+        assert parts.shape == (d, 3, obs.branch_count)
+        np.testing.assert_allclose(parts, (dense @ xs).transpose(1, 2, 0), atol=1e-13)
+        np.testing.assert_allclose(parts.sum(axis=2), xs, atol=1e-13)
+        weights = obs.weights(xs)
+        assert weights.shape == (3, obs.branch_count)
+        np.testing.assert_allclose(weights, (np.abs(dense @ xs) ** 2).sum(axis=1).T,
+                                   atol=1e-13)
+
+    def test_split_builds_a_branch_subset_in_the_given_order(self, rng):
+        # Degenerate, with the columns of a branch not contiguous in the basis.
+        labels = [0, 2, 2, 1, 3, 3, 0]
+        obs = Observable((7,), (0.0, 1.0, 2.0, 3.0), random_unitary(rng, 7), labels)
+        x = rng.normal(size=7) + 1j * rng.normal(size=7)
+        xs = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+        picked = np.array([2, 0])
+        np.testing.assert_allclose(obs.split(x, picked), obs.split(x)[:, picked], atol=1e-14)
+        np.testing.assert_allclose(obs.split(xs, picked), obs.split(xs)[..., picked],
+                                   atol=1e-14)
+        assert obs.split(x, np.array([], dtype=np.intp)).shape == (7, 0)
+
     def test_basis_and_labels_are_read_only(self, rng):
         obs = random_observable(rng, (4,))
         for arr in (obs.basis, obs.labels):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from bornsim import (
+    ONE_POINTER,
+    TWO_POINTER,
     InvalidInputError,
     JointDistribution,
     Operator,
@@ -463,17 +465,21 @@ class TestSetupValidation:
         with pytest.raises(InvalidInputError):
             two_pointer_setup(PLUS, SIGMA_Z, SIGMA_X, n_pointer1=1)
 
-    def test_two_pointer_needs_second_register(self):
-        with pytest.raises(InvalidInputError):
-            PointerSchemeSetup(PLUS, SIGMA_Z, SIGMA_X, 2, None, "two_pointer")
+    def test_mode_follows_second_register(self):
+        one = PointerSchemeSetup(PLUS, SIGMA_Z, SIGMA_X, 2, None)
+        two = PointerSchemeSetup(PLUS, SIGMA_Z, SIGMA_X, 2, 3)
+        assert one.mode == ONE_POINTER
+        assert two.mode == TWO_POINTER
+        assert one_pointer_setup(PLUS, SIGMA_Z, SIGMA_X).mode == ONE_POINTER
+        assert two_pointer_setup(PLUS, SIGMA_Z, SIGMA_X).mode == TWO_POINTER
+        with pytest.raises(AttributeError):
+            one.mode = TWO_POINTER
+        with pytest.raises(TypeError):
+            PointerSchemeSetup(PLUS, SIGMA_Z, SIGMA_X, 2, 2, TWO_POINTER)
 
-    def test_one_pointer_takes_no_second_register(self):
-        with pytest.raises(InvalidInputError):
-            PointerSchemeSetup(PLUS, SIGMA_Z, SIGMA_X, 2, 2, "one_pointer")
-
-    def test_unknown_mode(self):
-        with pytest.raises(InvalidInputError):
-            PointerSchemeSetup(PLUS, SIGMA_Z, SIGMA_X, 2, 2, "three_pointer")
+    def test_second_pointer_too_small(self):
+        with pytest.raises(InvalidInputError, match="pointer-2 size 1 < branch count 2"):
+            PointerSchemeSetup(PLUS, SIGMA_Z, SIGMA_X, 2, 1)
 
     def test_dims_mismatch(self):
         obs3 = observable_from_matrix(np.diag([1.0, 2.0, 3.0]))
