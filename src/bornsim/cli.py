@@ -6,7 +6,8 @@
 
 verify prints one line per property.  Its randomized properties are rows of
 one table run by one trial loop; trial t of a row draws from
-default_rng([seed, stream, t]), which the line's worst_seed names.
+default_rng([seed, stream, t]), which the line's worst_seed names, and an
+invariant violation inside a trial's check names it too.
 
 Exit codes: 0 success, 1 verify property failure, 2 parse/usage error
 (including a negative seed and a --dims-limit above MAX_DIMS_LIMIT = 256),
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,7 +55,7 @@ from .presets import (
     state_preset,
     scenario_preset_text,
 )
-from .rand import random_density, random_observable, random_state, random_unitary
+from .rand import HAAR_STACK_AMPS, _draw_observable, _ginibre, _haar, random_density, random_state
 from .scenario import (
     DEFAULT_SEED,
     ScenarioParseError,
@@ -176,57 +178,82 @@ def _check_born_marginals() -> Check:
     return Check("born_marginals", f"worst={dev:.3g} limit=1e-12", dev < 1e-12)
 
 
-# A trial returns one deviation per property of its row, then the row's
-# per-trial tallies (0 or 1 each).
+# A trial has two phases.  Called, it makes every rng call of the trial and
+# returns the Ginibre matrices of its Haar bases with its check.  The check,
+# given a deque holding those bases in draw order at its left, pops them and
+# returns one deviation per property of its row, then the row's per-trial
+# tallies (0 or 1 each).
 
 def _pointer_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, dims_limit + 1))
     degenerate = d >= 3 and t % 3 == 0
-    obs_a = random_observable(rng, (d,), degenerate=degenerate)
-    obs_b = random_observable(rng, (d,), degenerate=degenerate)
+    spectrum_a, z_a = _draw_observable(rng, (d,), degenerate)
+    spectrum_b, z_b = _draw_observable(rng, (d,), degenerate)
     state = random_state(rng, (d,))
-    _, joint_two, equiv_two, oracle = _evolve_checked(two_pointer_setup(state, obs_a, obs_b))
-    one = one_pointer_setup(state, obs_a, obs_b)
-    _, joint_one = run_one_pointer(one)
-    equiv = max(equiv_two, _projection_deviation(one, joint_one))
-    pair = float(np.max(np.abs(joint_two.probs - joint_one.probs)))
-    return equiv, pair, oracle, degenerate
+
+    def check(bases) -> tuple:
+        obs_a = spectrum_a.observable(bases.popleft())
+        obs_b = spectrum_b.observable(bases.popleft())
+        _, joint_two, equiv_two, oracle = _evolve_checked(two_pointer_setup(state, obs_a, obs_b))
+        one = one_pointer_setup(state, obs_a, obs_b)
+        _, joint_one = run_one_pointer(one)
+        equiv = max(equiv_two, _projection_deviation(one, joint_one))
+        pair = float(np.max(np.abs(joint_two.probs - joint_one.probs)))
+        return equiv, pair, oracle, degenerate
+
+    return (z_a, z_b), check
 
 
 def _no_signaling_trial(rng, t: int, dims_limit: int) -> tuple:
     d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     state = random_state(rng, (d1, d2))
-    parties = [random_observable(rng, (d,)) for d in (d1, d2)]
-    # Swapping the parties transposes W, so both directions come from one W.
-    cells = _cell_weights(TelepathyScenario(state, *parties, BORN))
-    return (max(tv_distance(*_arms(cells, BORN)), tv_distance(*_arms(cells.T, BORN))),)
+    spectra, zs = zip(*(_draw_observable(rng, (d,)) for d in (d1, d2)))
+
+    def check(bases) -> tuple:
+        parties = [spectrum.observable(bases.popleft()) for spectrum in spectra]
+        # Swapping the parties transposes W, so both directions come from one W.
+        cells = _cell_weights(TelepathyScenario(state, *parties, BORN))
+        return (max(tv_distance(*_arms(cells, BORN)), tv_distance(*_arms(cells.T, BORN))),)
+
+    return zs, check
 
 
 def _entropy_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, 9))
     rho = random_density(rng, (d,))
-    obs = random_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
-    dephased, _, live = _classical_branches(rho, obs)
-    s_in = von_neumann_entropy(rho)
-    s_out = von_neumann_entropy(DensityMatrix(rho.dims, dephased))
-    avg = sum(p * von_neumann_entropy(post) for p, post in live.values())
-    return (max(s_in - s_out, avg - s_out),)
+    spectrum, z = _draw_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
+
+    def check(bases) -> tuple:
+        obs = spectrum.observable(bases.popleft())
+        dephased, _, live = _classical_branches(rho, obs)
+        s_in = von_neumann_entropy(rho)
+        s_out = von_neumann_entropy(DensityMatrix(rho.dims, dephased))
+        avg = sum(p * von_neumann_entropy(post) for p, post in live.values())
+        return (max(s_in - s_out, avg - s_out),)
+
+    return (z,), check
 
 
 def _ll_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, dims_limit + 1))
     state = random_state(rng, (d,))
-    obs = random_observable(rng, (d,))
-    unitaries = [Operator((d,), random_unitary(rng, d)) for _ in range(obs.branch_count)]
-    # <psi|P_n psi>, a route independent of the branch_weights call ll_channel makes.
-    weights = (state.amps.conj() @ obs.split(state.amps)).real
-    records = ll_channel(state, obs, unitaries)
-    dev = max(abs(rec.probability - weights[rec.branch_index]) for rec in records)
+    spectrum, z = _draw_observable(rng, (d,))
+    zs = [z, *(_ginibre(rng, d) for _ in spectrum.eigenvalues)]
     target = random_state(rng, (d,))
-    unitaries = state_preparation_unitaries(state, obs, target)
-    for rec in ll_channel(state, obs, unitaries):
-        dev = max(dev, float(np.max(np.abs(rec.post_state.amps - target.amps))))
-    return (dev,)
+
+    def check(bases) -> tuple:
+        obs = spectrum.observable(bases.popleft())
+        unitaries = [Operator((d,), bases.popleft()) for _ in range(obs.branch_count)]
+        # <psi|P_n psi>, a route independent of the branch_weights call ll_channel makes.
+        weights = (state.amps.conj() @ obs.split(state.amps)).real
+        records = ll_channel(state, obs, unitaries)
+        dev = max(abs(rec.probability - weights[rec.branch_index]) for rec in records)
+        unitaries = state_preparation_unitaries(state, obs, target)
+        for rec in ll_channel(state, obs, unitaries):
+            dev = max(dev, float(np.max(np.abs(rec.post_state.amps - target.amps))))
+        return (dev,)
+
+    return zs, check
 
 
 @dataclass(frozen=True)
@@ -250,8 +277,26 @@ _LL = _Battery((("ll_channel_invariance", 1e-12),), 5, _ll_trial, few=True)
 
 def _run_battery(row: _Battery, trials: int, dims_limit: int, seed: int) -> list[Check]:
     n = max(50, trials // 4) if row.few else trials
-    rngs = (np.random.default_rng([seed, row.stream, t]) for t in range(n))
-    results = np.array([row.trial(rng, t, dims_limit) for t, rng in enumerate(rngs)])
+    # Trials are drawn in order and kept pending until their Ginibre matrices
+    # reach HAAR_STACK_AMPS amplitudes or the last trial is drawn; then one
+    # _haar call makes all their bases and their checks run in order.
+    rows, pending, amps = [], [], 0  # pending: (t, Ginibre matrices, check)
+    for t in range(n):
+        pending.append((t, *row.trial(np.random.default_rng([seed, row.stream, t]), t,
+                                      dims_limit)))
+        amps += sum(z.size for z in pending[-1][1])
+        if amps < HAAR_STACK_AMPS and t < n - 1:
+            continue
+        bases = deque(_haar([z for _, zs, _ in pending for z in zs]))
+        # Rebinding pending frees the Ginibre matrices before any check runs.
+        checks, pending, amps = [(i, check) for i, _, check in pending], [], 0
+        for i, check in checks:
+            try:
+                rows.append(check(bases))
+            except BornsimError as exc:
+                exc.args = (f"trial [{seed},{row.stream},{i}]: {exc}",)
+                raise
+    results = np.array(rows)
     k = len(row.limits)
     totals = results[:, k:].sum(axis=0)
     tallies = "".join(f" {name}={int(c)}" for name, c in zip(row.tallies, totals))

@@ -2,16 +2,27 @@
 
 Everything takes an explicit numpy Generator; nothing here owns randomness.
 Used by the CLI verify batteries and by the test suite.
+
+A Haar unitary is drawn in two steps: _ginibre makes every rng call, and
+_haar turns any number of Ginibre matrices into unitaries, with one stacked
+QR per matrix size.  random_unitary and random_observable run both steps on
+one matrix; verify draws many trials first and runs _haar on them together.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import DensityMatrix, StateVector
 from .observables import Observable
+
+# Most amplitudes one stacked QR in _haar takes (one matrix, if larger);
+# verify also draws trials ahead only until their Ginibre matrices reach it.
+HAAR_STACK_AMPS = 2**16
 
 
 def random_state(rng: np.random.Generator, dims) -> StateVector:
@@ -21,33 +32,62 @@ def random_state(rng: np.random.Generator, dims) -> StateVector:
     return StateVector(tuple(dims), v / np.linalg.norm(v))
 
 
+def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """dim x dim complex matrix with independent standard normal parts."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _haar(ginibres: list[np.ndarray]) -> list[np.ndarray]:
+    """Haar unitaries from square Ginibre matrices by phase-fixed QR, in order.
+
+    The matrices of one size share stacked np.linalg.qr calls of at most
+    HAAR_STACK_AMPS amplitudes each.  Stacked QR runs the same LAPACK call
+    per matrix, so each unitary is bit-identical to a QR of its matrix alone.
+    """
+    by_size = defaultdict(list)
+    for i, z in enumerate(ginibres):
+        by_size[len(z)].append(i)
+    out = [None] * len(ginibres)
+    for d, idx in by_size.items():
+        step = max(1, HAAR_STACK_AMPS // (d * d))
+        for lo in range(0, len(idx), step):
+            chunk = idx[lo:lo + step]
+            q, r = np.linalg.qr(np.stack([ginibres[i] for i in chunk]))
+            phases = np.diagonal(r, axis1=1, axis2=2).copy()
+            phases /= np.abs(phases)
+            q *= phases[:, None, :]
+            for i, u in zip(chunk, q):
+                out[i] = u.copy()  # a view would keep its whole stack alive
+    return out
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _haar([_ginibre(rng, dim)])[0]
 
 
 def random_density(rng: np.random.Generator, dims) -> DensityMatrix:
     """Full-rank random mixed state rho = A A^dag / Tr(A A^dag)."""
-    d = prod(dims)
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = _ginibre(rng, prod(dims))
     rho = a @ a.conj().T
     return DensityMatrix(tuple(dims), rho / np.trace(rho))
 
 
-def random_observable(
-    rng: np.random.Generator,
-    dims,
-    degenerate: bool = False,
-) -> Observable:
-    """Random observable with a Haar eigenbasis and well-separated eigenvalues.
+class _Spectrum(NamedTuple):
+    """A drawn random observable short of its eigenbasis."""
 
-    With degenerate=True the branch count is at most dim-1, so at least one
-    branch has multiplicity >= 2 (requires dim >= 2).
-    """
+    dims: tuple[int, ...]
+    eigenvalues: tuple[float, ...]
+    labels: np.ndarray
+
+    def observable(self, basis: np.ndarray) -> Observable:
+        return Observable(self.dims, self.eigenvalues, basis, self.labels)
+
+
+def _draw_observable(
+    rng: np.random.Generator, dims, degenerate: bool = False
+) -> tuple[_Spectrum, np.ndarray]:
+    """Every draw of random_observable: its spectrum and its basis's Ginibre matrix."""
     d = prod(dims)
     if degenerate:
         if d < 2:
@@ -62,6 +102,19 @@ def random_observable(
         ranks = np.diff(np.concatenate([[0], cuts, [d]])).tolist()
     # Gaps >= 0.1 keep clustering in observable_from_matrix unambiguous.
     eigenvalues = np.cumsum(rng.uniform(0.1, 2.0, size=k)) - 1.0
-    basis = random_unitary(rng, d)
     labels = np.repeat(np.arange(k), ranks)
-    return Observable(tuple(dims), tuple(map(float, eigenvalues)), basis, labels)
+    return _Spectrum(tuple(dims), tuple(map(float, eigenvalues)), labels), _ginibre(rng, d)
+
+
+def random_observable(
+    rng: np.random.Generator,
+    dims,
+    degenerate: bool = False,
+) -> Observable:
+    """Random observable with a Haar eigenbasis and well-separated eigenvalues.
+
+    With degenerate=True the branch count is at most dim-1, so at least one
+    branch has multiplicity >= 2 (requires dim >= 2).
+    """
+    spectrum, z = _draw_observable(rng, dims, degenerate)
+    return spectrum.observable(*_haar([z]))

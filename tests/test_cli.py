@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bornsim import cli, measurement, pointer, scenario, signaling
+from bornsim import cli, measurement, pointer, rand, scenario, signaling
 from bornsim.cli import MAX_DIMS_LIMIT, main
 from bornsim.pointer import POINTER_STATE_MAX_AMPS, SCHEME_AGREEMENT_TOL
 from bornsim.presets import SCENARIO_PRESETS
@@ -602,3 +602,91 @@ def test_ll_channel_invariance_fails_on_shifted_weights(capsys, monkeypatch):
     failed = [l.split()[0] for l in out.splitlines() if l.endswith("FAIL")]
     assert failed == ["ll_channel_invariance"]
     assert "verify: 1 of 9 properties FAILED" in out
+
+
+def _set_haar_stack_amps(monkeypatch, amps):
+    for module in (rand, cli):
+        monkeypatch.setattr(module, "HAAR_STACK_AMPS", amps)
+
+
+def _stacked_qr_calls(monkeypatch):
+    # (battery stream, stack size, matrix size) of every stacked np.linalg.qr
+    # call; the per-branch 2-D QRs of state preparation are not counted.
+    calls, battery = [], [None]
+
+    def tracking(row, *args, original=cli._run_battery):
+        battery[0] = row.stream
+        try:
+            return original(row, *args)
+        finally:
+            battery[0] = None
+
+    def recording(a, original=rand.np.linalg.qr):
+        if a.ndim == 3:
+            calls.append((battery[0], *a.shape[:2]))
+        return original(a)
+
+    monkeypatch.setattr(cli, "_run_battery", tracking)
+    monkeypatch.setattr(rand.np.linalg, "qr", recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", ["3", "1234"])
+def test_haar_batching_does_not_change_verify_output(capsys, monkeypatch, seed):
+    # Every trial flushed and every matrix factored alone, against one flush
+    # and one stacked QR per size per battery: the same bytes.
+    outs = []
+    for amps in (1, 2**40):
+        _set_haar_stack_amps(monkeypatch, amps)
+        code, out, err = run_cli(capsys, "verify", "--trials", "12", "--dims-limit", "8",
+                                 "--seed", seed)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_default_verify_stacks_one_qr_per_size_per_battery(capsys, monkeypatch):
+    calls = _stacked_qr_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify")
+    assert code == 0
+    sizes = {stream: sorted(d for s, _, d in calls if s == stream) for stream in (1, 2, 4, 5)}
+    assert sizes == {1: [2, 3, 4, 5, 6], 2: [2, 3, 4], 4: list(range(2, 9)), 5: [2, 3, 4, 5, 6]}
+    # 200 + 200 + 50 + 50 observables and 129 LL unitaries: the 1029 QRs the
+    # per-call draws made, now in 20 stacked calls.
+    matrices = Counter()
+    for stream, n, _ in calls:
+        matrices[stream] += n
+    assert matrices == {1: 400, 2: 400, 4: 50, 5: 179}
+
+
+def test_stacked_qr_stays_within_the_amplitude_budget(capsys, monkeypatch):
+    # LL trials at d <= 64 draw up to 65 matrices, more than the budget
+    # holds.  Trials are drawn ahead only until the budget is reached, and a
+    # stack takes at most the budget or one matrix.
+    calls, flushed = _stacked_qr_calls(monkeypatch), []
+
+    def recording(ginibres, original=cli._haar):
+        flushed.append(sum(z.size for z in ginibres))
+        return original(ginibres)
+
+    monkeypatch.setattr(cli, "_haar", recording)
+    code, _, _ = run_cli(capsys, "verify", "--trials", "2", "--dims-limit", "64")
+    assert code == 0
+    assert max(flushed) < rand.HAAR_STACK_AMPS + 65 * 64**2
+    assert all(n * d * d <= max(rand.HAAR_STACK_AMPS, d * d) for _, n, d in calls)
+    ll = [(n, d) for stream, n, d in calls if stream == cli._LL.stream]
+    assert sum(n * d * d for n, d in ll) > 10 * rand.HAAR_STACK_AMPS
+    assert len(ll) > len({d for _, d in ll})  # some size took several stacks
+
+
+def test_invariant_violation_in_a_trial_names_its_trial(capsys, monkeypatch):
+    # A collapse off by 1 + 1e-7 fails StateVector validation in the LL check;
+    # the exit code and class are unchanged and the message names the trial.
+    original = measurement._collapsed
+    for module in (measurement, pointer):
+        monkeypatch.setattr(module, "_collapsed", lambda *a: original(*a) * (1 + 1e-7))
+    code, out, err = run_cli(capsys, "verify", "--trials", "4", "--dims-limit", "4")
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "invariant violation [InvalidInputError]: trial [1234,5,0]: state vector norm"
+    )
