@@ -41,10 +41,13 @@ from .observables import embed_observable
 from .pointer import (
     POINTER_STATE_MAX_AMPS,
     SCHEME_AGREEMENT_TOL,
-    _evolve_checked,
+    _joint_gap,
     _projection_deviation,
+    _shared_born_rows,
+    brute_force_joint,
     one_pointer_setup,
     run_one_pointer,
+    run_two_pointer,
     two_pointer_setup,
 )
 from .presets import (
@@ -64,9 +67,9 @@ from .scenario import (
 )
 from .signaling import (
     TelepathyScenario,
-    _arms,
     _bob_arms,
     _cell_weights,
+    _checked_gap,
     channel_simulation,
 )
 
@@ -194,12 +197,16 @@ def _pointer_trial(rng, t: int, dims_limit: int) -> tuple:
     def check(bases) -> tuple:
         obs_a = spectrum_a.observable(bases.popleft())
         obs_b = spectrum_b.observable(bases.popleft())
-        _, joint_two, equiv_two, oracle = _evolve_checked(two_pointer_setup(state, obs_a, obs_b))
+        two = two_pointer_setup(state, obs_a, obs_b)
+        _, joint_two = run_two_pointer(two)
+        oracle = _joint_gap(joint_two, brute_force_joint(two))
         one = one_pointer_setup(state, obs_a, obs_b)
         _, joint_one = run_one_pointer(one)
-        equiv = max(equiv_two, _projection_deviation(one, joint_one))
-        pair = float(np.max(np.abs(joint_two.probs - joint_one.probs)))
-        return equiv, pair, oracle, degenerate
+        # Both schemes' conditionals are checked against one set of Born rows.
+        born = _shared_born_rows(two, joint_two, joint_one)
+        equiv = max(_projection_deviation(two, joint_two, born),
+                    _projection_deviation(one, joint_one, born))
+        return equiv, _joint_gap(joint_two, joint_one), oracle, degenerate
 
     return (z_a, z_b), check
 
@@ -213,7 +220,7 @@ def _no_signaling_trial(rng, t: int, dims_limit: int) -> tuple:
         parties = [spectrum.observable(bases.popleft()) for spectrum in spectra]
         # Swapping the parties transposes W, so both directions come from one W.
         cells = _cell_weights(TelepathyScenario(state, *parties, BORN))
-        return (max(tv_distance(*_arms(cells, BORN)), tv_distance(*_arms(cells.T, BORN))),)
+        return (max(_checked_gap(cells, BORN), _checked_gap(cells.T, BORN)),)
 
     return zs, check
 

@@ -13,7 +13,8 @@ reference to a collapse rule.  The joint statistics reproduce the projection
 postulate: p(j|i) equals the Born distribution of the second observable on
 the collapsed state P_i psi / ||P_i psi||.  The check takes the collapsed
 states of all live rows from psi alone, and their Born rows as the second
-observable's branch weights.
+observable's branch weights; the two- and one-pointer joints of one state
+and observable pair can share those rows.
 
 Because every pointer starts in |0> and each shift moves it by less than the
 register size, the final states are exactly
@@ -29,8 +30,10 @@ U_A and U_B by their definitions to the full register tensor, wrap-around
 included, and never builds a matrix.  As sum_k P_k (x) Shift(k) =
 (V (x) 1)(sum_c |c><c| (x) Shift(l_c))(V^dag (x) 1), l_c the branch of column
 c of V, each coupling rotates with V^dag, shifts eigen-row c by l_c along the
-pointer axis (one gather) and rotates back.  A setup whose state would exceed
-POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
+pointer axis (one gather) and rotates back.  The oracle's joint cells are the
+Born probabilities of the final tensor summed over the system axis; any mass
+on pointer positions past the branch counts is an error.  A setup whose state
+would exceed POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
 """
 
 from __future__ import annotations
@@ -163,18 +166,9 @@ def _couple(amps: np.ndarray, obs: Observable, axis: int) -> np.ndarray:
     # wrap-around included, and V rotates the result back.
     d, size = amps.shape[0], amps.shape[axis]
     rows = (obs.basis.conj().T @ amps.reshape(d, -1)).reshape(amps.shape)
-    shape = [d if a == 0 else size if a == axis else 1 for a in range(amps.ndim)]
-    index = ((np.arange(size) - obs.labels[:, None]) % size).reshape(shape)
-    shifted = np.take_along_axis(rows, index, axis=axis)
+    index = (np.arange(size) - obs.labels[:, None]) % size
+    shifted = rows.swapaxes(1, axis)[np.arange(d)[:, None], index].swapaxes(1, axis)
     return (obs.basis @ shifted.reshape(d, -1)).reshape(amps.shape)
-
-
-def _joint_from_cells(cells: np.ndarray, residual: float) -> JointDistribution:
-    if residual > 1e-10:
-        raise InvalidInputError(
-            f"probability mass {residual!r} outside the branch-indexed pointer cells"
-        )
-    return JointDistribution(cells)
 
 
 def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
@@ -233,17 +227,43 @@ def conditional_b_given_a(joint: JointDistribution, branch_a: int) -> OutcomeDis
     return OutcomeDistribution(tuple(range(nb)), row / p_a)
 
 
-def _projection_deviation(setup: PointerSchemeSetup, joint: JointDistribution) -> float:
+def _joint_gap(p: JointDistribution, q: JointDistribution) -> float:
+    # Worst cell difference of two joints of the same shape.
+    return float(np.abs(p.probs - q.probs).max())
+
+
+def _born_rows(setup: PointerSchemeSetup, live: np.ndarray) -> np.ndarray:
+    # Born_j(P_i psi0 / ||P_i psi0||), one row per branch i of obs_a in the
+    # index array live.  The collapsed states of all live rows come from the
+    # small state alone, in one product; their Born rows are the obs_b
+    # branch weights of those states.
+    collapsed = _collapsed(setup.small_state, setup.obs_a, live)
+    return _transform_weights(setup.obs_b.weights(collapsed), BORN)
+
+
+def _shared_born_rows(
+    setup: PointerSchemeSetup, joint: JointDistribution, other: JointDistribution
+) -> np.ndarray:
+    # The Born rows of every branch live in either joint, at its branch index
+    # (zero elsewhere): one computation for two joints of the setup's state
+    # and observable pair.
+    live = np.maximum(joint.probs.sum(axis=1), other.probs.sum(axis=1)) > ZERO_PROB_CUTOFF
+    born = np.zeros((setup.obs_a.branch_count, setup.obs_b.branch_count))
+    born[live] = _born_rows(setup, np.flatnonzero(live))
+    return born
+
+
+def _projection_deviation(
+    setup: PointerSchemeSetup, joint: JointDistribution, born: np.ndarray | None = None
+) -> float:
     # Worst |p(j|i) - Born_j(P_i psi0 / ||P_i psi0||)| over the live rows of
-    # a joint the setup has already produced.  The collapsed states of all
-    # live rows come from the small state alone, in one product; their Born
-    # rows are the obs_b branch weights of those states.
+    # a joint the setup has already produced.  born, if given, is a
+    # _shared_born_rows table that covers this joint.
     rows = joint.probs.sum(axis=1)
     live = np.flatnonzero(rows > ZERO_PROB_CUTOFF)
-    collapsed = _collapsed(setup.small_state, setup.obs_a, live)
-    born = _transform_weights(setup.obs_b.weights(collapsed), BORN)
+    ref = _born_rows(setup, live) if born is None else born[live]
     cond = joint.probs[live] / rows[live, None]
-    return float(np.abs(cond - born).max(initial=0.0))
+    return float(np.abs(cond - ref).max(initial=0.0))
 
 
 def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
@@ -263,10 +283,12 @@ def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
     tensor of psi0 (x) |0> (x) |0>, without building either matrix: each
     coupling rotates the tensor into the observable's eigenbasis, shifts
     eigen-row c along its pointer axis by the branch label of column c (a
-    gather, wrap-around included) and rotates back.  It then bins the Born
-    probability of every composite basis state by its two pointer positions.
-    Deliberately independent of both the contraction and the block-norm
-    readout in run_two_pointer; kept as an oracle for cross-checking.
+    gather, wrap-around included) and rotates back.  It then reads cell
+    (i, j) as the Born probabilities of the composite basis states with
+    pointer positions (i, j), summed over the system index, and raises if
+    more than 1e-10 lies on positions past the branch counts.  Its
+    amplitudes are deliberately independent of the branch split in
+    run_two_pointer; kept as an oracle for cross-checking.
     """
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("brute force readout needs a two-pointer setup")
@@ -275,13 +297,13 @@ def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
     amps[:, 0, 0] = setup.small_state.amps
     amps = _couple(_couple(amps, setup.obs_a, axis=1), setup.obs_b, axis=2)
     na, nb = setup.obs_a.branch_count, setup.obs_b.branch_count
-    probs = np.abs(amps.reshape(-1)) ** 2
-    _, pos1, pos2 = np.unravel_index(np.arange(probs.size), amps.shape)
-    inside = (pos1 < na) & (pos2 < nb)
-    cells = np.bincount(
-        pos1[inside] * nb + pos2[inside], weights=probs[inside], minlength=na * nb
-    ).reshape(na, nb)
-    return _joint_from_cells(cells, float(probs[~inside].sum()))
+    cells = (np.abs(amps) ** 2).sum(axis=0)
+    residual = float(cells[na:].sum() + cells[:na, nb:].sum())
+    if residual > 1e-10:
+        raise InvalidInputError(
+            f"probability mass {residual!r} outside the branch-indexed pointer cells"
+        )
+    return JointDistribution(cells[:na, :nb])
 
 
 def _evolve_checked(
@@ -297,5 +319,4 @@ def _evolve_checked(
         final, joint = run_one_pointer(setup)
         twin = two_pointer_setup(setup.small_state, setup.obs_a, setup.obs_b)
         other = run_two_pointer(twin)[1]
-    cross = float(np.abs(joint.probs - other.probs).max())
-    return final, joint, _projection_deviation(setup, joint), cross
+    return final, joint, _projection_deviation(setup, joint), _joint_gap(joint, other)

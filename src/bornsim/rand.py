@@ -12,6 +12,7 @@ one matrix; verify draws many trials first and runs _haar on them together.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import accumulate
 from math import prod
 from typing import NamedTuple
 
@@ -95,15 +96,15 @@ def _draw_observable(
         k = int(rng.integers(1, d)) if d > 2 else 1
     else:
         k = int(rng.integers(1, d + 1))
-    if k == 1:
-        ranks = [d]
-    else:
-        cuts = np.sort(rng.choice(np.arange(1, d), size=k - 1, replace=False))
-        ranks = np.diff(np.concatenate([[0], cuts, [d]])).tolist()
+    # choice(d - 1) + 1 consumes the generator as choice(np.arange(1, d))
+    # does, and accumulate adds in order as np.cumsum does: same draws, same
+    # bits, from Python scalars.
+    cuts = sorted((rng.choice(d - 1, size=k - 1, replace=False) + 1).tolist()) if k > 1 else []
+    ranks = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, d])]
     # Gaps >= 0.1 keep clustering in observable_from_matrix unambiguous.
-    eigenvalues = np.cumsum(rng.uniform(0.1, 2.0, size=k)) - 1.0
+    eigenvalues = tuple(x - 1.0 for x in accumulate(rng.uniform(0.1, 2.0, size=k).tolist()))
     labels = np.repeat(np.arange(k), ranks)
-    return _Spectrum(tuple(dims), tuple(map(float, eigenvalues)), labels), _ginibre(rng, d)
+    return _Spectrum(tuple(dims), eigenvalues, labels), _ginibre(rng, d)
 
 
 def random_observable(

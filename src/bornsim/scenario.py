@@ -14,6 +14,7 @@ output is byte-identical for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ def _parse_float(value: str, key: str) -> float:
         out = float(value)
     except ValueError:
         raise ScenarioParseError(f"field '{key}': expected a number, got {value!r}")
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise ScenarioParseError(f"field '{key}': non-finite number {value!r}")
     return out
 
@@ -126,7 +127,7 @@ def _parse_complex(token: str, key: str) -> complex:
         raise ScenarioParseError(
             f"field '{key}': expected a complex number like 0.5-0.5i, got {token!r}"
         )
-    if not (np.isfinite(out.real) and np.isfinite(out.imag)):
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise ScenarioParseError(f"field '{key}': non-finite number {token!r}")
     return out
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutcomeDistribution, StateVector, tv_distance
+from .core import OutcomeDistribution, StateVector, _checked_probabilities, tv_distance
 from .errors import InvalidInputError
 from .measurement import BORN, ZERO_PROB_CUTOFF, ProbabilityRule, _transform_weights
 from .observables import Observable
@@ -84,13 +84,25 @@ def _alice_branches(
     return alice[live] / alice[live].sum(), _transform_weights(cells[live], rule)
 
 
-def _arms(cells: np.ndarray, rule: ProbabilityRule) -> tuple[OutcomeDistribution, ...]:
-    # Bob's with-Alice and without-Alice arms read off the cell weights W.
+def _arm_probs(cells: np.ndarray, rule: ProbabilityRule) -> tuple[np.ndarray, np.ndarray]:
+    # Bob's with-Alice and without-Alice probabilities read off the cell
+    # weights W, unchecked.
     weights, rows = _alice_branches(cells, rule)
-    labels = tuple(range(cells.shape[1]))
     mixed = (weights[:, None] * rows).sum(axis=0)
-    intact = _transform_weights(cells.sum(axis=0), rule)
-    return OutcomeDistribution(labels, mixed), OutcomeDistribution(labels, intact)
+    return mixed, _transform_weights(cells.sum(axis=0), rule)
+
+
+def _arms(cells: np.ndarray, rule: ProbabilityRule) -> tuple[OutcomeDistribution, ...]:
+    # Bob's with-Alice and without-Alice arms, labelled by his branch index.
+    labels = tuple(range(cells.shape[1]))
+    return tuple(OutcomeDistribution(labels, p) for p in _arm_probs(cells, rule))
+
+
+def _checked_gap(cells: np.ndarray, rule: ProbabilityRule) -> float:
+    # tv_distance of the two _arms, from their arrays: each arm passes the
+    # check OutcomeDistribution runs, and the labels are Bob's branch indices.
+    mixed, intact = (_checked_probabilities(p) for p in _arm_probs(cells, rule))
+    return float(0.5 * np.abs(mixed - intact).sum())
 
 
 def _bob_arms(scenario: TelepathyScenario) -> tuple[OutcomeDistribution, ...]:

@@ -6,12 +6,14 @@ import sys
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bornsim import cli, measurement, pointer, rand, scenario, signaling
 from bornsim.cli import MAX_DIMS_LIMIT, main
+from bornsim.errors import InvalidInputError
 from bornsim.pointer import POINTER_STATE_MAX_AMPS, SCHEME_AGREEMENT_TOL
 from bornsim.presets import SCENARIO_PRESETS
 from bornsim.scenario import KINDS
@@ -689,4 +691,98 @@ def test_invariant_violation_in_a_trial_names_its_trial(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith(
         "invariant violation [InvalidInputError]: trial [1234,5,0]: state vector norm"
+    )
+
+
+def _rescale_one_pointer_rows(original):
+    # Moves 1e-9 of mass from one live row of the one-pointer joint to
+    # another by rescaling both whole rows: every p(j|i) stays as it was.
+    def mutant(setup):
+        final, joint = original(setup)
+        probs = joint.probs.copy()
+        rows = probs.sum(axis=1)
+        live = np.flatnonzero(rows > 1e-3)
+        if live.size >= 2:
+            probs[live[0]] *= 1 + 1e-9 / rows[live[0]]
+            probs[live[1]] *= 1 - 1e-9 / rows[live[1]]
+        return final, pointer.JointDistribution(probs)
+
+    return mutant
+
+
+def _perturb_oracle_cells(original):
+    # Moves 1e-9 of mass from the oracle's largest cell to its second largest.
+    def mutant(setup):
+        probs = original(setup).probs.copy()
+        order = np.argsort(probs, axis=None)
+        if order.size >= 2:
+            probs.flat[order[-1]] -= 1e-9
+            probs.flat[order[-2]] += 1e-9
+        return pointer.JointDistribution(probs)
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "name, mutant, prop",
+    [
+        ("run_one_pointer", _rescale_one_pointer_rows, "scheme_agreement"),
+        ("brute_force_joint", _perturb_oracle_cells, "oracle_agreement"),
+        ("_shared_born_rows", lambda original: lambda *a: original(*a) + 1e-9,
+         "projection_equivalence"),
+    ],
+)
+def test_each_pointer_property_fails_on_its_defect(capsys, monkeypatch, name, mutant, prop):
+    original = getattr(pointer, name)
+    for module in (pointer, cli, scenario):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, mutant(original))
+    code, out, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
+    assert code == 1
+    failed = [l.split()[0] for l in out.splitlines() if l.endswith("FAIL")]
+    assert failed == [prop]
+    assert "verify: 1 of 9 properties FAILED" in out
+
+
+def _shifted_coupling(offset):
+    # The oracle's coupling, written per eigen-row: eigen-row c moves by its
+    # branch label plus offset along the pointer axis, with wrap-around.
+    def couple(amps, obs, axis):
+        rows = np.tensordot(obs.basis.conj().T, amps, axes=1)
+        shifted = [np.roll(r, l + offset, axis=axis - 1) for r, l in zip(rows, obs.labels)]
+        return np.tensordot(obs.basis, shifted, axes=1)
+
+    return couple
+
+
+def _oversized_two_pointer_setup(state, obs_a, obs_b):
+    # Each pointer one position larger than its observable's branch count.
+    return pointer.two_pointer_setup(
+        state, obs_a, obs_b, obs_a.branch_count + 1, obs_b.branch_count + 1
+    )
+
+
+def test_oracle_refuses_mass_outside_the_branch_cells(monkeypatch):
+    rng = np.random.default_rng(4)
+    state = rand.random_state(rng, (4,))
+    obs_a, obs_b = (rand.random_observable(rng, (4,)) for _ in range(2))
+    assert (obs_a.branch_count, obs_b.branch_count) == (3, 4)
+    setup = _oversized_two_pointer_setup(state, obs_a, obs_b)
+    exact = pointer.brute_force_joint(setup).probs
+    # The per-row coupling with no extra shift is the oracle's own.
+    monkeypatch.setattr(pointer, "_couple", _shifted_coupling(0))
+    assert np.abs(pointer.brute_force_joint(setup).probs - exact).max() < 1e-14
+    # One position further moves the last branches past the cells.
+    monkeypatch.setattr(pointer, "_couple", _shifted_coupling(1))
+    with pytest.raises(InvalidInputError, match="outside the branch-indexed pointer cells"):
+        pointer.brute_force_joint(setup)
+
+
+def test_oracle_mass_outside_the_cells_names_its_verify_trial(capsys, monkeypatch):
+    monkeypatch.setattr(pointer, "_couple", _shifted_coupling(1))
+    monkeypatch.setattr(cli, "two_pointer_setup", _oversized_two_pointer_setup)
+    code, out, err = run_cli(capsys, "verify", "--trials", "4", "--dims-limit", "4")
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "invariant violation [InvalidInputError]: trial [1234,1,0]: probability mass"
     )

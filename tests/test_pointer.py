@@ -32,6 +32,7 @@ from bornsim.pointer import (
     _couple,
     _evolve_checked,
     _projection_deviation,
+    _shared_born_rows,
 )
 from bornsim.rand import random_observable, random_state, random_unitary
 
@@ -301,6 +302,18 @@ def test_batched_projection_deviation_equals_the_branch_loop(seed):
         assert batched < 1e-10
     if seed % 3 == 0 and setups[0].obs_a.branch_count > 1:
         assert dead_rows > 0
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_shared_born_rows_give_each_joint_its_own_deviation(seed):
+    # Born rows taken once over the live rows of a two- and a one-pointer
+    # joint give each joint's own projection deviation, bit for bit.
+    setups = _random_setups(seed)
+    for two, one in ((setups[0], setups[2]), (setups[1], setups[3])):
+        joint_two, joint_one = run_two_pointer(two)[1], run_one_pointer(one)[1]
+        born = _shared_born_rows(two, joint_two, joint_one)
+        assert _projection_deviation(two, joint_two, born) == _projection_deviation(two, joint_two)
+        assert _projection_deviation(one, joint_one, born) == _projection_deviation(one, joint_one)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -58,7 +58,7 @@ def test_random_unitary_keeps_its_stream_and_bits(seed):
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
 def test_random_observable_keeps_its_stream_and_bits(seed, degenerate):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    for d in (2, 3, 4, 6, 8, 24):
+    for d in (*range(2, 9), 24):
         obs = random_observable(rng, (d,), degenerate=degenerate)
         eigenvalues, basis, labels = _reference_observable(ref, d, degenerate)
         assert obs.eigenvalues == eigenvalues

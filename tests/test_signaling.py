@@ -23,6 +23,7 @@ from bornsim import (
     signaling_gap,
     swap_parties,
     tensor,
+    tv_distance,
 )
 from bornsim import signaling
 from bornsim.presets import observable_preset, state_preset
@@ -35,6 +36,7 @@ from bornsim.signaling import (
     _arms,
     _bob_arms,
     _cell_weights,
+    _checked_gap,
     _sample_counts,
 )
 
@@ -127,6 +129,43 @@ def test_swapped_arms_read_off_the_transposed_cells(q):
         swapped = _arms(_cell_weights(scenario).T, scenario.bob_rule)
         for got, want in zip(swapped, _bob_arms(swap_parties(scenario))):
             assert np.max(np.abs(got.probs - want.probs)) <= 1e-14
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 0.5, 30.0])
+def test_checked_gap_is_the_tv_distance_of_the_arms(q):
+    # verify's array gap equals tv_distance of the labelled arms, bit for
+    # bit, in both directions.
+    for t in range(40):
+        rng = np.random.default_rng([19, t])
+        d0, d1 = (int(x) for x in rng.integers(2, 7, size=2))
+        cells = _cell_weights(TelepathyScenario(
+            random_state(rng, (d0, d1)),
+            random_observable(rng, (d0,), degenerate=(d0 >= 3 and t % 2 == 0)),
+            random_observable(rng, (d1,)),
+        ))
+        for w in (cells, cells.T):
+            rule = nonborn_exponent(q)
+            assert _checked_gap(w, rule) == tv_distance(*_arms(w, rule))
+
+
+def test_checked_gap_checks_each_arm(monkeypatch):
+    # Each arm passes the check OutcomeDistribution runs, so an arm off
+    # normalisation raises as the labelled arm would.
+    cells = _cell_weights(_witness())
+    original = signaling._arm_probs
+
+    for arm in (0, 1):
+
+        def off(*args, arm=arm):
+            probs = list(original(*args))
+            probs[arm] = probs[arm] * (1 + 1e-9)
+            return tuple(probs)
+
+        monkeypatch.setattr(signaling, "_arm_probs", off)
+        with pytest.raises(InvalidInputError, match="probabilities sum to"):
+            _arms(cells, BORN)
+        with pytest.raises(InvalidInputError, match="probabilities sum to"):
+            _checked_gap(cells, BORN)
 
 
 @settings(max_examples=100, deadline=None)
