@@ -9,6 +9,14 @@ one table run by one trial loop; trial t of a row draws from
 default_rng([seed, stream, t]), which the line's worst_seed names, and an
 invariant violation inside a trial's check names it too.
 
+Each row's trials run on the CPUs in the process's affinity mask: share w of
+W takes trials t = w (mod W), the process runs share 0 and forks a child per
+other share.  The printed bytes are the same on any CPU count; `taskset -c 0`
+runs everything in one process.  A process that already runs other threads,
+such as the thread pool numpy's OpenBLAS starts on a multi-CPU host unless
+OPENBLAS_NUM_THREADS=1, does not fork.  Every child holds its own trial's
+arrays, so at a large --dims-limit memory adds up across the workers.
+
 Exit codes: 0 success, 1 verify property failure, 2 parse/usage error
 (including a negative seed and a --dims-limit above MAX_DIMS_LIMIT = 256),
 3 numerical invariant violation (including a pointer setup whose state
@@ -20,6 +28,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
+import signal
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -282,28 +292,121 @@ _ENTROPY = _Battery((("entropy_monotonicity", 1e-10),), 4, _entropy_trial, few=T
 _LL = _Battery((("ll_channel_invariance", 1e-12),), 5, _ll_trial, few=True)
 
 
-def _run_battery(row: _Battery, trials: int, dims_limit: int, seed: int) -> list[Check]:
-    n = max(50, trials // 4) if row.few else trials
+def _verify_workers(trials: int) -> int:
+    # One share per CPU this process may run on, at most one per trial.  One
+    # share, run inline, where the platform cannot fork or report affinity or
+    # its threads, and where the process runs other threads: forking them is
+    # unsafe, and a BLAS thread pool (numpy's OpenBLAS starts one on a
+    # multi-CPU host unless OPENBLAS_NUM_THREADS=1) in every worker makes even
+    # 4 x 4 products fight over the CPUs, slower than one process.
+    try:
+        if not hasattr(os, "fork") or len(os.listdir("/proc/self/task")) > 1:
+            return 1
+        return max(1, min(len(os.sched_getaffinity(0)), trials))
+    except (OSError, AttributeError):
+        return 1
+
+
+def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tuple:
+    """Deviation rows of `trials` in order, and the share's first failure.
+
+    The failure is None or (trial, exception) for the first trial of the
+    share without a row; the share stops there.  It is returned, not raised,
+    so that the parent raises the failure of the lowest trial of all shares.
+    """
     # Trials are drawn in order and kept pending until their Ginibre matrices
     # reach HAAR_STACK_AMPS amplitudes or the last trial is drawn; then one
     # _haar call makes all their bases and their checks run in order.
     rows, pending, amps = [], [], 0  # pending: (t, Ginibre matrices, check)
-    for t in range(n):
-        pending.append((t, *row.trial(np.random.default_rng([seed, row.stream, t]), t,
-                                      dims_limit)))
-        amps += sum(z.size for z in pending[-1][1])
-        if amps < HAAR_STACK_AMPS and t < n - 1:
-            continue
-        bases = deque(_haar([z for _, zs, _ in pending for z in zs]))
-        # Rebinding pending frees the Ginibre matrices before any check runs.
-        checks, pending, amps = [(i, check) for i, _, check in pending], [], 0
-        for i, check in checks:
-            try:
-                rows.append(check(bases))
-            except BornsimError as exc:
-                exc.args = (f"trial [{seed},{row.stream},{i}]: {exc}",)
-                raise
-    results = np.array(rows)
+    try:
+        for t in trials:
+            pending.append((t, *row.trial(np.random.default_rng([seed, row.stream, t]), t,
+                                          dims_limit)))
+            amps += sum(z.size for z in pending[-1][1])
+            if amps < HAAR_STACK_AMPS and t != trials[-1]:
+                continue
+            bases = deque(_haar([z for _, zs, _ in pending for z in zs]))
+            # Rebinding pending frees the Ginibre matrices before any check runs.
+            checks, pending, amps = [(i, check) for i, _, check in pending], [], 0
+            for i, check in checks:
+                try:
+                    rows.append(check(bases))
+                except BornsimError as exc:
+                    exc.args = (f"trial [{seed},{row.stream},{i}]: {exc}",)
+                    raise
+    except Exception as exc:
+        return rows, (trials[len(rows)], exc)
+    return rows, None
+
+
+def _fork_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tuple[int, int]:
+    # Forks a child that runs one share and writes its pickled result to a
+    # pipe; returns the child's pid and the pipe's read end.
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        result = _run_share(row, trials, dims_limit, seed)
+        try:
+            payload = pickle.dumps(result)
+        except Exception:  # an exception that does not pickle: keep its class name and message
+            rows, (t, exc) = result
+            payload = pickle.dumps((rows, (t, RuntimeError(f"{type(exc).__name__}: {exc}"))))
+        with open(write, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        # No exit handlers, and no second flush of stdio buffers copied from the parent.
+        os._exit(code)
+
+
+def _collect(pid: int, read: int) -> tuple:
+    # A forked share's result, read to end of file before the child is reaped.
+    try:
+        with open(read, "rb") as fh:
+            payload = fh.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if not payload:
+        raise RuntimeError(
+            f"verify worker {pid} exited with code {os.waitstatus_to_exitcode(status)} "
+            "without sending its trials"
+        )
+    return pickle.loads(payload)
+
+
+def _run_battery(row: _Battery, trials: int, dims_limit: int, seed: int) -> list[Check]:
+    n = max(50, trials // 4) if row.few else trials
+    # Share w of W takes trials t = w (mod W), which balances the drawn
+    # dimensions; the parent runs share 0 and forks a child per other share.
+    # Trial t draws only from its own stream and stacked QR is bit-identical
+    # per matrix, so every row is the same on any number of shares.
+    workers = _verify_workers(n)
+    children = []  # (pid, read end) of each forked share not yet collected
+    try:
+        for w in range(1, workers):
+            children.append(_fork_share(row, range(w, n, workers), dims_limit, seed))
+        shares = [_run_share(row, range(0, n, workers), dims_limit, seed)]
+        while children:
+            shares.append(_collect(*children.pop(0)))
+    finally:
+        for pid, read in children:  # left only when the parent stopped early
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = np.array([shares[t % workers][0][t // workers] for t in range(n)])
     k = len(row.limits)
     totals = results[:, k:].sum(axis=0)
     tallies = "".join(f" {name}={int(c)}" for name, c in zip(row.tallies, totals))

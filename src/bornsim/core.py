@@ -57,8 +57,20 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
+        self._adopt(np.array(self.amps, dtype=complex))
+
+    @classmethod
+    def _owning(cls, dims, amps: np.ndarray) -> "StateVector":
+        # The same checks without the copy, for a fresh complex array that no
+        # caller keeps: the state takes it over and freezes it.
+        state = cls.__new__(cls)
+        object.__setattr__(state, "dims", dims)
+        state._adopt(np.asarray(amps, dtype=complex))
+        return state
+
+    def _adopt(self, amps: np.ndarray) -> None:
         dims = _check_dims(self.dims)
-        amps = np.array(self.amps, dtype=complex).reshape(-1)
+        amps = amps.reshape(-1)
         if amps.size != prod(dims):
             raise InvalidInputError(
                 f"amplitude count {amps.size} does not match dims {dims}"

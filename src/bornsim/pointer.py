@@ -186,7 +186,7 @@ def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistri
     na, nb = parts.shape[1:]
     amps = np.zeros((d, n, m), dtype=complex)
     amps[:, :na, :nb] = parts
-    final = StateVector(setup.small_state.dims + (n, m), amps)
+    final = StateVector._owning(setup.small_state.dims + (n, m), amps)
     return final, JointDistribution((np.abs(parts) ** 2).sum(axis=0))
 
 
@@ -203,7 +203,7 @@ def run_one_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistri
     n, na = setup.n_pointer1, parts.shape[1]
     blocks = np.zeros((setup.small_state.dim, n), dtype=complex)
     blocks[:, :na] = parts
-    final = StateVector(setup.small_state.dims + (n,), blocks)
+    final = StateVector._owning(setup.small_state.dims + (n,), blocks)
     return final, JointDistribution(setup.obs_b.weights(parts))
 
 

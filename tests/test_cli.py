@@ -1,8 +1,11 @@
 import contextlib
+import dataclasses
 import io
+import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -32,6 +35,13 @@ def run_proc(*argv):
         text=True,
         timeout=120,
     )
+
+
+def set_workers(monkeypatch, workers):
+    # Each verify battery runs in this many shares: share 0 in this process,
+    # the others in forked children.  Tests that count calls made in this
+    # process pin one share, which runs inline and forks nothing.
+    monkeypatch.setattr(cli, "_verify_workers", lambda trials: workers)
 
 
 def test_run_epr_records(capsys):
@@ -398,6 +408,7 @@ def test_verify_layout_is_pinned(capsys, argv, layout):
 def test_every_pointer_setup_is_evolved_once(tmp_path, capsys, monkeypatch):
     # verify and run evolve each pointer setup they build exactly once: the
     # projection deviation and the cross-checks reuse the one joint.
+    set_workers(monkeypatch, 1)
     evolved = []
     for name in ("run_two_pointer", "run_one_pointer"):
 
@@ -427,6 +438,7 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     # The pointer battery checks the projection postulate from whole-observable
     # arrays: no collapsed state, conditional or Born distribution per branch.
     # The no-signaling battery reads both directions off one W per trial.
+    set_workers(monkeypatch, 1)
     calls, battery = Counter(), [None]
 
     def tracking(row, *args, original=cli._run_battery):
@@ -648,6 +660,7 @@ def test_haar_batching_does_not_change_verify_output(capsys, monkeypatch, seed):
 
 
 def test_default_verify_stacks_one_qr_per_size_per_battery(capsys, monkeypatch):
+    set_workers(monkeypatch, 1)
     calls = _stacked_qr_calls(monkeypatch)
     code, _, _ = run_cli(capsys, "verify")
     assert code == 0
@@ -665,6 +678,7 @@ def test_stacked_qr_stays_within_the_amplitude_budget(capsys, monkeypatch):
     # LL trials at d <= 64 draw up to 65 matrices, more than the budget
     # holds.  Trials are drawn ahead only until the budget is reached, and a
     # stack takes at most the budget or one matrix.
+    set_workers(monkeypatch, 1)
     calls, flushed = _stacked_qr_calls(monkeypatch), []
 
     def recording(ginibres, original=cli._haar):
@@ -723,6 +737,30 @@ def _perturb_oracle_cells(original):
     return mutant
 
 
+def _near_born_gap(original):
+    # Bob's arms computed with q = 1 + 1e-6 where verify asks for Born.
+    return lambda cells, rule: original(cells, measurement.ProbabilityRule(1 + 1e-6))
+
+
+def _drop_last_branch(original):
+    # The dephased state loses the block of the last branch and is
+    # renormalised, as if the branch loop stopped one short.
+    def mutant(rho, obs, *args):
+        dephased, weights, live = original(rho, obs, *args)
+        last = obs.branch_count - 1
+        if last in live and len(live) > 1:
+            dephased = (dephased - weights[last] * live[last][1].entries) / (1 - weights[last])
+        return dephased, weights, live
+
+    return mutant
+
+
+# One mutant per property; each must FAIL its own property and no other.
+# Equivalent mutants, listed and not tested: W transposed in the Born arms
+# (verify checks both directions, and Born signals in neither); entropies in
+# another log base (every entropy scaled by one positive factor keeps both
+# entropy inequalities); the oracle's wrap-around dropped (pointers start at
+# |0> and shift by less than their size, so it is never reached).
 @pytest.mark.parametrize(
     "name, mutant, prop",
     [
@@ -730,11 +768,15 @@ def _perturb_oracle_cells(original):
         ("brute_force_joint", _perturb_oracle_cells, "oracle_agreement"),
         ("_shared_born_rows", lambda original: lambda *a: original(*a) + 1e-9,
          "projection_equivalence"),
+        ("_checked_gap", _near_born_gap, "no_signaling_born"),
+        ("_classical_branches", _drop_last_branch, "entropy_monotonicity"),
     ],
 )
 def test_each_pointer_property_fails_on_its_defect(capsys, monkeypatch, name, mutant, prop):
-    original = getattr(pointer, name)
-    for module in (pointer, cli, scenario):
+    # Two shares per battery: the mutant must reach the forked children too.
+    set_workers(monkeypatch, 2)
+    original = getattr(cli, name)
+    for module in (pointer, measurement, signaling, cli, scenario):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, mutant(original))
     code, out, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
@@ -786,3 +828,138 @@ def test_oracle_mass_outside_the_cells_names_its_verify_trial(capsys, monkeypatc
     assert err.startswith(
         "invariant violation [InvalidInputError]: trial [1234,1,0]: probability mass"
     )
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--seed", "1"),
+        ("--seed", "7"),
+        (),
+        ("--trials", "30", "--dims-limit", "24"),
+        ("--trials", "1"),
+        ("--trials", "3", "--seed", "7"),
+    ],
+)
+def test_verify_prints_the_same_bytes_on_any_number_of_shares(capsys, monkeypatch, argv):
+    # With --trials 1 and 3 some shares of the pointer and no-signaling
+    # batteries are empty.  Four shares fork three children per battery.
+    outs = []
+    for workers in (1, 2, 3, 4):
+        set_workers(monkeypatch, workers)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 0 and err == ""
+        outs.append(out)
+        _no_child_left()
+    assert outs[1:] == outs[:1] * 3
+
+
+def test_verify_workers_follow_the_affinity_mask(monkeypatch):
+    # A single-threaded process runs one share per CPU, at most one per trial.
+    probe = ("import os; from bornsim import cli; "
+             "print(cli._verify_workers(10**6), cli._verify_workers(1), "
+             "len(os.sched_getaffinity(0)))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    many, one, cpus = map(int, proc.stdout.split())
+    assert (many, one) == (cpus, 1)
+    # One share where the process runs another thread or cannot fork.
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert cli._verify_workers(10**6) == 1
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert cli._verify_workers(10**6) == 1
+
+
+def _planted(trial, fail_at, raising):
+    # The battery's trial, except that the checks of the trials in fail_at
+    # take their bases and then call raising(t).
+    def planted(rng, t, dims_limit):
+        zs, check = trial(rng, t, dims_limit)
+        if t not in fail_at:
+            return zs, check
+
+        def failing(bases):
+            check(bases)
+            return raising(t)
+
+        return zs, failing
+
+    return planted
+
+
+def _plant(monkeypatch, row_name, fail_at, raising):
+    row = getattr(cli, row_name)
+    monkeypatch.setattr(cli, row_name,
+                        dataclasses.replace(row, trial=_planted(row.trial, fail_at, raising)))
+
+
+def _violation(t):
+    raise InvalidInputError(f"planted violation in trial {t}")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_lowest_failing_trial_of_all_shares_is_raised(capsys, monkeypatch, workers):
+    # Trial 1 belongs to a child's share and trial 2 to the parent's when
+    # there are two shares; the error of trial 1 is raised either way, as
+    # the one-share loop raises it.
+    set_workers(monkeypatch, workers)
+    _plant(monkeypatch, "_NO_SIGNALING", {1, 2}, _violation)
+    code, out, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
+    assert code == 3 and out == ""
+    assert err == ("invariant violation [InvalidInputError]: trial [1234,2,1]: "
+                   "planted violation in trial 1\n")
+    _no_child_left()
+
+
+def test_a_foreign_exception_in_a_child_reaches_the_parent(capsys, monkeypatch):
+    def foreign(t):
+        raise ZeroDivisionError(f"planted in trial {t}")
+
+    set_workers(monkeypatch, 2)
+    _plant(monkeypatch, "_ENTROPY", {3}, foreign)
+    with pytest.raises(ZeroDivisionError, match="^planted in trial 3$"):
+        run_cli(capsys, "verify", "--trials", "4", "--dims-limit", "4")
+    _no_child_left()
+
+
+def test_an_exception_that_does_not_pickle_keeps_its_class_name(capsys, monkeypatch):
+    class LocalError(Exception):  # a local class cannot be pickled
+        pass
+
+    def local(t):
+        raise LocalError(f"planted in trial {t}")
+
+    set_workers(monkeypatch, 2)
+    _plant(monkeypatch, "_ENTROPY", {3}, local)
+    with pytest.raises(RuntimeError, match="^LocalError: planted in trial 3$"):
+        run_cli(capsys, "verify", "--trials", "4", "--dims-limit", "4")
+    _no_child_left()
+
+
+def test_a_child_that_dies_is_reported_and_reaped(capsys, monkeypatch):
+    parent = os.getpid()
+
+    def dying(t):
+        if os.getpid() == parent:
+            raise AssertionError("trial 1 ran in the parent")
+        os._exit(7)
+
+    set_workers(monkeypatch, 2)
+    _plant(monkeypatch, "_POINTER", {1}, dying)
+    with pytest.raises(RuntimeError, match="exited with code 7 without sending its trials"):
+        run_cli(capsys, "verify", "--trials", "4", "--dims-limit", "4")
+    _no_child_left()

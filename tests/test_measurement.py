@@ -383,6 +383,7 @@ def test_classical_blocks_built_once_per_state(monkeypatch):
         calls.append(obs.branch_count)
         return _classical_branches(rho, obs, rule, branches)
 
+    monkeypatch.setattr(cli, "_verify_workers", lambda trials: 1)  # one inline share
     # measurement too, so a caller going back to classical_selective per
     # branch would be counted once per branch.
     for module in (measurement, cli, scenario):
@@ -407,6 +408,7 @@ def test_entropy_path_dephases_once(monkeypatch):
         return original(rho, obs)
 
     monkeypatch.setattr(measurement, "_dephase", counting)
+    monkeypatch.setattr(cli, "_verify_workers", lambda trials: 1)  # one inline share
     (check,) = cli._run_battery(cli._ENTROPY, trials=0, dims_limit=6, seed=1234)
     assert check.passed and len(calls) == 50
     calls.clear()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -451,6 +453,26 @@ def test_large_dimension_runs_without_dense_oracle():
         assert float(np.max(np.abs(joint.probs - expected))) < 1e-12
     oracle = brute_force_joint(two)
     assert float(np.max(np.abs(oracle.probs - joint_two.probs))) < 1e-12
+
+
+def test_pointer_runs_hand_their_final_state_over_uncopied():
+    # The final state takes over the register array the run fills: one
+    # d x n x m buffer at the peak, not that buffer and a copy of it.
+    state = random_state(np.random.default_rng(64), (64,))
+    # Two branches each, so the split parts are small next to the register.
+    obs_a = obs_b = observable_from_matrix(np.diag(np.repeat([0.0, 1.0], 32)))
+    two = two_pointer_setup(state, obs_a, obs_b, 64, 64)
+    one = one_pointer_setup(state, obs_a, obs_b, 64)
+    tracemalloc.start()
+    try:
+        final, _ = run_two_pointer(two)
+        peak = tracemalloc.get_traced_memory()[1]
+        final_one, _ = run_one_pointer(one)
+    finally:
+        tracemalloc.stop()
+    assert final.amps.nbytes == 64**3 * 16
+    assert peak < 1.5 * final.amps.nbytes
+    assert not final.amps.flags.writeable and not final_one.amps.flags.writeable
 
 
 class TestConditionals:
