@@ -7,7 +7,10 @@
 verify prints one line per property.  Its randomized properties are rows of
 one table run by one trial loop; trial t of a row draws from
 default_rng([seed, stream, t]), which the line's worst_seed names, and an
-invariant violation inside a trial's check names it too.
+invariant violation inside a trial's check names it too.  A check computes
+its deviations in the kernel that `run` calls for the same claim:
+pointer._pointer_check, signaling._signaling_check and measurement's
+_entropy_check and _target_check.
 
 Each row's trials run on the CPUs in the process's affinity mask: share w of
 W takes trials t = w (mod W), the process runs share 0 and forks a child per
@@ -37,27 +40,24 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DensityMatrix, Operator, tv_distance, von_neumann_entropy
+from .core import Operator
 from .errors import BornsimError
 from .measurement import (
     BORN,
     ProbabilityRule,
-    _classical_branches,
+    _entropy_check,
+    _target_check,
     ll_channel,
     rule_probabilities,
-    state_preparation_unitaries,
 )
 from .observables import embed_observable
 from .pointer import (
     POINTER_STATE_MAX_AMPS,
     SCHEME_AGREEMENT_TOL,
-    _joint_gap,
-    _projection_deviation,
-    _shared_born_rows,
-    brute_force_joint,
+    _oracle_gap,
+    _pointer_check,
     one_pointer_setup,
     run_one_pointer,
-    run_two_pointer,
     two_pointer_setup,
 )
 from .presets import (
@@ -77,9 +77,8 @@ from .scenario import (
 )
 from .signaling import (
     TelepathyScenario,
-    _bob_arms,
     _cell_weights,
-    _checked_gap,
+    _signaling_check,
     channel_simulation,
 )
 
@@ -158,8 +157,7 @@ def _check_witness(seed: int) -> Check:
         observable_preset("sigma_z"),
         ProbabilityRule(2.0),
     )
-    arms = _bob_arms(scenario)
-    with_alice, without_alice = (arm.as_dict() for arm in arms)
+    with_alice, without_alice, gap = _signaling_check(_cell_weights(scenario), scenario.bob_rule)
     # Branch 1 of sigma_z carries eigenvalue +1, i.e. the |0> component.
     pw = 0.36**2 / (0.36**2 + 0.64**2)
     dev = max(
@@ -167,13 +165,13 @@ def _check_witness(seed: int) -> Check:
         abs(with_alice[0] - 0.64),
         abs(without_alice[1] - pw),
         abs(without_alice[0] - (1.0 - pw)),
-        abs(tv_distance(*arms) - (0.36 - pw)),
+        abs(gap - (0.36 - pw)),
     )
     rng = np.random.default_rng([seed, 3])
     mc_dev = 0.0
-    for bit, analytic in zip((1, 0), arms):
+    for bit, analytic in zip((1, 0), (with_alice, without_alice)):
         mc = channel_simulation(scenario, bit, 100_000, rng)
-        mc_dev = max(mc_dev, tv_distance(mc, analytic))
+        mc_dev = max(mc_dev, float(0.5 * np.abs(mc.probs - analytic).sum()))
     return Check(
         "telepathy_witness",
         f"analytic_dev={dev:.3g} limit=1e-06 mc_dev={mc_dev:.3g} mc_limit=0.01",
@@ -208,15 +206,9 @@ def _pointer_trial(rng, t: int, dims_limit: int) -> tuple:
         obs_a = spectrum_a.observable(bases.popleft())
         obs_b = spectrum_b.observable(bases.popleft())
         two = two_pointer_setup(state, obs_a, obs_b)
-        _, joint_two = run_two_pointer(two)
-        oracle = _joint_gap(joint_two, brute_force_joint(two))
-        one = one_pointer_setup(state, obs_a, obs_b)
-        _, joint_one = run_one_pointer(one)
-        # Both schemes' conditionals are checked against one set of Born rows.
-        born = _shared_born_rows(two, joint_two, joint_one)
-        equiv = max(_projection_deviation(two, joint_two, born),
-                    _projection_deviation(one, joint_one, born))
-        return equiv, _joint_gap(joint_two, joint_one), oracle, degenerate
+        _, (joint_two, _), deviations, scheme_gap = _pointer_check(
+            two, one_pointer_setup(state, obs_a, obs_b))
+        return max(deviations), scheme_gap, _oracle_gap(two, joint_two), degenerate
 
     return (z_a, z_b), check
 
@@ -230,7 +222,7 @@ def _no_signaling_trial(rng, t: int, dims_limit: int) -> tuple:
         parties = [spectrum.observable(bases.popleft()) for spectrum in spectra]
         # Swapping the parties transposes W, so both directions come from one W.
         cells = _cell_weights(TelepathyScenario(state, *parties, BORN))
-        return (max(_checked_gap(cells, BORN), _checked_gap(cells.T, BORN)),)
+        return (max(_signaling_check(cells, BORN)[2], _signaling_check(cells.T, BORN)[2]),)
 
     return zs, check
 
@@ -241,11 +233,7 @@ def _entropy_trial(rng, t: int, dims_limit: int) -> tuple:
     spectrum, z = _draw_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
 
     def check(bases) -> tuple:
-        obs = spectrum.observable(bases.popleft())
-        dephased, _, live = _classical_branches(rho, obs)
-        s_in = von_neumann_entropy(rho)
-        s_out = von_neumann_entropy(DensityMatrix(rho.dims, dephased))
-        avg = sum(p * von_neumann_entropy(post) for p, post in live.values())
+        s_in, s_out, _, avg = _entropy_check(rho, spectrum.observable(bases.popleft()))
         return (max(s_in - s_out, avg - s_out),)
 
     return (z,), check
@@ -265,10 +253,7 @@ def _ll_trial(rng, t: int, dims_limit: int) -> tuple:
         weights = (state.amps.conj() @ obs.split(state.amps)).real
         records = ll_channel(state, obs, unitaries)
         dev = max(abs(rec.probability - weights[rec.branch_index]) for rec in records)
-        unitaries = state_preparation_unitaries(state, obs, target)
-        for rec in ll_channel(state, obs, unitaries):
-            dev = max(dev, float(np.max(np.abs(rec.post_state.amps - target.amps))))
-        return (dev,)
+        return (max(dev, _target_check(state, obs, target)[1]),)
 
     return zs, check
 

@@ -9,7 +9,8 @@ q = 1 is the Born rule.  Any other exponent is an intentionally non-physical
 alternative kept around so its operational consequences (signaling) can be
 demonstrated.  The family is deterministic on eigenstates for every q and is
 defined on pure states; ensembles are handled by weighted mixing of the
-per-member distributions.
+per-member distributions.  _entropy_check and _target_check implement the
+entropy and state-preparation claims once, for `bornsim verify` and `run`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     Operator,
     OutcomeDistribution,
     StateVector,
+    von_neumann_entropy,
 )
 from .errors import (
     InvalidInputError,
@@ -213,6 +215,14 @@ def state_preparation_unitaries(
     return out
 
 
+def _target_check(state: StateVector, obs: Observable, target: StateVector) -> tuple:
+    # The records of ll_channel with the state-preparation unitaries, and the
+    # worst amplitude deviation of their post-states from target.
+    records = ll_channel(state, obs, state_preparation_unitaries(state, obs, target))
+    return records, max(float(np.max(np.abs(rec.post_state.amps - target.amps)))
+                        for rec in records)
+
+
 def phase_unitaries(
     obs: Observable, omegas: Sequence[float], dt: float
 ) -> list[Operator]:
@@ -292,3 +302,13 @@ def classical_selective(
             f"branch {branch} has weight {weights[branch]!r}"
         )
     return live[branch]
+
+
+def _entropy_check(rho: DensityMatrix, obs: Observable) -> tuple:
+    # From one dephasing: S(rho), S(sum_i P_i rho P_i), {i: (p_i, S(rho_i))}
+    # over the live branches, and sum_i p_i S(rho_i) in branch order.
+    dephased, _, live = _classical_branches(rho, obs)
+    branches = {i: (p, von_neumann_entropy(post)) for i, (p, post) in live.items()}
+    avg = sum(p * s for p, s in branches.values())
+    s_out = von_neumann_entropy(DensityMatrix(rho.dims, dephased))
+    return von_neumann_entropy(rho), s_out, branches, avg

@@ -14,7 +14,10 @@ postulate: p(j|i) equals the Born distribution of the second observable on
 the collapsed state P_i psi / ||P_i psi||.  The check takes the collapsed
 states of all live rows from psi alone, and their Born rows as the second
 observable's branch weights; the two- and one-pointer joints of one state
-and observable pair can share those rows.
+and observable pair share those rows.  _pointer_check implements the claim
+once, for `bornsim verify` and `run`; only verify and two_pointer scenarios
+add the oracle gap (_oracle_gap), so a one_pointer run never allocates the
+oracle's register tensor.
 
 Because every pointer starts in |0> and each shift moves it by less than the
 register size, the final states are exactly
@@ -241,24 +244,12 @@ def _born_rows(setup: PointerSchemeSetup, live: np.ndarray) -> np.ndarray:
     return _transform_weights(setup.obs_b.weights(collapsed), BORN)
 
 
-def _shared_born_rows(
-    setup: PointerSchemeSetup, joint: JointDistribution, other: JointDistribution
-) -> np.ndarray:
-    # The Born rows of every branch live in either joint, at its branch index
-    # (zero elsewhere): one computation for two joints of the setup's state
-    # and observable pair.
-    live = np.maximum(joint.probs.sum(axis=1), other.probs.sum(axis=1)) > ZERO_PROB_CUTOFF
-    born = np.zeros((setup.obs_a.branch_count, setup.obs_b.branch_count))
-    born[live] = _born_rows(setup, np.flatnonzero(live))
-    return born
-
-
 def _projection_deviation(
     setup: PointerSchemeSetup, joint: JointDistribution, born: np.ndarray | None = None
 ) -> float:
     # Worst |p(j|i) - Born_j(P_i psi0 / ||P_i psi0||)| over the live rows of
-    # a joint the setup has already produced.  born, if given, is a
-    # _shared_born_rows table that covers this joint.
+    # a joint the setup has already produced.  born, if given, is a table of
+    # Born rows, indexed by branch, that covers every live row of the joint.
     rows = joint.probs.sum(axis=1)
     live = np.flatnonzero(rows > ZERO_PROB_CUTOFF)
     ref = _born_rows(setup, live) if born is None else born[live]
@@ -306,17 +297,20 @@ def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
     return JointDistribution(cells[:na, :nb])
 
 
-def _evolve_checked(
-    setup: PointerSchemeSetup,
-) -> tuple[StateVector, JointDistribution, float, float]:
-    # Evolve the setup once; return the final state, the joint, its projection
-    # deviation and the worst gap to an independent joint: the oracle for two
-    # pointers, the default-size two-pointer twin for one pointer.
-    if setup.mode == TWO_POINTER:
-        final, joint = run_two_pointer(setup)
-        other = brute_force_joint(setup)
-    else:
-        final, joint = run_one_pointer(setup)
-        twin = two_pointer_setup(setup.small_state, setup.obs_a, setup.obs_b)
-        other = run_two_pointer(twin)[1]
-    return final, joint, _projection_deviation(setup, joint), _joint_gap(joint, other)
+def _pointer_check(two: PointerSchemeSetup, one: PointerSchemeSetup | None = None) -> tuple:
+    # Evolves the two-pointer setup and, if given, a one-pointer setup of the
+    # same state and observables once each.  Returns their final states, their
+    # joints, each joint's projection deviation against one table of Born rows
+    # (the branches live in either joint) and the scheme gap, 0.0 without one.
+    runs = [run_two_pointer(two)] + ([] if one is None else [run_one_pointer(one)])
+    finals, joints = zip(*runs)
+    live = np.maximum.reduce([joint.probs.sum(axis=1) for joint in joints]) > ZERO_PROB_CUTOFF
+    born = np.zeros(joints[0].probs.shape)
+    born[live] = _born_rows(two, np.flatnonzero(live))
+    deviations = [_projection_deviation(two, joint, born) for joint in joints]
+    return finals, joints, deviations, _joint_gap(joints[0], joints[-1])
+
+
+def _oracle_gap(two: PointerSchemeSetup, joint: JointDistribution) -> float:
+    # Worst cell gap between a joint of the two-pointer setup and the oracle's.
+    return _joint_gap(joint, brute_force_joint(two))

@@ -20,33 +20,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DensityMatrix,
     Operator,
     StateVector,
     density_from_pure,
     inner,
     tv_distance,
-    von_neumann_entropy,
 )
 from .errors import InvalidInputError
 from .measurement import (
     BORN,
     ZERO_PROB_CUTOFF,
     ProbabilityRule,
-    _classical_branches,
+    _entropy_check,
+    _target_check,
     ll_channel,
     phase_unitaries,
     project_update,
-    state_preparation_unitaries,
 )
 from .observables import observable_from_branches, observable_from_matrix
 from .pointer import (
     TWO_POINTER,
     PointerSchemeSetup,
-    _evolve_checked,
+    _oracle_gap,
+    _pointer_check,
+    two_pointer_setup,
 )
 from .presets import observable_preset, state_preset
-from .signaling import TelepathyScenario, _bob_arms, channel_simulation
+from .signaling import TelepathyScenario, _cell_weights, _signaling_check, channel_simulation
 
 DEFAULT_SEED = 1234
 
@@ -182,9 +182,16 @@ def _resolve_state(fields: dict, key: str = "state", default: str | None = None)
             f"field '{key}_dims': product {dims} does not match "
             f"{amps.size} amplitudes"
         )
-    norm = float(np.linalg.norm(amps))
-    if norm <= 0.0:
-        raise ScenarioParseError(f"field '{key}': zero state vector")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if not np.finfo(float).tiny <= norm * norm < math.inf:
+        # The sum of squares under- or overflowed: divide by the largest
+        # real or imaginary part first.
+        peak = float(np.abs(amps.view(float)).max())
+        if peak == 0.0:
+            raise ScenarioParseError(f"field '{key}': zero state vector")
+        amps = amps / peak
+        norm = float(np.linalg.norm(amps))
     return StateVector(dims, amps / norm)
 
 
@@ -266,8 +273,8 @@ def _state_records(prefix: str, state: StateVector) -> Records:
     return [(f"{prefix}.{k}", fmt_complex(z)) for k, z in enumerate(state.amps)]
 
 
-def _distribution_records(prefix: str, dist) -> Records:
-    return [(f"{prefix}.{l}", fmt_real(p)) for l, p in zip(dist.labels, dist.probs)]
+def _distribution_records(prefix: str, probs: np.ndarray) -> Records:
+    return [(f"{prefix}.{j}", fmt_real(p)) for j, p in enumerate(probs)]
 
 
 # ------------------------------------------------------------------- runners
@@ -288,7 +295,13 @@ def _run_pointer(scn: Scenario) -> Records:
         m2 = size("pointer2_size", obs_b.branch_count) if scn.kind == TWO_POINTER else None
     _reject_unknown(fields)
     setup = PointerSchemeSetup(state, obs_a, obs_b, n1, m2)
-    final, joint, deviation, cross_dev = _evolve_checked(setup)
+    if m2 is None:  # cross-checked against the default-size two-pointer twin
+        finals, joints, deviations, cross_dev = _pointer_check(
+            two_pointer_setup(state, obs_a, obs_b), setup)
+    else:  # cross-checked against the oracle
+        finals, joints, deviations, _ = _pointer_check(setup)
+        cross_dev = _oracle_gap(setup, joints[0])
+    final, joint, deviation = finals[-1], joints[-1], deviations[-1]
     cross_key = "two_pointer_joint_max_dev" if m2 is None else "oracle_joint_max_dev"
 
     records: Records = [
@@ -323,6 +336,8 @@ def _run_ll(scn: Scenario) -> Records:
                 raise ScenarioParseError(f"field 'omegas': {len(omegas)} frequencies "
                                          f"for {obs.branch_count} branches")
         dt = _parse_float(_take(fields, "dt", "1.0"), "dt")
+        if not all(math.isfinite(w * dt) for w in omegas):
+            raise ScenarioParseError(f"field 'dt': omega * dt overflows at dt = {dt!r}")
         _reject_unknown(fields)
         unitaries = phase_unitaries(obs, omegas, dt)
         output = ll_channel(state, obs, unitaries)
@@ -340,19 +355,14 @@ def _run_ll(scn: Scenario) -> Records:
     _reject_unknown(fields)
     if target is None:
         eye = np.eye(state.dim, dtype=complex)
-        unitaries = [Operator(state.dims, eye) for _ in range(obs.branch_count)]
+        output = ll_channel(state, obs, [Operator(state.dims, eye)] * obs.branch_count)
     else:
-        unitaries = state_preparation_unitaries(state, obs, target)
-    output = ll_channel(state, obs, unitaries)
+        output, dev = _target_check(state, obs, target)
     for rec in output:
         records.append((f"p.{rec.branch_index}", fmt_real(rec.probability)))
     for rec in output:
         records += _state_records(f"post_state.{rec.branch_index}", rec.post_state)
     if target is not None:
-        dev = max(
-            float(np.max(np.abs(rec.post_state.amps - target.amps)))
-            for rec in output
-        )
         records.append(("max_target_deviation", fmt_real(dev)))
     return records
 
@@ -389,20 +399,20 @@ def _run_telepathy(scn: Scenario) -> Records:
     _reject_unknown(fields)
 
     scenario = TelepathyScenario(state, obs_a, obs_b, rule)
-    with_alice, without_alice = _bob_arms(scenario)
+    with_alice, without_alice, gap = _signaling_check(_cell_weights(scenario), rule)
     records: Records = [("rule", rule_value)]
     if rule.exponent != 1.0:
         records.append(("q", fmt_real(rule.exponent)))
     records += _distribution_records("p_with_alice", with_alice)
     records += _distribution_records("p_without_alice", without_alice)
-    records.append(("signaling_gap", fmt_real(tv_distance(with_alice, without_alice))))
+    records.append(("signaling_gap", fmt_real(gap)))
     if shots > 0:
         rng = np.random.default_rng(scn.seed)
         mc_with = channel_simulation(scenario, 1, shots, rng)
         mc_without = channel_simulation(scenario, 0, shots, rng)
         records.append(("mc_shots", str(shots)))
-        records += _distribution_records("mc_p_with_alice", mc_with)
-        records += _distribution_records("mc_p_without_alice", mc_without)
+        records += _distribution_records("mc_p_with_alice", mc_with.probs)
+        records += _distribution_records("mc_p_without_alice", mc_without.probs)
         records.append(("mc_gap", fmt_real(tv_distance(mc_with, mc_without))))
     return records
 
@@ -412,17 +422,12 @@ def _run_entropy_demo(scn: Scenario) -> Records:
     state = _resolve_state(fields)
     obs = _resolve_observable(fields, "obs", state.dims, default="sigma_z")
     _reject_unknown(fields)
-    rho = density_from_pure(state)
-    dephased, _, live = _classical_branches(rho, obs)
-    dephased = DensityMatrix(rho.dims, dephased)
+    s_in, s_out, branches, avg = _entropy_check(density_from_pure(state), obs)
     records: Records = [
-        ("entropy_initial", fmt_real(von_neumann_entropy(rho))),
-        ("entropy_nonselective", fmt_real(von_neumann_entropy(dephased))),
+        ("entropy_initial", fmt_real(s_in)),
+        ("entropy_nonselective", fmt_real(s_out)),
     ]
-    avg = 0.0
-    for i, (p, post) in live.items():
-        s = von_neumann_entropy(post)
-        avg += p * s
+    for i, (p, s) in branches.items():
         records.append((f"p.{i}", fmt_real(p)))
         records.append((f"entropy_branch.{i}", fmt_real(s)))
     records.append(("entropy_selective_avg", fmt_real(avg)))

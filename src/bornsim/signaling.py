@@ -20,7 +20,9 @@ once.  Swapping the parties transposes W, since V_B^dag M^T conj(V_A) =
 between Bob's two arms.  Under the Born rule the gap vanishes identically
 (no signaling); rules with any other exponent produce a nonzero gap on
 suitable entangled states, which is what makes them operationally
-inadmissible.
+inadmissible.  _signaling_check implements the claim once: both arms as
+checked arrays and their gap, from W.  `bornsim verify`, `bornsim run` and
+the public arm and gap functions all read from it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutcomeDistribution, StateVector, _checked_probabilities, tv_distance
+from .core import OutcomeDistribution, StateVector, _checked_probabilities
 from .errors import InvalidInputError
 from .measurement import BORN, ZERO_PROB_CUTOFF, ProbabilityRule, _transform_weights
 from .observables import Observable
@@ -84,30 +86,19 @@ def _alice_branches(
     return alice[live] / alice[live].sum(), _transform_weights(cells[live], rule)
 
 
-def _arm_probs(cells: np.ndarray, rule: ProbabilityRule) -> tuple[np.ndarray, np.ndarray]:
-    # Bob's with-Alice and without-Alice probabilities read off the cell
-    # weights W, unchecked.
+def _signaling_check(cells: np.ndarray, rule: ProbabilityRule) -> tuple:
+    # Bob's with-Alice and without-Alice probabilities read off W, by branch,
+    # each passing the check OutcomeDistribution runs, and their TV distance.
     weights, rows = _alice_branches(cells, rule)
-    mixed = (weights[:, None] * rows).sum(axis=0)
-    return mixed, _transform_weights(cells.sum(axis=0), rule)
-
-
-def _arms(cells: np.ndarray, rule: ProbabilityRule) -> tuple[OutcomeDistribution, ...]:
-    # Bob's with-Alice and without-Alice arms, labelled by his branch index.
-    labels = tuple(range(cells.shape[1]))
-    return tuple(OutcomeDistribution(labels, p) for p in _arm_probs(cells, rule))
-
-
-def _checked_gap(cells: np.ndarray, rule: ProbabilityRule) -> float:
-    # tv_distance of the two _arms, from their arrays: each arm passes the
-    # check OutcomeDistribution runs, and the labels are Bob's branch indices.
-    mixed, intact = (_checked_probabilities(p) for p in _arm_probs(cells, rule))
-    return float(0.5 * np.abs(mixed - intact).sum())
+    arms = (weights[:, None] * rows).sum(axis=0), _transform_weights(cells.sum(axis=0), rule)
+    mixed, intact = (_checked_probabilities(p) for p in arms)
+    return mixed, intact, float(0.5 * np.abs(mixed - intact).sum())
 
 
 def _bob_arms(scenario: TelepathyScenario) -> tuple[OutcomeDistribution, ...]:
     # Bob's with-Alice and without-Alice distributions from one W.
-    return _arms(_cell_weights(scenario), scenario.bob_rule)
+    arms = _signaling_check(_cell_weights(scenario), scenario.bob_rule)[:2]
+    return tuple(OutcomeDistribution(tuple(range(p.size)), p) for p in arms)
 
 
 def swap_parties(scenario: TelepathyScenario) -> TelepathyScenario:
@@ -134,7 +125,7 @@ def bob_distribution_without_alice(scenario: TelepathyScenario) -> OutcomeDistri
 
 def signaling_gap(scenario: TelepathyScenario) -> float:
     """Total variation distance between Bob's with-Alice and without-Alice arms."""
-    return tv_distance(*_bob_arms(scenario))
+    return _signaling_check(_cell_weights(scenario), scenario.bob_rule)[2]
 
 
 def _sample_counts(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:

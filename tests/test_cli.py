@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -274,6 +275,7 @@ def test_entropy_demo_skips_branch_below_psd_tol(tmp_path, capsys):
         "no equals sign here\n",
         "kind = telepathy\nstate = bell_pair\nrule = born\nq = 2\n",
         "kind = two_pointer\nstate = 0 0\nobs_a = sigma_z\nobs_b = sigma_x\n",
+        "kind = stern_gerlach\nomegas = 1e308 1\ndt = 10\n",  # omega * dt overflows
     ],
 )
 def test_malformed_scenarios_exit_2(tmp_path, capsys, body):
@@ -282,6 +284,32 @@ def test_malformed_scenarios_exit_2(tmp_path, capsys, body):
     code, _, err = run_cli(capsys, "run", str(path))
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize(
+    "kind, key, scaled, plain",
+    [
+        ("entropy_demo", "state", "1e-170 0", "1 0"),
+        ("entropy_demo", "state", "1e200 1e200i", "1 1i"),
+        ("entropy_demo", "state", "1e-160 1e-160i", "1 1i"),
+        ("ll_scheme", "target", "1e-170 1e-170", "1 1"),
+        ("ll_scheme", "target", "1e308 -1e308", "1 -1"),
+    ],
+)
+def test_amplitude_lists_beyond_the_float_range_are_normalised(tmp_path, capsys, kind, key,
+                                                                scaled, plain):
+    # Lists whose sum of squares under- or overflows give the records of the
+    # same list scaled into range, with no warning.
+    outs = []
+    for amps in (scaled, plain):
+        path = tmp_path / "scaled.scn"
+        path.write_text(f"kind = {kind}\n{key} = {amps}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "run", str(path), "--format", "records")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_missing_file_exit_2(capsys):
@@ -504,7 +532,8 @@ _JUNK = st.sampled_from(
      "asymmetric(", "asymmetric(2)", "asymmetric(nan)", "\t", "é", "1_0"]
 )
 _AMPS = st.lists(
-    st.sampled_from(["0", "1", "-1", "0.5", "0.6", "0.8i", "0.5-0.5i", "1e-9", "3"]),
+    st.sampled_from(["0", "1", "-1", "0.5", "0.6", "0.8i", "0.5-0.5i", "1e-9", "3", "1e200",
+                     "1e-170"]),
     min_size=1, max_size=4,
 ).map(" ".join)
 _STATE = st.one_of(
@@ -522,7 +551,7 @@ _OBS = st.one_of(
     st.sampled_from(["sigma_z", "sigma_x", "sigma_y", "matrix", "spin"]),
     _MATRIX.map(lambda m: f"matrix {m}"),
 )
-_NUMBERS = st.lists(st.sampled_from(["-1", "0", "0.5", "1", "2", "1e3"]), min_size=1,
+_NUMBERS = st.lists(st.sampled_from(["-1", "0", "0.5", "1", "2", "1e3", "1e308"]), min_size=1,
                     max_size=4).map(" ".join)
 
 
@@ -561,7 +590,7 @@ _KIND_FIELDS = {
     "epr": [_maybe(_observable("obs_b"))],
     "stern_gerlach": [_maybe(_line("state", _STATE)), _maybe(_observable("obs")),
                       _maybe(_line("omegas", _NUMBERS)),
-                      _maybe(_line("dt", st.sampled_from(["1", "0.7", "0", "-1"])))],
+                      _maybe(_line("dt", st.sampled_from(["1", "0.7", "0", "-1", "1e308"])))],
     "ll_scheme": [_maybe(_line("state", _STATE)), _maybe(_observable("obs")),
                   _maybe(_line("target", _STATE)), _rarely(_line("target_dims", _DIMS))],
     "telepathy": [_line("state", st.one_of(st.just("bell_pair"), _STATE)),
@@ -595,10 +624,13 @@ _SCENARIO_TEXT = st.sampled_from(KINDS).flatmap(
 )
 @given(_SCENARIO_TEXT)
 def test_scenario_parser_fuzz_exits_cleanly(tmp_path, text):
-    # Any scenario text ends with exit 0, 2 or 3, never with an exception.
+    # Any scenario text ends with exit 0, 2 or 3, never with an exception, and
+    # without a RuntimeWarning (CI runs the suite with them as errors).
     path = tmp_path / "fuzz.scn"
     path.write_text(text, encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["run", str(path), "--format", "records"])
     assert code in (0, 2, 3)
 
@@ -739,7 +771,8 @@ def _perturb_oracle_cells(original):
 
 def _near_born_gap(original):
     # Bob's arms computed with q = 1 + 1e-6 where verify asks for Born.
-    return lambda cells, rule: original(cells, measurement.ProbabilityRule(1 + 1e-6))
+    return lambda cells, rule: original(
+        cells, measurement.ProbabilityRule(1 + 1e-6) if rule.is_born else rule)
 
 
 def _drop_last_branch(original):
@@ -755,6 +788,41 @@ def _drop_last_branch(original):
     return mutant
 
 
+def _negate_final_state(original):
+    # The one-pointer final state with its sign flipped; the joint is unchanged.
+    def mutant(setup):
+        final, joint = original(setup)
+        return pointer.StateVector(final.dims, -final.amps), joint
+
+    return mutant
+
+
+def _other_arm(original):
+    # The Monte Carlo channel draws the arm of the other bit.
+    return lambda scenario, bit, shots, rng: original(scenario, 1 - bit, shots, rng)
+
+
+def _shift_born_mass(original):
+    # Moves 1e-9 of probability from outcome 1 to outcome 0.
+    def mutant(rule, state, obs):
+        dist = original(rule, state, obs)
+        probs = dist.probs.copy()
+        probs[:2] += (1e-9, -1e-9)
+        return measurement.OutcomeDistribution(dist.labels, probs)
+
+    return mutant
+
+
+def _patch_everywhere(monkeypatch, name, mutant):
+    # Replaces the function name, looked up in its home module, with
+    # mutant(original) in every module that binds it.
+    modules = (pointer, measurement, signaling, cli, scenario)
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, mutant(original))
+
+
 # One mutant per property; each must FAIL its own property and no other.
 # Equivalent mutants, listed and not tested: W transposed in the Born arms
 # (verify checks both directions, and Born signals in neither); entropies in
@@ -766,24 +834,72 @@ def _drop_last_branch(original):
     [
         ("run_one_pointer", _rescale_one_pointer_rows, "scheme_agreement"),
         ("brute_force_joint", _perturb_oracle_cells, "oracle_agreement"),
-        ("_shared_born_rows", lambda original: lambda *a: original(*a) + 1e-9,
+        ("_born_rows", lambda original: lambda *a: original(*a) + 1e-9,
          "projection_equivalence"),
-        ("_checked_gap", _near_born_gap, "no_signaling_born"),
+        ("_signaling_check", _near_born_gap, "no_signaling_born"),
         ("_classical_branches", _drop_last_branch, "entropy_monotonicity"),
+        ("run_one_pointer", _negate_final_state, "epr_reproduction"),
+        ("channel_simulation", _other_arm, "telepathy_witness"),
+        ("rule_probabilities", _shift_born_mass, "born_marginals"),
     ],
 )
 def test_each_pointer_property_fails_on_its_defect(capsys, monkeypatch, name, mutant, prop):
     # Two shares per battery: the mutant must reach the forked children too.
     set_workers(monkeypatch, 2)
-    original = getattr(cli, name)
-    for module in (pointer, measurement, signaling, cli, scenario):
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, mutant(original))
+    _patch_everywhere(monkeypatch, name, mutant)
     code, out, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
     assert code == 1
     failed = [l.split()[0] for l in out.splitlines() if l.endswith("FAIL")]
     assert failed == [prop]
     assert "verify: 1 of 9 properties FAILED" in out
+
+
+def _offset(index, delta):
+    # The kernel's result with delta added to its item index: to each entry
+    # of a list, to a float.
+    def mutant(original):
+        def shifted(*args):
+            out = list(original(*args))
+            item = out[index]
+            out[index] = [x + delta for x in item] if isinstance(item, list) else item + delta
+            return tuple(out)
+
+        return shifted
+
+    return mutant
+
+
+# Each claim's kernel with one output shifted: verify's property and the
+# matching record of `run` on a preset both move, because both commands
+# compute the deviation in that one function.  Entropy's slack is H(p), up to
+# a few bits, so its selective average moves by one bit.
+@pytest.mark.parametrize(
+    "name, index, delta, prop, preset, key",
+    [
+        ("_pointer_check", 2, 1e-9, "projection_equivalence", "two_pointer_zx",
+         "max_projection_deviation"),
+        ("_signaling_check", 2, 1e-9, "no_signaling_born", "telepathy_born", "signaling_gap"),
+        ("_entropy_check", 3, 1.0, "entropy_monotonicity", "entropy_demo",
+         "entropy_selective_avg"),
+        ("_target_check", 1, 1e-9, "ll_channel_invariance", "ll_preparation",
+         "max_target_deviation"),
+    ],
+)
+def test_run_and_verify_share_each_claims_kernel(capsys, monkeypatch, name, index, delta, prop,
+                                                 preset, key):
+    def record():
+        code, out, _ = run_cli(capsys, "run", preset, "--format", "records")
+        assert code == 0
+        return dict(line.split("=", 1) for line in out.splitlines())[key]
+
+    before = record()
+    set_workers(monkeypatch, 1)
+    _patch_everywhere(monkeypatch, name, _offset(index, delta))
+    code, out, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
+    assert code == 1
+    failed = [l.split()[0] for l in out.splitlines() if l.endswith("FAIL")]
+    assert failed == [prop]
+    assert record() != before
 
 
 def _shifted_coupling(offset):

@@ -384,10 +384,10 @@ def test_classical_blocks_built_once_per_state(monkeypatch):
         return _classical_branches(rho, obs, rule, branches)
 
     monkeypatch.setattr(cli, "_verify_workers", lambda trials: 1)  # one inline share
-    # measurement too, so a caller going back to classical_selective per
+    # Patched in measurement, the home of the entropy kernel and of
+    # classical_selective, so a caller going back to classical_selective per
     # branch would be counted once per branch.
-    for module in (measurement, cli, scenario):
-        monkeypatch.setattr(module, "_classical_branches", counting)
+    monkeypatch.setattr(measurement, "_classical_branches", counting)
     text = "kind = entropy_demo\nstate = 0.6 0.8\n"
     records = dict(scenario.run_scenario(scenario.parse_scenario(text, "tilted")))
     assert len(calls) == 1
@@ -434,7 +434,7 @@ def test_one_eigvalsh_per_density_in_entropy_demo(monkeypatch):
         return float(-(pos * np.log2(pos)).sum())
 
     with monkeypatch.context() as patch:
-        patch.setattr(scenario, "von_neumann_entropy", recomputing)
+        patch.setattr(measurement, "von_neumann_entropy", recomputing)
         recomputed = scenario.run_scenario(scenario.parse_scenario(text, "demo"))
     assert [r for r in cached if r[0].startswith("entropy_")] == [
         r for r in recomputed if r[0].startswith("entropy_")

@@ -32,9 +32,9 @@ from bornsim.observables import Observable
 from bornsim.pointer import (
     POINTER_STATE_MAX_AMPS,
     _couple,
-    _evolve_checked,
+    _oracle_gap,
+    _pointer_check,
     _projection_deviation,
-    _shared_born_rows,
 )
 from bornsim.rand import random_observable, random_state, random_unitary
 
@@ -232,21 +232,23 @@ def test_projection_equivalence_report(rng):
 
 
 def test_evolve_checked_matches_the_public_readouts(rng):
-    # One evolution gives what the public report, the oracle and the twin
-    # two-pointer run give separately, bit for bit.
+    # One evolution in the pointer kernel gives what the public report, the
+    # oracle and the twin two-pointer run give separately, bit for bit.
     for _ in range(6):
         d = int(rng.integers(2, 6))
         state, obs_a, obs_b = _random_pair(rng, d, degenerate=(d >= 3))
         two = two_pointer_setup(state, obs_a, obs_b, obs_a.branch_count + 1)
         one = one_pointer_setup(state, obs_a, obs_b)
-        final, joint, deviation, cross = _evolve_checked(two)
+        (final,), (joint,), (deviation,), _ = _pointer_check(two)
         assert np.array_equal(final.amps, run_two_pointer(two)[0].amps)
         assert deviation == projection_equivalence_report(two)
+        cross = _oracle_gap(two, joint)
         assert cross == np.max(np.abs(joint.probs - brute_force_joint(two).probs))
-        final, joint, deviation, cross = _evolve_checked(one)
+        twin = two_pointer_setup(state, obs_a, obs_b)
+        (_, final), (_, joint), (_, deviation), cross = _pointer_check(twin, one)
         assert np.array_equal(final.amps, run_one_pointer(one)[0].amps)
         assert deviation == projection_equivalence_report(one)
-        twin = run_two_pointer(two_pointer_setup(state, obs_a, obs_b))[1]
+        twin = run_two_pointer(twin)[1]
         assert cross == np.max(np.abs(joint.probs - twin.probs))
 
 
@@ -308,14 +310,14 @@ def test_batched_projection_deviation_equals_the_branch_loop(seed):
 
 @pytest.mark.parametrize("seed", range(24))
 def test_shared_born_rows_give_each_joint_its_own_deviation(seed):
-    # Born rows taken once over the live rows of a two- and a one-pointer
-    # joint give each joint's own projection deviation, bit for bit.
+    # Born rows taken once by the pointer kernel over the live rows of a two-
+    # and a one-pointer joint give each joint's own projection deviation, bit
+    # for bit.
     setups = _random_setups(seed)
     for two, one in ((setups[0], setups[2]), (setups[1], setups[3])):
-        joint_two, joint_one = run_two_pointer(two)[1], run_one_pointer(one)[1]
-        born = _shared_born_rows(two, joint_two, joint_one)
-        assert _projection_deviation(two, joint_two, born) == _projection_deviation(two, joint_two)
-        assert _projection_deviation(one, joint_one, born) == _projection_deviation(one, joint_one)
+        _, (joint_two, joint_one), (dev_two, dev_one), _ = _pointer_check(two, one)
+        assert dev_two == _projection_deviation(two, joint_two)
+        assert dev_one == _projection_deviation(one, joint_one)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -9,6 +9,7 @@ from bornsim import (
     BORN,
     ZERO_PROB_CUTOFF,
     InvalidInputError,
+    OutcomeDistribution,
     TelepathyScenario,
     basis_state,
     bob_distribution_with_alice,
@@ -25,7 +26,7 @@ from bornsim import (
     tensor,
     tv_distance,
 )
-from bornsim import signaling
+from bornsim import scenario as scenario_module, signaling
 from bornsim.presets import observable_preset, state_preset
 from bornsim.rand import random_observable, random_state, random_unitary
 from bornsim.scenario import parse_scenario, run_scenario
@@ -33,11 +34,10 @@ from bornsim.measurement import _transform_weights
 from bornsim.signaling import (
     MAX_SHOTS,
     _alice_branches,
-    _arms,
     _bob_arms,
     _cell_weights,
-    _checked_gap,
     _sample_counts,
+    _signaling_check,
 )
 
 SIGMA_Z = observable_preset("sigma_z")
@@ -126,9 +126,9 @@ def test_swapped_arms_read_off_the_transposed_cells(q):
             random_observable(rng, (d1,), degenerate=(d1 >= 3 and t % 3 == 0)),
             nonborn_exponent(q),
         )
-        swapped = _arms(_cell_weights(scenario).T, scenario.bob_rule)
+        swapped = _signaling_check(_cell_weights(scenario).T, scenario.bob_rule)[:2]
         for got, want in zip(swapped, _bob_arms(swap_parties(scenario))):
-            assert np.max(np.abs(got.probs - want.probs)) <= 1e-14
+            assert np.max(np.abs(got - want.probs)) <= 1e-14
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 0.5, 30.0])
@@ -144,28 +144,33 @@ def test_checked_gap_is_the_tv_distance_of_the_arms(q):
             random_observable(rng, (d1,)),
         ))
         for w in (cells, cells.T):
-            rule = nonborn_exponent(q)
-            assert _checked_gap(w, rule) == tv_distance(*_arms(w, rule))
+            with_alice, without_alice, gap = _signaling_check(w, nonborn_exponent(q))
+            labels = tuple(range(w.shape[1]))
+            arms = [OutcomeDistribution(labels, p) for p in (with_alice, without_alice)]
+            assert gap == tv_distance(*arms)
 
 
 def test_checked_gap_checks_each_arm(monkeypatch):
     # Each arm passes the check OutcomeDistribution runs, so an arm off
     # normalisation raises as the labelled arm would.
     cells = _cell_weights(_witness())
-    original = signaling._arm_probs
+    branches, transform = signaling._alice_branches, signaling._transform_weights
 
-    for arm in (0, 1):
+    def off_mixed(*args):  # Alice's branch weights, mixed into the with-Alice arm
+        weights, rows = branches(*args)
+        return weights * (1 + 1e-9), rows
 
-        def off(*args, arm=arm):
-            probs = list(original(*args))
-            probs[arm] = probs[arm] * (1 + 1e-9)
-            return tuple(probs)
+    def off_intact(weights, rule):  # Bob's rule on the intact state's weights
+        probs = transform(weights, rule)
+        return probs * (1 + 1e-9) if probs.ndim == 1 else probs
 
-        monkeypatch.setattr(signaling, "_arm_probs", off)
-        with pytest.raises(InvalidInputError, match="probabilities sum to"):
-            _arms(cells, BORN)
-        with pytest.raises(InvalidInputError, match="probabilities sum to"):
-            _checked_gap(cells, BORN)
+    for name, off in (("_alice_branches", off_mixed), ("_transform_weights", off_intact)):
+        with monkeypatch.context() as patch:
+            patch.setattr(signaling, name, off)
+            with pytest.raises(InvalidInputError, match="probabilities sum to"):
+                _bob_arms(_witness(1.0))
+            with pytest.raises(InvalidInputError, match="probabilities sum to"):
+                _signaling_check(cells, BORN)
 
 
 @settings(max_examples=100, deadline=None)
@@ -513,7 +518,9 @@ def test_cell_weights_computed_once_per_evaluation(monkeypatch):
         calls.append(scenario)
         return _cell_weights(scenario)
 
-    monkeypatch.setattr(signaling, "_cell_weights", counting)
+    # The telepathy runner calls the signaling kernel on its own W.
+    for module in (signaling, scenario_module):
+        monkeypatch.setattr(module, "_cell_weights", counting)
     scenario = TelepathyScenario(WITNESS_STATE, SIGMA_Z, SIGMA_Z, nonborn_exponent(2.0))
     signaling_gap(scenario)
     assert len(calls) == 1
