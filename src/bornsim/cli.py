@@ -109,8 +109,11 @@ def _render_table(records) -> str:
 def cmd_run(args) -> int:
     name = args.scenario
     if os.path.isfile(name):
-        with open(name, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(name, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioParseError(f"cannot read {name}: {exc}")
         source = os.path.splitext(os.path.basename(name))[0]
     elif name in SCENARIO_PRESETS:
         text = scenario_preset_text(name)

@@ -11,6 +11,9 @@ demonstrated.  The family is deterministic on eigenstates for every q and is
 defined on pure states; ensembles are handled by weighted mixing of the
 per-member distributions.  _entropy_check and _target_check implement the
 entropy and state-preparation claims once, for `bornsim verify` and `run`.
+ll_channel checks each post-measurement operator with Operator.is_unitary,
+and state preparation steers each collapsed branch to the target with one
+Householder reflection, so this module factors no matrix.
 """
 
 from __future__ import annotations
@@ -166,19 +169,11 @@ def ll_channel(
         raise InvalidInputError(
             f"{len(post_unitaries)} unitaries for {obs.branch_count} branches"
         )
-    # One stacked Gram product checks every operator before the first with wrong
-    # dims; the first failure in operator order is reported (a NaN Gram fails).
-    fit = next((n for n, u in enumerate(post_unitaries) if u.dims != state.dims),
-               len(post_unitaries))
-    if fit:
-        stack = np.stack([u.entries for u in post_unitaries[:fit]])
-        gram = stack.conj().transpose(0, 2, 1) @ stack - np.eye(state.dim)
-        bad = np.flatnonzero(~(np.abs(gram).max(axis=(1, 2)) <= UNITARY_TOL))
-        if bad.size:
-            raise NotUnitaryError(f"post-measurement operator {bad[0]} is not unitary")
-    if fit < len(post_unitaries):
-        u = post_unitaries[fit]
-        raise InvalidInputError(f"unitary {fit} dims {u.dims} != {state.dims}")
+    for n, u in enumerate(post_unitaries):
+        if u.dims != state.dims:
+            raise InvalidInputError(f"unitary {n} dims {u.dims} != {state.dims}")
+        if not u.is_unitary(UNITARY_TOL):
+            raise NotUnitaryError(f"post-measurement operator {n} is not unitary")
     weights = branch_weights(state, obs)
     live = np.flatnonzero(weights > ZERO_PROB_CUTOFF)
     return [
@@ -188,30 +183,27 @@ def ll_channel(
     ]
 
 
-def _orthonormal_completion(v: np.ndarray) -> np.ndarray:
-    # Unitary matrix whose first column is exactly v (v must be unit norm).
-    d = v.size
-    x = np.concatenate([v[:, None], np.eye(d, dtype=complex)], axis=1)
-    q = np.linalg.qr(x)[0].copy()
-    q[:, 0] = v  # same span as column 0, minus QR's arbitrary phase
-    return q
-
-
 def state_preparation_unitaries(
     state: StateVector, obs: Observable, target: StateVector
 ) -> list[Operator]:
     """Per-branch unitaries sending every surviving collapsed state to target.
 
     Feeding these to ll_channel makes the channel output independent of the
-    observed branch.  Dead branches get the identity.
+    observed branch.  Live branch n gets one phase-aligned Householder
+    reflection: with a = arg<target|x_n> and w = x_n + e^{ia} target,
+    U_n = (2 w w^dag / ||w||^2 - 1) e^{-ia}, where ||w||^2 >= 2.  Dead
+    branches get the identity.
     """
     if target.dims != state.dims:
         raise InvalidInputError(f"target dims {target.dims} != {state.dims}")
     live = np.flatnonzero(branch_weights(state, obs) > ZERO_PROB_CUTOFF)
-    to_target = _orthonormal_completion(target.amps)
-    out = [Operator(state.dims, np.eye(state.dim))] * obs.branch_count
+    eye = np.eye(state.dim)
+    out = [Operator(state.dims, eye)] * obs.branch_count
     for n, x in zip(live.tolist(), _collapsed(state, obs, live).T):
-        out[n] = Operator(state.dims, to_target @ _orthonormal_completion(x).conj().T)
+        phase = np.exp(1j * np.angle(np.vdot(target.amps, x)))
+        w = x + phase * target.amps
+        reflection = (2.0 / np.vdot(w, w).real) * np.outer(w, w.conj()) - eye
+        out[n] = Operator(state.dims, reflection * phase.conjugate())
     return out
 
 

@@ -140,21 +140,25 @@ def _check_family(stack: np.ndarray) -> None:
     # Within PROJ_TOL: each projector Hermitian and idempotent, each pair i < j
     # orthogonal, the sum the identity; the first failure in that order is
     # reported.  One product per branch, P_i @ [P_i, ..., P_{k-1}], gives P_i P_j.
-    herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    devs = []
-    for i in range(len(stack)):
-        prods = stack[i] @ stack[i:]
-        prods[0] -= stack[i]
-        devs.append(np.abs(prods).max(axis=(1, 2)))
+    # Near the float limit a deviation overflows to inf, or to nan (inf - inf)
+    # inside a sum; each test is written so that nan fails it, as inf does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        devs = []
+        for i in range(len(stack)):
+            prods = stack[i] @ stack[i:]
+            prods[0] -= stack[i]
+            devs.append(np.abs(prods).max(axis=(1, 2)))
+        total = np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max()
     for i, dev in enumerate(devs):
-        if max(herm[i], dev[0]) > PROJ_TOL:
+        if not (herm[i] <= PROJ_TOL and dev[0] <= PROJ_TOL):
             bad = "Hermitian" if herm[i] > PROJ_TOL else "idempotent"
             raise InvalidProjectorFamilyError(f"projector is not {bad}")
     for i, dev in enumerate(devs):
-        if dev.max() > PROJ_TOL:
-            j = i + int(np.argmax(dev > PROJ_TOL))
+        if not dev.max() <= PROJ_TOL:
+            j = i + int(np.argmax(~(dev <= PROJ_TOL)))
             raise InvalidProjectorFamilyError(f"projectors {i} and {j} are not orthogonal")
-    if np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max() > PROJ_TOL:
+    if not total <= PROJ_TOL:
         raise InvalidProjectorFamilyError("projectors do not sum to identity")
 
 
@@ -199,12 +203,17 @@ def observable_from_matrix(
     else:
         m = np.asarray(h, dtype=complex)
         op = Operator(dims if dims is not None else (m.shape[0],), m)
-    if not op.is_hermitian():
-        dev = float(np.abs(op.entries - op.entries.conj().T).max())
-        raise NotHermitianError(f"matrix deviates from Hermitian by {dev!r}")
-    evals, evecs = np.linalg.eigh(op.entries)
-    labels = np.concatenate([[0], np.cumsum(np.diff(evals) >= degeneracy_tol)])
-    means = (float(np.mean(evals[labels == i])) for i in range(labels[-1] + 1))
+    # Near the float limit an asymmetry or a gap overflows to inf, and a
+    # cluster whose sum overflows is summed in parts of 1/size instead.
+    with np.errstate(over="ignore"):
+        if not op.is_hermitian():
+            dev = float(np.abs(op.entries - op.entries.conj().T).max())
+            raise NotHermitianError(f"matrix deviates from Hermitian by {dev!r}")
+        evals, evecs = np.linalg.eigh(op.entries)
+        labels = np.concatenate([[0], np.cumsum(np.diff(evals) >= degeneracy_tol)])
+        clusters = [evals[labels == i] for i in range(labels[-1] + 1)]
+        means = [float(np.mean(c)) for c in clusters]
+    means = [m if isfinite(m) else float(np.sum(c / c.size)) for m, c in zip(means, clusters)]
     return Observable(op.dims, tuple(means), evecs, labels)
 
 

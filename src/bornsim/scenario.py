@@ -176,7 +176,7 @@ def _resolve_state(fields: dict, key: str = "state", default: str | None = None)
     if dims_value is None:
         dims = (amps.size,)
     else:
-        dims = tuple(_parse_int(tok, key + "_dims") for tok in dims_value.split())
+        dims = tuple(_parse_int(tok, key + "_dims", least=1) for tok in dims_value.split())
     if int(np.prod(dims)) != amps.size:
         raise ScenarioParseError(
             f"field '{key}_dims': product {dims} does not match "

@@ -95,12 +95,6 @@ def _signaling_check(cells: np.ndarray, rule: ProbabilityRule) -> tuple:
     return mixed, intact, float(0.5 * np.abs(mixed - intact).sum())
 
 
-def _bob_arms(scenario: TelepathyScenario) -> tuple[OutcomeDistribution, ...]:
-    # Bob's with-Alice and without-Alice distributions from one W.
-    arms = _signaling_check(_cell_weights(scenario), scenario.bob_rule)[:2]
-    return tuple(OutcomeDistribution(tuple(range(p.size)), p) for p in arms)
-
-
 def swap_parties(scenario: TelepathyScenario) -> TelepathyScenario:
     """Mirror the scenario so the former Bob side becomes the measuring party."""
     d0, d1 = scenario.state.dims
@@ -115,12 +109,14 @@ def swap_parties(scenario: TelepathyScenario) -> TelepathyScenario:
 
 def bob_distribution_with_alice(scenario: TelepathyScenario) -> OutcomeDistribution:
     """Bob's outcome distribution after Alice has measured (mixture semantics)."""
-    return _bob_arms(scenario)[0]
+    p = _signaling_check(_cell_weights(scenario), scenario.bob_rule)[0]
+    return OutcomeDistribution(tuple(range(p.size)), p)
 
 
 def bob_distribution_without_alice(scenario: TelepathyScenario) -> OutcomeDistribution:
     """Bob's outcome distribution on the intact global state."""
-    return _bob_arms(scenario)[1]
+    p = _signaling_check(_cell_weights(scenario), scenario.bob_rule)[1]
+    return OutcomeDistribution(tuple(range(p.size)), p)
 
 
 def signaling_gap(scenario: TelepathyScenario) -> float:

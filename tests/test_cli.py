@@ -172,6 +172,42 @@ def test_non_hermitian_matrix_is_invariant_violation(tmp_path, capsys):
     assert "invariant violation [NotHermitianError]" in err
 
 
+@pytest.mark.parametrize(
+    "obs_a, code, want",
+    [
+        ("matrix 1e308 0; 0 -1e308", 0, "eigenvalue_a.0=-1e+308\neigenvalue_a.1=1e+308\n"),
+        ("matrix 1e308 0; 0 1e308", 0, "eigenvalue_a.0=1e+308\n"),
+        ("matrix -1e308 0; 0 -1e308", 0, "eigenvalue_a.0=-1e+308\n"),
+        ("matrix 1e308 1e308; -1e308 1e308", 3,
+         "invariant violation [NotHermitianError]: matrix deviates from Hermitian by inf\n"),
+        ("branches\nobs_a.eigenvalues = 0 1\nobs_a.projector.0 = 1e308 0; 0 0\n"
+         "obs_a.projector.1 = 0 0; 0 1", 3,
+         "invariant violation [InvalidProjectorFamilyError]: projector is not idempotent\n"),
+        # P_0 P_0 holds inf - inf = nan, which must fail like inf.
+        ("branches\nobs_a.eigenvalues = 0 1\nobs_a.projector.0 = 1e308 1e308; 1e308 -1e308\n"
+         "obs_a.projector.1 = 0 0; 0 1", 3,
+         "invariant violation [InvalidProjectorFamilyError]: projector is not idempotent\n"),
+    ],
+    ids=["gap", "cluster", "negative_cluster", "asymmetry", "family_inf", "family_nan"],
+)
+def test_matrices_near_the_float_limit(tmp_path, capsys, obs_a, code, want):
+    # Entries near the float limit overflow a gap, a cluster sum, an
+    # asymmetry or a projector product: valid matrices keep their
+    # eigenvalues, invalid ones fail with their usual message, and no
+    # RuntimeWarning is raised on the way.
+    path = tmp_path / "limit.scn"
+    path.write_text(f"kind = two_pointer\nstate = plus\nobs_a = {obs_a}\nobs_b = sigma_x\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, out, err = run_cli(capsys, "run", str(path), "--format", "records")
+    assert got == code
+    if code:
+        assert out == "" and err == want
+    else:
+        assert err == "" and "".join(l + "\n" for l in out.splitlines()
+                                     if l.startswith("eigenvalue_a.")) == want
+
+
 def test_large_exponent_does_not_underflow(tmp_path, capsys):
     # 0.36**2000 and 0.64**2000 both underflow to 0 unless the weights are
     # rescaled before the exponent is applied.
@@ -316,6 +352,15 @@ def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "run", "no/such/file.scn")
     assert code == 2
     assert "no such file or preset" in err
+
+
+def test_unreadable_file_exit_2(tmp_path, capsys):
+    # A scenario file that is not UTF-8 is malformed input, not a traceback.
+    path = tmp_path / "bad.scn"
+    path.write_bytes(b"kind = epr\n\xff\xfe\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"parse error: cannot read {path}: ")
 
 
 def test_presets_listing(capsys):
@@ -511,6 +556,7 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
         ("pointer2_size", "kind = two_pointer\nstate = plus\nobs_a = sigma_z\n"
                           "obs_b = sigma_x\npointer2_size = -1\n"),
         ("target", "kind = ll_scheme\nstate = plus\ntarget = 1 0 0\n"),
+        ("state_dims", "kind = entropy_demo\nstate = 1 0 0 1\nstate_dims = -2 -2\n"),
     ],
 )
 def test_size_mismatches_are_parse_errors(tmp_path, capsys, key, body):
@@ -541,11 +587,13 @@ _STATE = st.one_of(
                      "asymmetric(0.36)", "asymmetric(1)", "nowhere"]),
     _AMPS,
 )
-_DIMS = st.lists(st.sampled_from("012234"), min_size=1, max_size=3).map(" ".join)
+_DIMS = st.lists(st.sampled_from(["0", "1", "2", "2", "3", "4", "-2"]), min_size=1,
+                 max_size=3).map(" ".join)
 _MATRIX = st.sampled_from(
     ["1 0; 0 -1", "0 1; 1 0", "1 0; 0 0", "0 0; 0 1", "1 0; 0 1", "1 2; 3 4",
      "0 -1i; 1i 0", "1 0 0; 0 2 0; 0 0 2", "1 0 0 0; 0 1 0 0; 0 0 -1 0; 0 0 0 -1",
-     "0.5 0.5; 0.5 0.5", "1 0; 0", "nan 0; 0 1"]
+     "0.5 0.5; 0.5 0.5", "1 0; 0", "nan 0; 0 1", "1e308 0; 0 -1e308", "-1e308 0; 0 -1e308",
+     "1e308 1e308; -1e308 1e308"]
 )
 _OBS = st.one_of(
     st.sampled_from(["sigma_z", "sigma_x", "sigma_y", "matrix", "spin"]),
@@ -655,10 +703,10 @@ def _set_haar_stack_amps(monkeypatch, amps):
         monkeypatch.setattr(module, "HAAR_STACK_AMPS", amps)
 
 
-def _stacked_qr_calls(monkeypatch):
+def _qr_calls(monkeypatch):
     # (battery stream, stack size, matrix size) of every stacked np.linalg.qr
-    # call; the per-branch 2-D QRs of state preparation are not counted.
-    calls, battery = [], [None]
+    # call, and (battery stream, shape) of every 2-D one.
+    calls, flat, battery = [], [], [None]
 
     def tracking(row, *args, original=cli._run_battery):
         battery[0] = row.stream
@@ -670,11 +718,13 @@ def _stacked_qr_calls(monkeypatch):
     def recording(a, original=rand.np.linalg.qr):
         if a.ndim == 3:
             calls.append((battery[0], *a.shape[:2]))
+        else:
+            flat.append((battery[0], a.shape))
         return original(a)
 
     monkeypatch.setattr(cli, "_run_battery", tracking)
     monkeypatch.setattr(rand.np.linalg, "qr", recording)
-    return calls
+    return calls, flat
 
 
 @pytest.mark.parametrize("seed", ["3", "1234"])
@@ -693,9 +743,10 @@ def test_haar_batching_does_not_change_verify_output(capsys, monkeypatch, seed):
 
 def test_default_verify_stacks_one_qr_per_size_per_battery(capsys, monkeypatch):
     set_workers(monkeypatch, 1)
-    calls = _stacked_qr_calls(monkeypatch)
+    calls, flat = _qr_calls(monkeypatch)
     code, _, _ = run_cli(capsys, "verify")
     assert code == 0
+    assert flat == []  # state preparation reflects, it factors nothing
     sizes = {stream: sorted(d for s, _, d in calls if s == stream) for stream in (1, 2, 4, 5)}
     assert sizes == {1: [2, 3, 4, 5, 6], 2: [2, 3, 4], 4: list(range(2, 9)), 5: [2, 3, 4, 5, 6]}
     # 200 + 200 + 50 + 50 observables and 129 LL unitaries: the 1029 QRs the
@@ -711,7 +762,7 @@ def test_stacked_qr_stays_within_the_amplitude_budget(capsys, monkeypatch):
     # holds.  Trials are drawn ahead only until the budget is reached, and a
     # stack takes at most the budget or one matrix.
     set_workers(monkeypatch, 1)
-    calls, flushed = _stacked_qr_calls(monkeypatch), []
+    (calls, _), flushed = _qr_calls(monkeypatch), []
 
     def recording(ginibres, original=cli._haar):
         flushed.append(sum(z.size for z in ginibres))

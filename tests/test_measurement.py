@@ -31,7 +31,7 @@ from bornsim import (
     von_neumann_entropy,
 )
 from bornsim import cli, core, measurement, scenario
-from bornsim.measurement import _classical_branches, _orthonormal_completion, _transform_weights
+from bornsim.measurement import _classical_branches, _transform_weights
 from bornsim.rand import random_observable, random_state, random_unitary
 
 SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
@@ -276,13 +276,51 @@ def test_batched_collapse_equals_a_per_branch_collapse(seed):
         got = project_update(state, obs, n).amps
         assert np.max(np.abs(got - _collapse_reference(state, obs, n))) <= 1e-14
     target = random_state(rng, (d,))
-    to_target = _orthonormal_completion(target.amps)
     for n, u in enumerate(state_preparation_unitaries(state, obs, target)):
         if n not in live:
             assert np.array_equal(u.entries, np.eye(d))
             continue
-        from_collapsed = _orthonormal_completion(_collapse_reference(state, obs, n))
-        assert np.max(np.abs(u.entries - to_target @ from_collapsed.conj().T)) <= 1e-14
+        want = _reflection_reference(_collapse_reference(state, obs, n), target.amps)
+        assert np.max(np.abs(u.entries - want)) <= 1e-14
+
+
+def _reflection_reference(x, target):
+    # Oracle: the phase-aligned Householder reflection e^{-ia} (2 w w^dag /
+    # ||w||^2 - 1), w = x + e^{ia} target, with ||w||^2 = 2 (1 + |<target|x>|).
+    overlap = np.vdot(target, x)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    w = x + phase * target
+    return (np.outer(w, w.conj()) / (1.0 + abs(overlap)) - np.eye(x.size)) / phase
+
+
+@pytest.mark.parametrize("case", ["random", "phased", "one_eigenspace"])
+def test_state_preparation_reflections_are_unitary_and_hit_the_target(case):
+    # d = 2..64.  "phased" takes target = e^{ia} x_0, so every other live
+    # branch is orthogonal to the target; "one_eigenspace" puts the state in
+    # one branch, so every other branch is dead.
+    for d in range(2, 65):
+        rng = np.random.default_rng([d, 17, len(case)])
+        obs = random_observable(rng, (d,), degenerate=(d % 2 == 1))
+        state, target = random_state(rng, (d,)), random_state(rng, (d,))
+        if case == "one_eigenspace":
+            k = int(rng.integers(obs.branch_count))
+            state = StateVector((d,), _collapse_reference(state, obs, k))
+        weights = branch_weights(state, obs)
+        live = [n for n in range(obs.branch_count) if weights[n] > ZERO_PROB_CUTOFF]
+        if case == "phased":
+            phase = np.exp(1j * rng.uniform(-np.pi, np.pi))
+            target = StateVector((d,), phase * _collapse_reference(state, obs, live[0]))
+        unitaries = state_preparation_unitaries(state, obs, target)
+        assert len(unitaries) == obs.branch_count
+        for n, u in enumerate(unitaries):
+            if n not in live:
+                assert np.array_equal(u.entries, np.eye(d))
+                continue
+            assert np.max(np.abs(u.entries.conj().T @ u.entries - np.eye(d))) <= 1e-13
+            x = _collapse_reference(state, obs, n)
+            assert np.max(np.abs(u.entries @ x - target.amps)) <= 1e-13
+        if case == "one_eigenspace":
+            assert len(live) == 1
 
 
 class TestPhaseUnitaries:
@@ -320,6 +358,16 @@ class TestStatePreparation:
             basis_state(2, 0), SIGMA_Z, basis_state(2, 1)
         )
         np.testing.assert_allclose(unitaries[0].entries, np.eye(2), atol=1e-15)
+
+    def test_exactly_orthogonal_target(self):
+        # <target|x_n> = 0 exactly on one branch: arg 0 = 0, and the
+        # reflection through w = x_n + target still swaps them.
+        up = basis_state(2, 0)
+        overlaps = [np.vdot(up.amps, project_update(PLUS, SIGMA_Z, n).amps) for n in (0, 1)]
+        assert 0.0 in overlaps
+        unitaries = state_preparation_unitaries(PLUS, SIGMA_Z, up)
+        for rec in ll_channel(PLUS, SIGMA_Z, unitaries):
+            assert np.max(np.abs(rec.post_state.amps - up.amps)) <= 1e-15
 
     def test_target_dims_mismatch(self):
         with pytest.raises(InvalidInputError):

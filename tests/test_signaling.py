@@ -34,7 +34,6 @@ from bornsim.measurement import _transform_weights
 from bornsim.signaling import (
     MAX_SHOTS,
     _alice_branches,
-    _bob_arms,
     _cell_weights,
     _sample_counts,
     _signaling_check,
@@ -127,7 +126,9 @@ def test_swapped_arms_read_off_the_transposed_cells(q):
             nonborn_exponent(q),
         )
         swapped = _signaling_check(_cell_weights(scenario).T, scenario.bob_rule)[:2]
-        for got, want in zip(swapped, _bob_arms(swap_parties(scenario))):
+        mirrored = swap_parties(scenario)
+        arms = bob_distribution_with_alice(mirrored), bob_distribution_without_alice(mirrored)
+        for got, want in zip(swapped, arms):
             assert np.max(np.abs(got - want.probs)) <= 1e-14
 
 
@@ -152,7 +153,8 @@ def test_checked_gap_is_the_tv_distance_of_the_arms(q):
 
 def test_checked_gap_checks_each_arm(monkeypatch):
     # Each arm passes the check OutcomeDistribution runs, so an arm off
-    # normalisation raises as the labelled arm would.
+    # normalisation raises as the labelled arm would; each public arm
+    # raises on either arm, since the kernel checks both.
     cells = _cell_weights(_witness())
     branches, transform = signaling._alice_branches, signaling._transform_weights
 
@@ -167,8 +169,9 @@ def test_checked_gap_checks_each_arm(monkeypatch):
     for name, off in (("_alice_branches", off_mixed), ("_transform_weights", off_intact)):
         with monkeypatch.context() as patch:
             patch.setattr(signaling, name, off)
-            with pytest.raises(InvalidInputError, match="probabilities sum to"):
-                _bob_arms(_witness(1.0))
+            for public_arm in (bob_distribution_with_alice, bob_distribution_without_alice):
+                with pytest.raises(InvalidInputError, match="probabilities sum to"):
+                    public_arm(_witness(1.0))
             with pytest.raises(InvalidInputError, match="probabilities sum to"):
                 _signaling_check(cells, BORN)
 
