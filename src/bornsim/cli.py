@@ -7,10 +7,11 @@
 verify prints one line per property.  Its randomized properties are rows of
 one table run by one trial loop; trial t of a row draws from
 default_rng([seed, stream, t]), which the line's worst_seed names, and an
-invariant violation inside a trial's check names it too.  A check computes
-its deviations in the kernel that `run` calls for the same claim:
-pointer._pointer_check, signaling._signaling_check and measurement's
-_entropy_check and _target_check.
+invariant violation while a trial's observables are built or checked names
+it too.  Every Haar matrix a trial draws is an observable's eigenbasis, and
+its check computes its deviations in the kernel that `run` calls for the
+same claim: pointer._pointer_check, signaling._signaling_check and
+measurement's _entropy_check and _target_check.
 
 Each row's trials run on the CPUs in the process's affinity mask: share w of
 W takes trials t = w (mod W), the process runs share 0 and forks a child per
@@ -34,20 +35,17 @@ import os
 import pickle
 import signal
 import sys
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import Operator
 from .errors import BornsimError
 from .measurement import (
     BORN,
     ProbabilityRule,
     _entropy_check,
     _target_check,
-    ll_channel,
     rule_probabilities,
 )
 from .observables import embed_observable
@@ -68,7 +66,7 @@ from .presets import (
     state_preset,
     scenario_preset_text,
 )
-from .rand import HAAR_STACK_AMPS, _draw_observable, _ginibre, _haar, random_density, random_state
+from .rand import HAAR_STACK_AMPS, _draw_observable, _haar, random_density, random_state
 from .scenario import (
     DEFAULT_SEED,
     ScenarioParseError,
@@ -192,73 +190,67 @@ def _check_born_marginals() -> Check:
     return Check("born_marginals", f"worst={dev:.3g} limit=1e-12", dev < 1e-12)
 
 
-# A trial has two phases.  Called, it makes every rng call of the trial and
-# returns the Ginibre matrices of its Haar bases with its check.  The check,
-# given a deque holding those bases in draw order at its left, pops them and
+# A trial has two phases.  Called, it makes every rng call of the trial, in
+# the order random_state and random_observable would make them, and returns
+# the (spectrum, Ginibre matrix) pair of each observable it drew, in draw
+# order, with its check.  The check takes those observables as arguments and
 # returns one deviation per property of its row, then the row's per-trial
 # tallies (0 or 1 each).
 
 def _pointer_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, dims_limit + 1))
     degenerate = d >= 3 and t % 3 == 0
-    spectrum_a, z_a = _draw_observable(rng, (d,), degenerate)
-    spectrum_b, z_b = _draw_observable(rng, (d,), degenerate)
+    drawn = (_draw_observable(rng, (d,), degenerate), _draw_observable(rng, (d,), degenerate))
     state = random_state(rng, (d,))
 
-    def check(bases) -> tuple:
-        obs_a = spectrum_a.observable(bases.popleft())
-        obs_b = spectrum_b.observable(bases.popleft())
+    def check(obs_a, obs_b) -> tuple:
         two = two_pointer_setup(state, obs_a, obs_b)
         _, (joint_two, _), deviations, scheme_gap = _pointer_check(
             two, one_pointer_setup(state, obs_a, obs_b))
         return max(deviations), scheme_gap, _oracle_gap(two, joint_two), degenerate
 
-    return (z_a, z_b), check
+    return drawn, check
 
 
 def _no_signaling_trial(rng, t: int, dims_limit: int) -> tuple:
     d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     state = random_state(rng, (d1, d2))
-    spectra, zs = zip(*(_draw_observable(rng, (d,)) for d in (d1, d2)))
+    drawn = tuple(_draw_observable(rng, (d,)) for d in (d1, d2))
 
-    def check(bases) -> tuple:
-        parties = [spectrum.observable(bases.popleft()) for spectrum in spectra]
+    def check(*parties) -> tuple:
         # Swapping the parties transposes W, so both directions come from one W.
         cells = _cell_weights(TelepathyScenario(state, *parties, BORN))
         return (max(_signaling_check(cells, BORN)[2], _signaling_check(cells.T, BORN)[2]),)
 
-    return zs, check
+    return drawn, check
 
 
 def _entropy_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, 9))
     rho = random_density(rng, (d,))
-    spectrum, z = _draw_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
+    drawn = _draw_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
 
-    def check(bases) -> tuple:
-        s_in, s_out, _, avg = _entropy_check(rho, spectrum.observable(bases.popleft()))
+    def check(obs) -> tuple:
+        s_in, s_out, _, avg = _entropy_check(rho, obs)
         return (max(s_in - s_out, avg - s_out),)
 
-    return (z,), check
+    return (drawn,), check
 
 
 def _ll_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, dims_limit + 1))
     state = random_state(rng, (d,))
-    spectrum, z = _draw_observable(rng, (d,))
-    zs = [z, *(_ginibre(rng, d) for _ in spectrum.eigenvalues)]
+    drawn = _draw_observable(rng, (d,))
     target = random_state(rng, (d,))
 
-    def check(bases) -> tuple:
-        obs = spectrum.observable(bases.popleft())
-        unitaries = [Operator((d,), bases.popleft()) for _ in range(obs.branch_count)]
+    def check(obs) -> tuple:
         # <psi|P_n psi>, a route independent of the branch_weights call ll_channel makes.
         weights = (state.amps.conj() @ obs.split(state.amps)).real
-        records = ll_channel(state, obs, unitaries)
+        records, target_dev = _target_check(state, obs, target)
         dev = max(abs(rec.probability - weights[rec.branch_index]) for rec in records)
-        return (max(dev, _target_check(state, obs, target)[1]),)
+        return (max(dev, target_dev),)
 
-    return zs, check
+    return (drawn,), check
 
 
 @dataclass(frozen=True)
@@ -304,21 +296,25 @@ def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tupl
     """
     # Trials are drawn in order and kept pending until their Ginibre matrices
     # reach HAAR_STACK_AMPS amplitudes or the last trial is drawn; then one
-    # _haar call makes all their bases and their checks run in order.
-    rows, pending, amps = [], [], 0  # pending: (t, Ginibre matrices, check)
+    # _haar call makes all their bases, and each check runs in order on its
+    # trial's observables.
+    rows, pending, amps = [], [], 0  # pending: (t, (spectrum, Ginibre) pairs, check)
     try:
         for t in trials:
             pending.append((t, *row.trial(np.random.default_rng([seed, row.stream, t]), t,
                                           dims_limit)))
-            amps += sum(z.size for z in pending[-1][1])
+            amps += sum(z.size for _, z in pending[-1][1])
             if amps < HAAR_STACK_AMPS and t != trials[-1]:
                 continue
-            bases = deque(_haar([z for _, zs, _ in pending for z in zs]))
+            bases = iter(_haar([z for _, drawn, _ in pending for _, z in drawn]))
             # Rebinding pending frees the Ginibre matrices before any check runs.
-            checks, pending, amps = [(i, check) for i, _, check in pending], [], 0
-            for i, check in checks:
+            checks = [(i, [spectrum for spectrum, _ in drawn], check)
+                      for i, drawn, check in pending]
+            pending, amps = [], 0
+            for i, spectra, check in checks:
                 try:
-                    rows.append(check(bases))
+                    rows.append(check(*[spectrum.observable(next(bases))
+                                        for spectrum in spectra]))
                 except BornsimError as exc:
                     exc.args = (f"trial [{seed},{row.stream},{i}]: {exc}",)
                     raise

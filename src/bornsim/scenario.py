@@ -50,16 +50,6 @@ from .signaling import TelepathyScenario, _cell_weights, _signaling_check, chann
 
 DEFAULT_SEED = 1234
 
-KINDS = (
-    "two_pointer",
-    "one_pointer",
-    "epr",
-    "stern_gerlach",
-    "ll_scheme",
-    "telepathy",
-    "entropy_demo",
-)
-
 
 class ScenarioParseError(Exception):
     """Scenario text is syntactically or structurally invalid."""
@@ -434,6 +424,19 @@ def _run_entropy_demo(scn: Scenario) -> Records:
     return records
 
 
+# Each scenario kind and its runner, in the order the parse error lists them.
+_RUNNERS = {
+    "two_pointer": _run_pointer,
+    "one_pointer": _run_pointer,
+    "epr": _run_pointer,
+    "stern_gerlach": _run_ll,
+    "ll_scheme": _run_ll,
+    "telepathy": _run_telepathy,
+    "entropy_demo": _run_entropy_demo,
+}
+KINDS = tuple(_RUNNERS)
+
+
 def run_scenario(scn: Scenario) -> Records:
     """Execute a parsed scenario and return its ordered records."""
     header: Records = [
@@ -441,12 +444,7 @@ def run_scenario(scn: Scenario) -> Records:
         ("kind", scn.kind),
         ("seed", str(scn.seed)),
     ]
-    if scn.kind in ("two_pointer", "one_pointer", "epr"):
-        return header + _run_pointer(scn)
-    if scn.kind in ("stern_gerlach", "ll_scheme"):
-        return header + _run_ll(scn)
-    if scn.kind == "telepathy":
-        return header + _run_telepathy(scn)
-    if scn.kind == "entropy_demo":
-        return header + _run_entropy_demo(scn)
-    raise ScenarioParseError(f"unknown kind {scn.kind!r}")
+    runner = _RUNNERS.get(scn.kind)
+    if runner is None:
+        raise ScenarioParseError(f"unknown kind {scn.kind!r}")
+    return header + runner(scn)

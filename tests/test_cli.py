@@ -237,6 +237,18 @@ def test_nonpositive_exponent_is_parse_error(tmp_path, capsys, q):
     assert err == f"parse error: field 'q': must be > 0, got {q}\n"
 
 
+def test_unknown_kind_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad_kind.scn"
+    path.write_text("kind = bogus\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2 and out == ""
+    assert err == ("parse error: unknown kind 'bogus'; expected one of two_pointer, "
+                   "one_pointer, epr, stern_gerlach, ll_scheme, telepathy, entropy_demo\n")
+    # A Scenario built by hand skips the parser and is refused by run_scenario.
+    with pytest.raises(scenario.ScenarioParseError, match="^unknown kind 'bogus'$"):
+        scenario.run_scenario(scenario.Scenario("bogus", "by_hand", 1, {}))
+
+
 def test_large_two_pointer_file_is_oracle_checked(tmp_path, capsys):
     # Composite dimension 2*120*120 = 28800: the oracle applies the couplings
     # to the register tensor and never builds a dense shift unitary.
@@ -511,6 +523,8 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     # The pointer battery checks the projection postulate from whole-observable
     # arrays: no collapsed state, conditional or Born distribution per branch.
     # The no-signaling battery reads both directions off one W per trial.
+    # The LL battery runs the channel once per trial, with the state-preparation
+    # unitaries.
     set_workers(monkeypatch, 1)
     calls, battery = Counter(), [None]
 
@@ -522,8 +536,9 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
             battery[0] = None
 
     monkeypatch.setattr(cli, "_run_battery", tracking)
-    names = ("project_update", "rule_probabilities", "conditional_b_given_a", "_cell_weights")
-    for name, home in zip(names, (measurement, measurement, pointer, signaling)):
+    names = ("project_update", "rule_probabilities", "conditional_b_given_a", "_cell_weights",
+             "ll_channel")
+    for name, home in zip(names, (measurement, measurement, pointer, signaling, measurement)):
         original = getattr(home, name)
 
         def counting(*args, original=original, name=name):
@@ -538,6 +553,7 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     stream = cli._POINTER.stream
     assert [calls[stream, name] for name in names[:3]] == [0, 0, 0]
     assert calls[cli._NO_SIGNALING.stream, "_cell_weights"] == 10
+    assert calls[cli._LL.stream, "ll_channel"] == 50  # max(50, 10 // 4) trials
     # The hooks are live: the one-shot checks outside the batteries hit them.
     assert calls[None, "rule_probabilities"] > 0 and calls[None, "_cell_weights"] > 0
 
@@ -749,19 +765,22 @@ def test_default_verify_stacks_one_qr_per_size_per_battery(capsys, monkeypatch):
     assert flat == []  # state preparation reflects, it factors nothing
     sizes = {stream: sorted(d for s, _, d in calls if s == stream) for stream in (1, 2, 4, 5)}
     assert sizes == {1: [2, 3, 4, 5, 6], 2: [2, 3, 4], 4: list(range(2, 9)), 5: [2, 3, 4, 5, 6]}
-    # 200 + 200 + 50 + 50 observables and 129 LL unitaries: the 1029 QRs the
-    # per-call draws made, now in 20 stacked calls.
+    # Two observables per pointer and no-signaling trial and one per entropy
+    # and LL trial: 900 Haar eigenbases, the QRs per-call draws would make, in
+    # 20 stacked calls.
     matrices = Counter()
     for stream, n, _ in calls:
         matrices[stream] += n
-    assert matrices == {1: 400, 2: 400, 4: 50, 5: 179}
+    assert matrices == {1: 400, 2: 400, 4: 50, 5: 50}
 
 
 def test_stacked_qr_stays_within_the_amplitude_budget(capsys, monkeypatch):
-    # LL trials at d <= 64 draw up to 65 matrices, more than the budget
-    # holds.  Trials are drawn ahead only until the budget is reached, and a
-    # stack takes at most the budget or one matrix.
+    # With a budget of one 64 x 64 matrix, the 50 LL trials at d <= 64 hold
+    # many budgets, and a trial at d <= 64 draws up to two matrices, more than
+    # the budget holds.  Trials are drawn ahead only until the budget is
+    # reached, and a stack takes at most the budget or one matrix.
     set_workers(monkeypatch, 1)
+    _set_haar_stack_amps(monkeypatch, 64**2)
     (calls, _), flushed = _qr_calls(monkeypatch), []
 
     def recording(ginibres, original=cli._haar):
@@ -771,7 +790,7 @@ def test_stacked_qr_stays_within_the_amplitude_budget(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_haar", recording)
     code, _, _ = run_cli(capsys, "verify", "--trials", "2", "--dims-limit", "64")
     assert code == 0
-    assert max(flushed) < rand.HAAR_STACK_AMPS + 65 * 64**2
+    assert max(flushed) < rand.HAAR_STACK_AMPS + 2 * 64**2
     assert all(n * d * d <= max(rand.HAAR_STACK_AMPS, d * d) for _, n, d in calls)
     ll = [(n, d) for stream, n, d in calls if stream == cli._LL.stream]
     assert sum(n * d * d for n, d in ll) > 10 * rand.HAAR_STACK_AMPS
@@ -789,6 +808,21 @@ def test_invariant_violation_in_a_trial_names_its_trial(capsys, monkeypatch):
     assert err.startswith(
         "invariant violation [InvalidInputError]: trial [1234,5,0]: state vector norm"
     )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_invariant_violation_building_a_trials_observables_names_its_trial(
+        capsys, monkeypatch, workers):
+    # Bases off unitarity by 1e-6 fail Observable validation before the
+    # first check runs; the error still names the trial, in any share.
+    set_workers(monkeypatch, workers)
+    monkeypatch.setattr(cli, "_haar", lambda zs, original=cli._haar: [
+        u * (1 + 1e-6) for u in original(zs)])
+    code, out, err = run_cli(capsys, "verify", "--trials", "4", "--dims-limit", "4")
+    assert code == 3 and out == ""
+    assert err == ("invariant violation [InvalidProjectorFamilyError]: trial [1234,1,0]: "
+                   "basis is not unitary\n")
+    _no_child_left()
 
 
 def _rescale_one_pointer_rows(original):
@@ -864,6 +898,28 @@ def _shift_born_mass(original):
     return mutant
 
 
+def _drop_reflection_phase(original):
+    # Each operator times e^{ia}, a = arg<target|P_n psi>: a live branch's
+    # reflection loses its e^{-ia} factor and sends x_n to e^{ia} target.
+    def mutant(state, obs, target):
+        angles = np.angle(target.amps.conj() @ obs.split(state.amps))
+        return [measurement.Operator(u.dims, u.entries * np.exp(1j * a))
+                for u, a in zip(original(state, obs, target), angles)]
+
+    return mutant
+
+
+def _operator_dependent_probabilities(original):
+    # Each record's probability scaled by 1 + 1e-9 |U_n[0,0]|.
+    def mutant(state, obs, unitaries):
+        return [dataclasses.replace(
+                    rec, probability=rec.probability
+                    * (1 + 1e-9 * abs(unitaries[rec.branch_index].entries[0, 0])))
+                for rec in original(state, obs, unitaries)]
+
+    return mutant
+
+
 def _patch_everywhere(monkeypatch, name, mutant):
     # Replaces the function name, looked up in its home module, with
     # mutant(original) in every module that binds it.
@@ -874,7 +930,9 @@ def _patch_everywhere(monkeypatch, name, mutant):
             monkeypatch.setattr(module, name, mutant(original))
 
 
-# One mutant per property; each must FAIL its own property and no other.
+# Each mutant must FAIL its own property and no other; every property has
+# one, and ll_channel_invariance has two beyond the shifted branch weights of
+# test_ll_channel_invariance_fails_on_shifted_weights.
 # Equivalent mutants, listed and not tested: W transposed in the Born arms
 # (verify checks both directions, and Born signals in neither); entropies in
 # another log base (every entropy scaled by one positive factor keeps both
@@ -892,6 +950,8 @@ def _patch_everywhere(monkeypatch, name, mutant):
         ("run_one_pointer", _negate_final_state, "epr_reproduction"),
         ("channel_simulation", _other_arm, "telepathy_witness"),
         ("rule_probabilities", _shift_born_mass, "born_marginals"),
+        ("state_preparation_unitaries", _drop_reflection_phase, "ll_channel_invariance"),
+        ("ll_channel", _operator_dependent_probabilities, "ll_channel_invariance"),
     ],
 )
 def test_each_pointer_property_fails_on_its_defect(capsys, monkeypatch, name, mutant, prop):
@@ -1053,17 +1113,17 @@ def test_verify_workers_follow_the_affinity_mask(monkeypatch):
 
 def _planted(trial, fail_at, raising):
     # The battery's trial, except that the checks of the trials in fail_at
-    # take their bases and then call raising(t).
+    # run on their observables and then call raising(t).
     def planted(rng, t, dims_limit):
-        zs, check = trial(rng, t, dims_limit)
+        drawn, check = trial(rng, t, dims_limit)
         if t not in fail_at:
-            return zs, check
+            return drawn, check
 
-        def failing(bases):
-            check(bases)
+        def failing(*observables):
+            check(*observables)
             return raising(t)
 
-        return zs, failing
+        return drawn, failing
 
     return planted
 
