@@ -14,12 +14,15 @@ same claim: pointer._pointer_check, signaling._signaling_check and
 measurement's _entropy_check and _target_check.
 
 Each row's trials run on the CPUs in the process's affinity mask: share w of
-W takes trials t = w (mod W), the process runs share 0 and forks a child per
-other share.  The printed bytes are the same on any CPU count; `taskset -c 0`
-runs everything in one process.  A process that already runs other threads,
-such as the thread pool numpy's OpenBLAS starts on a multi-CPU host unless
-OPENBLAS_NUM_THREADS=1, does not fork.  Every child holds its own trial's
-arrays, so at a large --dims-limit memory adds up across the workers.
+W takes trials t = w (mod W) of every row.  verify forks one set of W - 1
+children per run; each runs its share of every row and sends all of them back
+at once, while the process runs share 0 and the one-shot checks.  The
+printed bytes are the same on any CPU count; `taskset -c 0` runs everything
+in one process.  A process that already runs other threads, such as the
+thread pool numpy's OpenBLAS starts on a multi-CPU host unless
+OPENBLAS_NUM_THREADS=1, does not fork.  Every worker holds its own trial's
+arrays, so W is at most the memory available over one worker's peak at
+--dims-limit.
 
 Exit codes: 0 success, 1 verify property failure, 2 parse/usage error
 (including a negative seed and a --dims-limit above MAX_DIMS_LIMIT = 256),
@@ -261,6 +264,9 @@ class _Battery:
     few: bool = False  # max(50, trials // 4) trials instead of trials
     tallies: tuple[str, ...] = ()
 
+    def count(self, trials: int) -> int:
+        return max(50, trials // 4) if self.few else trials
+
 
 _POINTER = _Battery(
     (("projection_equivalence", 1e-10), ("scheme_agreement", SCHEME_AGREEMENT_TOL),
@@ -272,18 +278,59 @@ _ENTROPY = _Battery((("entropy_monotonicity", 1e-10),), 4, _entropy_trial, few=T
 _LL = _Battery((("ll_channel_invariance", 1e-12),), 5, _ll_trial, few=True)
 
 
-def _verify_workers(trials: int) -> int:
-    # One share per CPU this process may run on, at most one per trial.  One
-    # share, run inline, where the platform cannot fork or report affinity or
-    # its threads, and where the process runs other threads: forking them is
-    # unsafe, and a BLAS thread pool (numpy's OpenBLAS starts one on a
-    # multi-CPU host unless OPENBLAS_NUM_THREADS=1) in every worker makes even
-    # 4 x 4 products fight over the CPUs, slower than one process.
+# One verify worker's peak RSS at --dims-limit d, at most: _WORKER_BASE_BYTES
+# plus _WORKER_STATES complex d x d x d arrays.  Its largest trial is a
+# pointer trial at d with d branches per observable, whose d x d x d
+# two-pointer state, copies and temporaries peaked at 62, 120, 233, 417 and
+# 692 MB for d = 64, 96, 128, 160 and 192 (numpy 2.4, BLAS on one thread):
+# 38 MB plus 6.06 such arrays.  At d = 256 that is 1.6 GB.
+_WORKER_BASE_BYTES = 40 * 2**20
+_WORKER_STATES = 6.1
+
+
+def _worker_peak(dims_limit: int) -> int:
+    return int(_WORKER_BASE_BYTES + _WORKER_STATES * 16 * dims_limit**3)
+
+
+def _available_memory() -> int:
+    # Free physical memory, capped by the headroom under the memory.max of
+    # the process's cgroup (v2) and its ancestors wherever one is set.
+    available = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    try:
+        with open("/proc/self/cgroup", encoding="ascii") as fh:
+            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
+    except (OSError, StopIteration):
+        return available
+    while True:
+        try:
+            with open(f"/sys/fs/cgroup{path}/memory.max", encoding="ascii") as fh:
+                limit = fh.read().strip()
+            with open(f"/sys/fs/cgroup{path}/memory.current", encoding="ascii") as fh:
+                used = int(fh.read())
+            if limit != "max":
+                available = min(available, int(limit) - used)
+        except (OSError, ValueError):
+            pass
+        if path in ("/", ""):
+            return available
+        path = os.path.dirname(path)
+
+
+def _verify_workers(trials: int, dims_limit: int) -> int:
+    # One share per CPU this process may run on, at most one per trial and
+    # no more than the available memory holds at _worker_peak(dims_limit)
+    # each.  One share, run inline, where the platform cannot fork or report
+    # affinity, its threads or its memory, and where the process runs other
+    # threads: forking them is unsafe, and a BLAS thread pool (numpy's
+    # OpenBLAS starts one on a multi-CPU host unless OPENBLAS_NUM_THREADS=1)
+    # in every worker makes even 4 x 4 products fight over the CPUs, slower
+    # than one process.
     try:
         if not hasattr(os, "fork") or len(os.listdir("/proc/self/task")) > 1:
             return 1
-        return max(1, min(len(os.sched_getaffinity(0)), trials))
-    except (OSError, AttributeError):
+        fit = _available_memory() // _worker_peak(dims_limit)
+        return max(1, min(len(os.sched_getaffinity(0)), trials, fit))
+    except (OSError, AttributeError, ValueError):
         return 1
 
 
@@ -323,9 +370,33 @@ def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tupl
     return rows, None
 
 
-def _fork_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tuple[int, int]:
-    # Forks a child that runs one share and writes its pickled result to a
-    # pipe; returns the child's pid and the pipe's read end.
+def _run_shares(steps, trials: int, w: int, workers: int, dims_limit: int, seed: int) -> list:
+    """Share w of W of each battery in `steps`, and each other step, a
+    one-shot check, called; in order, stopping after the first that fails.
+
+    A battery's result is _run_share's; a one-shot check's is (Check, None)
+    or (None, (0, exception)).
+    """
+    results = []
+    for step in steps:
+        if isinstance(step, _Battery):
+            results.append(_run_share(step, range(w, step.count(trials), workers),
+                                      dims_limit, seed))
+        else:
+            try:
+                results.append((step(), None))
+            except Exception as exc:
+                results.append((None, (0, exc)))
+        if results[-1][1] is not None:
+            break
+    return results
+
+
+def _fork_shares(rows: list, trials: int, w: int, workers: int, dims_limit: int,
+                 seed: int) -> tuple[int, int]:
+    # Forks a child that runs share w of every row and writes the pickled
+    # list of their results to a pipe; returns the child's pid and the
+    # pipe's read end.
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -339,12 +410,13 @@ def _fork_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tup
     code = 1
     try:
         os.close(read)
-        result = _run_share(row, trials, dims_limit, seed)
+        results = _run_shares(rows, trials, w, workers, dims_limit, seed)
         try:
-            payload = pickle.dumps(result)
+            payload = pickle.dumps(results)
         except Exception:  # an exception that does not pickle: keep its class name and message
-            rows, (t, exc) = result
-            payload = pickle.dumps((rows, (t, RuntimeError(f"{type(exc).__name__}: {exc}"))))
+            done, (t, exc) = results[-1]
+            results[-1] = done, (t, RuntimeError(f"{type(exc).__name__}: {exc}"))
+            payload = pickle.dumps(results)
         with open(write, "wb") as fh:
             fh.write(payload)
         code = 0
@@ -353,8 +425,8 @@ def _fork_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tup
         os._exit(code)
 
 
-def _collect(pid: int, read: int) -> tuple:
-    # A forked share's result, read to end of file before the child is reaped.
+def _collect(pid: int, read: int) -> list:
+    # A forked child's results, read to end of file before the child is reaped.
     try:
         with open(read, "rb") as fh:
             payload = fh.read()
@@ -368,28 +440,14 @@ def _collect(pid: int, read: int) -> tuple:
     return pickle.loads(payload)
 
 
-def _run_battery(row: _Battery, trials: int, dims_limit: int, seed: int) -> list[Check]:
-    n = max(50, trials // 4) if row.few else trials
-    # Share w of W takes trials t = w (mod W), which balances the drawn
-    # dimensions; the parent runs share 0 and forks a child per other share.
-    # Trial t draws only from its own stream and stacked QR is bit-identical
-    # per matrix, so every row is the same on any number of shares.
-    workers = _verify_workers(n)
-    children = []  # (pid, read end) of each forked share not yet collected
-    try:
-        for w in range(1, workers):
-            children.append(_fork_share(row, range(w, n, workers), dims_limit, seed))
-        shares = [_run_share(row, range(0, n, workers), dims_limit, seed)]
-        while children:
-            shares.append(_collect(*children.pop(0)))
-    finally:
-        for pid, read in children:  # left only when the parent stopped early
-            os.close(read)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+def _battery_checks(row: _Battery, trials: int, seed: int, shares: list) -> list[Check]:
+    # One row's properties from each share's _run_share result, share w of W
+    # holding trials t = w (mod W); the failure of the lowest trial of all
+    # shares is raised, as the one-share loop raises it.
     failures = [failure for _, failure in shares if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+    n, workers = row.count(trials), len(shares)
     results = np.array([shares[t % workers][0][t // workers] for t in range(n)])
     k = len(row.limits)
     totals = results[:, k:].sum(axis=0)
@@ -420,11 +478,39 @@ def run_verify(trials: int, dims_limit: int, seed: int, out=print) -> int:
         )
     if seed < 0:
         raise ScenarioParseError(f"--seed must be >= 0, got {seed}")
-    battery = lambda row: _run_battery(row, trials, dims_limit, seed)
-    checks = [
-        _check_epr(), *battery(_POINTER), *battery(_NO_SIGNALING), _check_witness(seed),
-        _check_born_marginals(), *battery(_ENTROPY), *battery(_LL),
-    ]
+    # The properties' steps in print order.
+    steps = (_check_epr, _POINTER, _NO_SIGNALING, lambda: _check_witness(seed),
+             _check_born_marginals, _ENTROPY, _LL)
+    rows = [step for step in steps if isinstance(step, _Battery)]
+    # Share w of W takes each row's trials t = w (mod W), which balances the
+    # drawn dimensions.  W - 1 children are forked once, each running its
+    # share of every row; the parent runs share 0 and the one-shot checks.
+    # Trial t draws only from its own stream and stacked QR is bit-identical
+    # per matrix, so every row is the same on any number of shares.
+    workers = _verify_workers(max(row.count(trials) for row in rows), dims_limit)
+    children = []  # (pid, read end) of each forked child not yet collected
+    try:
+        for w in range(1, workers):
+            children.append(_fork_shares(rows, trials, w, workers, dims_limit, seed))
+        shares = [_run_shares(steps, trials, 0, workers, dims_limit, seed)]
+        while children:
+            shares.append(_collect(*children.pop(0)))
+    finally:
+        for pid, read in children:  # left only when the parent stopped early
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    # Every share stops at its first failure, so the first step in print
+    # order that failed in any share raises before a share runs out.
+    forked = [iter(share) for share in shares[1:]]
+    checks = []
+    for step, (result, failure) in zip(steps, shares[0]):
+        if isinstance(step, _Battery):
+            checks += _battery_checks(step, trials, seed, [(result, failure), *map(next, forked)])
+        elif failure is not None:
+            raise failure[1]
+        else:
+            checks.append(result)
     for c in checks:
         out(f"{c.name:<24} {c.detail}  {'PASS' if c.passed else 'FAIL'}")
     failed = [c for c in checks if not c.passed]

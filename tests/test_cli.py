@@ -39,10 +39,10 @@ def run_proc(*argv):
 
 
 def set_workers(monkeypatch, workers):
-    # Each verify battery runs in this many shares: share 0 in this process,
-    # the others in forked children.  Tests that count calls made in this
-    # process pin one share, which runs inline and forks nothing.
-    monkeypatch.setattr(cli, "_verify_workers", lambda trials: workers)
+    # verify runs in this many shares: share 0 of every battery in this
+    # process, each other share in one forked child.  Tests that count calls
+    # made in this process pin one share, which runs inline and forks nothing.
+    monkeypatch.setattr(cli, "_verify_workers", lambda trials, dims_limit: workers)
 
 
 def test_run_epr_records(capsys):
@@ -528,14 +528,14 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     set_workers(monkeypatch, 1)
     calls, battery = Counter(), [None]
 
-    def tracking(row, *args, original=cli._run_battery):
+    def tracking(row, *args, original=cli._run_share):
         battery[0] = row.stream
         try:
             return original(row, *args)
         finally:
             battery[0] = None
 
-    monkeypatch.setattr(cli, "_run_battery", tracking)
+    monkeypatch.setattr(cli, "_run_share", tracking)
     names = ("project_update", "rule_probabilities", "conditional_b_given_a", "_cell_weights",
              "ll_channel")
     for name, home in zip(names, (measurement, measurement, pointer, signaling, measurement)):
@@ -724,7 +724,7 @@ def _qr_calls(monkeypatch):
     # call, and (battery stream, shape) of every 2-D one.
     calls, flat, battery = [], [], [None]
 
-    def tracking(row, *args, original=cli._run_battery):
+    def tracking(row, *args, original=cli._run_share):
         battery[0] = row.stream
         try:
             return original(row, *args)
@@ -738,7 +738,7 @@ def _qr_calls(monkeypatch):
             flat.append((battery[0], a.shape))
         return original(a)
 
-    monkeypatch.setattr(cli, "_run_battery", tracking)
+    monkeypatch.setattr(cli, "_run_share", tracking)
     monkeypatch.setattr(rand.np.linalg, "qr", recording)
     return calls, flat
 
@@ -1075,7 +1075,7 @@ def _no_child_left():
 )
 def test_verify_prints_the_same_bytes_on_any_number_of_shares(capsys, monkeypatch, argv):
     # With --trials 1 and 3 some shares of the pointer and no-signaling
-    # batteries are empty.  Four shares fork three children per battery.
+    # batteries are empty.  Four shares fork three children.
     outs = []
     for workers in (1, 2, 3, 4):
         set_workers(monkeypatch, workers)
@@ -1089,7 +1089,7 @@ def test_verify_prints_the_same_bytes_on_any_number_of_shares(capsys, monkeypatc
 def test_verify_workers_follow_the_affinity_mask(monkeypatch):
     # A single-threaded process runs one share per CPU, at most one per trial.
     probe = ("import os; from bornsim import cli; "
-             "print(cli._verify_workers(10**6), cli._verify_workers(1), "
+             "print(cli._verify_workers(10**6, 6), cli._verify_workers(1, 6), "
              "len(os.sched_getaffinity(0)))")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -1102,13 +1102,13 @@ def test_verify_workers_follow_the_affinity_mask(monkeypatch):
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        assert cli._verify_workers(10**6) == 1
+        assert cli._verify_workers(10**6, 6) == 1
     finally:
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     monkeypatch.delattr(os, "fork")
-    assert cli._verify_workers(10**6) == 1
+    assert cli._verify_workers(10**6, 6) == 1
 
 
 def _planted(trial, fail_at, raising):
@@ -1190,3 +1190,103 @@ def test_a_child_that_dies_is_reported_and_reaped(capsys, monkeypatch):
     with pytest.raises(RuntimeError, match="exited with code 7 without sending its trials"):
         run_cli(capsys, "verify", "--trials", "4", "--dims-limit", "4")
     _no_child_left()
+
+
+def test_verify_forks_each_worker_once(capsys, monkeypatch):
+    # Three shares fork two children, each running its share of all four
+    # batteries, not two children per battery.
+    set_workers(monkeypatch, 3)
+    forks = []
+
+    def counting(original=os.fork):
+        pid = original()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    code, _, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
+    assert code == 0 and err == ""
+    assert len(forks) == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_earlier_battery_error_beats_a_later_one(capsys, monkeypatch, workers):
+    # LL trial 0 runs in this process, after its pointer share; pointer
+    # trial 1 runs in a child when there are two or three shares.  The
+    # pointer row prints first, so its error is raised, as the one-share
+    # loop, which never reaches the LL row, raises it.
+    set_workers(monkeypatch, workers)
+    _plant(monkeypatch, "_LL", {0}, _violation)
+    _plant(monkeypatch, "_POINTER", {1}, _violation)
+    code, out, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
+    assert code == 3 and out == ""
+    assert err == ("invariant violation [InvalidInputError]: trial [1234,1,1]: "
+                   "planted violation in trial 1\n")
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_one_shot_check_error_beats_a_later_battery(capsys, monkeypatch, workers):
+    # telepathy_witness prints before the LL row: its error is raised even
+    # when every share's LL trials fail.
+    def witness(seed):
+        raise InvalidInputError("planted witness violation")
+
+    set_workers(monkeypatch, workers)
+    _plant(monkeypatch, "_LL", {0, 1, 2}, _violation)
+    monkeypatch.setattr(cli, "_check_witness", witness)
+    code, out, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
+    assert code == 3 and out == ""
+    assert err == "invariant violation [InvalidInputError]: planted witness violation\n"
+    _no_child_left()
+
+
+def test_verify_workers_fit_the_available_memory():
+    # Memory for just under fit + 1 workers at --dims-limit 24 runs
+    # min(CPUs, fit) shares, at least one; the bytes do not change.
+    probe = ("import sys; from bornsim import cli; fit = int(sys.argv[1]); "
+             "cli._available_memory = lambda: (fit + 1) * cli._worker_peak(24) - 1; "
+             "print(cli._verify_workers(10**6, 24), file=sys.stderr); "
+             "sys.exit(cli.main(['verify', '--trials', '30', '--dims-limit', '24']))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    cpus, outs = len(os.sched_getaffinity(0)), []
+    for fit in (0, 1, 2, 10**4):
+        proc = subprocess.run([sys.executable, "-c", probe, str(fit)], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr) == max(1, min(cpus, fit))
+        outs.append(proc.stdout)
+    assert outs[1:] == outs[:1] * 3
+    # The cap grows with the cube of the dimension: at d = 256 one worker
+    # may hold 1.6 GB.
+    assert 1.5 * 2**30 < cli._worker_peak(256) < 1.7 * 2**30
+
+
+def test_available_memory_is_capped_by_the_cgroup_limits(tmp_path, monkeypatch):
+    # Free memory 4 GiB; the cgroup /a/b may grow by 3 GiB and its parent /a
+    # by 1 GiB; the root sets no limit.
+    (tmp_path / "cgroup").write_text("1:memory:/ignored\n0::/a/b\n")
+    for path, limit, used in (("", "max", 0), ("a", 3 << 30, 2 << 30), ("a/b", 5 << 30, 2 << 30)):
+        (tmp_path / "fs" / path).mkdir(parents=True, exist_ok=True)
+        (tmp_path / "fs" / path / "memory.max").write_text(f"{limit}\n")
+        (tmp_path / "fs" / path / "memory.current").write_text(f"{used}\n")
+    real_open = open
+
+    def fake_open(name, *args, **kwargs):
+        if name == "/proc/self/cgroup":
+            name = tmp_path / "cgroup"
+        elif name.startswith("/sys/fs/cgroup"):
+            name = f"{tmp_path}/fs{name[len('/sys/fs/cgroup'):]}"
+        return real_open(name, *args, **kwargs)
+
+    pages = {"SC_AVPHYS_PAGES": 2**20, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr("builtins.open", fake_open)
+    assert cli._available_memory() == 1 << 30
+    (tmp_path / "fs" / "a" / "memory.max").write_text("max\n")
+    assert cli._available_memory() == 3 << 30
+    (tmp_path / "cgroup").write_text("1:memory:/ignored\n")  # no cgroup v2
+    assert cli._available_memory() == 4 << 30

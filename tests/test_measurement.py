@@ -431,7 +431,6 @@ def test_classical_blocks_built_once_per_state(monkeypatch):
         calls.append(obs.branch_count)
         return _classical_branches(rho, obs, rule, branches)
 
-    monkeypatch.setattr(cli, "_verify_workers", lambda trials: 1)  # one inline share
     # Patched in measurement, the home of the entropy kernel and of
     # classical_selective, so a caller going back to classical_selective per
     # branch would be counted once per branch.
@@ -441,7 +440,8 @@ def test_classical_blocks_built_once_per_state(monkeypatch):
     assert len(calls) == 1
     assert "p.0" in records and "p.1" in records
     calls.clear()
-    (check,) = cli._run_battery(cli._ENTROPY, trials=0, dims_limit=6, seed=1234)
+    (check,) = cli._battery_checks(cli._ENTROPY, 0, 1234,
+                                   [cli._run_share(cli._ENTROPY, range(50), 6, 1234)])
     assert check.passed
     assert len(calls) == 50 and sum(calls) > 50
 
@@ -456,8 +456,8 @@ def test_entropy_path_dephases_once(monkeypatch):
         return original(rho, obs)
 
     monkeypatch.setattr(measurement, "_dephase", counting)
-    monkeypatch.setattr(cli, "_verify_workers", lambda trials: 1)  # one inline share
-    (check,) = cli._run_battery(cli._ENTROPY, trials=0, dims_limit=6, seed=1234)
+    (check,) = cli._battery_checks(cli._ENTROPY, 0, 1234,
+                                   [cli._run_share(cli._ENTROPY, range(50), 6, 1234)])
     assert check.passed and len(calls) == 50
     calls.clear()
     text = "kind = entropy_demo\nstate = 0.6 0.8\n"
