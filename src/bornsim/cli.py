@@ -15,11 +15,12 @@ measurement's _entropy_check and _target_check.
 
 Each row's trials run on the CPUs in the process's affinity mask: share w of
 W takes trials t = w (mod W) of every row.  verify forks one set of W - 1
-children per run; each runs its share of every row and sends all of them back
-at once, while the process runs share 0 and the one-shot checks.  The
-printed bytes are the same on any CPU count; `taskset -c 0` runs everything
-in one process.  A process that already runs other threads, such as the
-thread pool numpy's OpenBLAS starts on a multi-CPU host unless
+children per run, and every process runs the same share loop over the rows;
+each child sends all its rows back at once.  The process itself runs the
+one-shot checks, then share 0, then merges in print order.  The printed
+bytes are the same on any CPU count; `taskset -c 0` runs everything in one
+process.  A process that already runs other threads, such as the thread
+pool numpy's OpenBLAS starts on a multi-CPU host unless
 OPENBLAS_NUM_THREADS=1, does not fork.  Every worker holds its own trial's
 arrays, so W is at most the memory available over one worker's peak at
 --dims-limit.
@@ -195,10 +196,10 @@ def _check_born_marginals() -> Check:
 
 # A trial has two phases.  Called, it makes every rng call of the trial, in
 # the order random_state and random_observable would make them, and returns
-# the (spectrum, Ginibre matrix) pair of each observable it drew, in draw
-# order, with its check.  The check takes those observables as arguments and
-# returns one deviation per property of its row, then the row's per-trial
-# tallies (0 or 1 each).
+# the (Observable partial, Ginibre matrix) pair of each observable it drew,
+# in draw order, with its check.  The check takes those observables as
+# arguments and returns one deviation per property of its row, then the
+# row's per-trial tallies (0 or 1 each).
 
 def _pointer_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, dims_limit + 1))
@@ -345,7 +346,7 @@ def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tupl
     # reach HAAR_STACK_AMPS amplitudes or the last trial is drawn; then one
     # _haar call makes all their bases, and each check runs in order on its
     # trial's observables.
-    rows, pending, amps = [], [], 0  # pending: (t, (spectrum, Ginibre) pairs, check)
+    rows, pending, amps = [], [], 0  # pending: (t, (partial, Ginibre) pairs, check)
     try:
         for t in trials:
             pending.append((t, *row.trial(np.random.default_rng([seed, row.stream, t]), t,
@@ -355,13 +356,12 @@ def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tupl
                 continue
             bases = iter(_haar([z for _, drawn, _ in pending for _, z in drawn]))
             # Rebinding pending frees the Ginibre matrices before any check runs.
-            checks = [(i, [spectrum for spectrum, _ in drawn], check)
+            checks = [(i, [observable for observable, _ in drawn], check)
                       for i, drawn, check in pending]
             pending, amps = [], 0
-            for i, spectra, check in checks:
+            for i, observables, check in checks:
                 try:
-                    rows.append(check(*[spectrum.observable(next(bases))
-                                        for spectrum in spectra]))
+                    rows.append(check(*[observable(next(bases)) for observable in observables]))
                 except BornsimError as exc:
                     exc.args = (f"trial [{seed},{row.stream},{i}]: {exc}",)
                     raise
@@ -370,23 +370,12 @@ def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tupl
     return rows, None
 
 
-def _run_shares(steps, trials: int, w: int, workers: int, dims_limit: int, seed: int) -> list:
-    """Share w of W of each battery in `steps`, and each other step, a
-    one-shot check, called; in order, stopping after the first that fails.
-
-    A battery's result is _run_share's; a one-shot check's is (Check, None)
-    or (None, (0, exception)).
-    """
+def _run_shares(rows, trials: int, w: int, workers: int, dims_limit: int, seed: int) -> list:
+    # _run_share's result for share w of W of each row, in order, stopping
+    # after the first row that fails.
     results = []
-    for step in steps:
-        if isinstance(step, _Battery):
-            results.append(_run_share(step, range(w, step.count(trials), workers),
-                                      dims_limit, seed))
-        else:
-            try:
-                results.append((step(), None))
-            except Exception as exc:
-                results.append((None, (0, exc)))
+    for row in rows:
+        results.append(_run_share(row, range(w, row.count(trials), workers), dims_limit, seed))
         if results[-1][1] is not None:
             break
     return results
@@ -469,7 +458,7 @@ def _battery_checks(row: _Battery, trials: int, seed: int, shares: list) -> list
 MAX_DIMS_LIMIT = round(POINTER_STATE_MAX_AMPS ** (1 / 3))
 
 
-def run_verify(trials: int, dims_limit: int, seed: int, out=print) -> int:
+def run_verify(trials: int, dims_limit: int, seed: int) -> int:
     if trials < 1:
         raise ScenarioParseError(f"--trials must be >= 1, got {trials}")
     if not 2 <= dims_limit <= MAX_DIMS_LIMIT:
@@ -484,15 +473,23 @@ def run_verify(trials: int, dims_limit: int, seed: int, out=print) -> int:
     rows = [step for step in steps if isinstance(step, _Battery)]
     # Share w of W takes each row's trials t = w (mod W), which balances the
     # drawn dimensions.  W - 1 children are forked once, each running its
-    # share of every row; the parent runs share 0 and the one-shot checks.
-    # Trial t draws only from its own stream and stacked QR is bit-identical
-    # per matrix, so every row is the same on any number of shares.
+    # share of every row; the parent holds each one-shot check's Check or
+    # exception, then runs share 0.  Trial t draws only from its own stream
+    # and stacked QR is bit-identical per matrix, so every row is the same on
+    # any number of shares.
     workers = _verify_workers(max(row.count(trials) for row in rows), dims_limit)
     children = []  # (pid, read end) of each forked child not yet collected
+    held = {}
     try:
         for w in range(1, workers):
             children.append(_fork_shares(rows, trials, w, workers, dims_limit, seed))
-        shares = [_run_shares(steps, trials, 0, workers, dims_limit, seed)]
+        for step in steps:
+            if not isinstance(step, _Battery):
+                try:
+                    held[step] = step()
+                except Exception as exc:
+                    held[step] = exc
+        shares = [_run_shares(rows, trials, 0, workers, dims_limit, seed)]
         while children:
             shares.append(_collect(*children.pop(0)))
     finally:
@@ -500,24 +497,24 @@ def run_verify(trials: int, dims_limit: int, seed: int, out=print) -> int:
             os.close(read)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    # Every share stops at its first failure, so the first step in print
-    # order that failed in any share raises before a share runs out.
-    forked = [iter(share) for share in shares[1:]]
+    # Every share stops at its first failing row, so the first step in print
+    # order that failed raises before a share runs out.
+    shares = [iter(share) for share in shares]
     checks = []
-    for step, (result, failure) in zip(steps, shares[0]):
+    for step in steps:
         if isinstance(step, _Battery):
-            checks += _battery_checks(step, trials, seed, [(result, failure), *map(next, forked)])
-        elif failure is not None:
-            raise failure[1]
+            checks += _battery_checks(step, trials, seed, [next(share) for share in shares])
+        elif isinstance(held[step], Exception):
+            raise held[step]
         else:
-            checks.append(result)
+            checks.append(held[step])
     for c in checks:
-        out(f"{c.name:<24} {c.detail}  {'PASS' if c.passed else 'FAIL'}")
+        print(f"{c.name:<24} {c.detail}  {'PASS' if c.passed else 'FAIL'}")
     failed = [c for c in checks if not c.passed]
     if failed:
-        out(f"verify: {len(failed)} of {len(checks)} properties FAILED")
+        print(f"verify: {len(failed)} of {len(checks)} properties FAILED")
         return 1
-    out(f"verify: all {len(checks)} properties passed")
+    print(f"verify: all {len(checks)} properties passed")
     return 0
 
 

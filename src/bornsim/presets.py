@@ -62,16 +62,17 @@ def state_preset(name: str) -> StateVector:
     raise InvalidInputError(f"unknown state preset {name!r}")
 
 
-_PAULI = {
-    "sigma_x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "sigma_y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "sigma_z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+_PAULI: dict[str, tuple[str, np.ndarray]] = {
+    "sigma_x": ("Pauli X, eigenvalues -1 and +1",
+                np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)),
+    "sigma_y": ("Pauli Y, eigenvalues -1 and +1",
+                np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)),
+    "sigma_z": ("Pauli Z, eigenvalues -1 and +1 (basis |0>, |1>)",
+                np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)),
 }
 
 OBSERVABLE_PRESET_DESCRIPTIONS: dict[str, str] = {
-    "sigma_x": "Pauli X, eigenvalues -1 and +1",
-    "sigma_y": "Pauli Y, eigenvalues -1 and +1",
-    "sigma_z": "Pauli Z, eigenvalues -1 and +1 (basis |0>, |1>)",
+    name: desc for name, (desc, _) in _PAULI.items()
 }
 
 
@@ -79,7 +80,7 @@ def observable_preset(name: str) -> Observable:
     key = name.strip()
     if key not in _PAULI:
         raise InvalidInputError(f"unknown observable preset {name!r}")
-    return observable_from_matrix(_PAULI[key])
+    return observable_from_matrix(_PAULI[key][1])
 
 
 SCENARIO_PRESETS: dict[str, tuple[str, str]] = {

@@ -7,14 +7,16 @@ A Haar unitary is drawn in two steps: _ginibre makes every rng call, and
 _haar turns any number of Ginibre matrices into unitaries, with one stacked
 QR per matrix size.  random_unitary and random_observable run both steps on
 one matrix; verify draws many trials first and runs _haar on them together.
+_draw_observable makes every rng call of random_observable and returns the
+Observable as a partial awaiting its basis, with that basis's Ginibre matrix.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from itertools import accumulate
 from math import prod
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +46,7 @@ def _haar(ginibres: list[np.ndarray]) -> list[np.ndarray]:
     The matrices of one size share stacked np.linalg.qr calls of at most
     HAAR_STACK_AMPS amplitudes each.  Stacked QR runs the same LAPACK call
     per matrix, so each unitary is bit-identical to a QR of its matrix alone.
+    Each unitary is a slice of its stack, which lives as long as any of them.
     """
     by_size = defaultdict(list)
     for i, z in enumerate(ginibres):
@@ -58,7 +61,7 @@ def _haar(ginibres: list[np.ndarray]) -> list[np.ndarray]:
             phases /= np.abs(phases)
             q *= phases[:, None, :]
             for i, u in zip(chunk, q):
-                out[i] = u.copy()  # a view would keep its whole stack alive
+                out[i] = u
     return out
 
 
@@ -74,21 +77,11 @@ def random_density(rng: np.random.Generator, dims) -> DensityMatrix:
     return DensityMatrix(tuple(dims), rho / np.trace(rho))
 
 
-class _Spectrum(NamedTuple):
-    """A drawn random observable short of its eigenbasis."""
-
-    dims: tuple[int, ...]
-    eigenvalues: tuple[float, ...]
-    labels: np.ndarray
-
-    def observable(self, basis: np.ndarray) -> Observable:
-        return Observable(self.dims, self.eigenvalues, basis, self.labels)
-
-
 def _draw_observable(
     rng: np.random.Generator, dims, degenerate: bool = False
-) -> tuple[_Spectrum, np.ndarray]:
-    """Every draw of random_observable: its spectrum and its basis's Ginibre matrix."""
+) -> tuple[partial, np.ndarray]:
+    """Every draw of random_observable: the Observable awaiting its basis, and
+    the basis's Ginibre matrix."""
     d = prod(dims)
     if degenerate:
         if d < 2:
@@ -104,7 +97,7 @@ def _draw_observable(
     # Gaps >= 0.1 keep clustering in observable_from_matrix unambiguous.
     eigenvalues = tuple(x - 1.0 for x in accumulate(rng.uniform(0.1, 2.0, size=k).tolist()))
     labels = np.repeat(np.arange(k), ranks)
-    return _Spectrum(tuple(dims), eigenvalues, labels), _ginibre(rng, d)
+    return partial(Observable, tuple(dims), eigenvalues, labels=labels), _ginibre(rng, d)
 
 
 def random_observable(
@@ -117,5 +110,5 @@ def random_observable(
     With degenerate=True the branch count is at most dim-1, so at least one
     branch has multiplicity >= 2 (requires dim >= 2).
     """
-    spectrum, z = _draw_observable(rng, dims, degenerate)
-    return spectrum.observable(*_haar([z]))
+    observable, z = _draw_observable(rng, dims, degenerate)
+    return observable(*_haar([z]))

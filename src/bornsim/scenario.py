@@ -38,13 +38,7 @@ from .measurement import (
     project_update,
 )
 from .observables import observable_from_branches, observable_from_matrix
-from .pointer import (
-    TWO_POINTER,
-    PointerSchemeSetup,
-    _oracle_gap,
-    _pointer_check,
-    two_pointer_setup,
-)
+from .pointer import PointerSchemeSetup, _oracle_gap, _pointer_check, two_pointer_setup
 from .presets import observable_preset, state_preset
 from .signaling import TelepathyScenario, _cell_weights, _signaling_check, channel_simulation
 
@@ -282,7 +276,7 @@ def _run_pointer(scn: Scenario) -> Records:
         obs_b = _resolve_observable(fields, "obs_b", state.dims)
         size = lambda key, k: _parse_int(_take(fields, key, str(k)), key, least=k)
         n1 = size("pointer1_size", obs_a.branch_count)
-        m2 = size("pointer2_size", obs_b.branch_count) if scn.kind == TWO_POINTER else None
+        m2 = size("pointer2_size", obs_b.branch_count) if scn.kind == "two_pointer" else None
     _reject_unknown(fields)
     setup = PointerSchemeSetup(state, obs_a, obs_b, n1, m2)
     if m2 is None:  # cross-checked against the default-size two-pointer twin

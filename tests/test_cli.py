@@ -324,6 +324,15 @@ def test_entropy_demo_skips_branch_below_psd_tol(tmp_path, capsys):
         "kind = telepathy\nstate = bell_pair\nrule = born\nq = 2\n",
         "kind = two_pointer\nstate = 0 0\nobs_a = sigma_z\nobs_b = sigma_x\n",
         "kind = stern_gerlach\nomegas = 1e308 1\ndt = 10\n",  # omega * dt overflows
+        "state = plus\nobs = sigma_z\n",  # no kind
+        "kind = telepathy\nstate = bell_pair\nrule = nonborn_exponent\n",  # no q
+        "kind = two_pointer\nobs_a = sigma_z\nobs_b = sigma_x\n",  # no state
+        "kind = two_pointer\nstate = up\nobs_a = branches\nobs_b = sigma_x\n",  # no eigenvalues
+        "kind = entropy_demo\nstate = plus\nobs = matrix 1 0; ; 0 1\n",  # empty row
+        "kind = stern_gerlach\nomegas = 1 2\ndt = inf\n",  # non-finite dt
+        "kind = entropy_demo\nstate = plus\nobs = sigma_w\n",  # no such preset
+        "kind = two_pointer\nstate = up\nobs_a = sigma_z\nobs_a.eigenvalues = 1 2\n"
+        "obs_b = sigma_x\n",  # branch fields next to a preset
     ],
 )
 def test_malformed_scenarios_exit_2(tmp_path, capsys, body):
@@ -1240,6 +1249,39 @@ def test_a_one_shot_check_error_beats_a_later_battery(capsys, monkeypatch, worke
     code, out, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
     assert code == 3 and out == ""
     assert err == "invariant violation [InvalidInputError]: planted witness violation\n"
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_battery_error_beats_a_later_one_shot_check(capsys, monkeypatch, workers):
+    # The parent runs born_marginals before any share; the pointer row
+    # prints first, so pointer trial 1's error is raised all the same.
+    def marginals():
+        raise InvalidInputError("planted marginals violation")
+
+    set_workers(monkeypatch, workers)
+    _plant(monkeypatch, "_POINTER", {1}, _violation)
+    monkeypatch.setattr(cli, "_check_born_marginals", marginals)
+    code, out, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
+    assert code == 3 and out == ""
+    assert err == ("invariant violation [InvalidInputError]: trial [1234,1,1]: "
+                   "planted violation in trial 1\n")
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_first_one_shot_check_error_beats_every_battery(capsys, monkeypatch, workers):
+    # epr_reproduction prints first: its error is raised even when pointer
+    # trial 1, in a child's share or the parent's, fails too.
+    def epr():
+        raise InvalidInputError("planted epr violation")
+
+    set_workers(monkeypatch, workers)
+    _plant(monkeypatch, "_POINTER", {1}, _violation)
+    monkeypatch.setattr(cli, "_check_epr", epr)
+    code, out, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
+    assert code == 3 and out == ""
+    assert err == "invariant violation [InvalidInputError]: planted epr violation\n"
     _no_child_left()
 
 

@@ -47,6 +47,17 @@ def test_degeneracy_clustering():
     assert obs.eigenvalue(0) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_operator_input_matches_raw_entries():
+    # A 4 x 4 matrix with a twice-degenerate eigenvalue, on dims (2, 2).
+    h = np.kron(SIGMA_Z, np.eye(2)) + np.diag([0.0, 0.5, 0.0, 0.0])
+    from_op = observable_from_matrix(Operator((2, 2), h))
+    from_raw = observable_from_matrix(h, dims=(2, 2))
+    assert from_op.dims == from_raw.dims == (2, 2)
+    assert from_op.eigenvalues == from_raw.eigenvalues
+    assert np.array_equal(from_op.basis, from_raw.basis)
+    assert np.array_equal(from_op.labels, from_raw.labels)
+
+
 def test_degeneracy_tol_boundary():
     # Gap above the tolerance stays split, below it merges.
     assert observable_from_matrix(np.diag([0.0, 1e-6])).branch_count == 2

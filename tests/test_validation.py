@@ -6,10 +6,11 @@ report exactly what the old one did."""
 import numpy as np
 import pytest
 
-from bornsim.core import DensityMatrix, Operator, OutcomeDistribution, StateVector
-from bornsim.errors import InvalidInputError, InvalidProjectorFamilyError
-from bornsim.observables import Observable
-from bornsim.pointer import JointDistribution
+from bornsim.core import DensityMatrix, Operator, OutcomeDistribution, StateVector, tensor
+from bornsim.errors import InvalidDensityError, InvalidInputError, InvalidProjectorFamilyError
+from bornsim.measurement import project_update
+from bornsim.observables import Observable, observable_from_branches, observable_from_matrix
+from bornsim.pointer import JointDistribution, PointerSchemeSetup
 
 NAN_IMAG = complex(0.0, np.nan)
 INF_REAL = complex(np.inf, 0.0)
@@ -23,6 +24,8 @@ def _with(base, index, value):
 
 _HALF = np.full((2, 2), 0.5, dtype=complex)  # the density of |+>
 _EYE = np.eye(2, dtype=complex)
+_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+_SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
 
 REJECTED = [
     # (case, constructor, exception class, exact message)
@@ -72,6 +75,31 @@ REJECTED = [
     ("observable basis 2e-10 off unitary",
      lambda: Observable((2,), (0.0, 1.0), np.diag([1.0, np.sqrt(1 + 2e-10)]), [0, 1]),
      InvalidProjectorFamilyError, "basis is not unitary"),
+    ("operator shape", lambda: Operator((2,), np.eye(3)),
+     InvalidInputError, "operator shape (3, 3) does not match dims (2,)"),
+    ("density shape", lambda: DensityMatrix((2,), np.eye(3) / 3),
+     InvalidDensityError, "density shape (3, 3) does not match dims (2,)"),
+    ("outcome label count", lambda: OutcomeDistribution((0, 1), [1.0]),
+     InvalidInputError, "1 probabilities for 2 labels"),
+    ("state dims not iterable", lambda: StateVector(5, [1.0]),
+     InvalidInputError, "dims must be an iterable of ints, got 5"),
+    ("observable no branches", lambda: Observable((2,), (), _EYE, [0, 0]),
+     InvalidProjectorFamilyError, "observable has no branches"),
+    ("branches raw without dims", lambda: observable_from_branches([(0.0, _P0), (1.0, _P1)]),
+     InvalidInputError, "dims required for raw projector matrices"),
+    ("branches dims mismatch",
+     lambda: observable_from_branches([(0.0, Operator((2,), _P0)),
+                                       (1.0, Operator((3,), np.eye(3)))]),
+     InvalidProjectorFamilyError, "projector dims mismatch: expected (2,)"),
+    ("pointer second observable dims",
+     lambda: PointerSchemeSetup(StateVector((2,), [1.0, 0.0]), _SIGMA_Z,
+                                observable_from_matrix(np.diag([1.0, 2.0, 3.0])), 2, None),
+     InvalidInputError, "second observable dims (3,) != state dims (2,)"),
+    ("project_update dims", lambda: project_update(StateVector((3,), [1.0, 0.0, 0.0]),
+                                                   _SIGMA_Z, 0),
+     InvalidInputError, "dims mismatch (2,) vs (3,)"),
+    ("tensor of nothing", lambda: tensor([]),
+     InvalidInputError, "tensor of zero factors"),
 ]
 
 
