@@ -16,14 +16,15 @@ measurement's _entropy_check and _target_check.
 Each row's trials run on the CPUs in the process's affinity mask: share w of
 W takes trials t = w (mod W) of every row.  verify forks one set of W - 1
 children per run, and every process runs the same share loop over the rows;
-each child sends all its rows back at once.  The process itself runs the
-one-shot checks, then share 0, then merges in print order.  The printed
-bytes are the same on any CPU count; `taskset -c 0` runs everything in one
-process.  A process that already runs other threads, such as the thread
-pool numpy's OpenBLAS starts on a multi-CPU host unless
-OPENBLAS_NUM_THREADS=1, does not fork.  Every worker holds its own trial's
-arrays, so W is at most the memory available over one worker's peak at
---dims-limit.
+each child sends all its rows back at once.  The process itself runs share 0,
+collects the other shares, then merges in print order, running each one-shot
+check at its place there.  Every property is a Check of (key, value) fields,
+and one renderer prints its line.  The printed bytes are the same on any CPU
+count; `taskset -c 0` runs everything in one process.  A process that
+already runs other threads, such as the thread pool numpy's OpenBLAS starts
+on a multi-CPU host unless OPENBLAS_NUM_THREADS=1, does not fork.  Every
+worker holds its own trial's arrays, so W is at most the memory available
+over one worker's peak at --dims-limit.
 
 Exit codes: 0 success, 1 verify property failure, 2 parse/usage error
 (including a negative seed and a --dims-limit above MAX_DIMS_LIMIT = 256),
@@ -85,11 +86,26 @@ from .signaling import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Check:
     name: str
-    detail: str
+    fields: tuple[tuple[str, float | int | tuple[int, ...]], ...]  # (key, value) in print order
     passed: bool
+
+
+def _within(name: str, worst: float, limit: float, *fields) -> Check:
+    # A property whose worst deviation must stay below its limit; a NaN fails.
+    return Check(name, (("worst", worst), ("limit", limit), *fields), bool(worst < limit))
+
+
+def _render_check(check: Check) -> str:
+    # The one property line: a float as .3g, an int as itself, a seed tuple
+    # as [seed,stream,t].
+    fields = " ".join(
+        f"{key}=[{','.join(map(str, value))}]" if isinstance(value, tuple)
+        else f"{key}={value}" if isinstance(value, int) else f"{key}={value:.3g}"
+        for key, value in check.fields)
+    return f"{check.name:<24} {fields}  {'PASS' if check.passed else 'FAIL'}"
 
 
 def _render_records(records) -> str:
@@ -152,7 +168,7 @@ def _check_epr() -> Check:
     s = 1.0 / np.sqrt(2.0)
     expected = np.array([0.0, s, -s, 0.0], dtype=complex)
     dev = float(np.max(np.abs(final.amps - expected)))
-    return Check("epr_reproduction", f"worst={dev:.3g} limit=1e-12", dev < 1e-12)
+    return _within("epr_reproduction", dev, 1e-12)
 
 
 def _check_witness(seed: int) -> Check:
@@ -177,11 +193,9 @@ def _check_witness(seed: int) -> Check:
     for bit, analytic in zip((1, 0), (with_alice, without_alice)):
         mc = channel_simulation(scenario, bit, 100_000, rng)
         mc_dev = max(mc_dev, float(0.5 * np.abs(mc.probs - analytic).sum()))
-    return Check(
-        "telepathy_witness",
-        f"analytic_dev={dev:.3g} limit=1e-06 mc_dev={mc_dev:.3g} mc_limit=0.01",
-        dev < 1e-6 and mc_dev <= 0.01,
-    )
+    limit, mc_limit = 1e-6, 0.01
+    fields = (("analytic_dev", dev), ("limit", limit), ("mc_dev", mc_dev), ("mc_limit", mc_limit))
+    return Check("telepathy_witness", fields, bool(dev < limit and mc_dev <= mc_limit))
 
 
 def _check_born_marginals() -> Check:
@@ -191,7 +205,7 @@ def _check_born_marginals() -> Check:
         lifted = embed_observable(observable_preset("sigma_z"), state.dims, subsystem)
         probs = rule_probabilities(BORN, state, lifted).probs
         dev = max(dev, float(np.max(np.abs(probs - 0.5))))
-    return Check("born_marginals", f"worst={dev:.3g} limit=1e-12", dev < 1e-12)
+    return _within("born_marginals", dev, 1e-12)
 
 
 # A trial has two phases.  Called, it makes every rng call of the trial, in
@@ -439,17 +453,12 @@ def _battery_checks(row: _Battery, trials: int, seed: int, shares: list) -> list
     n, workers = row.count(trials), len(shares)
     results = np.array([shares[t % workers][0][t // workers] for t in range(n)])
     k = len(row.limits)
-    totals = results[:, k:].sum(axis=0)
-    tallies = "".join(f" {name}={int(c)}" for name, c in zip(row.tallies, totals))
+    tallies = [(name, int(c)) for name, c in zip(row.tallies, results[:, k:].sum(axis=0))]
     # Each property's first worst trial; a NaN deviation counts as the worst.
     worst_trials = results[:, :k].argmax(axis=0)
     return [
-        Check(
-            name,
-            f"worst={results[t, i]:.3g} limit={limit:g} trials={n}{tallies} "
-            f"worst_seed=[{seed},{row.stream},{t}]",
-            bool(results[t, i] < limit),
-        )
+        _within(name, float(results[t, i]), limit, ("trials", n), *tallies,
+                ("worst_seed", (seed, row.stream, int(t))))
         for i, ((name, limit), t) in enumerate(zip(row.limits, worst_trials))
     ]
 
@@ -473,22 +482,14 @@ def run_verify(trials: int, dims_limit: int, seed: int) -> int:
     rows = [step for step in steps if isinstance(step, _Battery)]
     # Share w of W takes each row's trials t = w (mod W), which balances the
     # drawn dimensions.  W - 1 children are forked once, each running its
-    # share of every row; the parent holds each one-shot check's Check or
-    # exception, then runs share 0.  Trial t draws only from its own stream
-    # and stacked QR is bit-identical per matrix, so every row is the same on
-    # any number of shares.
+    # share of every row; the parent runs share 0 and collects the others.
+    # Trial t draws only from its own stream and stacked QR is bit-identical
+    # per matrix, so every row is the same on any number of shares.
     workers = _verify_workers(max(row.count(trials) for row in rows), dims_limit)
     children = []  # (pid, read end) of each forked child not yet collected
-    held = {}
     try:
         for w in range(1, workers):
             children.append(_fork_shares(rows, trials, w, workers, dims_limit, seed))
-        for step in steps:
-            if not isinstance(step, _Battery):
-                try:
-                    held[step] = step()
-                except Exception as exc:
-                    held[step] = exc
         shares = [_run_shares(rows, trials, 0, workers, dims_limit, seed)]
         while children:
             shares.append(_collect(*children.pop(0)))
@@ -497,19 +498,17 @@ def run_verify(trials: int, dims_limit: int, seed: int) -> int:
             os.close(read)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    # Every share stops at its first failing row, so the first step in print
-    # order that failed raises before a share runs out.
+    # The one-shot checks run here, at their place in print order.  Every
+    # share stops at its first failing row, so the first step in print order
+    # that failed raises before a share runs out.
     shares = [iter(share) for share in shares]
     checks = []
     for step in steps:
         if isinstance(step, _Battery):
             checks += _battery_checks(step, trials, seed, [next(share) for share in shares])
-        elif isinstance(held[step], Exception):
-            raise held[step]
         else:
-            checks.append(held[step])
-    for c in checks:
-        print(f"{c.name:<24} {c.detail}  {'PASS' if c.passed else 'FAIL'}")
+            checks.append(step())
+    print("\n".join(map(_render_check, checks)))
     failed = [c for c in checks if not c.passed]
     if failed:
         print(f"verify: {len(failed)} of {len(checks)} properties FAILED")

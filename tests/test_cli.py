@@ -499,6 +499,67 @@ def test_verify_layout_is_pinned(capsys, argv, layout):
         assert re.fullmatch(pattern, line), (line, pattern)
 
 
+def test_one_renderer_prints_every_property_line():
+    # A float prints as .3g, an int as itself and a seed tuple as
+    # [seed,stream,t]; the name is padded to 24 and two spaces precede the verdict.
+    pointer_fields = (("trials", 200), ("degenerate", 54), ("worst_seed", (1234, 1, 5)))
+    witness = (("analytic_dev", 1.1102230246251565e-16), ("limit", 1e-6),
+               ("mc_dev", 0.0010600000000000002), ("mc_limit", 0.01))
+    cases = [
+        (cli._within("epr_reproduction", 0.0, 1e-12),
+         "epr_reproduction         worst=0 limit=1e-12  PASS"),
+        (cli._within("no_signaling_born", 1.3877787807814457e-16, 1e-12, ("trials", 200),
+                     ("worst_seed", (1234, 2, 1))),
+         "no_signaling_born        worst=1.39e-16 limit=1e-12 trials=200 "
+         "worst_seed=[1234,2,1]  PASS"),
+        (cli._within("projection_equivalence", float("nan"), 1e-10, *pointer_fields),
+         "projection_equivalence   worst=nan limit=1e-10 trials=200 degenerate=54 "
+         "worst_seed=[1234,1,5]  FAIL"),
+        (cli.Check("telepathy_witness", witness, True),
+         "telepathy_witness        analytic_dev=1.11e-16 limit=1e-06 mc_dev=0.00106 "
+         "mc_limit=0.01  PASS"),
+        (cli.Check("x", (("worst", 0.5), ("limit", 0.01)), False),
+         "x                        worst=0.5 limit=0.01  FAIL"),
+    ]
+    for check, line in cases:
+        assert cli._render_check(check) == line
+
+
+def test_a_battery_row_is_a_check_of_fields():
+    (check,) = cli._battery_checks(cli._ENTROPY, 0, 1234,
+                                   [cli._run_share(cli._ENTROPY, range(50), 6, 1234)])
+    fields = dict(check.fields)
+    assert [key for key, _ in check.fields] == ["worst", "limit", "trials", "worst_seed"]
+    assert fields["limit"] == 1e-10 and fields["trials"] == 50
+    assert fields["worst_seed"][:2] == (1234, 4)
+    assert check.passed == (fields["worst"] < fields["limit"])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_each_one_shot_check_runs_once_in_the_verify_process(tmp_path, capsys, monkeypatch,
+                                                              workers):
+    # A file, not a list, so that a call in a forked child would be seen too.
+    log = tmp_path / "one-shot.txt"
+
+    def logged(check):
+        def wrapped(*args):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{check.__name__} {os.getpid()}\n")
+            return check(*args)
+
+        return wrapped
+
+    names = ("_check_epr", "_check_witness", "_check_born_marginals")
+    set_workers(monkeypatch, workers)
+    for name in names:
+        monkeypatch.setattr(cli, name, logged(getattr(cli, name)))
+    code, _, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
+    assert code == 0 and err == ""
+    assert sorted(log.read_text().splitlines()) == sorted(f"{name} {os.getpid()}"
+                                                          for name in names)
+    _no_child_left()
+
+
 def test_every_pointer_setup_is_evolved_once(tmp_path, capsys, monkeypatch):
     # verify and run evolve each pointer setup they build exactly once: the
     # projection deviation and the cross-checks reuse the one joint.
@@ -1254,8 +1315,8 @@ def test_a_one_shot_check_error_beats_a_later_battery(capsys, monkeypatch, worke
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_battery_error_beats_a_later_one_shot_check(capsys, monkeypatch, workers):
-    # The parent runs born_marginals before any share; the pointer row
-    # prints first, so pointer trial 1's error is raised all the same.
+    # born_marginals runs in the merge, after the pointer row, which prints
+    # first, so pointer trial 1's error is raised and born_marginals never runs.
     def marginals():
         raise InvalidInputError("planted marginals violation")
 
