@@ -262,7 +262,7 @@ def _ll_trial(rng, t: int, dims_limit: int) -> tuple:
     target = random_state(rng, (d,))
 
     def check(obs) -> tuple:
-        # <psi|P_n psi>, a route independent of the branch_weights call ll_channel makes.
+        # <psi|P_n psi>, a route independent of the kernel's branch_weights call.
         weights = (state.amps.conj() @ obs.split(state.amps)).real
         records, target_dev = _target_check(state, obs, target)
         dev = max(abs(rec.probability - weights[rec.branch_index]) for rec in records)

@@ -11,9 +11,9 @@ demonstrated.  The family is deterministic on eigenstates for every q and is
 defined on pure states; ensembles are handled by weighted mixing of the
 per-member distributions.  _entropy_check and _target_check implement the
 entropy and state-preparation claims once, for `bornsim verify` and `run`.
-ll_channel checks each post-measurement operator with Operator.is_unitary,
-and state preparation steers each collapsed branch to the target with one
-Householder reflection, so this module factors no matrix.
+State preparation steers each collapsed branch to the target with one
+Householder reflection, so this module factors no matrix.  The LL kernel
+applies them as vectors; only the public functions build and check operators.
 """
 
 from __future__ import annotations
@@ -183,6 +183,19 @@ def ll_channel(
     ]
 
 
+def _householder(state: StateVector, obs: Observable, target: StateVector) -> tuple:
+    # The Born weights, the live branches, their collapsed columns x_n, and per
+    # live branch w_n, e^{ia_n} and 2 / ||w_n||^2 of state_preparation_unitaries.
+    if target.dims != state.dims:
+        raise InvalidInputError(f"target dims {target.dims} != {state.dims}")
+    weights = branch_weights(state, obs)
+    live = np.flatnonzero(weights > ZERO_PROB_CUTOFF).tolist()
+    cols = _collapsed(state, obs, live)
+    phases = np.exp(1j * np.angle(target.amps.conj() @ cols))
+    w = cols + phases * target.amps[:, None]
+    return weights, live, cols, w, phases, 2.0 / np.einsum("ij,ij->j", w.conj(), w).real
+
+
 def state_preparation_unitaries(
     state: StateVector, obs: Observable, target: StateVector
 ) -> list[Operator]:
@@ -194,25 +207,22 @@ def state_preparation_unitaries(
     U_n = (2 w w^dag / ||w||^2 - 1) e^{-ia}, where ||w||^2 >= 2.  Dead
     branches get the identity.
     """
-    if target.dims != state.dims:
-        raise InvalidInputError(f"target dims {target.dims} != {state.dims}")
-    live = np.flatnonzero(branch_weights(state, obs) > ZERO_PROB_CUTOFF)
+    _, live, _, w, phases, scale = _householder(state, obs, target)
     eye = np.eye(state.dim)
     out = [Operator(state.dims, eye)] * obs.branch_count
-    for n, x in zip(live.tolist(), _collapsed(state, obs, live).T):
-        phase = np.exp(1j * np.angle(np.vdot(target.amps, x)))
-        w = x + phase * target.amps
-        reflection = (2.0 / np.vdot(w, w).real) * np.outer(w, w.conj()) - eye
-        out[n] = Operator(state.dims, reflection * phase.conjugate())
+    for n, wn, phase, c in zip(live, w.T, phases, scale):
+        out[n] = Operator(state.dims, (c * np.outer(wn, wn.conj()) - eye) * phase.conjugate())
     return out
 
 
 def _target_check(state: StateVector, obs: Observable, target: StateVector) -> tuple:
-    # The records of ll_channel with the state-preparation unitaries, and the
-    # worst amplitude deviation of their post-states from target.
-    records = ll_channel(state, obs, state_preparation_unitaries(state, obs, target))
-    return records, max(float(np.max(np.abs(rec.post_state.amps - target.amps)))
-                        for rec in records)
+    # The LL records with U_n x_n = e^{-ia} (2 w (w^dag x_n) / ||w||^2 - x_n) applied
+    # as vectors, and the worst amplitude deviation of their post-states from target.
+    weights, live, cols, w, phases, scale = _householder(state, obs, target)
+    posts = (scale * np.einsum("ij,ij->j", w.conj(), cols) * w - cols) * phases.conj()
+    records = [MeasurementRecord(n, obs.eigenvalue(n), float(weights[n]),
+                                 StateVector(state.dims, x)) for n, x in zip(live, posts.T)]
+    return records, float(np.abs(posts.T - target.amps).max())
 
 
 def phase_unitaries(

@@ -593,8 +593,9 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     # The pointer battery checks the projection postulate from whole-observable
     # arrays: no collapsed state, conditional or Born distribution per branch.
     # The no-signaling battery reads both directions off one W per trial.
-    # The LL battery runs the channel once per trial, with the state-preparation
-    # unitaries.
+    # The LL battery runs its kernel once per trial, with one weights call and
+    # one collapse, and applies the reflections as vectors: no channel run, no
+    # Operator built (Operator.__post_init__) and no unitarity check.
     set_workers(monkeypatch, 1)
     calls, battery = Counter(), [None]
 
@@ -606,24 +607,31 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
             battery[0] = None
 
     monkeypatch.setattr(cli, "_run_share", tracking)
-    names = ("project_update", "rule_probabilities", "conditional_b_given_a", "_cell_weights",
-             "ll_channel")
-    for name, home in zip(names, (measurement, measurement, pointer, signaling, measurement)):
+    operator = measurement.Operator
+    homes = {"project_update": measurement, "rule_probabilities": measurement,
+             "conditional_b_given_a": pointer, "_cell_weights": signaling,
+             "_target_check": measurement, "branch_weights": measurement,
+             "_collapsed": measurement, "ll_channel": measurement,
+             "__post_init__": operator, "is_unitary": operator}
+    for name, home in homes.items():
         original = getattr(home, name)
 
         def counting(*args, original=original, name=name):
             calls[battery[0], name] += 1
             return original(*args)
 
-        for module in (measurement, pointer, signaling, cli, scenario):
+        for module in (home, measurement, pointer, signaling, cli, scenario):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     code, _, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
     assert code == 0
     stream = cli._POINTER.stream
-    assert [calls[stream, name] for name in names[:3]] == [0, 0, 0]
+    assert [calls[stream, name] for name in list(homes)[:3]] == [0, 0, 0]
     assert calls[cli._NO_SIGNALING.stream, "_cell_weights"] == 10
-    assert calls[cli._LL.stream, "ll_channel"] == 50  # max(50, 10 // 4) trials
+    # max(50, 10 // 4) LL trials, each one kernel call, one weights call and one collapse.
+    ll = {name: calls[cli._LL.stream, name] for name in list(homes)[4:]}
+    assert ll == {"_target_check": 50, "branch_weights": 50, "_collapsed": 50,
+                  "ll_channel": 0, "__post_init__": 0, "is_unitary": 0}
     # The hooks are live: the one-shot checks outside the batteries hit them.
     assert calls[None, "rule_probabilities"] > 0 and calls[None, "_cell_weights"] > 0
 
@@ -771,8 +779,8 @@ def test_scenario_parser_fuzz_exits_cleanly(tmp_path, text):
 
 def test_ll_channel_invariance_fails_on_shifted_weights(capsys, monkeypatch):
     # The property's reference probabilities are <psi|P_n psi>, not the
-    # branch_weights function ll_channel calls, so weights off by 1e-9 must
-    # FAIL wherever the function is bound.
+    # branch_weights function the LL kernel calls, so weights off by 1e-9
+    # must FAIL wherever the function is bound.
     original = measurement.branch_weights
     for module in (measurement, pointer, scenario, signaling, cli):
         if getattr(module, "branch_weights", None) is original:
@@ -969,23 +977,23 @@ def _shift_born_mass(original):
 
 
 def _drop_reflection_phase(original):
-    # Each operator times e^{ia}, a = arg<target|P_n psi>: a live branch's
-    # reflection loses its e^{-ia} factor and sends x_n to e^{ia} target.
+    # The helper's phases e^{ia}, a = arg<target|P_n psi>, set to 1 after w is
+    # built: a live branch's reflection loses its e^{-ia} factor and sends x_n
+    # to e^{ia} target.
     def mutant(state, obs, target):
-        angles = np.angle(target.amps.conj() @ obs.split(state.amps))
-        return [measurement.Operator(u.dims, u.entries * np.exp(1j * a))
-                for u, a in zip(original(state, obs, target), angles)]
+        *head, phases, scale = original(state, obs, target)
+        return (*head, np.ones_like(phases), scale)
 
     return mutant
 
 
-def _operator_dependent_probabilities(original):
-    # Each record's probability scaled by 1 + 1e-9 |U_n[0,0]|.
-    def mutant(state, obs, unitaries):
-        return [dataclasses.replace(
-                    rec, probability=rec.probability
-                    * (1 + 1e-9 * abs(unitaries[rec.branch_index].entries[0, 0])))
-                for rec in original(state, obs, unitaries)]
+def _scale_reflection_coefficient(original):
+    # The reflection coefficient 2 / ||w||^2 times 1 + 1e-11: U_n x_n misses the
+    # target by 1e-11 e^{-ia} w, above the property's 1e-12 limit, while its
+    # norm moves by at most 2e-11, within the 1e-10 a StateVector accepts.
+    def mutant(state, obs, target):
+        *head, scale = original(state, obs, target)
+        return (*head, scale * (1 + 1e-11))
 
     return mutant
 
@@ -1020,8 +1028,8 @@ def _patch_everywhere(monkeypatch, name, mutant):
         ("run_one_pointer", _negate_final_state, "epr_reproduction"),
         ("channel_simulation", _other_arm, "telepathy_witness"),
         ("rule_probabilities", _shift_born_mass, "born_marginals"),
-        ("state_preparation_unitaries", _drop_reflection_phase, "ll_channel_invariance"),
-        ("ll_channel", _operator_dependent_probabilities, "ll_channel_invariance"),
+        ("_householder", _drop_reflection_phase, "ll_channel_invariance"),
+        ("_householder", _scale_reflection_coefficient, "ll_channel_invariance"),
     ],
 )
 def test_each_pointer_property_fails_on_its_defect(capsys, monkeypatch, name, mutant, prop):

@@ -31,7 +31,12 @@ from bornsim import (
     von_neumann_entropy,
 )
 from bornsim import cli, core, measurement, scenario
-from bornsim.measurement import _classical_branches, _transform_weights
+from bornsim.measurement import (
+    _classical_branches,
+    _householder,
+    _target_check,
+    _transform_weights,
+)
 from bornsim.rand import random_observable, random_state, random_unitary
 
 SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
@@ -321,6 +326,50 @@ def test_state_preparation_reflections_are_unitary_and_hit_the_target(case):
             assert np.max(np.abs(u.entries @ x - target.amps)) <= 1e-13
         if case == "one_eigenspace":
             assert len(live) == 1
+        _assert_kernel_matches_dense_path(state, obs, target)
+
+
+def _assert_kernel_matches_dense_path(state, obs, target):
+    # The LL kernel, which applies the reflections as vectors, against
+    # ll_channel with the materialised state-preparation unitaries; and
+    # ||w_n||^2 = 2 (1 + |<target|x_n>|) >= 2 on the shared helper's output.
+    records, dev = _target_check(state, obs, target)
+    dense = ll_channel(state, obs, state_preparation_unitaries(state, obs, target))
+    assert [rec.branch_index for rec in records] == [rec.branch_index for rec in dense]
+    assert [rec.probability for rec in records] == [rec.probability for rec in dense]
+    for rec, ref in zip(records, dense):
+        assert rec.eigenvalue == ref.eigenvalue
+        assert np.max(np.abs(rec.post_state.amps - ref.post_state.amps)) <= 1e-13
+    assert dev == max(np.max(np.abs(rec.post_state.amps - target.amps)) for rec in records)
+    *_, w, _, scale = _householder(state, obs, target)
+    norms = np.linalg.norm(w, axis=0) ** 2
+    assert np.all(norms >= 2.0 - 1e-14)
+    assert np.max(np.abs(scale * norms - 2.0)) <= 1e-14
+    return records
+
+
+def test_target_check_keeps_a_branch_just_above_the_cutoff():
+    # Branch 1 carries weight 1.5 ZERO_PROB_CUTOFF, so it is live and its
+    # collapsed column is steered to the target with the others.
+    rng = np.random.default_rng(23)
+    obs = random_observable(rng, (6,))
+    while obs.branch_count < 3:
+        obs = random_observable(rng, (6,))
+    state = random_state(rng, (6,))
+    x0, x1 = (_collapse_reference(state, obs, n) for n in (0, 1))
+    eps = 1.5 * ZERO_PROB_CUTOFF
+    state = StateVector((6,), np.sqrt(1.0 - eps) * x0 + np.sqrt(eps) * x1)
+    assert ZERO_PROB_CUTOFF < branch_weights(state, obs)[1] < 2 * ZERO_PROB_CUTOFF
+    records = _assert_kernel_matches_dense_path(state, obs, random_state(rng, (6,)))
+    assert [rec.branch_index for rec in records] == [0, 1]
+
+
+def test_target_check_at_d_256():
+    rng = np.random.default_rng([256, 17])
+    obs = random_observable(rng, (256,))
+    state, target = random_state(rng, (256,)), random_state(rng, (256,))
+    records = _assert_kernel_matches_dense_path(state, obs, target)
+    assert len(records) == obs.branch_count > 1
 
 
 class TestPhaseUnitaries:
@@ -368,10 +417,12 @@ class TestStatePreparation:
         unitaries = state_preparation_unitaries(PLUS, SIGMA_Z, up)
         for rec in ll_channel(PLUS, SIGMA_Z, unitaries):
             assert np.max(np.abs(rec.post_state.amps - up.amps)) <= 1e-15
+        _assert_kernel_matches_dense_path(PLUS, SIGMA_Z, up)
 
     def test_target_dims_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            state_preparation_unitaries(PLUS, SIGMA_Z, basis_state(3, 0))
+        for prepare in (state_preparation_unitaries, _target_check):
+            with pytest.raises(InvalidInputError, match=r"target dims \(3,\) != \(2,\)"):
+                prepare(PLUS, SIGMA_Z, basis_state(3, 0))
 
 
 class TestNonselectiveChannel:
