@@ -26,6 +26,9 @@ on a multi-CPU host unless OPENBLAS_NUM_THREADS=1, does not fork.  Every
 worker holds its own trial's arrays, so W is at most the memory available
 over one worker's peak at --dims-limit.
 
+main parses with one argparse parser per process, built on its first call,
+so in-process callers (tests, benchmarks, library use) pay for it once.
+
 Exit codes: 0 success, 1 verify property failure, 2 parse/usage error
 (including a negative seed and a --dims-limit above MAX_DIMS_LIMIT = 256),
 3 numerical invariant violation (including a pointer setup whose state
@@ -36,6 +39,7 @@ asking for more than signaling.MAX_SHOTS Monte Carlo shots).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import pickle
 import signal
@@ -534,21 +538,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("table", "records"), default="table",
         help="output style (records is line-oriented key=value)",
     )
-    p_run.set_defaults(func=cmd_run)
     p_verify = sub.add_parser("verify", help="run the randomized property batteries")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--dims-limit", type=int, default=6)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.set_defaults(func=cmd_verify)
     p_presets = sub.add_parser("presets", help="list named states, observables, scenarios")
-    p_presets.set_defaults(func=cmd_presets)
     return parser
 
 
+# argparse keeps no state between parse_args calls.  The parser holds no
+# command function: main looks each one up when it runs, so a patched or
+# traced cmd_* is the one called.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = {"run": cmd_run, "verify": cmd_verify, "presets": cmd_presets}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

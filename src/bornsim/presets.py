@@ -1,15 +1,15 @@
 """Named states, observables, and ready-to-run scenario texts.
 
 Scenario presets are stored as literal scenario-file documents so running a
-preset exercises exactly the same parsing path as running a user file.
+preset exercises exactly the same parsing path as running a user file.  The
+named states and observables are validated once, at import, and a name
+resolves to that shared, read-only object; asymmetric(p) is built per call.
 """
 
 from __future__ import annotations
 
 import math
 import re
-
-import numpy as np
 
 from .core import StateVector
 from .errors import InvalidInputError
@@ -62,13 +62,16 @@ def state_preset(name: str) -> StateVector:
     raise InvalidInputError(f"unknown state preset {name!r}")
 
 
-_PAULI: dict[str, tuple[str, np.ndarray]] = {
-    "sigma_x": ("Pauli X, eigenvalues -1 and +1",
-                np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)),
-    "sigma_y": ("Pauli Y, eigenvalues -1 and +1",
-                np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)),
-    "sigma_z": ("Pauli Z, eigenvalues -1 and +1 (basis |0>, |1>)",
-                np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)),
+# Built and validated once, at import, like STATE_PRESETS; every caller
+# shares one read-only Observable, and so its cached projectors.
+_PAULI: dict[str, tuple[str, Observable]] = {
+    name: (desc, observable_from_matrix(matrix))
+    for name, desc, matrix in (
+        ("sigma_x", "Pauli X, eigenvalues -1 and +1", [[0.0, 1.0], [1.0, 0.0]]),
+        ("sigma_y", "Pauli Y, eigenvalues -1 and +1", [[0.0, -1.0j], [1.0j, 0.0]]),
+        ("sigma_z", "Pauli Z, eigenvalues -1 and +1 (basis |0>, |1>)",
+         [[1.0, 0.0], [0.0, -1.0]]),
+    )
 }
 
 OBSERVABLE_PRESET_DESCRIPTIONS: dict[str, str] = {
@@ -77,10 +80,11 @@ OBSERVABLE_PRESET_DESCRIPTIONS: dict[str, str] = {
 
 
 def observable_preset(name: str) -> Observable:
+    """The shared, validated Observable of a Pauli preset name."""
     key = name.strip()
     if key not in _PAULI:
         raise InvalidInputError(f"unknown observable preset {name!r}")
-    return observable_from_matrix(_PAULI[key][1])
+    return _PAULI[key][1]
 
 
 SCENARIO_PRESETS: dict[str, tuple[str, str]] = {

@@ -19,7 +19,7 @@ from bornsim import cli, measurement, pointer, rand, scenario, signaling
 from bornsim.cli import MAX_DIMS_LIMIT, main
 from bornsim.errors import InvalidInputError
 from bornsim.pointer import POINTER_STATE_MAX_AMPS, SCHEME_AGREEMENT_TOL
-from bornsim.presets import SCENARIO_PRESETS
+from bornsim.presets import SCENARIO_PRESETS, observable_preset
 from bornsim.scenario import KINDS
 
 
@@ -391,6 +391,75 @@ def test_presets_listing(capsys):
         assert section in out
     for name in ("bell_pair", "sigma_z", "epr_bohm", "stern_gerlach", "telepathy_nonborn"):
         assert name in out
+
+
+def test_preset_observables_are_built_once_and_frozen(capsys):
+    sigma_z = observable_preset("sigma_z")
+    assert observable_preset(" sigma_z ") is sigma_z
+    assert sigma_z.projectors is observable_preset("sigma_z").projectors
+    assert sigma_z.eigenvalues == (-1.0, 1.0)
+    np.testing.assert_array_equal(sigma_z.matrix().entries, np.diag([1.0, -1.0]))
+    for array in (sigma_z.basis, sigma_z.labels):
+        with pytest.raises(ValueError):
+            array[0] = array[1]
+    with pytest.raises(InvalidInputError) as info:
+        observable_preset(" sigma_w")
+    assert str(info.value) == "unknown observable preset ' sigma_w'"
+    code, out, _ = run_cli(capsys, "presets")
+    assert code == 0
+    section = out[out.index("observables:"):out.index("scenarios:")]
+    assert section == (
+        "observables:\n"
+        "  sigma_x            Pauli X, eigenvalues -1 and +1\n"
+        "  sigma_y            Pauli Y, eigenvalues -1 and +1\n"
+        "  sigma_z            Pauli Z, eigenvalues -1 and +1 (basis |0>, |1>)\n"
+    )
+
+
+def test_one_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    set_workers(monkeypatch, 1)
+    small = ("verify", "--trials", "2", "--dims-limit", "2")
+    code, out, _ = run_cli(capsys, *small, "--seed", "5")
+    assert code == 0 and "worst_seed=[5," in out
+    code, out, _ = run_cli(capsys, *small)
+    assert code == 0 and "worst_seed=[1234," in out and "worst_seed=[5," not in out
+    code, out, _ = run_cli(capsys, "run", "epr_bohm", "--format", "records")
+    assert code == 0 and out.startswith("scenario=epr_bohm\n")
+    code, out, _ = run_cli(capsys, "run", "epr_bohm")
+    assert code == 0 and out.startswith("scenario epr_bohm  kind=epr  seed=1234\n")
+    with pytest.raises(SystemExit) as info:
+        main([])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "presets")[0] == 0
+    # build_parser stays a fresh builder: changing its result leaves main alone.
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser()
+    parser.add_argument("--extra", action="store_true")
+    with pytest.raises(SystemExit):
+        main(["--extra", "presets"])
+    assert run_cli(capsys, "presets")[0] == 0
+
+
+def test_cached_state_does_not_change_run_output(capsys):
+    # One fresh process, with cold caches, against the same calls made here
+    # after a warm-up.
+    names = sorted(SCENARIO_PRESETS)
+    probe = ("import sys; from bornsim.cli import main\n"
+             "for name in sys.argv[1:]:\n"
+             "    for fmt in ('table', 'records'):\n"
+             "        assert main(['run', name, '--format', fmt]) == 0\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *names], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    run_cli(capsys, "run", names[0])
+    warm = []
+    for name in names:
+        for fmt in ("table", "records"):
+            code, out, err = run_cli(capsys, "run", name, "--format", fmt)
+            assert code == 0 and err == ""
+            warm.append(out)
+    assert proc.stdout == "".join(warm)
 
 
 def test_verify_small_run(capsys):
