@@ -13,6 +13,16 @@ its check computes its deviations in the kernel that `run` calls for the
 same claim: pointer._pointer_check, signaling._signaling_check and
 measurement's _entropy_check and _target_check.
 
+The trials drawn ahead for one _haar call form a chunk.  Its pointer trials
+of one d and its no-signaling trials of one shape are checked in stacks of
+at most HAAR_STACK_AMPS register amplitudes, one kernel call each: pointer
+trials up to d = _MAX_PADDED_DIM pad their branch axes and pointer registers
+to d, larger ones run alone and unpadded, and no-signaling cells are padded
+to d_A x d_B.  Entropy and LL trials run one at a time.  A stack's rows are
+those of its trials checked alone, so the output does not depend on how
+trials fall into stacks or shares; a stack that raises is checked again a
+trial at a time, so the error is the lowest failing trial's.
+
 Each row's trials run on the CPUs in the process's affinity mask: share w of
 W takes trials t = w (mod W) of every row.  verify forks one set of W - 1
 children per run, and every process runs the same share loop over the rows;
@@ -23,7 +33,7 @@ and one renderer prints its line.  The printed bytes are the same on any CPU
 count; `taskset -c 0` runs everything in one process.  A process that
 already runs other threads, such as the thread pool numpy's OpenBLAS starts
 on a multi-CPU host unless OPENBLAS_NUM_THREADS=1, does not fork.  Every
-worker holds its own trial's arrays, so W is at most the memory available
+worker holds its own trials' arrays, so W is at most the memory available
 over one worker's peak at --dims-limit.
 
 main parses with one argparse parser per process, built on its first call,
@@ -57,7 +67,7 @@ from .measurement import (
     _target_check,
     rule_probabilities,
 )
-from .observables import embed_observable
+from .observables import _stack, embed_observable
 from .pointer import (
     POINTER_STATE_MAX_AMPS,
     SCHEME_AGREEMENT_TOL,
@@ -84,6 +94,7 @@ from .scenario import (
 )
 from .signaling import (
     TelepathyScenario,
+    _arms,
     _cell_weights,
     _signaling_check,
     channel_simulation,
@@ -182,7 +193,7 @@ def _check_witness(seed: int) -> Check:
         observable_preset("sigma_z"),
         ProbabilityRule(2.0),
     )
-    with_alice, without_alice, gap = _signaling_check(_cell_weights(scenario), scenario.bob_rule)
+    with_alice, without_alice, gap = _arms(scenario)
     # Branch 1 of sigma_z carries eigenvalue +1, i.e. the |0> component.
     pw = 0.36**2 / (0.36**2 + 0.64**2)
     dev = max(
@@ -215,48 +226,80 @@ def _check_born_marginals() -> Check:
 # A trial has two phases.  Called, it makes every rng call of the trial, in
 # the order random_state and random_observable would make them, and returns
 # the (Observable partial, Ginibre matrix) pair of each observable it drew,
-# in draw order, with its check.  The check takes those observables as
-# arguments and returns one deviation per property of its row, then the
-# row's per-trial tallies (0 or 1 each).
+# in draw order, the rest of the trial's inputs, and its stack: None for a
+# trial checked alone, else (key, amplitudes), where trials of one key share
+# kernel calls of at most HAAR_STACK_AMPS amplitudes.  A battery's check
+# takes a stack's trials as (observables, inputs) pairs and returns one row
+# per trial: a deviation per property of its battery, then its tallies (0 or
+# 1 each).  A trial's key and padding depend on its own draws alone.
+
+# Largest d at which pointer trials are padded and stacked.  A padded trial
+# computes d x d x d registers where an unpadded one computes d x k_A x k_B,
+# about a quarter of that for uniform branch counts, so past a point the
+# padding costs more than the per-call overhead stacking saves: per trial,
+# stacks of 12 took 0.25 ms at d = 14 against 0.29 ms alone and unpadded,
+# 0.41 against 0.41 ms at d = 18 and 1.1 against 0.5 ms at d = 24 (one
+# CPU of a shared 2-CPU VM, numpy 2.4, BLAS on one thread).
+_MAX_PADDED_DIM = 16
+
+
+def _padding(d: int) -> int | None:
+    # The width a pointer trial at d pads its branch and pointer axes to: d
+    # up to _MAX_PADDED_DIM, else None, and the trial runs alone and unpadded.
+    return d if d <= _MAX_PADDED_DIM else None
+
 
 def _pointer_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, dims_limit + 1))
     degenerate = d >= 3 and t % 3 == 0
     drawn = (_draw_observable(rng, (d,), degenerate), _draw_observable(rng, (d,), degenerate))
     state = random_state(rng, (d,))
+    return drawn, (state, degenerate), None if _padding(d) is None else (d, d**3)
 
-    def check(obs_a, obs_b) -> tuple:
-        two = two_pointer_setup(state, obs_a, obs_b)
-        _, (joint_two, _), deviations, scheme_gap = _pointer_check(
-            two, one_pointer_setup(state, obs_a, obs_b))
-        return max(deviations), scheme_gap, _oracle_gap(two, joint_two), degenerate
 
-    return drawn, check
+def _check_pointer(trials: list) -> list:
+    # One _pointer_check and one _oracle_gap call for trials of one d.
+    setups = [two_pointer_setup(state, *observables) for observables, (state, _) in trials]
+    pad = _padding(setups[0].small_state.dim)
+    _, (joint, _), deviations, scheme_gaps = _pointer_check(setups, one=True, branches=pad)
+    oracle_gaps = _oracle_gap(setups, joint, pad)
+    return [(dev, scheme, oracle, degenerate) for dev, scheme, oracle, (_, (_, degenerate))
+            in zip(deviations.max(axis=1), scheme_gaps, oracle_gaps, trials)]
 
 
 def _no_signaling_trial(rng, t: int, dims_limit: int) -> tuple:
     d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     state = random_state(rng, (d1, d2))
     drawn = tuple(_draw_observable(rng, (d,)) for d in (d1, d2))
+    return drawn, state, ((d1, d2), d1 * d2)
 
-    def check(*parties) -> tuple:
-        # Swapping the parties transposes W, so both directions come from one W.
-        cells = _cell_weights(TelepathyScenario(state, *parties, BORN))
-        return (max(_signaling_check(cells, BORN)[2], _signaling_check(cells.T, BORN)[2]),)
 
-    return drawn, check
+def _check_no_signaling(trials: list) -> list:
+    # One W per trial, padded to d_A x d_B, for trials of one shape.  Swapping
+    # the parties transposes W, so both directions come from it.
+    scenarios = [TelepathyScenario(state, *parties, BORN) for parties, state in trials]
+    dims = scenarios[0].state.dims
+    cells = _cell_weights(np.array([scenario.state.amps.reshape(dims) for scenario in scenarios]),
+                          _stack([scenario.alice_obs for scenario in scenarios], dims[0]),
+                          _stack([scenario.bob_obs for scenario in scenarios], dims[1]))
+    gaps = np.maximum(_signaling_check(cells, BORN)[2],
+                      _signaling_check(np.swapaxes(cells, -1, -2), BORN)[2])
+    return [(gap,) for gap in gaps]
 
 
 def _entropy_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, 9))
     rho = random_density(rng, (d,))
     drawn = _draw_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
+    return (drawn,), rho, None
 
-    def check(obs) -> tuple:
+
+def _check_entropy(trials: list) -> list:
+    rows = []
+    for (obs,), rho in trials:
         s_in, s_out, _, avg = _entropy_check(rho, obs)
-        return (max(s_in - s_out, avg - s_out),)
-
-    return (drawn,), check
+        rows.append((max(s_in - s_out, avg - s_out),))
+    return rows
 
 
 def _ll_trial(rng, t: int, dims_limit: int) -> tuple:
@@ -264,15 +307,18 @@ def _ll_trial(rng, t: int, dims_limit: int) -> tuple:
     state = random_state(rng, (d,))
     drawn = _draw_observable(rng, (d,))
     target = random_state(rng, (d,))
+    return (drawn,), (state, target), None
 
-    def check(obs) -> tuple:
+
+def _check_ll(trials: list) -> list:
+    rows = []
+    for (obs,), (state, target) in trials:
         # <psi|P_n psi>, a route independent of the kernel's branch_weights call.
         weights = (state.amps.conj() @ obs.split(state.amps)).real
         records, target_dev = _target_check(state, obs, target)
         dev = max(abs(rec.probability - weights[rec.branch_index]) for rec in records)
-        return (max(dev, target_dev),)
-
-    return (drawn,), check
+        rows.append((max(dev, target_dev),))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -280,6 +326,7 @@ class _Battery:
     limits: tuple[tuple[str, float], ...]  # (property, limit) per deviation
     stream: int
     trial: Callable[[np.random.Generator, int, int], tuple]
+    check: Callable[[list], list]
     few: bool = False  # max(50, trials // 4) trials instead of trials
     tallies: tuple[str, ...] = ()
 
@@ -290,25 +337,32 @@ class _Battery:
 _POINTER = _Battery(
     (("projection_equivalence", 1e-10), ("scheme_agreement", SCHEME_AGREEMENT_TOL),
      ("oracle_agreement", SCHEME_AGREEMENT_TOL)),
-    1, _pointer_trial, tallies=("degenerate",),
+    1, _pointer_trial, _check_pointer, tallies=("degenerate",),
 )
-_NO_SIGNALING = _Battery((("no_signaling_born", 1e-12),), 2, _no_signaling_trial)
-_ENTROPY = _Battery((("entropy_monotonicity", 1e-10),), 4, _entropy_trial, few=True)
-_LL = _Battery((("ll_channel_invariance", 1e-12),), 5, _ll_trial, few=True)
+_NO_SIGNALING = _Battery((("no_signaling_born", 1e-12),), 2, _no_signaling_trial,
+                         _check_no_signaling)
+_ENTROPY = _Battery((("entropy_monotonicity", 1e-10),), 4, _entropy_trial, _check_entropy,
+                    few=True)
+_LL = _Battery((("ll_channel_invariance", 1e-12),), 5, _ll_trial, _check_ll, few=True)
 
 
 # One verify worker's peak RSS at --dims-limit d, at most: _WORKER_BASE_BYTES
-# plus _WORKER_STATES complex d x d x d arrays.  Its largest trial is a
-# pointer trial at d with d branches per observable, whose d x d x d
-# two-pointer state, copies and temporaries peaked at 62, 120, 233, 417 and
-# 692 MB for d = 64, 96, 128, 160 and 192 (numpy 2.4, BLAS on one thread):
-# 38 MB plus 6.06 such arrays.  At d = 256 that is 1.6 GB.
-_WORKER_BASE_BYTES = 40 * 2**20
+# plus _WORKER_STATES complex arrays of the largest register one kernel call
+# holds.  That is d x d x d for a pointer trial at d with d branches per
+# observable, whose two-pointer state, copies and temporaries peaked at 62,
+# 120, 233, 417 and 692 MB for d = 64, 96, 128, 160 and 192 (numpy 2.4, BLAS
+# on one thread): 38 MB plus 6.06 such arrays; at d = 256, 1.6 GB.  A stack of
+# padded trials holds up to HAAR_STACK_AMPS register amplitudes, more than
+# d x d x d below d = 41.  The verify process peaked at 43.2 MB at
+# --dims-limit 16, the largest padded d (40.0 MB unstacked), and at 46.2 MB
+# at --dims-limit 40 (46.0 MB unstacked); the base is set 2 MB above the
+# 40 MB of the fit above so that these stay under the bound.
+_WORKER_BASE_BYTES = 42 * 2**20
 _WORKER_STATES = 6.1
 
 
 def _worker_peak(dims_limit: int) -> int:
-    return int(_WORKER_BASE_BYTES + _WORKER_STATES * 16 * dims_limit**3)
+    return int(_WORKER_BASE_BYTES + _WORKER_STATES * 16 * max(dims_limit**3, HAAR_STACK_AMPS))
 
 
 def _available_memory() -> int:
@@ -353,6 +407,51 @@ def _verify_workers(trials: int, dims_limit: int) -> int:
         return 1
 
 
+def _check_chunk(row: _Battery, chunk: list, bases):
+    """(t, row or exception) for a chunk's trials in order, up to the first exception.
+
+    Each trial's observables are built in order from the next bases; the
+    trials built are put in stacks by their stack key, and each stack is
+    checked in one call.  A stack that raises is checked again a trial at a
+    time, so the exception is the lowest failing trial's own.
+    """
+    built, failure = [], []
+    for t, observables, inputs, stack in chunk:
+        try:
+            built.append((t, [observable(next(bases)) for observable in observables], inputs, stack))
+        except Exception as exc:
+            failure = [(t, exc)]
+            break
+    stacks, filling = [], {}  # filling: key -> [trials, amplitudes] of its last stack
+    for trial in built:
+        key, amps = trial[3] or (None, 0)
+        last = filling.get(key)
+        if key is None or last is None or last[1] + amps > HAAR_STACK_AMPS:
+            last = filling[key] = [[], 0]
+            stacks.append(last[0])
+        last[0].append(trial)
+        last[1] += amps
+    outcomes = {}
+    for stack in stacks:
+        try:
+            outcomes.update(zip([t for t, *_ in stack],
+                                row.check([(obs, inputs) for _, obs, inputs, _ in stack])))
+        except Exception as exc:
+            if len(stack) == 1:
+                outcomes[stack[0][0]] = exc
+                continue
+            for t, obs, inputs, _ in stack:
+                try:
+                    outcomes[t] = row.check([(obs, inputs)])[0]
+                except Exception as alone:
+                    outcomes[t] = alone
+    for t, *_ in built:
+        yield t, outcomes[t]
+        if isinstance(outcomes[t], Exception):
+            return
+    yield from failure
+
+
 def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tuple:
     """Deviation rows of `trials` in order, and the share's first failure.
 
@@ -362,9 +461,8 @@ def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tupl
     """
     # Trials are drawn in order and kept pending until their Ginibre matrices
     # reach HAAR_STACK_AMPS amplitudes or the last trial is drawn; then one
-    # _haar call makes all their bases, and each check runs in order on its
-    # trial's observables.
-    rows, pending, amps = [], [], 0  # pending: (t, (partial, Ginibre) pairs, check)
+    # _haar call makes all their bases and _check_chunk checks them.
+    rows, pending, amps = [], [], 0  # pending: (t, (partial, Ginibre) pairs, inputs, stack)
     try:
         for t in trials:
             pending.append((t, *row.trial(np.random.default_rng([seed, row.stream, t]), t,
@@ -372,17 +470,17 @@ def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tupl
             amps += sum(z.size for _, z in pending[-1][1])
             if amps < HAAR_STACK_AMPS and t != trials[-1]:
                 continue
-            bases = iter(_haar([z for _, drawn, _ in pending for _, z in drawn]))
+            bases = iter(_haar([z for _, drawn, *_ in pending for _, z in drawn]))
             # Rebinding pending frees the Ginibre matrices before any check runs.
-            checks = [(i, [observable for observable, _ in drawn], check)
-                      for i, drawn, check in pending]
+            chunk = [(i, [observable for observable, _ in drawn], *rest)
+                     for i, drawn, *rest in pending]
             pending, amps = [], 0
-            for i, observables, check in checks:
-                try:
-                    rows.append(check(*[observable(next(bases)) for observable in observables]))
-                except BornsimError as exc:
-                    exc.args = (f"trial [{seed},{row.stream},{i}]: {exc}",)
-                    raise
+            for i, outcome in _check_chunk(row, chunk, bases):
+                if isinstance(outcome, Exception):
+                    if isinstance(outcome, BornsimError):
+                        outcome.args = (f"trial [{seed},{row.stream},{i}]: {outcome}",)
+                    raise outcome
+                rows.append(outcome)
     except Exception as exc:
         return rows, (trials[len(rows)], exc)
     return rows, None

@@ -87,6 +87,18 @@ class StateVector:
         return self.amps.size
 
 
+def _check_states(amps: np.ndarray) -> None:
+    # StateVector's checks on a stack of states, amps[s] holding state s in
+    # any shape: finite entries and norm 1 within NORM_TOL.  The squared
+    # norms are dot products of the real and imaginary parts, no temporary.
+    _check_finite(amps, "state vector")
+    parts = np.ascontiguousarray(amps, dtype=complex).reshape(len(amps), -1).view(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    off = norms[abs(norms - 1.0) > NORM_TOL]
+    if off.size:
+        raise InvalidInputError(f"state vector norm {float(off[0])!r} is not 1")
+
+
 @dataclass(frozen=True)
 class Operator:
     """Linear operator on a composite system, stored as a dense square matrix."""
@@ -154,16 +166,20 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-def _checked_probabilities(probs: np.ndarray, kind: str = "") -> np.ndarray:
-    # Finite, no entry below -1e-12, total 1 within 1e-10.  Returns the
-    # entries with the tiny negative round-off clipped to zero, read-only.
+def _checked_probabilities(probs: np.ndarray, kind: str = "", axis=None) -> np.ndarray:
+    # Finite, no entry below -1e-12, total 1 within 1e-10: the total over
+    # axis, one per distribution that the other axes stack (the whole array
+    # by default).  Returns the entries with the tiny negative round-off
+    # clipped to zero, read-only.
     if not np.isfinite(probs).all():
         raise InvalidInputError(f"{kind}probabilities contain non-finite entries")
     if probs.min(initial=0.0) < -1e-12:
         raise InvalidInputError(f"negative {kind}probability {float(probs.min())!r}")
     probs = np.maximum(probs, 0.0)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-10:
+    totals = probs.sum(axis=axis)
+    off = abs(totals - 1.0) > 1e-10
+    if off.any():
+        total = float(np.ravel(totals)[np.ravel(off)][0])
         raise InvalidInputError(f"{kind}probabilities sum to {total!r}, not 1")
     return _frozen(probs)
 

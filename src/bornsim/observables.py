@@ -1,6 +1,8 @@
 """Observables as one unitary eigenbasis V with a branch label per column.
 
-Branch computations work on V; the dense projectors are a cached view.
+Branch computations work on V; the dense projectors are a cached view.  A
+_Stack holds observables of one dimension as arrays with a leading stack
+axis, for kernels that check many trials in one call.
 """
 
 from __future__ import annotations
@@ -8,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,6 +137,50 @@ class Observable:
             raise InvalidInputError(
                 f"branch {branch} out of range for {self.branch_count} branches"
             )
+
+
+class _Stack(NamedTuple):
+    """Observables of one dimension D as arrays with a leading stack axis.
+
+    It carries what the kernels read of an Observable, so they run on either:
+    the S bases (S, D, D), column labels (S, D) and branch counts (S,), and
+    indicators (S, D, K) whose branch axis is padded with zero columns to a
+    common width K.  A padded branch is a branch of weight 0 in every state.
+    weights and split are Observable's, stacked: x is (S, D), one vector per
+    observable, or (S, D, n), and every slice is computed as Observable's
+    method computes it alone.
+    """
+
+    basis: np.ndarray
+    labels: np.ndarray
+    branch_count: np.ndarray
+    indicator: np.ndarray
+
+    def _columns(self, x: np.ndarray) -> np.ndarray:
+        return self.basis.conj().swapaxes(1, 2) @ (x[..., None] if x.ndim == 2 else x)
+
+    def weights(self, x: np.ndarray) -> np.ndarray:
+        w = (np.abs(self._columns(x)) ** 2).swapaxes(1, 2) @ self.indicator
+        return w[:, 0] if x.ndim == 2 else w
+
+    def split(self, x: np.ndarray, branches=slice(None)) -> np.ndarray:
+        cut = self._columns(x)[..., None] * self.indicator[:, :, None, branches]
+        parts = (self.basis @ cut.reshape(cut.shape[:2] + (-1,))).reshape(cut.shape)
+        return parts[:, :, 0] if x.ndim == 2 else parts
+
+
+def _stack(observables, branches: int | None = None) -> _Stack:
+    """Observables of one dimension as a _Stack, branch axis padded to
+    `branches` columns (by default the largest branch count)."""
+    if len(observables) == 1 and branches is None:  # views, nothing to pad
+        obs = observables[0]
+        return _Stack(obs.basis[None], obs.labels[None], np.array([obs.branch_count]),
+                      obs.indicator[None])
+    labels = np.array([obs.labels for obs in observables])
+    counts = np.array([obs.branch_count for obs in observables])
+    k = int(counts.max()) if branches is None else branches
+    indicator = (labels[..., None] == np.arange(k)).astype(float)
+    return _Stack(np.array([obs.basis for obs in observables]), labels, counts, indicator)
 
 
 def _check_family(stack: np.ndarray) -> None:

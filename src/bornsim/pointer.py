@@ -19,6 +19,17 @@ once, for `bornsim verify` and `run`; only verify and two_pointer scenarios
 add the oracle gap (_oracle_gap), so a one_pointer run never allocates the
 oracle's register tensor.
 
+_pointer_check and _oracle_gap take a list of setups of one system dimension
+and run it as one stack: their array functions (the runs, the Born rows,
+the oracle) take one state and two Observables, or states with a leading
+stack axis and two observables._Stacks.  verify pads the branch axes and
+both pointer registers of its small-d trials to d, so every trial of a
+stack has the same shapes; padded branches have weight 0, and since the pointers start at |0>
+and move by less than d, padded pointer positions stay empty.  Products and
+reductions run per slice, so a trial's numbers do not depend on the other
+trials of its stack.  `run` and the public functions run one state,
+unpadded.
+
 Because every pointer starts in |0> and each shift moves it by less than the
 register size, the final states are exactly
 
@@ -45,10 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutcomeDistribution, StateVector, _checked_probabilities
+from .core import OutcomeDistribution, StateVector, _check_states, _checked_probabilities
 from .errors import InvalidInputError, ZeroProbabilityBranchError
-from .measurement import BORN, ZERO_PROB_CUTOFF, _collapsed, _transform_weights
-from .observables import Observable
+from .measurement import BORN, ZERO_PROB_CUTOFF, _transform_weights
+from .observables import Observable, _stack
 
 TWO_POINTER = "two_pointer"
 ONE_POINTER = "one_pointer"
@@ -163,15 +174,52 @@ class JointDistribution:
         return self.probs.shape
 
 
-def _couple(amps: np.ndarray, obs: Observable, axis: int) -> np.ndarray:
-    # sum_k P_k (x) Shift(k) on the pointer axis of a (d, ...) register tensor:
-    # eigen-row c of V^dag amps moves by labels[c] along the pointer axis,
-    # wrap-around included, and V rotates the result back.
-    d, size = amps.shape[0], amps.shape[axis]
-    rows = (obs.basis.conj().T @ amps.reshape(d, -1)).reshape(amps.shape)
-    index = (np.arange(size) - obs.labels[:, None]) % size
-    shifted = rows.swapaxes(1, axis)[np.arange(d)[:, None], index].swapaxes(1, axis)
-    return (obs.basis @ shifted.reshape(d, -1)).reshape(amps.shape)
+def _stacked(setups, branches: int | None = None) -> tuple:
+    # The setups' states (S, d) and each observable's _Stack, branch axes
+    # padded to `branches` columns (the largest branch count by default).
+    psi = np.array([setup.small_state.amps for setup in setups])
+    return (psi, _stack([setup.obs_a for setup in setups], branches),
+            _stack([setup.obs_b for setup in setups], branches))
+
+
+def _couple(amps: np.ndarray, obs, axis: int) -> np.ndarray:
+    # sum_k P_k (x) Shift(k) on a pointer axis of register tensors: (d, ...)
+    # for an Observable, (S, d, ...) for a _Stack.  Eigen-row c of V^dag amps
+    # moves by labels[c] along the pointer axis (one gather), wrap-around
+    # included, and V rotates the result back.
+    lead = obs.basis.ndim - 1  # the stack axes and the system axis
+    flat = amps.reshape(amps.shape[:lead] + (-1,))
+    # Eigen-rows of all the stack's registers along one axis, and the
+    # pointer axis's place among them.
+    rows = (obs.basis.conj().swapaxes(-1, -2) @ flat).reshape((-1,) + amps.shape[lead:])
+    size, pointer = amps.shape[axis], axis % amps.ndim - lead + 1
+    index = ((np.arange(size) - obs.labels[..., None]) % size).reshape(-1, size)
+    shifted = rows.swapaxes(1, pointer)[np.arange(len(rows))[:, None], index].swapaxes(1, pointer)
+    return (obs.basis @ shifted.reshape(flat.shape)).reshape(amps.shape)
+
+
+def _two_pointer(psi: np.ndarray, obs_a, obs_b) -> tuple[np.ndarray, np.ndarray]:
+    # The parts R_j P_i psi0, (..., d, na, nb), and the joint cells
+    # ||R_j P_i psi0||^2, for one state and two Observables or a stack of
+    # states and two _Stacks.
+    parts = obs_b.split(obs_a.split(psi))
+    return parts, (np.abs(parts) ** 2).sum(axis=-3)
+
+
+def _one_pointer(psi: np.ndarray, obs_a, obs_b) -> tuple[np.ndarray, np.ndarray]:
+    # The parts P_i psi0, (..., d, na), and the joint cells: the obs_b branch
+    # weights of each part.
+    parts = obs_a.split(psi)
+    return parts, obs_b.weights(parts)
+
+
+def _final(setup: PointerSchemeSetup, parts: np.ndarray) -> StateVector:
+    # The final state of one run: its parts written into the pointer slots
+    # of the setup's registers, the other slots zero.
+    sizes = (setup.n_pointer1,) + (() if setup.m_pointer2 is None else (setup.m_pointer2,))
+    amps = np.zeros((setup.small_state.dim,) + sizes, dtype=complex)
+    amps[(slice(None),) + tuple(map(slice, parts.shape[1:]))] = parts
+    return StateVector._owning(setup.small_state.dims + sizes, amps)
 
 
 def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
@@ -184,13 +232,8 @@ def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistri
     """
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("setup is not in two-pointer mode")
-    n, m, d = setup.n_pointer1, setup.m_pointer2, setup.small_state.dim
-    parts = setup.obs_b.split(setup.obs_a.split(setup.small_state.amps))
-    na, nb = parts.shape[1:]
-    amps = np.zeros((d, n, m), dtype=complex)
-    amps[:, :na, :nb] = parts
-    final = StateVector._owning(setup.small_state.dims + (n, m), amps)
-    return final, JointDistribution((np.abs(parts) ** 2).sum(axis=0))
+    parts, joint = _two_pointer(setup.small_state.amps, setup.obs_a, setup.obs_b)
+    return _final(setup, parts), JointDistribution(joint)
 
 
 def run_one_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
@@ -202,12 +245,8 @@ def run_one_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistri
     """
     if setup.mode != ONE_POINTER:
         raise InvalidInputError("setup is not in one-pointer mode")
-    parts = setup.obs_a.split(setup.small_state.amps)
-    n, na = setup.n_pointer1, parts.shape[1]
-    blocks = np.zeros((setup.small_state.dim, n), dtype=complex)
-    blocks[:, :na] = parts
-    final = StateVector._owning(setup.small_state.dims + (n,), blocks)
-    return final, JointDistribution(setup.obs_b.weights(parts))
+    parts, joint = _one_pointer(setup.small_state.amps, setup.obs_a, setup.obs_b)
+    return _final(setup, parts), JointDistribution(joint)
 
 
 def marginal_a(joint: JointDistribution) -> OutcomeDistribution:
@@ -230,31 +269,41 @@ def conditional_b_given_a(joint: JointDistribution, branch_a: int) -> OutcomeDis
     return OutcomeDistribution(tuple(range(nb)), row / p_a)
 
 
-def _joint_gap(p: JointDistribution, q: JointDistribution) -> float:
-    # Worst cell difference of two joints of the same shape.
-    return float(np.abs(p.probs - q.probs).max())
+def _born_rows(psi: np.ndarray, obs_a, obs_b, live: np.ndarray, columns=slice(None)) -> np.ndarray:
+    # Born_j(P_i psi0 / ||P_i psi0||) for the rows i that columns picks (all
+    # by default; it picks every live one), from one split of psi0 into those
+    # parts: each live part is normalised (a live part of weight at or below
+    # ZERO_PROB_CUTOFF raises) and the obs_b branch weights of all of them
+    # come from one product.  A row that live does not mark holds 1/nb in
+    # every entry; no deviation reads it.
+    parts = obs_a.split(psi, columns)
+    picked = live[..., columns]
+    norms = np.linalg.norm(parts, axis=-2)
+    weak = picked & (norms**2 <= ZERO_PROB_CUTOFF)
+    if weak.any():
+        at = tuple(np.argwhere(weak)[0])
+        branch = np.arange(live.shape[-1])[columns][at[-1]]
+        raise ZeroProbabilityBranchError(f"branch {branch} has weight {norms[at]**2!r}")
+    weights = obs_b.weights(parts / np.where(picked, norms, 1.0)[..., None, :])
+    return _transform_weights(np.where(picked[..., None], weights, 1.0), BORN)
 
 
-def _born_rows(setup: PointerSchemeSetup, live: np.ndarray) -> np.ndarray:
-    # Born_j(P_i psi0 / ||P_i psi0||), one row per branch i of obs_a in the
-    # index array live.  The collapsed states of all live rows come from the
-    # small state alone, in one product; their Born rows are the obs_b
-    # branch weights of those states.
-    collapsed = _collapsed(setup.small_state, setup.obs_a, live)
-    return _transform_weights(setup.obs_b.weights(collapsed), BORN)
+def _projection_deviations(joint: np.ndarray, born: np.ndarray) -> np.ndarray:
+    # Worst |p(j|i) - born[i, j]| over the live rows i of each joint, those
+    # of weight above ZERO_PROB_CUTOFF; leading axes stack joints.
+    rows = joint.sum(axis=-1)
+    live = rows > ZERO_PROB_CUTOFF
+    cond = joint / np.where(live, rows, 1.0)[..., None]
+    return np.where(live[..., None], np.abs(cond - born), 0.0).max(axis=(-2, -1))
 
 
-def _projection_deviation(
-    setup: PointerSchemeSetup, joint: JointDistribution, born: np.ndarray | None = None
-) -> float:
+def _projection_deviation(setup: PointerSchemeSetup, joint: JointDistribution) -> float:
     # Worst |p(j|i) - Born_j(P_i psi0 / ||P_i psi0||)| over the live rows of
-    # a joint the setup has already produced.  born, if given, is a table of
-    # Born rows, indexed by branch, that covers every live row of the joint.
-    rows = joint.probs.sum(axis=1)
-    live = np.flatnonzero(rows > ZERO_PROB_CUTOFF)
-    ref = _born_rows(setup, live) if born is None else born[live]
-    cond = joint.probs[live] / rows[live, None]
-    return float(np.abs(cond - ref).max(initial=0.0))
+    # a joint the setup has already produced.
+    live = joint.probs.sum(axis=1) > ZERO_PROB_CUTOFF
+    rows = np.flatnonzero(live)
+    born = _born_rows(setup.small_state.amps, setup.obs_a, setup.obs_b, live, rows)
+    return float(_projection_deviations(joint.probs[rows], born))
 
 
 def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
@@ -263,8 +312,30 @@ def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
     This is the quantitative check that the pointer readout statistics agree
     with the projection postulate applied to the small system alone.
     """
-    run = run_two_pointer if setup.mode == TWO_POINTER else run_one_pointer
-    return _projection_deviation(setup, run(setup)[1])
+    run = _two_pointer if setup.mode == TWO_POINTER else _one_pointer
+    joint = run(setup.small_state.amps, setup.obs_a, setup.obs_b)[1]
+    return _projection_deviation(setup, JointDistribution(joint))
+
+
+def _oracle_cells(psi: np.ndarray, obs_a, obs_b, n: int, m: int) -> np.ndarray:
+    # The oracle's cells over pointer positions (n, m): U_A and U_B applied
+    # by definition to the register tensor of psi0 (x) |0> (x) |0>, Born
+    # probabilities summed over the system axis, for one state and two
+    # Observables or a stack of states and two _Stacks.  Mass on positions
+    # past a state's branch counts raises above 1e-10 and is cut to zero.
+    amps = np.zeros(psi.shape + (n, m), dtype=complex)
+    amps[..., 0, 0] = psi
+    amps = _couple(_couple(amps, obs_a, axis=-2), obs_b, axis=-1)
+    cells = (np.abs(amps) ** 2).sum(axis=-3)
+    outside = ((np.arange(n)[:, None] >= np.asarray(obs_a.branch_count)[..., None, None])
+               | (np.arange(m) >= np.asarray(obs_b.branch_count)[..., None, None]))
+    residual = np.ravel(np.where(outside, cells, 0.0).sum(axis=(-2, -1)))
+    residual = residual[residual > 1e-10]
+    if residual.size:
+        raise InvalidInputError(
+            f"probability mass {float(residual[0])!r} outside the branch-indexed pointer cells"
+        )
+    return np.where(outside, 0.0, cells)
 
 
 def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
@@ -283,34 +354,46 @@ def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
     """
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("brute force readout needs a two-pointer setup")
-    n, m = setup.n_pointer1, setup.m_pointer2
-    amps = np.zeros((setup.small_state.dim, n, m), dtype=complex)
-    amps[:, 0, 0] = setup.small_state.amps
-    amps = _couple(_couple(amps, setup.obs_a, axis=1), setup.obs_b, axis=2)
-    na, nb = setup.obs_a.branch_count, setup.obs_b.branch_count
-    cells = (np.abs(amps) ** 2).sum(axis=0)
-    residual = float(cells[na:].sum() + cells[:na, nb:].sum())
-    if residual > 1e-10:
-        raise InvalidInputError(
-            f"probability mass {residual!r} outside the branch-indexed pointer cells"
-        )
-    return JointDistribution(cells[:na, :nb])
+    cells = _oracle_cells(setup.small_state.amps, setup.obs_a, setup.obs_b,
+                          setup.n_pointer1, setup.m_pointer2)
+    return JointDistribution(cells[:setup.obs_a.branch_count, :setup.obs_b.branch_count])
 
 
-def _pointer_check(two: PointerSchemeSetup, one: PointerSchemeSetup | None = None) -> tuple:
-    # Evolves the two-pointer setup and, if given, a one-pointer setup of the
-    # same state and observables once each.  Returns their final states, their
-    # joints, each joint's projection deviation against one table of Born rows
-    # (the branches live in either joint) and the scheme gap, 0.0 without one.
-    runs = [run_two_pointer(two)] + ([] if one is None else [run_one_pointer(one)])
-    finals, joints = zip(*runs)
-    live = np.maximum.reduce([joint.probs.sum(axis=1) for joint in joints]) > ZERO_PROB_CUTOFF
-    born = np.zeros(joints[0].probs.shape)
-    born[live] = _born_rows(two, np.flatnonzero(live))
-    deviations = [_projection_deviation(two, joint, born) for joint in joints]
-    return finals, joints, deviations, _joint_gap(joints[0], joints[-1])
+def _pointer_check(setups, one: bool = False, branches: int | None = None) -> tuple:
+    # The projection claim on two-pointer setups of one system dimension, in
+    # one stacked call: each setup's state and observables evolved once in
+    # the two-pointer scheme and, with one, once in the one-pointer scheme.
+    # With branches, both branch axes are padded to that many columns, so a
+    # trial's numbers depend on branches and not on the other setups of the
+    # stack; without, the stack holds one setup (or setups of equal branch
+    # counts).  Each run's final states and joints pass the checks
+    # StateVector and JointDistribution run.  Returns the runs' parts, their
+    # joints (S, na, nb), each joint's projection deviation against one table
+    # of Born rows (the branches live in either joint) as (S, runs), and the
+    # scheme gap per setup, 0.0 without the one-pointer run.
+    psi, obs_a, obs_b = _stacked(setups, branches)
+    runs = [_two_pointer(psi, obs_a, obs_b)] + ([_one_pointer(psi, obs_a, obs_b)] if one else [])
+    joints = []
+    for parts, joint in runs:
+        _check_states(parts)  # a final state holds exactly these parts
+        joints.append(_checked_probabilities(joint, "joint ", axis=(-2, -1)))
+    live = np.maximum.reduce([joint.sum(axis=-1) for joint in joints]) > ZERO_PROB_CUTOFF
+    # Unpadded, the one setup's live parts, as the one-state path splits them;
+    # padded, every column, whatever the other setups' live branches are.
+    columns = slice(None) if branches else np.flatnonzero(live.any(axis=0))
+    born = _born_rows(psi, obs_a, obs_b, live, columns)
+    deviations = np.stack([_projection_deviations(joint[:, columns], born) for joint in joints],
+                          axis=-1)
+    gap = np.abs(joints[0] - joints[-1]).max(axis=(-2, -1))
+    return [parts for parts, _ in runs], joints, deviations, gap
 
 
-def _oracle_gap(two: PointerSchemeSetup, joint: JointDistribution) -> float:
-    # Worst cell gap between a joint of the two-pointer setup and the oracle's.
-    return _joint_gap(joint, brute_force_joint(two))
+def _oracle_gap(setups, joint: np.ndarray, branches: int | None = None) -> np.ndarray:
+    # Worst cell gap per setup between the two-pointer joints _pointer_check
+    # returned for these setups and branches and the oracle's.  Padded, the
+    # oracle's registers hold `branches` positions each; pointers start at
+    # |0> and shift by less than their size, so padding never wraps.
+    psi, obs_a, obs_b = _stacked(setups, branches)
+    sizes = (branches, branches) if branches else (setups[0].n_pointer1, setups[0].m_pointer2)
+    cells = _oracle_cells(psi, obs_a, obs_b, *sizes)[..., :joint.shape[-2], :joint.shape[-1]]
+    return np.abs(joint - _checked_probabilities(cells, "joint ", axis=(-2, -1))).max(axis=(-2, -1))

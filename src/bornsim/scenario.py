@@ -38,9 +38,15 @@ from .measurement import (
     project_update,
 )
 from .observables import observable_from_branches, observable_from_matrix
-from .pointer import PointerSchemeSetup, _oracle_gap, _pointer_check, two_pointer_setup
+from .pointer import (
+    PointerSchemeSetup,
+    _final,
+    _oracle_gap,
+    _pointer_check,
+    two_pointer_setup,
+)
 from .presets import observable_preset, state_preset
-from .signaling import TelepathyScenario, _cell_weights, _signaling_check, channel_simulation
+from .signaling import TelepathyScenario, _arms, channel_simulation
 
 DEFAULT_SEED = 1234
 
@@ -280,12 +286,13 @@ def _run_pointer(scn: Scenario) -> Records:
     _reject_unknown(fields)
     setup = PointerSchemeSetup(state, obs_a, obs_b, n1, m2)
     if m2 is None:  # cross-checked against the default-size two-pointer twin
-        finals, joints, deviations, cross_dev = _pointer_check(
-            two_pointer_setup(state, obs_a, obs_b), setup)
+        parts, joints, deviations, cross_dev = _pointer_check(
+            [two_pointer_setup(state, obs_a, obs_b)], one=True)
     else:  # cross-checked against the oracle
-        finals, joints, deviations, _ = _pointer_check(setup)
-        cross_dev = _oracle_gap(setup, joints[0])
-    final, joint, deviation = finals[-1], joints[-1], deviations[-1]
+        parts, joints, deviations, _ = _pointer_check([setup])
+        cross_dev = _oracle_gap([setup], joints[0])
+    final = _final(setup, parts[-1][0])
+    joint, deviation, cross_dev = joints[-1][0], deviations[0, -1], cross_dev[0]
     cross_key = "two_pointer_joint_max_dev" if m2 is None else "oracle_joint_max_dev"
 
     records: Records = [
@@ -293,11 +300,11 @@ def _run_pointer(scn: Scenario) -> Records:
         for side, obs in (("a", obs_a), ("b", obs_b))
         for i, a in enumerate(obs.eigenvalues)
     ]
-    records += [(f"p_ij.{i}.{j}", fmt_real(p)) for (i, j), p in np.ndenumerate(joint.probs)]
-    rows = joint.probs.sum(axis=1)
+    records += [(f"p_ij.{i}.{j}", fmt_real(p)) for (i, j), p in np.ndenumerate(joint)]
+    rows = joint.sum(axis=1)
     records += [(f"p_i.{i}", fmt_real(p)) for i, p in enumerate(rows)]
     records += [(f"p_j_given_i.{i}.{j}", fmt_real(p / rows[i]))
-                for (i, j), p in np.ndenumerate(joint.probs) if rows[i] > ZERO_PROB_CUTOFF]
+                for (i, j), p in np.ndenumerate(joint) if rows[i] > ZERO_PROB_CUTOFF]
     records.append(("max_projection_deviation", fmt_real(deviation)))
     records.append((cross_key, fmt_real(cross_dev)))
     if final.dim <= 64:
@@ -383,7 +390,7 @@ def _run_telepathy(scn: Scenario) -> Records:
     _reject_unknown(fields)
 
     scenario = TelepathyScenario(state, obs_a, obs_b, rule)
-    with_alice, without_alice, gap = _signaling_check(_cell_weights(scenario), rule)
+    with_alice, without_alice, gap = _arms(scenario)
     records: Records = [("rule", rule_value)]
     if rule.exponent != 1.0:
         records.append(("q", fmt_real(rule.exponent)))

@@ -23,6 +23,14 @@ suitable entangled states, which is what makes them operationally
 inadmissible.  _signaling_check implements the claim once: both arms as
 checked arrays and their gap, from W.  `bornsim verify`, `bornsim run` and
 the public arm and gap functions all read from it.
+
+_cell_weights and _signaling_check read any number of leading stack axes:
+_cell_weights takes the parties' observables as Observables or as
+observables._Stacks.  verify pads each party's branch axis to its
+dimension, so that no-signaling trials of one shape share one call; a
+padded branch has weight 0, so it is dead on Alice's side and carries no
+probability on Bob's.  `run` and the public functions pass one scenario's
+state and observables, unpadded.
 """
 
 from __future__ import annotations
@@ -67,32 +75,50 @@ class TelepathyScenario:
             )
 
 
-def _cell_weights(scenario: TelepathyScenario) -> np.ndarray:
-    # W[i, j] = ||P_i M R_j^T||^2, shape (Alice branches, Bob branches): block
-    # sums of |V_A^dag M conj(V_B)|^2 over Alice's rows and Bob's columns.
-    alice, bob = scenario.alice_obs, scenario.bob_obs
-    m = scenario.state.amps.reshape(scenario.state.dims)
-    amps = np.abs(alice.basis.conj().T @ m @ bob.basis.conj()) ** 2
-    return alice.indicator.T @ amps @ bob.indicator
+def _cell_weights(m: np.ndarray, alice, bob) -> np.ndarray:
+    # W[..., i, j] = ||P_i M R_j^T||^2 for amplitude matrices m (..., d_A, d_B)
+    # and two Observables, or two _Stacks over m's leading axis: block sums
+    # of |V_A^dag M conj(V_B)|^2 over Alice's rows and Bob's columns.  A
+    # padded branch of a _Stack gives a zero row or column.
+    amps = np.abs(alice.basis.conj().swapaxes(-1, -2) @ m @ bob.basis.conj()) ** 2
+    return alice.indicator.swapaxes(-1, -2) @ amps @ bob.indicator
+
+
+def _scenario_cells(scenario: TelepathyScenario) -> np.ndarray:
+    # W of one scenario.
+    state = scenario.state
+    return _cell_weights(state.amps.reshape(state.dims), scenario.alice_obs, scenario.bob_obs)
 
 
 def _alice_branches(
     cells: np.ndarray, rule: ProbabilityRule
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Alice's live branch weights (renormalised) and Bob's rule on each live
-    # row of W, one row per branch.
-    alice = cells.sum(axis=1)
+    # Alice's branch weights, renormalised over her live branches, and Bob's
+    # rule on each live row of W; a dead branch has weight 0 and a zero row.
+    # Leading axes of cells stack scenarios.
+    alice = cells.sum(axis=-1)
     live = alice > ZERO_PROB_CUTOFF
-    return alice[live] / alice[live].sum(), _transform_weights(cells[live], rule)
+    if live.all():  # the usual case: nothing to leave out
+        return alice / alice.sum(axis=-1, keepdims=True), _transform_weights(cells, rule)
+    weights = np.where(live, alice, 0.0)
+    rows = np.zeros(cells.shape)
+    rows[live] = _transform_weights(cells[live], rule)
+    return weights / weights.sum(axis=-1, keepdims=True), rows
 
 
 def _signaling_check(cells: np.ndarray, rule: ProbabilityRule) -> tuple:
     # Bob's with-Alice and without-Alice probabilities read off W, by branch,
-    # each passing the check OutcomeDistribution runs, and their TV distance.
+    # each passing the check OutcomeDistribution runs, and their TV distance;
+    # leading axes of cells stack scenarios.
     weights, rows = _alice_branches(cells, rule)
-    arms = (weights[:, None] * rows).sum(axis=0), _transform_weights(cells.sum(axis=0), rule)
-    mixed, intact = (_checked_probabilities(p) for p in arms)
-    return mixed, intact, float(0.5 * np.abs(mixed - intact).sum())
+    arms = (weights[..., None] * rows).sum(axis=-2), _transform_weights(cells.sum(axis=-2), rule)
+    mixed, intact = (_checked_probabilities(p, axis=-1) for p in arms)
+    return mixed, intact, 0.5 * np.abs(mixed - intact).sum(axis=-1)
+
+
+def _arms(scenario: TelepathyScenario) -> tuple:
+    # _signaling_check on one scenario's W, under its own rule.
+    return _signaling_check(_scenario_cells(scenario), scenario.bob_rule)
 
 
 def swap_parties(scenario: TelepathyScenario) -> TelepathyScenario:
@@ -109,19 +135,19 @@ def swap_parties(scenario: TelepathyScenario) -> TelepathyScenario:
 
 def bob_distribution_with_alice(scenario: TelepathyScenario) -> OutcomeDistribution:
     """Bob's outcome distribution after Alice has measured (mixture semantics)."""
-    p = _signaling_check(_cell_weights(scenario), scenario.bob_rule)[0]
+    p = _arms(scenario)[0]
     return OutcomeDistribution(tuple(range(p.size)), p)
 
 
 def bob_distribution_without_alice(scenario: TelepathyScenario) -> OutcomeDistribution:
     """Bob's outcome distribution on the intact global state."""
-    p = _signaling_check(_cell_weights(scenario), scenario.bob_rule)[1]
+    p = _arms(scenario)[1]
     return OutcomeDistribution(tuple(range(p.size)), p)
 
 
 def signaling_gap(scenario: TelepathyScenario) -> float:
     """Total variation distance between Bob's with-Alice and without-Alice arms."""
-    return _signaling_check(_cell_weights(scenario), scenario.bob_rule)[2]
+    return float(_arms(scenario)[2])
 
 
 def _sample_counts(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
@@ -161,7 +187,7 @@ def channel_simulation(
     if shots > MAX_SHOTS:
         raise InvalidInputError(f"{shots} shots exceed the cap {MAX_SHOTS}")
     nb = scenario.bob_obs.branch_count
-    cells = _cell_weights(scenario)
+    cells = _scenario_cells(scenario)
     if bit == 1:
         weights, rows = _alice_branches(cells, scenario.bob_rule)
         counts = np.zeros(nb, dtype=np.int64)

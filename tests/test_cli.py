@@ -19,7 +19,7 @@ from bornsim import cli, measurement, pointer, rand, scenario, signaling
 from bornsim.cli import MAX_DIMS_LIMIT, main
 from bornsim.errors import InvalidInputError
 from bornsim.pointer import POINTER_STATE_MAX_AMPS, SCHEME_AGREEMENT_TOL
-from bornsim.presets import SCENARIO_PRESETS, observable_preset
+from bornsim.presets import SCENARIO_PRESETS, observable_preset, state_preset
 from bornsim.scenario import KINDS
 
 
@@ -630,19 +630,19 @@ def test_each_one_shot_check_runs_once_in_the_verify_process(tmp_path, capsys, m
 
 
 def test_every_pointer_setup_is_evolved_once(tmp_path, capsys, monkeypatch):
-    # verify and run evolve each pointer setup they build exactly once: the
-    # projection deviation and the cross-checks reuse the one joint.
+    # verify and run evolve each pointer state they check exactly once in
+    # each scheme: the projection deviation and the cross-checks reuse the
+    # one joint, and verify's stacked calls take every trial once.
     set_workers(monkeypatch, 1)
-    evolved = []
-    for name in ("run_two_pointer", "run_one_pointer"):
+    evolved = Counter()
+    for name in ("_two_pointer", "_one_pointer"):
 
-        def counting(setup, original=getattr(pointer, name)):
-            evolved.append(setup)  # held, so no two setups share an id
-            return original(setup)
+        def counting(psi, *args, original=getattr(pointer, name), name=name):
+            for amps in np.reshape(psi, (-1, psi.shape[-1])):
+                evolved[name, amps.tobytes()] += 1
+            return original(psi, *args)
 
-        for module in (pointer, cli, scenario):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(pointer, name, counting)
     code, _, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
     assert code == 0
     base = "state = 0.6 0.8i\nobs_a = sigma_z\nobs_b = sigma_x\npointer1_size = 3\n"
@@ -651,17 +651,25 @@ def test_every_pointer_setup_is_evolved_once(tmp_path, capsys, monkeypatch):
         path.write_text(f"kind = {kind}\n{base}{extra}")
         code, _, err = run_cli(capsys, "run", str(path))
         assert code == 0, err
-    counts = Counter(id(setup) for setup in evolved)
-    # verify: the epr setup, then one two-pointer and one one-pointer setup
-    # per trial; run: the two-pointer file, the one-pointer file and its twin.
-    assert len(counts) == 1 + 2 * 10 + 3
-    assert set(counts.values()) == {1}
+    # verify: each trial once per scheme, and the epr state in the one-pointer
+    # scheme; run: the two-pointer file, and the one-pointer file with its
+    # default-size two-pointer twin.
+    trials = [cli._pointer_trial(np.random.default_rng([1234, 1, t]), t, 4)[1][0].amps
+              for t in range(10)]
+    expected = Counter({(name, amps.tobytes()): 1 for amps in trials
+                        for name in ("_two_pointer", "_one_pointer")})
+    epr, file_state = state_preset("minus").amps, np.array([0.6, 0.8j])
+    expected["_one_pointer", epr.tobytes()] += 1
+    expected["_two_pointer", file_state.tobytes()] += 2
+    expected["_one_pointer", file_state.tobytes()] += 1
+    assert evolved == expected
 
 
 def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     # The pointer battery checks the projection postulate from whole-observable
     # arrays: no collapsed state, conditional or Born distribution per branch.
-    # The no-signaling battery reads both directions off one W per trial.
+    # The no-signaling battery reads both directions off one W per trial,
+    # the W of trials of one shape from one call.
     # The LL battery runs its kernel once per trial, with one weights call and
     # one collapse, and applies the reflections as vectors: no channel run, no
     # Operator built (Operator.__post_init__) and no unitarity check.
@@ -685,9 +693,11 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     for name, home in homes.items():
         original = getattr(home, name)
 
-        def counting(*args, original=original, name=name):
+        def counting(*args, original=original, name=name, **kwargs):
             calls[battery[0], name] += 1
-            return original(*args)
+            if name == "_cell_weights":  # amplitude matrices, one per scenario
+                calls[battery[0], "scenarios"] += len(args[0])
+            return original(*args, **kwargs)
 
         for module in (home, measurement, pointer, signaling, cli, scenario):
             if getattr(module, name, None) is original:
@@ -696,7 +706,11 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     assert code == 0
     stream = cli._POINTER.stream
     assert [calls[stream, name] for name in list(homes)[:3]] == [0, 0, 0]
-    assert calls[cli._NO_SIGNALING.stream, "_cell_weights"] == 10
+    # One W for each shape of the 10 no-signaling trials, stacked: one call.
+    shapes = {cli._no_signaling_trial(np.random.default_rng([1234, 2, t]), t, 4)[1].dims
+              for t in range(10)}
+    stream = cli._NO_SIGNALING.stream
+    assert (calls[stream, "_cell_weights"], calls[stream, "scenarios"]) == (len(shapes), 10)
     # max(50, 10 // 4) LL trials, each one kernel call, one weights call and one collapse.
     ll = {name: calls[cli._LL.stream, name] for name in list(homes)[4:]}
     assert ll == {"_target_check": 50, "branch_weights": 50, "_collapsed": 50,
@@ -948,8 +962,7 @@ def test_invariant_violation_in_a_trial_names_its_trial(capsys, monkeypatch):
     # A collapse off by 1 + 1e-7 fails StateVector validation in the LL check;
     # the exit code and class are unchanged and the message names the trial.
     original = measurement._collapsed
-    for module in (measurement, pointer):
-        monkeypatch.setattr(module, "_collapsed", lambda *a: original(*a) * (1 + 1e-7))
+    monkeypatch.setattr(measurement, "_collapsed", lambda *a: original(*a) * (1 + 1e-7))
     code, out, err = run_cli(capsys, "verify", "--trials", "4", "--dims-limit", "4")
     assert code == 3 and out == ""
     assert err.startswith(
@@ -973,30 +986,33 @@ def test_invariant_violation_building_a_trials_observables_names_its_trial(
 
 
 def _rescale_one_pointer_rows(original):
-    # Moves 1e-9 of mass from one live row of the one-pointer joint to
+    # Moves 1e-9 of mass from one live row of each one-pointer joint to
     # another by rescaling both whole rows: every p(j|i) stays as it was.
-    def mutant(setup):
-        final, joint = original(setup)
-        probs = joint.probs.copy()
-        rows = probs.sum(axis=1)
-        live = np.flatnonzero(rows > 1e-3)
-        if live.size >= 2:
-            probs[live[0]] *= 1 + 1e-9 / rows[live[0]]
-            probs[live[1]] *= 1 - 1e-9 / rows[live[1]]
-        return final, pointer.JointDistribution(probs)
+    def mutant(*args):
+        parts, joint = original(*args)
+        probs = joint.copy()
+        for cells in probs.reshape((-1,) + probs.shape[-2:]):
+            rows = cells.sum(axis=1)
+            live = np.flatnonzero(rows > 1e-3)
+            if live.size >= 2:
+                cells[live[0]] *= 1 + 1e-9 / rows[live[0]]
+                cells[live[1]] *= 1 - 1e-9 / rows[live[1]]
+        return parts, probs
 
     return mutant
 
 
 def _perturb_oracle_cells(original):
-    # Moves 1e-9 of mass from the oracle's largest cell to its second largest.
-    def mutant(setup):
-        probs = original(setup).probs.copy()
-        order = np.argsort(probs, axis=None)
-        if order.size >= 2:
-            probs.flat[order[-1]] -= 1e-9
-            probs.flat[order[-2]] += 1e-9
-        return pointer.JointDistribution(probs)
+    # Moves 1e-9 of mass from each oracle joint's largest cell to its second
+    # largest.
+    def mutant(*args):
+        probs = original(*args).copy()
+        for cells in probs.reshape((-1,) + probs.shape[-2:]):
+            order = np.argsort(cells, axis=None)
+            if order.size >= 2:
+                cells.flat[order[-1]] -= 1e-9
+                cells.flat[order[-2]] += 1e-9
+        return probs
 
     return mutant
 
@@ -1088,8 +1104,8 @@ def _patch_everywhere(monkeypatch, name, mutant):
 @pytest.mark.parametrize(
     "name, mutant, prop",
     [
-        ("run_one_pointer", _rescale_one_pointer_rows, "scheme_agreement"),
-        ("brute_force_joint", _perturb_oracle_cells, "oracle_agreement"),
+        ("_one_pointer", _rescale_one_pointer_rows, "scheme_agreement"),
+        ("_oracle_cells", _perturb_oracle_cells, "oracle_agreement"),
         ("_born_rows", lambda original: lambda *a: original(*a) + 1e-9,
          "projection_equivalence"),
         ("_signaling_check", _near_born_gap, "no_signaling_born"),
@@ -1116,8 +1132,8 @@ def _offset(index, delta):
     # The kernel's result with delta added to its item index: to each entry
     # of a list, to a float.
     def mutant(original):
-        def shifted(*args):
-            out = list(original(*args))
+        def shifted(*args, **kwargs):
+            out = list(original(*args, **kwargs))
             item = out[index]
             out[index] = [x + delta for x in item] if isinstance(item, list) else item + delta
             return tuple(out)
@@ -1161,12 +1177,17 @@ def test_run_and_verify_share_each_claims_kernel(capsys, monkeypatch, name, inde
 
 
 def _shifted_coupling(offset):
-    # The oracle's coupling, written per eigen-row: eigen-row c moves by its
-    # branch label plus offset along the pointer axis, with wrap-around.
+    # The oracle's coupling, written per eigen-row of each register of the
+    # stack: eigen-row c moves by its branch label plus offset along the
+    # pointer axis, with wrap-around.
     def couple(amps, obs, axis):
-        rows = np.tensordot(obs.basis.conj().T, amps, axes=1)
-        shifted = [np.roll(r, l + offset, axis=axis - 1) for r, l in zip(rows, obs.labels)]
-        return np.tensordot(obs.basis, shifted, axes=1)
+        lead = obs.basis.ndim - 1
+        flat = amps.reshape(amps.shape[:lead] + (-1,))
+        rows = (np.swapaxes(obs.basis.conj(), -1, -2) @ flat).reshape(amps.shape)
+        shifted = np.empty_like(rows)
+        for at in np.ndindex(amps.shape[:lead]):
+            shifted[at] = np.roll(rows[at], obs.labels[at] + offset, axis=axis % amps.ndim - lead)
+        return (obs.basis @ shifted.reshape(flat.shape)).reshape(amps.shape)
 
     return couple
 
@@ -1195,8 +1216,10 @@ def test_oracle_refuses_mass_outside_the_branch_cells(monkeypatch):
 
 
 def test_oracle_mass_outside_the_cells_names_its_verify_trial(capsys, monkeypatch):
+    # Trial 0 draws a one-branch first observable at d = 2: its padded
+    # 2 x 2 registers have a position past that branch for the shifted
+    # coupling to reach, and the stack that holds it raises.
     monkeypatch.setattr(pointer, "_couple", _shifted_coupling(1))
-    monkeypatch.setattr(cli, "two_pointer_setup", _oversized_two_pointer_setup)
     code, out, err = run_cli(capsys, "verify", "--trials", "4", "--dims-limit", "4")
     assert code == 3 and out == ""
     assert err.startswith(
@@ -1216,13 +1239,15 @@ def _no_child_left():
         ("--seed", "7"),
         (),
         ("--trials", "30", "--dims-limit", "24"),
+        ("--trials", "6", "--dims-limit", "48"),
         ("--trials", "1"),
         ("--trials", "3", "--seed", "7"),
     ],
 )
 def test_verify_prints_the_same_bytes_on_any_number_of_shares(capsys, monkeypatch, argv):
     # With --trials 1 and 3 some shares of the pointer and no-signaling
-    # batteries are empty.  Four shares fork three children.
+    # batteries are empty; --dims-limit 48 mixes padded pointer trials
+    # (d <= 16) with unpadded ones.  Four shares fork three children.
     outs = []
     for workers in (1, 2, 3, 4):
         set_workers(monkeypatch, workers)
@@ -1258,27 +1283,23 @@ def test_verify_workers_follow_the_affinity_mask(monkeypatch):
     assert cli._verify_workers(10**6, 6) == 1
 
 
-def _planted(trial, fail_at, raising):
-    # The battery's trial, except that the checks of the trials in fail_at
-    # run on their observables and then call raising(t).
-    def planted(rng, t, dims_limit):
-        drawn, check = trial(rng, t, dims_limit)
-        if t not in fail_at:
-            return drawn, check
-
-        def failing(*observables):
-            check(*observables)
-            return raising(t)
-
-        return drawn, failing
-
-    return planted
-
-
 def _plant(monkeypatch, row_name, fail_at, raising):
+    # The battery, except that the check of a stack holding a trial in
+    # fail_at runs on its trials and then calls raising(t) for the lowest
+    # such t; the trial passes its t to the check beside its inputs.
     row = getattr(cli, row_name)
-    monkeypatch.setattr(cli, row_name,
-                        dataclasses.replace(row, trial=_planted(row.trial, fail_at, raising)))
+
+    def trial(rng, t, dims_limit):
+        drawn, inputs, stack = row.trial(rng, t, dims_limit)
+        return drawn, (t, inputs), stack
+
+    def check(trials):
+        rows = row.check([(observables, inputs) for observables, (_, inputs) in trials])
+        for t in sorted(t for _, (t, _) in trials if t in fail_at)[:1]:
+            raising(t)
+        return rows
+
+    monkeypatch.setattr(cli, row_name, dataclasses.replace(row, trial=trial, check=check))
 
 
 def _violation(t):
@@ -1297,6 +1318,88 @@ def test_the_lowest_failing_trial_of_all_shares_is_raised(capsys, monkeypatch, w
     assert err == ("invariant violation [InvalidInputError]: trial [1234,2,1]: "
                    "planted violation in trial 1\n")
     _no_child_left()
+
+
+def _scaled_parts(states):
+    # pointer._two_pointer with the parts of the given states scaled by
+    # 1 + 1e-6, inside whatever stack holds them: their final states fail
+    # the norm check and their joints stay as they were.
+    def mutant(psi, *args, original=pointer._two_pointer):
+        parts, joint = original(psi, *args)
+        hit = [any(np.array_equal(amps, state) for state in states)
+               for amps in np.reshape(psi, (-1, psi.shape[-1]))]
+        scale = np.where(np.reshape(hit, psi.shape[:-1]), 1 + 1e-6, 1.0)
+        return parts * scale[(...,) + (None,) * (parts.ndim - scale.ndim)], joint
+
+    return mutant
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_violation_inside_a_stack_names_the_lowest_failing_trial(capsys, monkeypatch,
+                                                                   workers):
+    # Pointer trials 10 (d = 3) and 11 (d = 4) fail inside stacked kernel
+    # calls.  On 1, 2 and 3 shares trial 10 shares its stack with trial 4,
+    # also at d = 3, and lower trials of other dimensions share its chunk.
+    # Trial 10's own error is raised, and its share keeps the rows before it.
+    draw = lambda t: cli._pointer_trial(np.random.default_rng([1234, 1, t]), t, 4)[1][0]
+    dims = [draw(t).dim for t in range(12)]
+    assert dims[4] == dims[10] == 3 and dims[11] == 4 and 4 % workers == 10 % workers
+    assert {dims[t] for t in range(10 % workers, 10, workers)} - {3}
+    share = range(10 % workers, 12, workers)
+    clean, failure = cli._run_share(cli._POINTER, share, 4, 1234)
+    assert failure is None
+    monkeypatch.setattr(pointer, "_two_pointer", _scaled_parts([draw(10).amps, draw(11).amps]))
+    rows, failure = cli._run_share(cli._POINTER, share, 4, 1234)
+    assert rows == clean[:share.index(10)]
+    assert failure[0] == 10 and isinstance(failure[1], InvalidInputError)
+    set_workers(monkeypatch, workers)
+    code, out, err = run_cli(capsys, "verify", "--trials", "12", "--dims-limit", "4")
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"invariant violation \[InvalidInputError\]: trial \[1234,1,10\]: "
+                        r"state vector norm \S+ is not 1\n", err)
+    _no_child_left()
+
+
+def _built_trials(row, seed, count, dims_limit):
+    # (observables, inputs, stack) of a battery's first count trials.
+    trials = []
+    for t in range(count):
+        drawn, inputs, stack = row.trial(np.random.default_rng([seed, row.stream, t]), t,
+                                         dims_limit)
+        bases = rand._haar([z for _, z in drawn])
+        trials.append(([observable(u) for (observable, _), u in zip(drawn, bases)], inputs,
+                       stack))
+    return trials
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1234])
+def test_a_trials_row_does_not_depend_on_its_stack(seed):
+    # Every pointer and no-signaling trial's row, checked alone and in one
+    # stack with all the other trials of its key (up to 20 of them): the same
+    # bits.  And a padded row agrees with the unpadded stack of one.
+    for row, count, dims_limit, largest in ((cli._POINTER, 100, 6, 12),
+                                            (cli._POINTER, 40, cli._MAX_PADDED_DIM, 3),
+                                            (cli._NO_SIGNALING, 100, 4, 8)):
+        stacks = {}
+        for observables, inputs, (key, _) in _built_trials(row, seed, count, dims_limit):
+            stacks.setdefault(key, []).append((observables, inputs))
+        assert max(map(len, stacks.values())) >= largest
+        for trials in stacks.values():
+            stacked = row.check(trials)
+            alone = [row.check([trial])[0] for trial in trials]
+            assert np.array_equal(np.array(stacked, dtype=float), np.array(alone, dtype=float))
+            for got, (observables, inputs) in zip(stacked, trials):
+                if row is cli._POINTER:
+                    setup = pointer.two_pointer_setup(inputs[0], *observables)
+                    _, (joint, _), deviations, scheme = pointer._pointer_check([setup], one=True)
+                    oracle = pointer._oracle_gap([setup], joint)
+                    want = (deviations.max(), scheme[0], oracle[0])
+                else:
+                    cells = signaling._scenario_cells(
+                        signaling.TelepathyScenario(inputs, *observables))
+                    want = (max(signaling._signaling_check(w, measurement.BORN)[2]
+                                for w in (cells, cells.T)),)
+                assert np.abs(np.subtract(got[:len(want)], want)).max() <= 1e-14
 
 
 def test_a_foreign_exception_in_a_child_reaches_the_parent(capsys, monkeypatch):

@@ -32,6 +32,7 @@ from bornsim.observables import Observable
 from bornsim.pointer import (
     POINTER_STATE_MAX_AMPS,
     _couple,
+    _final,
     _oracle_gap,
     _pointer_check,
     _projection_deviation,
@@ -232,24 +233,29 @@ def test_projection_equivalence_report(rng):
 
 
 def test_evolve_checked_matches_the_public_readouts(rng):
-    # One evolution in the pointer kernel gives what the public report, the
-    # oracle and the twin two-pointer run give separately, bit for bit.
+    # One evolution in the pointer kernel, on a stack of one, gives what the
+    # public runs, the report, the oracle and the twin two-pointer run give
+    # separately, bit for bit.
     for _ in range(6):
         d = int(rng.integers(2, 6))
         state, obs_a, obs_b = _random_pair(rng, d, degenerate=(d >= 3))
         two = two_pointer_setup(state, obs_a, obs_b, obs_a.branch_count + 1)
         one = one_pointer_setup(state, obs_a, obs_b)
-        (final,), (joint,), (deviation,), _ = _pointer_check(two)
-        assert np.array_equal(final.amps, run_two_pointer(two)[0].amps)
-        assert deviation == projection_equivalence_report(two)
-        cross = _oracle_gap(two, joint)
-        assert cross == np.max(np.abs(joint.probs - brute_force_joint(two).probs))
+        (parts,), (joint,), deviations, _ = _pointer_check([two])
+        final, public = run_two_pointer(two)
+        assert np.array_equal(_final(two, parts[0]).amps, final.amps)
+        assert np.array_equal(joint[0], public.probs)
+        assert deviations[0, 0] == projection_equivalence_report(two)
+        cross = _oracle_gap([two], joint)[0]
+        assert cross == np.max(np.abs(joint[0] - brute_force_joint(two).probs))
         twin = two_pointer_setup(state, obs_a, obs_b)
-        (_, final), (_, joint), (_, deviation), cross = _pointer_check(twin, one)
-        assert np.array_equal(final.amps, run_one_pointer(one)[0].amps)
-        assert deviation == projection_equivalence_report(one)
+        (_, parts), (_, joint), deviations, cross = _pointer_check([twin], one=True)
+        final, public = run_one_pointer(one)
+        assert np.array_equal(_final(one, parts[0]).amps, final.amps)
+        assert np.array_equal(joint[0], public.probs)
+        assert deviations[0, 1] == projection_equivalence_report(one)
         twin = run_two_pointer(twin)[1]
-        assert cross == np.max(np.abs(joint.probs - twin.probs))
+        assert cross[0] == np.max(np.abs(joint[0] - twin.probs))
 
 
 def _loop_projection_deviation(setup, joint):
@@ -315,9 +321,9 @@ def test_shared_born_rows_give_each_joint_its_own_deviation(seed):
     # for bit.
     setups = _random_setups(seed)
     for two, one in ((setups[0], setups[2]), (setups[1], setups[3])):
-        _, (joint_two, joint_one), (dev_two, dev_one), _ = _pointer_check(two, one)
-        assert dev_two == _projection_deviation(two, joint_two)
-        assert dev_one == _projection_deviation(one, joint_one)
+        _, (joint_two, joint_one), deviations, _ = _pointer_check([two], one=True)
+        assert deviations[0, 0] == _projection_deviation(two, JointDistribution(joint_two[0]))
+        assert deviations[0, 1] == _projection_deviation(one, JointDistribution(joint_one[0]))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -26,7 +26,7 @@ from bornsim import (
     tensor,
     tv_distance,
 )
-from bornsim import scenario as scenario_module, signaling
+from bornsim import signaling
 from bornsim.presets import observable_preset, state_preset
 from bornsim.rand import random_observable, random_state, random_unitary
 from bornsim.scenario import parse_scenario, run_scenario
@@ -35,6 +35,7 @@ from bornsim.signaling import (
     MAX_SHOTS,
     _alice_branches,
     _cell_weights,
+    _scenario_cells,
     _sample_counts,
     _signaling_check,
 )
@@ -125,7 +126,7 @@ def test_swapped_arms_read_off_the_transposed_cells(q):
             random_observable(rng, (d1,), degenerate=(d1 >= 3 and t % 3 == 0)),
             nonborn_exponent(q),
         )
-        swapped = _signaling_check(_cell_weights(scenario).T, scenario.bob_rule)[:2]
+        swapped = _signaling_check(_scenario_cells(scenario).T, scenario.bob_rule)[:2]
         mirrored = swap_parties(scenario)
         arms = bob_distribution_with_alice(mirrored), bob_distribution_without_alice(mirrored)
         for got, want in zip(swapped, arms):
@@ -139,7 +140,7 @@ def test_checked_gap_is_the_tv_distance_of_the_arms(q):
     for t in range(40):
         rng = np.random.default_rng([19, t])
         d0, d1 = (int(x) for x in rng.integers(2, 7, size=2))
-        cells = _cell_weights(TelepathyScenario(
+        cells = _scenario_cells(TelepathyScenario(
             random_state(rng, (d0, d1)),
             random_observable(rng, (d0,), degenerate=(d0 >= 3 and t % 2 == 0)),
             random_observable(rng, (d1,)),
@@ -155,7 +156,7 @@ def test_checked_gap_checks_each_arm(monkeypatch):
     # Each arm passes the check OutcomeDistribution runs, so an arm off
     # normalisation raises as the labelled arm would; each public arm
     # raises on either arm, since the kernel checks both.
-    cells = _cell_weights(_witness())
+    cells = _scenario_cells(_witness())
     branches, transform = signaling._alice_branches, signaling._transform_weights
 
     def off_mixed(*args):  # Alice's branch weights, mixed into the with-Alice arm
@@ -241,7 +242,7 @@ def test_born_rule_does_not_signal_at_256_by_256():
 
 def test_bell_cell_weights():
     # Alice's branch 0 (eigenvalue -1, her |1>) pairs only with Bob's branch 0.
-    cells = _cell_weights(TelepathyScenario(BELL, SIGMA_Z, SIGMA_Z))
+    cells = _scenario_cells(TelepathyScenario(BELL, SIGMA_Z, SIGMA_Z))
     np.testing.assert_allclose(cells, [[0.5, 0.0], [0.0, 0.5]], atol=1e-14)
 
 
@@ -250,7 +251,7 @@ def test_zero_weight_alice_row_is_skipped():
     # cell weights must be left out of the mixture, not normalised.
     state = tensor([basis_state(2, 0), basis_state(2, 0)])
     scenario = TelepathyScenario(state, SIGMA_Z, SIGMA_Z, nonborn_exponent(2.0))
-    np.testing.assert_array_equal(_cell_weights(scenario), [[0.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(_scenario_cells(scenario), [[0.0, 0.0], [0.0, 1.0]])
     assert bob_distribution_with_alice(scenario).probs.tolist() == [0.0, 1.0]
     assert bob_distribution_without_alice(scenario).probs.tolist() == [0.0, 1.0]
     assert signaling_gap(scenario) == 0.0
@@ -361,7 +362,7 @@ def _reference_channel(scenario, bit, shots, rng):
     nb = scenario.bob_obs.branch_count
     counts = np.zeros(nb, dtype=np.int64)
     if bit == 1:
-        weights, rows = _alice_branches(_cell_weights(scenario), scenario.bob_rule)
+        weights, rows = _alice_branches(_scenario_cells(scenario), scenario.bob_rule)
         picks = rng.choice(len(weights), size=shots, p=weights)
         for k, probs in enumerate(rows):
             n_k = int(np.count_nonzero(picks == k))
@@ -517,13 +518,13 @@ class TestScenarioValidation:
 def test_cell_weights_computed_once_per_evaluation(monkeypatch):
     calls = []
 
-    def counting(scenario):
-        calls.append(scenario)
-        return _cell_weights(scenario)
+    def counting(*args):
+        calls.append(args)
+        return _cell_weights(*args)
 
-    # The telepathy runner calls the signaling kernel on its own W.
-    for module in (signaling, scenario_module):
-        monkeypatch.setattr(module, "_cell_weights", counting)
+    # The telepathy runner calls the signaling kernel on its own W, through
+    # the same signaling._arms as the public functions.
+    monkeypatch.setattr(signaling, "_cell_weights", counting)
     scenario = TelepathyScenario(WITNESS_STATE, SIGMA_Z, SIGMA_Z, nonborn_exponent(2.0))
     signaling_gap(scenario)
     assert len(calls) == 1
