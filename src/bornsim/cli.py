@@ -21,7 +21,8 @@ to d, larger ones run alone and unpadded, and no-signaling cells are padded
 to d_A x d_B.  Entropy and LL trials run one at a time.  A stack's rows are
 those of its trials checked alone, so the output does not depend on how
 trials fall into stacks or shares; a stack that raises is checked again a
-trial at a time, so the error is the lowest failing trial's.
+trial at a time, so the error is the lowest failing trial's, or, if every
+trial passes alone, the stack's own, named after its lowest trial.
 
 Each row's trials run on the CPUs in the process's affinity mask: share w of
 W takes trials t = w (mod W) of every row.  verify forks one set of W - 1
@@ -73,6 +74,7 @@ from .pointer import (
     SCHEME_AGREEMENT_TOL,
     _oracle_gap,
     _pointer_check,
+    _stacked,
     one_pointer_setup,
     run_one_pointer,
     two_pointer_setup,
@@ -258,11 +260,14 @@ def _pointer_trial(rng, t: int, dims_limit: int) -> tuple:
 
 
 def _check_pointer(trials: list) -> list:
-    # One _pointer_check and one _oracle_gap call for trials of one d.
+    # One _pointer_check and one _oracle_gap call, on one stack, for trials
+    # of one d; the oracle's registers are as wide as the joints.
     setups = [two_pointer_setup(state, *observables) for observables, (state, _) in trials]
     pad = _padding(setups[0].small_state.dim)
-    _, (joint, _), deviations, scheme_gaps = _pointer_check(setups, one=True, branches=pad)
-    oracle_gaps = _oracle_gap(setups, joint, pad)
+    stacked = _stacked(setups, pad)
+    _, (joint, _), deviations, scheme_gaps = _pointer_check(stacked, one=True,
+                                                           padded=pad is not None)
+    oracle_gaps = _oracle_gap(stacked, joint, *joint.shape[1:])
     return [(dev, scheme, oracle, degenerate) for dev, scheme, oracle, (_, (_, degenerate))
             in zip(deviations.max(axis=1), scheme_gaps, oracle_gaps, trials)]
 
@@ -413,7 +418,9 @@ def _check_chunk(row: _Battery, chunk: list, bases):
     Each trial's observables are built in order from the next bases; the
     trials built are put in stacks by their stack key, and each stack is
     checked in one call.  A stack that raises is checked again a trial at a
-    time, so the exception is the lowest failing trial's own.
+    time, so the exception is the lowest failing trial's own; if every trial
+    passes alone, the fault is the stack's, and its exception is pinned on
+    the stack's lowest trial.
     """
     built, failure = [], []
     for t, observables, inputs, stack in chunk:
@@ -437,14 +444,14 @@ def _check_chunk(row: _Battery, chunk: list, bases):
             outcomes.update(zip([t for t, *_ in stack],
                                 row.check([(obs, inputs) for _, obs, inputs, _ in stack])))
         except Exception as exc:
-            if len(stack) == 1:
+            if len(stack) > 1:  # a stack of one would raise exc again
+                for t, obs, inputs, _ in stack:
+                    try:
+                        outcomes[t] = row.check([(obs, inputs)])[0]
+                    except Exception as alone:
+                        outcomes[t] = alone
+            if not any(isinstance(outcomes.get(t), Exception) for t, *_ in stack):
                 outcomes[stack[0][0]] = exc
-                continue
-            for t, obs, inputs, _ in stack:
-                try:
-                    outcomes[t] = row.check([(obs, inputs)])[0]
-                except Exception as alone:
-                    outcomes[t] = alone
     for t, *_ in built:
         yield t, outcomes[t]
         if isinstance(outcomes[t], Exception):

@@ -75,10 +75,7 @@ class StateVector:
             raise InvalidInputError(
                 f"amplitude count {amps.size} does not match dims {dims}"
             )
-        _check_finite(amps, "state vector")
-        norm = float(np.vdot(amps, amps).real) ** 0.5
-        if abs(norm - 1.0) > NORM_TOL:
-            raise InvalidInputError(f"state vector norm {norm!r} is not 1")
+        _check_states(amps[None])
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", _frozen(amps))
 
@@ -88,15 +85,13 @@ class StateVector:
 
 
 def _check_states(amps: np.ndarray) -> None:
-    # StateVector's checks on a stack of states, amps[s] holding state s in
-    # any shape: finite entries and norm 1 within NORM_TOL.  The squared
-    # norms are dot products of the real and imaginary parts, no temporary.
+    # The checks of a StateVector, on a stack of states, amps[s] holding
+    # state s in any shape: finite entries and norm 1 within NORM_TOL.
     _check_finite(amps, "state vector")
-    parts = np.ascontiguousarray(amps, dtype=complex).reshape(len(amps), -1).view(np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    off = norms[abs(norms - 1.0) > NORM_TOL]
-    if off.size:
-        raise InvalidInputError(f"state vector norm {float(off[0])!r} is not 1")
+    for state in amps.reshape(len(amps), -1):
+        norm = float(np.vdot(state, state).real) ** 0.5
+        if abs(norm - 1.0) > NORM_TOL:
+            raise InvalidInputError(f"state vector norm {norm!r} is not 1")
 
 
 @dataclass(frozen=True)

@@ -172,10 +172,6 @@ class _Stack(NamedTuple):
 def _stack(observables, branches: int | None = None) -> _Stack:
     """Observables of one dimension as a _Stack, branch axis padded to
     `branches` columns (by default the largest branch count)."""
-    if len(observables) == 1 and branches is None:  # views, nothing to pad
-        obs = observables[0]
-        return _Stack(obs.basis[None], obs.labels[None], np.array([obs.branch_count]),
-                      obs.indicator[None])
     labels = np.array([obs.labels for obs in observables])
     counts = np.array([obs.branch_count for obs in observables])
     k = int(counts.max()) if branches is None else branches

@@ -19,16 +19,16 @@ once, for `bornsim verify` and `run`; only verify and two_pointer scenarios
 add the oracle gap (_oracle_gap), so a one_pointer run never allocates the
 oracle's register tensor.
 
-_pointer_check and _oracle_gap take a list of setups of one system dimension
-and run it as one stack: their array functions (the runs, the Born rows,
-the oracle) take one state and two Observables, or states with a leading
-stack axis and two observables._Stacks.  verify pads the branch axes and
-both pointer registers of its small-d trials to d, so every trial of a
-stack has the same shapes; padded branches have weight 0, and since the pointers start at |0>
-and move by less than d, padded pointer positions stay empty.  Products and
-reductions run per slice, so a trial's numbers do not depend on the other
-trials of its stack.  `run` and the public functions run one state,
-unpadded.
+_pointer_check and _oracle_gap run setups of one system dimension as one
+stack, which _stacked builds once for both: their array functions (the
+runs, the Born rows, the oracle) take one state and two Observables, or
+states with a leading stack axis and two observables._Stacks.  verify pads
+the branch axes and both pointer registers of its small-d trials to d, so
+every trial of a stack has the same shapes; padded branches have weight 0,
+and since the pointers start at |0> and move by less than d, padded
+pointer positions stay empty.  Products and reductions run per slice, so a
+trial's numbers do not depend on the other trials of its stack.  `run` and
+the public functions run one state, unpadded.
 
 Because every pointer starts in |0> and each shift moves it by less than the
 register size, the final states are exactly
@@ -359,19 +359,19 @@ def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
     return JointDistribution(cells[:setup.obs_a.branch_count, :setup.obs_b.branch_count])
 
 
-def _pointer_check(setups, one: bool = False, branches: int | None = None) -> tuple:
-    # The projection claim on two-pointer setups of one system dimension, in
-    # one stacked call: each setup's state and observables evolved once in
-    # the two-pointer scheme and, with one, once in the one-pointer scheme.
-    # With branches, both branch axes are padded to that many columns, so a
-    # trial's numbers depend on branches and not on the other setups of the
-    # stack; without, the stack holds one setup (or setups of equal branch
-    # counts).  Each run's final states and joints pass the checks
-    # StateVector and JointDistribution run.  Returns the runs' parts, their
-    # joints (S, na, nb), each joint's projection deviation against one table
-    # of Born rows (the branches live in either joint) as (S, runs), and the
+def _pointer_check(stacked: tuple, one: bool = False, padded: bool = False) -> tuple:
+    # The projection claim on _stacked setups of one system dimension, in
+    # one call: each setup's state and observables evolved once in the
+    # two-pointer scheme and, with one, once in the one-pointer scheme.
+    # padded says the branch axes were padded, so that a trial's numbers
+    # depend on the padded width and not on the other setups of the stack;
+    # unpadded, the stack holds one setup (or setups of equal branch counts).
+    # Each run's final states and joints pass the checks StateVector and
+    # JointDistribution run.  Returns the runs' parts, their joints
+    # (S, na, nb), each joint's projection deviation against one table of
+    # Born rows (the branches live in either joint) as (S, runs), and the
     # scheme gap per setup, 0.0 without the one-pointer run.
-    psi, obs_a, obs_b = _stacked(setups, branches)
+    psi, obs_a, obs_b = stacked
     runs = [_two_pointer(psi, obs_a, obs_b)] + ([_one_pointer(psi, obs_a, obs_b)] if one else [])
     joints = []
     for parts, joint in runs:
@@ -380,7 +380,7 @@ def _pointer_check(setups, one: bool = False, branches: int | None = None) -> tu
     live = np.maximum.reduce([joint.sum(axis=-1) for joint in joints]) > ZERO_PROB_CUTOFF
     # Unpadded, the one setup's live parts, as the one-state path splits them;
     # padded, every column, whatever the other setups' live branches are.
-    columns = slice(None) if branches else np.flatnonzero(live.any(axis=0))
+    columns = slice(None) if padded else np.flatnonzero(live.any(axis=0))
     born = _born_rows(psi, obs_a, obs_b, live, columns)
     deviations = np.stack([_projection_deviations(joint[:, columns], born) for joint in joints],
                           axis=-1)
@@ -388,12 +388,11 @@ def _pointer_check(setups, one: bool = False, branches: int | None = None) -> tu
     return [parts for parts, _ in runs], joints, deviations, gap
 
 
-def _oracle_gap(setups, joint: np.ndarray, branches: int | None = None) -> np.ndarray:
+def _oracle_gap(stacked: tuple, joint: np.ndarray, n: int, m: int) -> np.ndarray:
     # Worst cell gap per setup between the two-pointer joints _pointer_check
-    # returned for these setups and branches and the oracle's.  Padded, the
-    # oracle's registers hold `branches` positions each; pointers start at
-    # |0> and shift by less than their size, so padding never wraps.
-    psi, obs_a, obs_b = _stacked(setups, branches)
-    sizes = (branches, branches) if branches else (setups[0].n_pointer1, setups[0].m_pointer2)
-    cells = _oracle_cells(psi, obs_a, obs_b, *sizes)[..., :joint.shape[-2], :joint.shape[-1]]
+    # returned for these _stacked setups and the oracle's, whose registers
+    # hold n and m positions.  Padded, n and m are the padded width;
+    # pointers start at |0> and shift by less than their size, so padding
+    # never wraps.
+    cells = _oracle_cells(*stacked, n, m)[..., :joint.shape[-2], :joint.shape[-1]]
     return np.abs(joint - _checked_probabilities(cells, "joint ", axis=(-2, -1))).max(axis=(-2, -1))

@@ -43,6 +43,7 @@ from .pointer import (
     _final,
     _oracle_gap,
     _pointer_check,
+    _stacked,
     two_pointer_setup,
 )
 from .presets import observable_preset, state_preset
@@ -287,10 +288,11 @@ def _run_pointer(scn: Scenario) -> Records:
     setup = PointerSchemeSetup(state, obs_a, obs_b, n1, m2)
     if m2 is None:  # cross-checked against the default-size two-pointer twin
         parts, joints, deviations, cross_dev = _pointer_check(
-            [two_pointer_setup(state, obs_a, obs_b)], one=True)
+            _stacked([two_pointer_setup(state, obs_a, obs_b)]), one=True)
     else:  # cross-checked against the oracle
-        parts, joints, deviations, _ = _pointer_check([setup])
-        cross_dev = _oracle_gap([setup], joints[0])
+        stacked = _stacked([setup])
+        parts, joints, deviations, _ = _pointer_check(stacked)
+        cross_dev = _oracle_gap(stacked, joints[0], n1, m2)
     final = _final(setup, parts[-1][0])
     joint, deviation, cross_dev = joints[-1][0], deviations[0, -1], cross_dev[0]
     cross_key = "two_pointer_joint_max_dev" if m2 is None else "oracle_joint_max_dev"

@@ -98,8 +98,6 @@ def _alice_branches(
     # Leading axes of cells stack scenarios.
     alice = cells.sum(axis=-1)
     live = alice > ZERO_PROB_CUTOFF
-    if live.all():  # the usual case: nothing to leave out
-        return alice / alice.sum(axis=-1, keepdims=True), _transform_weights(cells, rule)
     weights = np.where(live, alice, 0.0)
     rows = np.zeros(cells.shape)
     rows[live] = _transform_weights(cells[live], rule)

@@ -1360,6 +1360,33 @@ def test_a_violation_inside_a_stack_names_the_lowest_failing_trial(capsys, monke
     _no_child_left()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_fault_of_the_stacked_call_alone_is_raised(capsys, monkeypatch, workers):
+    # The oracle fails on stacks of more than one state at d = 3, and every
+    # trial passes alone.  Pointer trials 4, 9 and 10 are the d = 3 trials;
+    # on 1, 2 and 3 shares trial 4 shares its stack with trial 10 (and 9 on
+    # one share).  The stack's own error is raised, pinned on trial 4, and
+    # its share keeps the rows before it.
+    def stacked_only(psi, *args, original=pointer._oracle_cells):
+        if psi.shape[-1] == 3 and psi.ndim == 2 and len(psi) > 1:
+            raise InvalidInputError(f"planted fault in a stack of {len(psi)}")
+        return original(psi, *args)
+
+    share = range(4 % workers, 12, workers)
+    clean, failure = cli._run_share(cli._POINTER, share, 4, 1234)
+    assert failure is None
+    monkeypatch.setattr(pointer, "_oracle_cells", stacked_only)
+    rows, failure = cli._run_share(cli._POINTER, share, 4, 1234)
+    assert rows == clean[:share.index(4)]
+    assert failure[0] == 4 and str(failure[1]).startswith("trial [1234,1,4]: planted fault")
+    set_workers(monkeypatch, workers)
+    code, out, err = run_cli(capsys, "verify", "--trials", "12", "--dims-limit", "4")
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"invariant violation \[InvalidInputError\]: trial \[1234,1,4\]: "
+                        r"planted fault in a stack of [23]\n", err)
+    _no_child_left()
+
+
 def _built_trials(row, seed, count, dims_limit):
     # (observables, inputs, stack) of a battery's first count trials.
     trials = []
@@ -1391,8 +1418,9 @@ def test_a_trials_row_does_not_depend_on_its_stack(seed):
             for got, (observables, inputs) in zip(stacked, trials):
                 if row is cli._POINTER:
                     setup = pointer.two_pointer_setup(inputs[0], *observables)
-                    _, (joint, _), deviations, scheme = pointer._pointer_check([setup], one=True)
-                    oracle = pointer._oracle_gap([setup], joint)
+                    stacked = pointer._stacked([setup])
+                    _, (joint, _), deviations, scheme = pointer._pointer_check(stacked, one=True)
+                    oracle = pointer._oracle_gap(stacked, joint, *joint.shape[1:])
                     want = (deviations.max(), scheme[0], oracle[0])
                 else:
                     cells = signaling._scenario_cells(
