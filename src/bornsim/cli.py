@@ -7,22 +7,27 @@
 verify prints one line per property.  Its randomized properties are rows of
 one table run by one trial loop; trial t of a row draws from
 default_rng([seed, stream, t]), which the line's worst_seed names, and an
-invariant violation while a trial's observables are built or checked names
-it too.  Every Haar matrix a trial draws is an observable's eigenbasis, and
-its check computes its deviations in the kernel that `run` calls for the
-same claim: pointer._pointer_check, signaling._signaling_check and
-measurement's _entropy_check and _target_check.
+invariant violation while a trial's inputs are checked names it too.  Every
+Haar matrix a trial draws is an observable's eigenbasis, and its check
+computes its deviations in the kernel that `run` calls for the same claim:
+pointer._pointer_check, signaling._signaling_check and measurement's
+_entropy_check and _target_check.
 
 The trials drawn ahead for one _haar call form a chunk.  Its pointer trials
-of one d and its no-signaling trials of one shape are checked in stacks of
-at most HAAR_STACK_AMPS register amplitudes, one kernel call each: pointer
-trials up to d = _MAX_PADDED_DIM pad their branch axes and pointer registers
-to d, larger ones run alone and unpadded, and no-signaling cells are padded
-to d_A x d_B.  Entropy and LL trials run one at a time.  A stack's rows are
-those of its trials checked alone, so the output does not depend on how
-trials fall into stacks or shares; a stack that raises is checked again a
-trial at a time, so the error is the lowest failing trial's, or, if every
-trial passes alone, the stack's own, named after its lowest trial.
+of one d, its no-signaling trials of one shape and its entropy trials of one
+d are checked in stacks of at most HAAR_STACK_AMPS register amplitudes, one
+kernel call each: pointer trials up to d = _MAX_PADDED_DIM pad their branch
+axes and pointer registers to d, larger ones run alone and unpadded,
+no-signaling cells are padded to d_A x d_B and entropy branch axes to d.
+These trials hand their checks arrays, not objects: a stack runs every check
+of its trials' Observables, StateVectors, DensityMatrices, setups and
+scenarios once, on the stacked arrays, through the checkers the
+constructors call.  LL trials run one at a time, with their objects.  A
+stack's rows are those of its trials checked alone, so the output does not
+depend on how trials fall into stacks or shares; a stack that raises is
+checked again a trial at a time, so the error is the lowest failing trial's,
+or, if every trial passes alone, the stack's own, named after its lowest
+trial.
 
 Each row's trials run on the CPUs in the process's affinity mask: share w of
 W takes trials t = w (mod W) of every row.  verify forks one set of W - 1
@@ -60,6 +65,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import _check_densities, _check_states
 from .errors import BornsimError
 from .measurement import (
     BORN,
@@ -68,16 +74,15 @@ from .measurement import (
     _target_check,
     rule_probabilities,
 )
-from .observables import _stack, embed_observable
+from .observables import Observable, _checked_stack, embed_observable
 from .pointer import (
     POINTER_STATE_MAX_AMPS,
     SCHEME_AGREEMENT_TOL,
+    _check_setups,
     _oracle_gap,
     _pointer_check,
-    _stacked,
     one_pointer_setup,
     run_one_pointer,
-    two_pointer_setup,
 )
 from .presets import (
     OBSERVABLE_PRESET_DESCRIPTIONS,
@@ -87,7 +92,14 @@ from .presets import (
     state_preset,
     scenario_preset_text,
 )
-from .rand import HAAR_STACK_AMPS, _draw_observable, _haar, random_density, random_state
+from .rand import (
+    HAAR_STACK_AMPS,
+    _draw_density,
+    _draw_observable,
+    _draw_state,
+    _haar,
+    random_state,
+)
 from .scenario import (
     DEFAULT_SEED,
     ScenarioParseError,
@@ -98,6 +110,7 @@ from .signaling import (
     TelepathyScenario,
     _arms,
     _cell_weights,
+    _check_parties,
     _signaling_check,
     channel_simulation,
 )
@@ -227,13 +240,15 @@ def _check_born_marginals() -> Check:
 
 # A trial has two phases.  Called, it makes every rng call of the trial, in
 # the order random_state and random_observable would make them, and returns
-# the (Observable partial, Ginibre matrix) pair of each observable it drew,
-# in draw order, the rest of the trial's inputs, and its stack: None for a
-# trial checked alone, else (key, amplitudes), where trials of one key share
-# kernel calls of at most HAAR_STACK_AMPS amplitudes.  A battery's check
-# takes a stack's trials as (observables, inputs) pairs and returns one row
-# per trial: a deviation per property of its battery, then its tallies (0 or
-# 1 each).  A trial's key and padding depend on its own draws alone.
+# each observable it drew as its (eigenvalues, Ginibre matrix, labels), in
+# draw order, the rest of the trial's inputs as arrays, and its stack: None
+# for a trial checked alone, else (key, amplitudes), where trials of one key
+# share calls of at most HAAR_STACK_AMPS amplitudes.  A battery's check takes
+# a stack's trials as (observables, inputs) pairs, each observable's Ginibre
+# matrix replaced by its Haar basis, runs on the stack every check the
+# trials' objects would run, and returns one row per trial: a deviation per
+# property of its battery, then its tallies (0 or 1 each).  A trial's key and
+# padding depend on its own draws alone.
 
 # Largest d at which pointer trials are padded and stacked.  A padded trial
 # computes d x d x d registers where an unpadded one computes d x k_A x k_B,
@@ -255,16 +270,22 @@ def _pointer_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, dims_limit + 1))
     degenerate = d >= 3 and t % 3 == 0
     drawn = (_draw_observable(rng, (d,), degenerate), _draw_observable(rng, (d,), degenerate))
-    state = random_state(rng, (d,))
+    state = _draw_state(rng, (d,))
     return drawn, (state, degenerate), None if _padding(d) is None else (d, d**3)
 
 
 def _check_pointer(trials: list) -> list:
     # One _pointer_check and one _oracle_gap call, on one stack, for trials
-    # of one d; the oracle's registers are as wide as the joints.
-    setups = [two_pointer_setup(state, *observables) for observables, (state, _) in trials]
-    pad = _padding(setups[0].small_state.dim)
-    stacked = _stacked(setups, pad)
+    # of one d, after the checks of their states, observables and setups;
+    # the pointers, and the oracle's registers, are as wide as the padded
+    # branch axes.
+    psi = np.array([state for _, (state, _) in trials])
+    dims = psi.shape[1:]
+    pad = _padding(dims[0])
+    _check_states(psi)
+    obs_a, obs_b = (_checked_stack(dims, [drawn[i] for drawn, _ in trials], pad) for i in (0, 1))
+    _check_setups(dims, obs_a, obs_b, obs_a.indicator.shape[-1], obs_b.indicator.shape[-1])
+    stacked = psi, obs_a, obs_b
     _, (joint, _), deviations, scheme_gaps = _pointer_check(stacked, one=True,
                                                            padded=pad is not None)
     oracle_gaps = _oracle_gap(stacked, joint, *joint.shape[1:])
@@ -274,19 +295,21 @@ def _check_pointer(trials: list) -> list:
 
 def _no_signaling_trial(rng, t: int, dims_limit: int) -> tuple:
     d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-    state = random_state(rng, (d1, d2))
+    state = _draw_state(rng, (d1, d2)).reshape(d1, d2)
     drawn = tuple(_draw_observable(rng, (d,)) for d in (d1, d2))
     return drawn, state, ((d1, d2), d1 * d2)
 
 
 def _check_no_signaling(trials: list) -> list:
-    # One W per trial, padded to d_A x d_B, for trials of one shape.  Swapping
-    # the parties transposes W, so both directions come from it.
-    scenarios = [TelepathyScenario(state, *parties, BORN) for parties, state in trials]
-    dims = scenarios[0].state.dims
-    cells = _cell_weights(np.array([scenario.state.amps.reshape(dims) for scenario in scenarios]),
-                          _stack([scenario.alice_obs for scenario in scenarios], dims[0]),
-                          _stack([scenario.bob_obs for scenario in scenarios], dims[1]))
+    # One W per trial, padded to d_A x d_B, for trials of one shape, after
+    # the checks of their states, observables and scenarios.  Swapping the
+    # parties transposes W, so both directions come from it.
+    m = np.array([state for _, state in trials])
+    _check_states(m)
+    alice, bob = (_checked_stack((d,), [drawn[i] for drawn, _ in trials], d)
+                  for i, d in enumerate(m.shape[1:]))
+    _check_parties(m.shape[1:], alice, bob)
+    cells = _cell_weights(m, alice, bob)
     gaps = np.maximum(_signaling_check(cells, BORN)[2],
                       _signaling_check(np.swapaxes(cells, -1, -2), BORN)[2])
     return [(gap,) for gap in gaps]
@@ -294,17 +317,20 @@ def _check_no_signaling(trials: list) -> list:
 
 def _entropy_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, 9))
-    rho = random_density(rng, (d,))
+    rho = _draw_density(rng, (d,))
     drawn = _draw_observable(rng, (d,), degenerate=(d >= 3 and t % 2 == 0))
-    return (drawn,), rho, None
+    return (drawn,), rho, (d, d**3)
 
 
 def _check_entropy(trials: list) -> list:
-    rows = []
-    for (obs,), rho in trials:
-        s_in, s_out, _, avg = _entropy_check(rho, obs)
-        rows.append((max(s_in - s_out, avg - s_out),))
-    return rows
+    # One _entropy_check call for trials of one d, branch axes padded to d,
+    # after the checks of their densities and observables.
+    rho = np.array([rho for _, rho in trials])
+    dims = rho.shape[1:2]
+    spectrum = _check_densities(rho)
+    obs = _checked_stack(dims, [observable for (observable,), _ in trials], dims[0])
+    s_in, s_out, _, avg = _entropy_check(dims, rho, spectrum, obs)
+    return [(gap,) for gap in np.maximum(s_in - s_out, avg - s_out)]
 
 
 def _ll_trial(rng, t: int, dims_limit: int) -> tuple:
@@ -317,7 +343,8 @@ def _ll_trial(rng, t: int, dims_limit: int) -> tuple:
 
 def _check_ll(trials: list) -> list:
     rows = []
-    for (obs,), (state, target) in trials:
+    for (observable,), (state, target) in trials:
+        obs = Observable(state.dims, *observable)
         # <psi|P_n psi>, a route independent of the kernel's branch_weights call.
         weights = (state.amps.conj() @ obs.split(state.amps)).real
         records, target_dev = _target_check(state, obs, target)
@@ -412,25 +439,17 @@ def _verify_workers(trials: int, dims_limit: int) -> int:
         return 1
 
 
-def _check_chunk(row: _Battery, chunk: list, bases):
+def _check_chunk(row: _Battery, chunk: list):
     """(t, row or exception) for a chunk's trials in order, up to the first exception.
 
-    Each trial's observables are built in order from the next bases; the
-    trials built are put in stacks by their stack key, and each stack is
+    The trials are put in stacks by their stack key, and each stack is
     checked in one call.  A stack that raises is checked again a trial at a
     time, so the exception is the lowest failing trial's own; if every trial
     passes alone, the fault is the stack's, and its exception is pinned on
     the stack's lowest trial.
     """
-    built, failure = [], []
-    for t, observables, inputs, stack in chunk:
-        try:
-            built.append((t, [observable(next(bases)) for observable in observables], inputs, stack))
-        except Exception as exc:
-            failure = [(t, exc)]
-            break
     stacks, filling = [], {}  # filling: key -> [trials, amplitudes] of its last stack
-    for trial in built:
+    for trial in chunk:
         key, amps = trial[3] or (None, 0)
         last = filling.get(key)
         if key is None or last is None or last[1] + amps > HAAR_STACK_AMPS:
@@ -452,11 +471,10 @@ def _check_chunk(row: _Battery, chunk: list, bases):
                         outcomes[t] = alone
             if not any(isinstance(outcomes.get(t), Exception) for t, *_ in stack):
                 outcomes[stack[0][0]] = exc
-    for t, *_ in built:
+    for t, *_ in chunk:
         yield t, outcomes[t]
         if isinstance(outcomes[t], Exception):
             return
-    yield from failure
 
 
 def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tuple:
@@ -469,20 +487,20 @@ def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tupl
     # Trials are drawn in order and kept pending until their Ginibre matrices
     # reach HAAR_STACK_AMPS amplitudes or the last trial is drawn; then one
     # _haar call makes all their bases and _check_chunk checks them.
-    rows, pending, amps = [], [], 0  # pending: (t, (partial, Ginibre) pairs, inputs, stack)
+    rows, pending, amps = [], [], 0  # pending: (t, drawn observables, inputs, stack)
     try:
         for t in trials:
             pending.append((t, *row.trial(np.random.default_rng([seed, row.stream, t]), t,
                                           dims_limit)))
-            amps += sum(z.size for _, z in pending[-1][1])
+            amps += sum(z.size for _, z, _ in pending[-1][1])
             if amps < HAAR_STACK_AMPS and t != trials[-1]:
                 continue
-            bases = iter(_haar([z for _, drawn, *_ in pending for _, z in drawn]))
+            bases = iter(_haar([z for _, drawn, *_ in pending for _, z, _ in drawn]))
             # Rebinding pending frees the Ginibre matrices before any check runs.
-            chunk = [(i, [observable for observable, _ in drawn], *rest)
+            chunk = [(i, [(values, next(bases), labels) for values, _, labels in drawn], *rest)
                      for i, drawn, *rest in pending]
             pending, amps = [], 0
-            for i, outcome in _check_chunk(row, chunk, bases):
+            for i, outcome in _check_chunk(row, chunk):
                 if isinstance(outcome, Exception):
                     if isinstance(outcome, BornsimError):
                         outcome.args = (f"trial [{seed},{row.stream},{i}]: {outcome}",)

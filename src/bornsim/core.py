@@ -6,7 +6,12 @@ is k_0*d_1*...*d_{r-1} + k_1*d_2*...*d_{r-1} + ... + k_{r-1}.  This is exactly
 the order produced by successive numpy.kron calls, factor 0 first.
 
 All value types are immutable after construction and validate their invariants
-up front, so downstream code can assume well-formed inputs.
+up front, so downstream code can assume well-formed inputs.  The checks of
+StateVector and DensityMatrix each have one home that takes a stack of
+arrays, _check_states and _check_densities: the constructors call them on a
+stack of one, and verify on a stack of trials' arrays.  _check_densities
+returns the spectra of its one eigvalsh call, and _entropies reads
+entropies off them.
 """
 
 from __future__ import annotations
@@ -57,20 +62,8 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        self._adopt(np.array(self.amps, dtype=complex))
-
-    @classmethod
-    def _owning(cls, dims, amps: np.ndarray) -> "StateVector":
-        # The same checks without the copy, for a fresh complex array that no
-        # caller keeps: the state takes it over and freezes it.
-        state = cls.__new__(cls)
-        object.__setattr__(state, "dims", dims)
-        state._adopt(np.asarray(amps, dtype=complex))
-        return state
-
-    def _adopt(self, amps: np.ndarray) -> None:
         dims = _check_dims(self.dims)
-        amps = amps.reshape(-1)
+        amps = np.array(self.amps, dtype=complex).reshape(-1)
         if amps.size != prod(dims):
             raise InvalidInputError(
                 f"amplitude count {amps.size} does not match dims {dims}"
@@ -78,6 +71,16 @@ class StateVector:
         _check_states(amps[None])
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", _frozen(amps))
+
+    @classmethod
+    def _checked(cls, dims: tuple[int, ...], amps: np.ndarray) -> "StateVector":
+        # A state of amplitudes that _check_states has passed, in a fresh
+        # complex array of prod(dims) entries that no caller keeps: the state
+        # takes it over and freezes it, without a copy or a second check.
+        state = cls.__new__(cls)
+        object.__setattr__(state, "dims", dims)
+        object.__setattr__(state, "amps", _frozen(amps.reshape(-1)))
+        return state
 
     @property
     def dim(self) -> int:
@@ -142,16 +145,7 @@ class DensityMatrix:
             raise InvalidDensityError(
                 f"density shape {entries.shape} does not match dims {dims}"
             )
-        _check_finite(entries, "density matrix")
-        if np.abs(entries - entries.conj().T).max() > HERM_TOL:
-            raise InvalidDensityError("density matrix is not Hermitian")
-        tr = complex(np.trace(entries))
-        if abs(tr - 1.0) > NORM_TOL:
-            raise InvalidDensityError(f"density trace {tr!r} is not 1")
-        spectrum = np.linalg.eigvalsh(entries)
-        lo = float(spectrum[0])
-        if lo < -PSD_TOL:
-            raise InvalidDensityError(f"density has negative eigenvalue {lo!r}")
+        (spectrum,) = _check_densities(entries[None])
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", _frozen(entries))
         object.__setattr__(self, "spectrum", _frozen(spectrum))
@@ -159,6 +153,47 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _check_densities(entries: np.ndarray) -> np.ndarray:
+    # The checks of a DensityMatrix on a stack of square matrices (S, d, d):
+    # finite, Hermitian within HERM_TOL, trace 1 within NORM_TOL, no
+    # eigenvalue below -PSD_TOL.  Each check runs once on the whole stack and
+    # raises for the first matrix that fails it.  Returns the ascending
+    # spectra (S, d) of the one eigvalsh call, for the entropies.
+    _check_finite(entries, "density matrix")
+    if np.abs(entries - entries.conj().swapaxes(-1, -2)).max() > HERM_TOL:
+        raise InvalidDensityError("density matrix is not Hermitian")
+    # The S traces and lowest eigenvalues are compared as Python numbers,
+    # which costs less than numpy calls on so few values.
+    for tr in np.trace(entries, axis1=-2, axis2=-1).tolist():
+        if abs(tr - 1.0) > NORM_TOL:
+            raise InvalidDensityError(f"density trace {tr!r} is not 1")
+    spectra = np.linalg.eigvalsh(entries)
+    for lo in spectra[:, 0].tolist():
+        if lo < -PSD_TOL:
+            raise InvalidDensityError(f"density has negative eigenvalue {lo!r}")
+    return spectra
+
+
+def _by_count(counts: np.ndarray):
+    # (count, indices) for each distinct value of counts, for work that must
+    # run at each item's own length to give the bits it gives alone.
+    for count in sorted(set(counts.tolist())):
+        yield count, np.flatnonzero(counts == count)
+
+
+def _entropies(spectra: np.ndarray) -> np.ndarray:
+    # -sum(lam * log2(lam)) in bits over the positive eigenvalues of each
+    # ascending spectrum of a stack (S, d).  A spectrum's p positive values
+    # are its last p, and they are summed as one array of p values, so each
+    # entropy has the bits of that spectrum's alone.
+    positive = spectra > 0.0
+    terms = spectra * np.log2(spectra, where=positive, out=np.zeros(spectra.shape))
+    out = np.empty(len(spectra))
+    for p, at in _by_count(positive.sum(axis=-1)):
+        out[at] = -terms[at, spectra.shape[-1] - p:].sum(axis=-1)
+    return out
 
 
 def _checked_probabilities(probs: np.ndarray, kind: str = "", axis=None) -> np.ndarray:
@@ -282,12 +317,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     Eigenvalues in [-PSD_TOL, 0) are treated as exact zeros; anything below
     -PSD_TOL is a positivity violation.
     """
-    evals = rho.spectrum
-    if float(evals[0]) < -PSD_TOL:
-        raise InvalidDensityError(f"negative eigenvalue {float(evals[0])!r}")
-    evals = np.maximum(evals, 0.0)
-    pos = evals[evals > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+    lo = float(rho.spectrum[0])
+    if lo < -PSD_TOL:
+        raise InvalidDensityError(f"negative eigenvalue {lo!r}")
+    return float(_entropies(rho.spectrum[None])[0])
 
 
 def tv_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:

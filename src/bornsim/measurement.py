@@ -10,7 +10,9 @@ alternative kept around so its operational consequences (signaling) can be
 demonstrated.  The family is deterministic on eigenstates for every q and is
 defined on pure states; ensembles are handled by weighted mixing of the
 per-member distributions.  _entropy_check and _target_check implement the
-entropy and state-preparation claims once, for `bornsim verify` and `run`.
+entropy and state-preparation claims once, for `bornsim verify` and `run`;
+_entropy_check takes a stack of densities and a _Stack of observables, and
+`run` calls it on a stack of one.
 State preparation steers each collapsed branch to the target with one
 Householder reflection, so this module factors no matrix.  The LL kernel
 applies them as vectors; only the public functions build and check operators.
@@ -29,7 +31,9 @@ from .core import (
     Operator,
     OutcomeDistribution,
     StateVector,
-    von_neumann_entropy,
+    _by_count,
+    _check_densities,
+    _entropies,
 )
 from .errors import (
     InvalidInputError,
@@ -37,7 +41,7 @@ from .errors import (
     NotUnitaryError,
     ZeroProbabilityBranchError,
 )
-from .observables import Observable
+from .observables import Observable, _stack
 
 # Branch weights at or below this are treated as zero when conditioning,
 # collapsing, or enumerating surviving branches.
@@ -245,42 +249,52 @@ def phase_unitaries(
 
 def nonselective_channel(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     """Dephase in the branch decomposition: rho -> sum_i P_i rho P_i."""
-    return DensityMatrix(rho.dims, _dephase(rho, obs)[1])
+    return DensityMatrix(rho.dims, _dephase(rho.dims, rho.entries, obs)[1])
 
 
-def _dephase(rho: DensityMatrix, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
-    # B = V^dag rho V cut to its diagonal blocks, and V B V^dag = sum_i P_i rho P_i.
-    if obs.dims != rho.dims:
-        raise InvalidInputError(f"dims mismatch {obs.dims} vs {rho.dims}")
+def _dephase(dims, rho: np.ndarray, obs) -> tuple[np.ndarray, np.ndarray]:
+    # B = V^dag rho V cut to its diagonal blocks, and V B V^dag = sum_i P_i rho P_i,
+    # for densities rho (..., d, d) of dims and an Observable, or a _Stack over
+    # rho's leading axis.
+    if obs.dims != dims:
+        raise InvalidInputError(f"dims mismatch {obs.dims} vs {dims}")
     v = obs.basis
-    blocks = v.conj().T @ rho.entries @ v
-    blocks *= obs.labels[:, None] == obs.labels
-    return blocks, v @ blocks @ v.conj().T
+    vh = v.conj().swapaxes(-1, -2)
+    blocks = vh @ rho @ v
+    blocks *= obs.labels[..., :, None] == obs.labels[..., None, :]
+    return blocks, v @ blocks @ vh
 
 
-def _classical_branches(
-    rho: DensityMatrix,
-    obs: Observable,
-    rule: ProbabilityRule = BORN,
-    branches: Sequence[int] | None = None,
-) -> tuple[np.ndarray, np.ndarray, dict[int, tuple[float, DensityMatrix]]]:
-    # Dephase rho once: the entries of sum_i P_i rho P_i, the Born weights
-    # Tr(P_i rho P_i) of every branch, and the rule's probability and
-    # conditional state of each requested branch (all by default) whose
-    # weight exceeds PSD_TOL.  Block i of B = V^dag rho V gives
-    # P_i rho P_i = V_i B_ii V_i^dag.
-    blocks, dephased = _dephase(rho, obs)
-    weights = np.diagonal(blocks).real @ obs.indicator
-    probs = _transform_weights(weights, rule)
-    if branches is None:
-        branches = range(obs.branch_count)
-    live = {}
-    for i in branches:
-        if weights[i] > PSD_TOL:
-            cols, inside = obs.branch_basis(i), obs.labels == i
-            block = cols @ blocks[np.ix_(inside, inside)] @ cols.conj().T
-            live[i] = (float(probs[i]), DensityMatrix(rho.dims, block / weights[i]))
-    return dephased, weights, live
+def _branch_weights(blocks: np.ndarray, obs, rule: ProbabilityRule) -> tuple:
+    # The Born weights Tr(P_i rho P_i), block sums of the diagonal of each B,
+    # and the rule's probabilities, for a _Stack: (S, K) each, zero past a
+    # row's branch count.  Rows are computed by branch count, each as its
+    # observable's alone: the diagonal stays a strided view, so the product
+    # takes numpy's own loop as a one-observable product does, not BLAS.
+    weights, probs = np.zeros((2,) + obs.indicator.shape[::2])
+    for k, at in _by_count(obs.branch_count):
+        diagonal = np.diagonal(blocks[at], axis1=-2, axis2=-1).real
+        weights[at, :k] = (diagonal[:, None] @ obs.indicator[at, :, :k])[:, 0]
+        probs[at, :k] = _transform_weights(weights[at, :k], rule)
+    return weights, probs
+
+
+def _conditionals(blocks: np.ndarray, obs, weights: np.ndarray, live: np.ndarray) -> np.ndarray:
+    # P_i rho P_i / w_i = V_i B_ii V_i^dag / w_i for the (stack, branch) pairs
+    # that live marks, in order, as (M, d, d): V_i are the columns of branch
+    # i in column order and B_ii their block of B.  Branches of one rank are
+    # computed together, each as its observable's alone.
+    s, i = np.nonzero(live)
+    ranks = obs.indicator.sum(axis=-2)[s, i].astype(int)
+    out = np.empty((len(s),) + blocks.shape[-2:], dtype=complex)
+    rows = np.arange(blocks.shape[-1])[:, None]
+    for r, at in _by_count(ranks):
+        trial = s[at, None, None]
+        cols = np.nonzero(obs.labels[s[at]] == i[at, None])[1].reshape(-1, r)  # (n, r)
+        v = obs.basis[trial, rows, cols[:, None, :]]
+        block = blocks[trial, cols[:, :, None], cols[:, None, :]]
+        out[at] = v @ block @ v.conj().swapaxes(-1, -2) / weights[s[at], i[at], None, None]
+    return out
 
 
 def classical_selective(
@@ -293,24 +307,39 @@ def classical_selective(
     conditional state P_i rho P_i / Tr(P_i rho).
     """
     obs.eigenvalue(branch)  # range check
-    dephased, weights, live = _classical_branches(rho, obs, rule, (branch,))
-    off = float(np.abs(rho.entries - dephased).max())
+    stack = _stack([obs])
+    blocks, dephased = _dephase(rho.dims, rho.entries[None], stack)
+    weights, probs = _branch_weights(blocks, stack, rule)
+    live = (np.arange(obs.branch_count) == branch) & (weights > PSD_TOL)
+    conditional = [DensityMatrix(rho.dims, post)
+                   for post in _conditionals(blocks, stack, weights, live)]
+    off = float(np.abs(rho.entries - dephased[0]).max())
     if off > DECOHERED_TOL:
         raise NotDecoheredError(
             f"off-block coherences of size {off!r} exceed {DECOHERED_TOL}"
         )
-    if branch not in live:
+    if not conditional:
         raise ZeroProbabilityBranchError(
-            f"branch {branch} has weight {weights[branch]!r}"
+            f"branch {branch} has weight {weights[0, branch]!r}"
         )
-    return live[branch]
+    return float(probs[0, branch]), conditional[0]
 
 
-def _entropy_check(rho: DensityMatrix, obs: Observable) -> tuple:
-    # From one dephasing: S(rho), S(sum_i P_i rho P_i), {i: (p_i, S(rho_i))}
-    # over the live branches, and sum_i p_i S(rho_i) in branch order.
-    dephased, _, live = _classical_branches(rho, obs)
-    branches = {i: (p, von_neumann_entropy(post)) for i, (p, post) in live.items()}
-    avg = sum(p * s for p, s in branches.values())
-    s_out = von_neumann_entropy(DensityMatrix(rho.dims, dephased))
-    return von_neumann_entropy(rho), s_out, branches, avg
+def _entropy_check(dims, rho: np.ndarray, spectrum: np.ndarray, obs) -> tuple:
+    # The entropy claim on S checked densities rho (S, d, d) of dims, with
+    # their ascending spectra, and a _Stack of S observables, from one
+    # dephasing each: S(rho), S(sum_i P_i rho P_i), per branch (S, K) the
+    # live mask (weight above PSD_TOL), p_i and S(rho_i) (0 where not live),
+    # and sum_i p_i S(rho_i) in branch order.  The conditional states
+    # rho_i = P_i rho P_i / Tr(P_i rho) and the dephased states pass the
+    # checks of a DensityMatrix in one call, whose spectra give their
+    # entropies.
+    blocks, dephased = _dephase(dims, rho, obs)
+    weights, probs = _branch_weights(blocks, obs, BORN)
+    live = weights > PSD_TOL
+    conditionals = _conditionals(blocks, obs, weights, live)
+    entropies = _entropies(_check_densities(np.concatenate([conditionals, dephased])))
+    branch = np.zeros(live.shape)
+    branch[live] = entropies[:len(conditionals)]
+    avg = sum(np.where(live, probs * branch, 0.0).T)
+    return _entropies(spectrum), entropies[len(conditionals):], (live, probs, branch), avg

@@ -2,7 +2,10 @@
 
 Branch computations work on V; the dense projectors are a cached view.  A
 _Stack holds observables of one dimension as arrays with a leading stack
-axis, for kernels that check many trials in one call.
+axis, for kernels that check many trials in one call.  _check_observables
+runs an Observable's checks once on a stack of them: Observable calls it on
+a stack of one, and _checked_stack on the arrays of verify's trials, which
+are never wrapped in Observables.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite, prod
+from operator import lt
 from typing import NamedTuple
 
 import numpy as np
@@ -41,26 +45,9 @@ class Observable:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         eigenvalues = tuple(map(float, self.eigenvalues))
-        if not eigenvalues:
-            raise InvalidProjectorFamilyError("observable has no branches")
-        if not all(map(isfinite, eigenvalues)):
-            raise InvalidProjectorFamilyError("non-finite eigenvalue")
-        if any(b >= a for a, b in zip(eigenvalues[1:], eigenvalues)):
-            raise InvalidProjectorFamilyError(
-                f"eigenvalues not strictly increasing: {eigenvalues}"
-            )
-        d, k = prod(dims), len(eigenvalues)
         basis = np.array(self.basis, dtype=complex)
-        if basis.shape != (d, d) or not np.isfinite(basis).all():
-            raise InvalidProjectorFamilyError(f"basis must be a finite {d} x {d} matrix")
         labels = np.array(self.labels)
-        if (labels.shape != (d,) or labels.dtype.kind not in "iu"
-                or set(labels.tolist()) != set(range(k))):
-            raise InvalidProjectorFamilyError(
-                f"{d} basis column labels must cover branches 0..{k - 1}"
-            )
-        if np.abs(basis.conj().T @ basis - np.eye(d)).max() > PROJ_TOL:
-            raise InvalidProjectorFamilyError("basis is not unitary")
+        _check_observables(dims, [eigenvalues], basis[None], labels[None])
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "basis", _frozen(basis))
@@ -140,7 +127,7 @@ class Observable:
 
 
 class _Stack(NamedTuple):
-    """Observables of one dimension D as arrays with a leading stack axis.
+    """Observables of one dims, D = prod(dims), as arrays with a leading stack axis.
 
     It carries what the kernels read of an Observable, so they run on either:
     the S bases (S, D, D), column labels (S, D) and branch counts (S,), and
@@ -151,6 +138,7 @@ class _Stack(NamedTuple):
     method computes it alone.
     """
 
+    dims: tuple[int, ...]
     basis: np.ndarray
     labels: np.ndarray
     branch_count: np.ndarray
@@ -170,13 +158,65 @@ class _Stack(NamedTuple):
 
 
 def _stack(observables, branches: int | None = None) -> _Stack:
-    """Observables of one dimension as a _Stack, branch axis padded to
-    `branches` columns (by default the largest branch count)."""
-    labels = np.array([obs.labels for obs in observables])
-    counts = np.array([obs.branch_count for obs in observables])
-    k = int(counts.max()) if branches is None else branches
+    """Observables of one dims as a _Stack, branch axis padded to `branches`
+    columns (by default the largest branch count)."""
+    return _stack_of(observables[0].dims, [obs.branch_count for obs in observables],
+                     np.array([obs.basis for obs in observables]),
+                     np.array([obs.labels for obs in observables]), branches)
+
+
+def _stack_of(dims, counts, basis: np.ndarray, labels: np.ndarray,
+              branches: int | None = None) -> _Stack:
+    # The _Stack of observables of dims given as arrays: their branch counts,
+    # bases (S, D, D) and labels (S, D).
+    k = max(counts) if branches is None else branches
     indicator = (labels[..., None] == np.arange(k)).astype(float)
-    return _Stack(np.array([obs.basis for obs in observables]), labels, counts, indicator)
+    return _Stack(dims, basis, labels, np.array(counts), indicator)
+
+
+def _checked_stack(dims, observables, branches: int | None = None) -> _Stack:
+    """The _Stack of observables of dims given as (eigenvalues, basis,
+    labels) triples, after the checks an Observable runs, once on the stack."""
+    eigenvalues, basis, labels = zip(*observables)
+    basis, labels = np.array(basis), np.array(labels)
+    _check_observables(dims, eigenvalues, basis, labels)
+    return _stack_of(dims, [len(values) for values in eigenvalues], basis, labels, branches)
+
+
+def _check_observables(dims: tuple[int, ...], eigenvalues, basis: np.ndarray,
+                       labels: np.ndarray) -> None:
+    """The checks of an Observable, on S observables of dims.
+
+    eigenvalues holds each observable's eigenvalues (S sequences), basis the
+    eigenbases (S, D, D) and labels the column labels (S, D).  In
+    Observable's order: at least one branch, finite and strictly increasing
+    eigenvalues, a finite D x D basis, labels covering branches 0..k-1, and a
+    basis unitary within PROJ_TOL.  Each check runs once on the whole stack
+    and raises for the first observable that fails it.
+    """
+    # The eigenvalues and labels are S short rows, checked row by row in
+    # Python, which costs less than a numpy call at these sizes; the bases
+    # as one stacked array, by one finiteness test and one Gram product.
+    d, counts = prod(dims), [len(values) for values in eigenvalues]
+    if not all(counts):
+        raise InvalidProjectorFamilyError("observable has no branches")
+    if not all(isfinite(x) for values in eigenvalues for x in values):
+        raise InvalidProjectorFamilyError("non-finite eigenvalue")
+    for values in eigenvalues:
+        if not all(map(lt, values, values[1:])):
+            raise InvalidProjectorFamilyError(f"eigenvalues not strictly increasing: {values}")
+    if basis.shape != (len(counts), d, d) or not np.isfinite(basis).all():
+        raise InvalidProjectorFamilyError(f"basis must be a finite {d} x {d} matrix")
+    rows = labels.tolist() if labels.shape == (len(counts), d) and labels.dtype.kind in "iu" else None
+    for s, k in enumerate(counts):
+        if rows is None or set(rows[s]) != set(range(k)):
+            raise InvalidProjectorFamilyError(
+                f"{d} basis column labels must cover branches 0..{k - 1}"
+            )
+    gram = basis.conj().swapaxes(-1, -2) @ basis
+    gram -= np.eye(d)
+    if np.abs(gram).max() > PROJ_TOL:
+        raise InvalidProjectorFamilyError("basis is not unitary")
 
 
 def _check_family(stack: np.ndarray) -> None:

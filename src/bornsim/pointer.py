@@ -20,9 +20,11 @@ add the oracle gap (_oracle_gap), so a one_pointer run never allocates the
 oracle's register tensor.
 
 _pointer_check and _oracle_gap run setups of one system dimension as one
-stack, which _stacked builds once for both: their array functions (the
-runs, the Born rows, the oracle) take one state and two Observables, or
-states with a leading stack axis and two observables._Stacks.  verify pads
+stack, built once for both: by _stacked from setups, or by verify from its
+trials' arrays after _check_setups and the other constructors' checks ran
+on them.  Their array functions (the runs, the Born rows, the oracle) take
+one state and two Observables, or states with a leading stack axis and two
+observables._Stacks.  verify pads
 the branch axes and both pointer registers of its small-d trials to d, so
 every trial of a stack has the same shapes; padded branches have weight 0,
 and since the pointers start at |0> and move by less than d, padded
@@ -53,6 +55,7 @@ would exceed POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -88,40 +91,39 @@ class PointerSchemeSetup:
     m_pointer2: int | None
 
     def __post_init__(self):
-        if self.obs_a.dims != self.small_state.dims:
-            raise InvalidInputError(
-                f"first observable dims {self.obs_a.dims} != state dims "
-                f"{self.small_state.dims}"
-            )
-        if self.obs_b.dims != self.small_state.dims:
-            raise InvalidInputError(
-                f"second observable dims {self.obs_b.dims} != state dims "
-                f"{self.small_state.dims}"
-            )
         n = int(self.n_pointer1)
-        if n < self.obs_a.branch_count:
-            raise InvalidInputError(
-                f"pointer-1 size {n} < branch count {self.obs_a.branch_count}"
-            )
+        m = None if self.m_pointer2 is None else int(self.m_pointer2)
+        _check_setups(self.small_state.dims, self.obs_a, self.obs_b, n, m)
         object.__setattr__(self, "n_pointer1", n)
-        if self.m_pointer2 is not None:
-            m = int(self.m_pointer2)
-            if m < self.obs_b.branch_count:
-                raise InvalidInputError(
-                    f"pointer-2 size {m} < branch count {self.obs_b.branch_count}"
-                )
-            object.__setattr__(self, "m_pointer2", m)
-        amps = self.small_state.dim * n * (self.m_pointer2 or 1)
-        if amps > POINTER_STATE_MAX_AMPS:
-            raise InvalidInputError(
-                f"pointer state of {amps} amplitudes exceeds the cap "
-                f"{POINTER_STATE_MAX_AMPS}"
-            )
+        object.__setattr__(self, "m_pointer2", m)
 
     @property
     def mode(self) -> str:
         """TWO_POINTER with a second pointer register, else ONE_POINTER."""
         return ONE_POINTER if self.m_pointer2 is None else TWO_POINTER
+
+
+def _check_setups(dims: tuple[int, ...], obs_a, obs_b, n: int, m: int | None) -> None:
+    """The checks of a PointerSchemeSetup, on setups of one state dims.
+
+    obs_a and obs_b are the setups' Observables or _Stacks, n and m their
+    pointer sizes (m None for one pointer).  Each observable's dims must be
+    the state's, each pointer as wide as its observable's branch axis at
+    least (the branch count of an Observable, the padded width of a _Stack),
+    and the pointer state at most POINTER_STATE_MAX_AMPS amplitudes.
+    """
+    for which, obs in (("first", obs_a), ("second", obs_b)):
+        if obs.dims != dims:
+            raise InvalidInputError(f"{which} observable dims {obs.dims} != state dims {dims}")
+    for which, size, obs in ((1, n, obs_a), (2, m, obs_b)):
+        width = obs.indicator.shape[-1]
+        if size is not None and size < width:
+            raise InvalidInputError(f"pointer-{which} size {size} < branch count {width}")
+    amps = prod(dims) * n * (m or 1)
+    if amps > POINTER_STATE_MAX_AMPS:
+        raise InvalidInputError(
+            f"pointer state of {amps} amplitudes exceeds the cap {POINTER_STATE_MAX_AMPS}"
+        )
 
 
 def two_pointer_setup(
@@ -214,12 +216,13 @@ def _one_pointer(psi: np.ndarray, obs_a, obs_b) -> tuple[np.ndarray, np.ndarray]
 
 
 def _final(setup: PointerSchemeSetup, parts: np.ndarray) -> StateVector:
-    # The final state of one run: its parts written into the pointer slots
-    # of the setup's registers, the other slots zero.
+    # The final state of one run, whose parts _check_states has passed: its
+    # parts written into the pointer slots of the setup's registers, the
+    # other slots zero.
     sizes = (setup.n_pointer1,) + (() if setup.m_pointer2 is None else (setup.m_pointer2,))
     amps = np.zeros((setup.small_state.dim,) + sizes, dtype=complex)
     amps[(slice(None),) + tuple(map(slice, parts.shape[1:]))] = parts
-    return StateVector._owning(setup.small_state.dims + sizes, amps)
+    return StateVector._checked(setup.small_state.dims + sizes, amps)
 
 
 def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
@@ -233,6 +236,7 @@ def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistri
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("setup is not in two-pointer mode")
     parts, joint = _two_pointer(setup.small_state.amps, setup.obs_a, setup.obs_b)
+    _check_states(parts[None])
     return _final(setup, parts), JointDistribution(joint)
 
 
@@ -246,6 +250,7 @@ def run_one_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistri
     if setup.mode != ONE_POINTER:
         raise InvalidInputError("setup is not in one-pointer mode")
     parts, joint = _one_pointer(setup.small_state.amps, setup.obs_a, setup.obs_b)
+    _check_states(parts[None])
     return _final(setup, parts), JointDistribution(joint)
 
 

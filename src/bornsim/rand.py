@@ -7,14 +7,15 @@ A Haar unitary is drawn in two steps: _ginibre makes every rng call, and
 _haar turns any number of Ginibre matrices into unitaries, with one stacked
 QR per matrix size.  random_unitary and random_observable run both steps on
 one matrix; verify draws many trials first and runs _haar on them together.
-_draw_observable makes every rng call of random_observable and returns the
-Observable as a partial awaiting its basis, with that basis's Ginibre matrix.
+verify draws its trials as arrays: _draw_state, _draw_density and
+_draw_observable make every rng call of random_state, random_density and
+random_observable and return what those would check and wrap, unchecked;
+an observable's basis is still its Ginibre matrix.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import partial
 from itertools import accumulate
 from math import prod
 
@@ -30,9 +31,14 @@ HAAR_STACK_AMPS = 2**16
 
 def random_state(rng: np.random.Generator, dims) -> StateVector:
     """Haar-ish random pure state: normalized complex Gaussian vector."""
+    return StateVector(tuple(dims), _draw_state(rng, dims))
+
+
+def _draw_state(rng: np.random.Generator, dims) -> np.ndarray:
+    """The amplitudes random_state draws, flat and unchecked."""
     d = prod(dims)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return StateVector(tuple(dims), v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -72,16 +78,21 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_density(rng: np.random.Generator, dims) -> DensityMatrix:
     """Full-rank random mixed state rho = A A^dag / Tr(A A^dag)."""
+    return DensityMatrix(tuple(dims), _draw_density(rng, dims))
+
+
+def _draw_density(rng: np.random.Generator, dims) -> np.ndarray:
+    """The entries random_density draws, unchecked."""
     a = _ginibre(rng, prod(dims))
     rho = a @ a.conj().T
-    return DensityMatrix(tuple(dims), rho / np.trace(rho))
+    return rho / np.trace(rho)
 
 
 def _draw_observable(
     rng: np.random.Generator, dims, degenerate: bool = False
-) -> tuple[partial, np.ndarray]:
-    """Every draw of random_observable: the Observable awaiting its basis, and
-    the basis's Ginibre matrix."""
+) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """Every draw of random_observable: the eigenvalues, basis and labels of
+    its Observable, with the basis's Ginibre matrix in the basis's place."""
     d = prod(dims)
     if degenerate:
         if d < 2:
@@ -96,8 +107,7 @@ def _draw_observable(
     ranks = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, d])]
     # Gaps >= 0.1 keep clustering in observable_from_matrix unambiguous.
     eigenvalues = tuple(x - 1.0 for x in accumulate(rng.uniform(0.1, 2.0, size=k).tolist()))
-    labels = np.repeat(np.arange(k), ranks)
-    return partial(Observable, tuple(dims), eigenvalues, labels=labels), _ginibre(rng, d)
+    return eigenvalues, _ginibre(rng, d), np.repeat(np.arange(k), ranks)
 
 
 def random_observable(
@@ -110,5 +120,5 @@ def random_observable(
     With degenerate=True the branch count is at most dim-1, so at least one
     branch has multiplicity >= 2 (requires dim >= 2).
     """
-    observable, z = _draw_observable(rng, dims, degenerate)
-    return observable(*_haar([z]))
+    eigenvalues, z, labels = _draw_observable(rng, dims, degenerate)
+    return Observable(tuple(dims), eigenvalues, _haar([z])[0], labels)

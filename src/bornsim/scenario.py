@@ -37,7 +37,7 @@ from .measurement import (
     phase_unitaries,
     project_update,
 )
-from .observables import observable_from_branches, observable_from_matrix
+from .observables import _stack, observable_from_branches, observable_from_matrix
 from .pointer import (
     PointerSchemeSetup,
     _final,
@@ -415,15 +415,17 @@ def _run_entropy_demo(scn: Scenario) -> Records:
     state = _resolve_state(fields)
     obs = _resolve_observable(fields, "obs", state.dims, default="sigma_z")
     _reject_unknown(fields)
-    s_in, s_out, branches, avg = _entropy_check(density_from_pure(state), obs)
+    rho = density_from_pure(state)
+    s_in, s_out, (live, probs, entropies), avg = _entropy_check(
+        rho.dims, rho.entries[None], rho.spectrum[None], _stack([obs]))
     records: Records = [
-        ("entropy_initial", fmt_real(s_in)),
-        ("entropy_nonselective", fmt_real(s_out)),
+        ("entropy_initial", fmt_real(s_in[0])),
+        ("entropy_nonselective", fmt_real(s_out[0])),
     ]
-    for i, (p, s) in branches.items():
-        records.append((f"p.{i}", fmt_real(p)))
-        records.append((f"entropy_branch.{i}", fmt_real(s)))
-    records.append(("entropy_selective_avg", fmt_real(avg)))
+    for i in np.flatnonzero(live[0]).tolist():
+        records.append((f"p.{i}", fmt_real(probs[0, i])))
+        records.append((f"entropy_branch.{i}", fmt_real(entropies[0, i])))
+    records.append(("entropy_selective_avg", fmt_real(avg[0])))
     return records
 
 

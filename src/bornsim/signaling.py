@@ -59,19 +59,19 @@ class TelepathyScenario:
     bob_rule: ProbabilityRule = BORN
 
     def __post_init__(self):
-        if len(self.state.dims) != 2:
+        _check_parties(self.state.dims, self.alice_obs, self.bob_obs)
+
+
+def _check_parties(dims: tuple[int, ...], alice, bob) -> None:
+    # The checks of a TelepathyScenario, on scenarios of one state dims whose
+    # parties' observables are Observables or _Stacks: two subsystems, and
+    # each party's observable on its own.
+    if len(dims) != 2:
+        raise InvalidInputError(f"state must have exactly 2 subsystems, got dims {dims}")
+    for party, obs, d in (("alice", alice, dims[0]), ("bob", bob, dims[1])):
+        if obs.dims != (d,):
             raise InvalidInputError(
-                f"state must have exactly 2 subsystems, got dims {self.state.dims}"
-            )
-        if self.alice_obs.dims != (self.state.dims[0],):
-            raise InvalidInputError(
-                f"alice observable dims {self.alice_obs.dims} do not match "
-                f"subsystem dim {self.state.dims[0]}"
-            )
-        if self.bob_obs.dims != (self.state.dims[1],):
-            raise InvalidInputError(
-                f"bob observable dims {self.bob_obs.dims} do not match "
-                f"subsystem dim {self.state.dims[1]}"
+                f"{party} observable dims {obs.dims} do not match subsystem dim {d}"
             )
 
 

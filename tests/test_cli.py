@@ -15,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bornsim import cli, measurement, pointer, rand, scenario, signaling
+from bornsim import cli, core, measurement, observables, pointer, rand, scenario, signaling
 from bornsim.cli import MAX_DIMS_LIMIT, main
-from bornsim.errors import InvalidInputError
+from bornsim.errors import BornsimError, InvalidInputError
 from bornsim.pointer import POINTER_STATE_MAX_AMPS, SCHEME_AGREEMENT_TOL
 from bornsim.presets import SCENARIO_PRESETS, observable_preset, state_preset
 from bornsim.scenario import KINDS
@@ -654,7 +654,7 @@ def test_every_pointer_setup_is_evolved_once(tmp_path, capsys, monkeypatch):
     # verify: each trial once per scheme, and the epr state in the one-pointer
     # scheme; run: the two-pointer file, and the one-pointer file with its
     # default-size two-pointer twin.
-    trials = [cli._pointer_trial(np.random.default_rng([1234, 1, t]), t, 4)[1][0].amps
+    trials = [cli._pointer_trial(np.random.default_rng([1234, 1, t]), t, 4)[1][0]
               for t in range(10)]
     expected = Counter({(name, amps.tobytes()): 1 for amps in trials
                         for name in ("_two_pointer", "_one_pointer")})
@@ -665,11 +665,45 @@ def test_every_pointer_setup_is_evolved_once(tmp_path, capsys, monkeypatch):
     assert evolved == expected
 
 
+def test_every_final_state_is_checked_once(tmp_path, capsys, monkeypatch):
+    # A run's final parts pass _check_states once, in `run` and in the public
+    # run_two_pointer and run_one_pointer, and not again as the final state
+    # is built.
+    checked = Counter()
+
+    def counting(amps, original=core._check_states):
+        for state in amps.reshape(len(amps), -1):
+            if state.size > 2:  # not a 2-level system state
+                checked[state.tobytes()] += 1
+        return original(amps)
+
+    for module in (core, pointer):
+        monkeypatch.setattr(module, "_check_states", counting)
+    base = "obs_a = sigma_z\nobs_b = sigma_x\npointer1_size = 3\n"
+    for kind, state, extra in (("two_pointer", "0.6 0.8i", "pointer2_size = 4\n"),
+                               ("one_pointer", "0.8 0.6", "")):
+        path = tmp_path / f"{kind}.scn"
+        path.write_text(f"kind = {kind}\nstate = {state}\n{base}{extra}")
+        code, _, err = run_cli(capsys, "run", str(path))
+        assert code == 0, err
+    state = core.StateVector((2,), [0.28, 0.96])
+    obs_a, obs_b = observable_preset("sigma_z"), observable_preset("sigma_x")
+    pointer.run_two_pointer(pointer.two_pointer_setup(state, obs_a, obs_b))
+    pointer.run_one_pointer(pointer.one_pointer_setup(state, obs_a, obs_b))
+    # The two-pointer file's parts, the one-pointer file's and those of its
+    # two-pointer twin, and the public runs' parts: once each.
+    assert sorted(checked.values()) == [1] * 5
+
+
 def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
-    # The pointer battery checks the projection postulate from whole-observable
-    # arrays: no collapsed state, conditional or Born distribution per branch.
-    # The no-signaling battery reads both directions off one W per trial,
-    # the W of trials of one shape from one call.
+    # The pointer and no-signaling batteries check their trials' arrays in
+    # stacks: no Observable, StateVector, PointerSchemeSetup or
+    # TelepathyScenario per trial.  The pointer battery checks the projection
+    # postulate from whole-observable arrays: no collapsed state, conditional
+    # or Born distribution per branch.  The no-signaling battery reads both
+    # directions off one W per trial, the W of trials of one shape from one
+    # call.  The entropy battery checks its densities as arrays: no
+    # DensityMatrix, per trial or per branch.
     # The LL battery runs its kernel once per trial, with one weights call and
     # one collapse, and applies the reflections as vectors: no channel run, no
     # Operator built (Operator.__post_init__) and no unitarity check.
@@ -702,12 +736,28 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
         for module in (home, measurement, pointer, signaling, cli, scenario):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
+    classes = (observables.Observable, core.StateVector, pointer.PointerSchemeSetup,
+               signaling.TelepathyScenario, core.DensityMatrix)
+    for cls in classes:
+        def constructing(self, original=cls.__post_init__, name=cls.__name__):
+            calls[battery[0], name] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", constructing)
+    def checked(cls, dims, amps, original=core.StateVector._checked.__func__):
+        calls[battery[0], "StateVector"] += 1
+        return original(cls, dims, amps)
+
+    monkeypatch.setattr(core.StateVector, "_checked", classmethod(checked))
     code, _, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
     assert code == 0
+    for stream in (cli._POINTER.stream, cli._NO_SIGNALING.stream):
+        assert [calls[stream, cls.__name__] for cls in classes[:4]] == [0, 0, 0, 0]
+    assert calls[cli._ENTROPY.stream, "DensityMatrix"] == 0
     stream = cli._POINTER.stream
     assert [calls[stream, name] for name in list(homes)[:3]] == [0, 0, 0]
     # One W for each shape of the 10 no-signaling trials, stacked: one call.
-    shapes = {cli._no_signaling_trial(np.random.default_rng([1234, 2, t]), t, 4)[1].dims
+    shapes = {cli._no_signaling_trial(np.random.default_rng([1234, 2, t]), t, 4)[1].shape
               for t in range(10)}
     stream = cli._NO_SIGNALING.stream
     assert (calls[stream, "_cell_weights"], calls[stream, "scenarios"]) == (len(shapes), 10)
@@ -715,8 +765,12 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     ll = {name: calls[cli._LL.stream, name] for name in list(homes)[4:]}
     assert ll == {"_target_check": 50, "branch_weights": 50, "_collapsed": 50,
                   "ll_channel": 0, "__post_init__": 0, "is_unitary": 0}
-    # The hooks are live: the one-shot checks outside the batteries hit them.
+    # The hooks are live: the one-shot checks outside the batteries hit them,
+    # and the LL battery builds its trials' objects.
     assert calls[None, "rule_probabilities"] > 0 and calls[None, "_cell_weights"] > 0
+    assert calls[None, "PointerSchemeSetup"] > 0 and calls[None, "TelepathyScenario"] > 0
+    assert calls[cli._LL.stream, "Observable"] == 50
+    assert calls[cli._LL.stream, "StateVector"] >= 100
 
 
 @pytest.mark.parametrize(
@@ -1024,14 +1078,17 @@ def _near_born_gap(original):
 
 
 def _drop_last_branch(original):
-    # The dephased state loses the block of the last branch and is
-    # renormalised, as if the branch loop stopped one short.
-    def mutant(rho, obs, *args):
-        dephased, weights, live = original(rho, obs, *args)
-        last = obs.branch_count - 1
-        if last in live and len(live) > 1:
-            dephased = (dephased - weights[last] * live[last][1].entries) / (1 - weights[last])
-        return dephased, weights, live
+    # Each dephased state loses the block of its last branch and is
+    # renormalised, as if the sum over branches stopped one short.
+    def mutant(dims, rho, obs):
+        blocks, dephased = original(dims, rho, obs)
+        last = obs.labels == np.reshape(obs.branch_count, (-1, 1)) - 1
+        kept = blocks * (last[..., :, None] & last[..., None, :])
+        drop = obs.basis @ kept @ obs.basis.conj().swapaxes(-1, -2)
+        weight = np.trace(drop, axis1=-2, axis2=-1).real[..., None, None]
+        several = np.reshape(obs.branch_count, (-1, 1, 1)) > 1
+        return blocks, np.where(several, (dephased - drop) / np.where(several, 1 - weight, 1.0),
+                                dephased)
 
     return mutant
 
@@ -1109,7 +1166,7 @@ def _patch_everywhere(monkeypatch, name, mutant):
         ("_born_rows", lambda original: lambda *a: original(*a) + 1e-9,
          "projection_equivalence"),
         ("_signaling_check", _near_born_gap, "no_signaling_born"),
-        ("_classical_branches", _drop_last_branch, "entropy_monotonicity"),
+        ("_dephase", _drop_last_branch, "entropy_monotonicity"),
         ("run_one_pointer", _negate_final_state, "epr_reproduction"),
         ("channel_simulation", _other_arm, "telepathy_witness"),
         ("rule_probabilities", _shift_born_mass, "born_marginals"),
@@ -1342,13 +1399,13 @@ def test_a_violation_inside_a_stack_names_the_lowest_failing_trial(capsys, monke
     # also at d = 3, and lower trials of other dimensions share its chunk.
     # Trial 10's own error is raised, and its share keeps the rows before it.
     draw = lambda t: cli._pointer_trial(np.random.default_rng([1234, 1, t]), t, 4)[1][0]
-    dims = [draw(t).dim for t in range(12)]
+    dims = [draw(t).size for t in range(12)]
     assert dims[4] == dims[10] == 3 and dims[11] == 4 and 4 % workers == 10 % workers
     assert {dims[t] for t in range(10 % workers, 10, workers)} - {3}
     share = range(10 % workers, 12, workers)
     clean, failure = cli._run_share(cli._POINTER, share, 4, 1234)
     assert failure is None
-    monkeypatch.setattr(pointer, "_two_pointer", _scaled_parts([draw(10).amps, draw(11).amps]))
+    monkeypatch.setattr(pointer, "_two_pointer", _scaled_parts([draw(10), draw(11)]))
     rows, failure = cli._run_share(cli._POINTER, share, 4, 1234)
     assert rows == clean[:share.index(10)]
     assert failure[0] == 10 and isinstance(failure[1], InvalidInputError)
@@ -1387,47 +1444,184 @@ def test_a_fault_of_the_stacked_call_alone_is_raised(capsys, monkeypatch, worker
     _no_child_left()
 
 
+def _first_observable(change):
+    # The defect of a pointer trial whose first observable's (eigenvalues,
+    # basis, labels) pass through change.
+    return lambda drawn, inputs: ([change(*drawn[0]), *drawn[1:]], inputs)
+
+
+def _negative_eigenvalue(rho):
+    # rho shifted down by just more than its lowest eigenvalue and scaled
+    # back to trace 1: Hermitian, finite, trace 1, and one eigenvalue near -1e-6.
+    shift = np.linalg.eigvalsh(rho)[0] + 1e-6
+    return (rho - shift * np.eye(len(rho))) / (1 - shift * len(rho))
+
+
+# Each defect a constructor rejects: the battery whose trial it is planted
+# in, and the change to that trial's (observables, inputs).
+_DEFECTS = {
+    "non-finite basis": ("_POINTER", _first_observable(
+        lambda values, basis, labels: (values, np.full_like(basis, np.nan), labels))),
+    "non-unitary basis": ("_POINTER", _first_observable(
+        lambda values, basis, labels: (values, basis * (1 + 1e-6), labels))),
+    "labels missing a branch": ("_POINTER", _first_observable(
+        lambda values, basis, labels: (values, basis, labels + 1))),
+    "eigenvalues not increasing": ("_POINTER", _first_observable(
+        lambda values, basis, labels: (values[:1] + values, basis, labels))),
+    "non-finite eigenvalue": ("_POINTER", _first_observable(
+        lambda values, basis, labels: ((float("nan"),) + values[1:], basis, labels))),
+    "state norm": ("_POINTER", lambda drawn, inputs: (
+        drawn, (inputs[0] * (1 + 1e-9), inputs[1]))),
+    "density not Hermitian": ("_ENTROPY", lambda drawn, rho: (
+        drawn, rho + 1e-9 * np.triu(np.ones(rho.shape), 1))),
+    "density trace": ("_ENTROPY", lambda drawn, rho: (drawn, rho * (1 + 1e-9))),
+    "negative density eigenvalue": ("_ENTROPY", lambda drawn, rho: (
+        drawn, _negative_eigenvalue(rho))),
+}
+
+
+def _rejected(build):
+    # The class and message of the exception build() raises.
+    with pytest.raises(BornsimError) as caught:
+        build()
+    return type(caught.value), str(caught.value)
+
+
+def _alone(defect, drawn, inputs):
+    # The class and message of the constructor that rejects the defect, on
+    # one trial's arrays.
+    if "density" in defect:
+        return _rejected(lambda: core.DensityMatrix(inputs.shape[:1], inputs))
+    if defect == "state norm":
+        return _rejected(lambda: core.StateVector(inputs[0].shape, inputs[0]))
+    values, basis, labels = drawn[0]
+    return _rejected(lambda: observables.Observable(basis.shape[:1], values, basis, labels))
+
+
+def _stacked_alone(defect, trials):
+    # The class and message of the stack checker that rejects the defect, on
+    # the stacked arrays of the trials.
+    if "density" in defect:
+        return _rejected(lambda: core._check_densities(np.array([rho for _, rho in trials])))
+    if defect == "state norm":
+        return _rejected(lambda: core._check_states(np.array([i[0] for _, i in trials])))
+    first = [drawn[0] for drawn, _ in trials]
+    return _rejected(lambda: observables._checked_stack(first[0][1].shape[:1], first))
+
+
+@pytest.mark.parametrize("defect", list(_DEFECTS))
+def test_stacked_checks_raise_what_the_constructors_raise(capsys, monkeypatch, defect):
+    # A defect in the middle trial of a stack: the stack checker raises the
+    # class and message its constructor raises on that trial alone, and
+    # verify exits 3 naming the trial, on one share and on two.
+    row_name, mutate = _DEFECTS[defect]
+    row = getattr(cli, row_name)
+    trials = _built_trials(row, 1234, row.count(40), 3)
+    by_key = {}
+    for t, (_, _, (key, _)) in enumerate(trials):
+        by_key.setdefault(key, []).append(t)
+
+    def middle(t, workers):
+        # Lower and higher trials of t's key in t's share; all of a share's
+        # trials at --dims-limit 3 are drawn in one chunk.
+        same = [u for u in by_key[trials[t][2][0]] if u % workers == t % workers]
+        return same[0] < t < same[-1]
+
+    at = next(t for t in range(len(trials)) if middle(t, 1) and middle(t, 2))
+    cls, message = _alone(defect, *mutate(*trials[at][:2]))
+    # at's stack on two shares
+    stack = [mutate(*trials[t][:2]) if t == at else trials[t][:2]
+             for t in by_key[trials[at][2][0]] if t % 2 == at % 2]
+    assert _stacked_alone(defect, stack) == (cls, message)
+
+    def trial(rng, t, dims_limit):
+        drawn, inputs, key = row.trial(rng, t, dims_limit)
+        return drawn, (t, inputs), key
+
+    def check(stacked):
+        return row.check([mutate(drawn, inputs) if t == at else (drawn, inputs)
+                          for drawn, (t, inputs) in stacked])
+
+    monkeypatch.setattr(cli, row_name, dataclasses.replace(row, trial=trial, check=check))
+    for workers in (1, 2):
+        set_workers(monkeypatch, workers)
+        code, out, err = run_cli(capsys, "verify", "--trials", "40", "--dims-limit", "3")
+        assert code == 3 and out == ""
+        assert err == (f"invariant violation [{cls.__name__}]: trial [1234,{row.stream},{at}]: "
+                       f"{message}\n")
+        _no_child_left()
+
+
 def _built_trials(row, seed, count, dims_limit):
-    # (observables, inputs, stack) of a battery's first count trials.
+    # (observables, inputs, stack) of a battery's first count trials, each
+    # drawn observable's Ginibre matrix replaced by its Haar basis.
     trials = []
     for t in range(count):
         drawn, inputs, stack = row.trial(np.random.default_rng([seed, row.stream, t]), t,
                                          dims_limit)
-        bases = rand._haar([z for _, z in drawn])
-        trials.append(([observable(u) for (observable, _), u in zip(drawn, bases)], inputs,
-                       stack))
+        bases = rand._haar([z for _, z, _ in drawn])
+        trials.append(([(values, u, labels) for (values, _, labels), u in zip(drawn, bases)],
+                       inputs, stack))
     return trials
+
+
+def _entropy_row(rho, obs):
+    # An entropy trial's deviation from the public objects: the conditional
+    # states read off the dephased state, one branch at a time.
+    rho = core.DensityMatrix(obs.dims, rho)
+    dephased = measurement.nonselective_channel(rho, obs)
+    s_out, avg = core.von_neumann_entropy(dephased), 0.0
+    for i in range(obs.branch_count):
+        try:
+            p, post = measurement.classical_selective(dephased, obs, i)
+        except measurement.ZeroProbabilityBranchError:
+            continue
+        avg += p * core.von_neumann_entropy(post)
+    return (max(core.von_neumann_entropy(rho) - s_out, avg - s_out),)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 1234])
 def test_a_trials_row_does_not_depend_on_its_stack(seed):
-    # Every pointer and no-signaling trial's row, checked alone and in one
-    # stack with all the other trials of its key (up to 20 of them): the same
-    # bits.  And a padded row agrees with the unpadded stack of one.
+    # Every pointer, no-signaling and entropy trial's row, checked alone and
+    # in one stack with all the other trials of its key (up to 20 of them):
+    # the same bits.  And a padded row agrees with the unpadded objects; an
+    # entropy row has the bits of the unpadded kernel's.
     for row, count, dims_limit, largest in ((cli._POINTER, 100, 6, 12),
                                             (cli._POINTER, 40, cli._MAX_PADDED_DIM, 3),
-                                            (cli._NO_SIGNALING, 100, 4, 8)):
+                                            (cli._NO_SIGNALING, 100, 4, 8),
+                                            (cli._ENTROPY, 100, 6, 10)):
         stacks = {}
-        for observables, inputs, (key, _) in _built_trials(row, seed, count, dims_limit):
-            stacks.setdefault(key, []).append((observables, inputs))
+        for drawn, inputs, (key, _) in _built_trials(row, seed, count, dims_limit):
+            stacks.setdefault(key, []).append((drawn, inputs))
         assert max(map(len, stacks.values())) >= largest
         for trials in stacks.values():
             stacked = row.check(trials)
             alone = [row.check([trial])[0] for trial in trials]
             assert np.array_equal(np.array(stacked, dtype=float), np.array(alone, dtype=float))
-            for got, (observables, inputs) in zip(stacked, trials):
+            for got, (drawn, inputs) in zip(stacked, trials):
+                built = [observables.Observable((len(obs[1]),), *obs) for obs in drawn]
                 if row is cli._POINTER:
-                    setup = pointer.two_pointer_setup(inputs[0], *observables)
-                    stacked = pointer._stacked([setup])
-                    _, (joint, _), deviations, scheme = pointer._pointer_check(stacked, one=True)
-                    oracle = pointer._oracle_gap(stacked, joint, *joint.shape[1:])
-                    want = (deviations.max(), scheme[0], oracle[0])
+                    setup = pointer.two_pointer_setup(core.StateVector(built[0].dims, inputs[0]),
+                                                      *built)
+                    one = pointer._stacked([setup])
+                    _, (joint, _), deviations, scheme = pointer._pointer_check(one, one=True)
+                    oracle = pointer._oracle_gap(one, joint, *joint.shape[1:])
+                    want, tol = (deviations.max(), scheme[0], oracle[0]), 1e-14
+                elif row is cli._NO_SIGNALING:
+                    cells = signaling._scenario_cells(signaling.TelepathyScenario(
+                        core.StateVector(inputs.shape, inputs), *built))
+                    want, tol = (max(signaling._signaling_check(w, measurement.BORN)[2]
+                                     for w in (cells, cells.T)),), 1e-14
                 else:
-                    cells = signaling._scenario_cells(
-                        signaling.TelepathyScenario(inputs, *observables))
-                    want = (max(signaling._signaling_check(w, measurement.BORN)[2]
-                                for w in (cells, cells.T)),)
-                assert np.abs(np.subtract(got[:len(want)], want)).max() <= 1e-14
+                    # The unpadded kernel on a stack of one, as `run` calls it:
+                    # the same bits.
+                    (obs,) = built
+                    s_in, s_out, _, avg = measurement._entropy_check(
+                        obs.dims, inputs[None], core._check_densities(inputs[None]),
+                        observables._stack([obs]))
+                    assert got[0] == max(s_in[0] - s_out[0], avg[0] - s_out[0])
+                    want, tol = _entropy_row(inputs, obs), 1e-13
+                assert np.abs(np.subtract(got[:len(want)], want)).max() <= tol
 
 
 def test_a_foreign_exception_in_a_child_reaches_the_parent(capsys, monkeypatch):

@@ -63,16 +63,13 @@ class TestStateVector:
         amps[0] = 1.0  # still the caller's to write
         assert s.amps[0] == SQ2
 
-    def test_owning_takes_the_array_over_with_every_check(self):
+    def test_checked_takes_the_array_over(self):
+        # For amplitudes _check_states has passed: no copy, frozen, flat.
         amps = np.array([[SQ2], [SQ2]], dtype=complex)
-        s = StateVector._owning((2,), amps)
-        assert np.shares_memory(s.amps, amps) and s.amps.shape == (2,)
+        s = StateVector._checked((2,), amps)
+        assert np.shares_memory(s.amps, amps) and s.amps.shape == (2,) and s.dims == (2,)
         with pytest.raises(ValueError):
             s.amps[0] = 0.5
-        for dims, bad in (((2,), [1.0, 1.0]), ((2, 2), [1.0, 0.0]), ((2,), [np.nan, 0.0]),
-                          ((0,), [])):
-            with pytest.raises(InvalidInputError):
-                StateVector._owning(dims, np.array(bad, dtype=complex))
 
 
 def test_basis_state():

@@ -32,7 +32,6 @@ from bornsim import (
 )
 from bornsim import cli, core, measurement, scenario
 from bornsim.measurement import (
-    _classical_branches,
     _householder,
     _target_check,
     _transform_weights,
@@ -473,74 +472,65 @@ class TestClassicalSelective:
             classical_selective(DensityMatrix((3,), np.eye(3) / 3.0), SIGMA_Z, 0)
 
 
+def _entropy_dims(trials):
+    # The d of each verify entropy trial at seed 1234: verify checks the
+    # trials of one d in one stack.
+    return [cli._entropy_trial(np.random.default_rng([1234, 4, t]), t, 6)[1].shape[0]
+            for t in range(trials)]
+
+
 def test_classical_blocks_built_once_per_state(monkeypatch):
-    # Reading every branch of one decohered state builds its blocks and runs
-    # its decoherence check once, not once per branch.
+    # The conditional states of every live branch come from one
+    # _conditionals call per entropy_demo run and per verify entropy stack,
+    # not one per branch.
     calls = []
 
-    def counting(rho, obs, rule=BORN, branches=None):
-        calls.append(obs.branch_count)
-        return _classical_branches(rho, obs, rule, branches)
+    def counting(blocks, obs, weights, live, original=measurement._conditionals):
+        calls.append(int(live.sum()))
+        return original(blocks, obs, weights, live)
 
-    # Patched in measurement, the home of the entropy kernel and of
-    # classical_selective, so a caller going back to classical_selective per
-    # branch would be counted once per branch.
-    monkeypatch.setattr(measurement, "_classical_branches", counting)
+    monkeypatch.setattr(measurement, "_conditionals", counting)
     text = "kind = entropy_demo\nstate = 0.6 0.8\n"
     records = dict(scenario.run_scenario(scenario.parse_scenario(text, "tilted")))
-    assert len(calls) == 1
+    assert calls == [2]
     assert "p.0" in records and "p.1" in records
     calls.clear()
     (check,) = cli._battery_checks(cli._ENTROPY, 0, 1234,
                                    [cli._run_share(cli._ENTROPY, range(50), 6, 1234)])
     assert check.passed
-    assert len(calls) == 50 and sum(calls) > 50
+    assert len(calls) == len(set(_entropy_dims(50))) and sum(calls) > 50
 
 
 def test_entropy_path_dephases_once(monkeypatch):
-    # The dephased state and the live branches come from one _dephase call
-    # per entropy trial and per entropy_demo run.
+    # The dephased states and the live branches come from one _dephase call
+    # per verify entropy stack (the trials of one d) and per entropy_demo run.
     calls = []
 
-    def counting(rho, obs, original=measurement._dephase):
-        calls.append(obs.branch_count)
-        return original(rho, obs)
+    def counting(dims, rho, obs, original=measurement._dephase):
+        calls.append(len(rho))
+        return original(dims, rho, obs)
 
     monkeypatch.setattr(measurement, "_dephase", counting)
     (check,) = cli._battery_checks(cli._ENTROPY, 0, 1234,
                                    [cli._run_share(cli._ENTROPY, range(50), 6, 1234)])
-    assert check.passed and len(calls) == 50
+    dims = _entropy_dims(50)
+    assert check.passed and sorted(calls) == sorted(map(dims.count, set(dims)))
     calls.clear()
     text = "kind = entropy_demo\nstate = 0.6 0.8\n"
     records = dict(scenario.run_scenario(scenario.parse_scenario(text, "tilted")))
-    assert len(calls) == 1 and "entropy_nonselective" in records
+    assert calls == [1] and "entropy_nonselective" in records
 
 
 def test_one_eigvalsh_per_density_in_entropy_demo(monkeypatch):
-    # The positivity check's spectrum is kept on the DensityMatrix and reused
-    # by von_neumann_entropy, so every density costs one eigvalsh.
+    # rho's spectrum is kept on its DensityMatrix, and one stacked eigvalsh
+    # checks the dephased state and every conditional state and gives their
+    # entropies: each density is diagonalised once, and each entropy is the
+    # one von_neumann_entropy gives its own DensityMatrix.
     text = (
         "kind = entropy_demo\nstate = 0.3 0.5-0.2i 0.1 0.7\n"
         "obs = matrix 1 0 0 0; 0 1 0.5i 0; 0 -0.5i 2 0; 0 0 0 1\n"
     )
-    cached = scenario.run_scenario(scenario.parse_scenario(text, "demo"))
-
-    def recomputing(rho):
-        # von_neumann_entropy as it was: diagonalise again.
-        evals = np.linalg.eigvalsh(rho.entries)
-        evals = np.clip(evals, 0.0, None)
-        pos = evals[evals > 0.0]
-        return float(-(pos * np.log2(pos)).sum())
-
-    with monkeypatch.context() as patch:
-        patch.setattr(measurement, "von_neumann_entropy", recomputing)
-        recomputed = scenario.run_scenario(scenario.parse_scenario(text, "demo"))
-    assert [r for r in cached if r[0].startswith("entropy_")] == [
-        r for r in recomputed if r[0].startswith("entropy_")
-    ]
-    assert cached == recomputed
-
-    densities, eigvalsh_calls = [], []
+    densities, eigvalsh_calls, checked = [], [], []
     original_eigvalsh, original_init = np.linalg.eigvalsh, DensityMatrix.__post_init__
 
     def counting_eigvalsh(a, *args, **kwargs):
@@ -551,12 +541,26 @@ def test_one_eigvalsh_per_density_in_entropy_demo(monkeypatch):
         densities.append(self)
         original_init(self)
 
+    def keeping(entries, original=measurement._check_densities):
+        checked.append(entries)
+        return original(entries)
+
     monkeypatch.setattr(core.np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(DensityMatrix, "__post_init__", counting_init)
+    monkeypatch.setattr(measurement, "_check_densities", keeping)
     records = dict(scenario.run_scenario(scenario.parse_scenario(text, "demo")))
-    # rho, the dephased state and one conditional state per live branch.
-    assert len(densities) == 2 + sum(k.startswith("p.") for k in records)
-    assert len(eigvalsh_calls) == len(densities)
+    live = [k[2:] for k in records if k.startswith("p.")]
+    # rho's own check, then the conditional states in branch order and the
+    # dephased state in one call.
+    assert len(densities) == 1 and len(live) == 3
+    assert eigvalsh_calls == [(1, 4, 4), (len(live) + 1, 4, 4)]
+    monkeypatch.undo()
+    (stack,) = checked
+    alone = [scenario.fmt_real(von_neumann_entropy(DensityMatrix((4,), m))) for m in stack]
+    assert alone == [records[f"entropy_branch.{i}"] for i in live] + [
+        records["entropy_nonselective"]]
+    assert records["entropy_initial"] == scenario.fmt_real(
+        von_neumann_entropy(densities[0]))
 
 
 def test_entropy_still_rejects_negative_spectrum():
