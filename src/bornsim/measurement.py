@@ -10,12 +10,13 @@ alternative kept around so its operational consequences (signaling) can be
 demonstrated.  The family is deterministic on eigenstates for every q and is
 defined on pure states; ensembles are handled by weighted mixing of the
 per-member distributions.  _entropy_check and _target_check implement the
-entropy and state-preparation claims once, for `bornsim verify` and `run`;
-_entropy_check takes a stack of densities and a _Stack of observables, and
-`run` calls it on a stack of one.
-State preparation steers each collapsed branch to the target with one
-Householder reflection, so this module factors no matrix.  The LL kernel
-applies them as vectors; only the public functions build and check operators.
+entropy and state-preparation claims once, for `bornsim verify` and `run`.
+The density kernels take a stack of densities and a _Stack of observables;
+`run` and the public channels call them on a stack of one.  State
+preparation steers each collapsed branch to the target with one Householder
+reflection, so this module factors no matrix.  The LL kernel applies them
+as vectors to unchecked post-states, so a wrong one shows as its deviation
+from the target; only the public functions build and check operators.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     NotUnitaryError,
     ZeroProbabilityBranchError,
 )
-from .observables import Observable, _stack
+from .observables import Observable
 
 # Branch weights at or below this are treated as zero when conditioning,
 # collapsing, or enumerating surviving branches.
@@ -220,13 +221,14 @@ def state_preparation_unitaries(
 
 
 def _target_check(state: StateVector, obs: Observable, target: StateVector) -> tuple:
-    # The LL records with U_n x_n = e^{-ia} (2 w (w^dag x_n) / ||w||^2 - x_n) applied
-    # as vectors, and the worst amplitude deviation of their post-states from target.
+    # Per live branch n, its Born weight and its LL post-state
+    # U_n x_n = e^{-ia} (2 w (w^dag x_n) / ||w||^2 - x_n) applied as a vector,
+    # unchecked, as (n, weight, amplitudes) triples, and the worst amplitude
+    # deviation of the post-states from target.
     weights, live, cols, w, phases, scale = _householder(state, obs, target)
     posts = (scale * np.einsum("ij,ij->j", w.conj(), cols) * w - cols) * phases.conj()
-    records = [MeasurementRecord(n, obs.eigenvalue(n), float(weights[n]),
-                                 StateVector(state.dims, x)) for n, x in zip(live, posts.T)]
-    return records, float(np.abs(posts.T - target.amps).max())
+    branches = [(n, float(weights[n]), x) for n, x in zip(live, posts.T)]
+    return branches, float(np.abs(posts.T - target.amps).max())
 
 
 def phase_unitaries(
@@ -249,20 +251,17 @@ def phase_unitaries(
 
 def nonselective_channel(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     """Dephase in the branch decomposition: rho -> sum_i P_i rho P_i."""
-    return DensityMatrix(rho.dims, _dephase(rho.dims, rho.entries, obs)[1])
+    return DensityMatrix(rho.dims, _dephase(rho.dims, rho.entries[None], obs._stack)[1][0])
 
 
 def _dephase(dims, rho: np.ndarray, obs) -> tuple[np.ndarray, np.ndarray]:
     # B = V^dag rho V cut to its diagonal blocks, and V B V^dag = sum_i P_i rho P_i,
-    # for densities rho (..., d, d) of dims and an Observable, or a _Stack over
-    # rho's leading axis.
+    # for densities rho (S, d, d) of dims and a _Stack.
     if obs.dims != dims:
         raise InvalidInputError(f"dims mismatch {obs.dims} vs {dims}")
-    v = obs.basis
-    vh = v.conj().swapaxes(-1, -2)
-    blocks = vh @ rho @ v
-    blocks *= obs.labels[..., :, None] == obs.labels[..., None, :]
-    return blocks, v @ blocks @ vh
+    blocks = obs.adjoint @ rho @ obs.basis
+    blocks *= obs.labels[:, :, None] == obs.labels[:, None, :]
+    return blocks, obs.basis @ blocks @ obs.adjoint
 
 
 def _branch_weights(blocks: np.ndarray, obs, rule: ProbabilityRule) -> tuple:
@@ -307,7 +306,7 @@ def classical_selective(
     conditional state P_i rho P_i / Tr(P_i rho).
     """
     obs.eigenvalue(branch)  # range check
-    stack = _stack([obs])
+    stack = obs._stack
     blocks, dephased = _dephase(rho.dims, rho.entries[None], stack)
     weights, probs = _branch_weights(blocks, stack, rule)
     live = (np.arange(obs.branch_count) == branch) & (weights > PSD_TOL)

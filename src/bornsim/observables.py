@@ -1,11 +1,13 @@
 """Observables as one unitary eigenbasis V with a branch label per column.
 
-Branch computations work on V; the dense projectors are a cached view.  A
-_Stack holds observables of one dimension as arrays with a leading stack
-axis, for kernels that check many trials in one call.  _check_observables
-runs an Observable's checks once on a stack of them: Observable calls it on
-a stack of one, and _checked_stack on the arrays of verify's trials, which
-are never wrapped in Observables.
+A _Stack holds observables of one dimension as arrays with a leading stack
+axis, and is the one array form the kernels of this package read: its
+weights and split are the branch arithmetic.  An Observable is a stack of
+one (its cached _stack, views of its own arrays and the adjoint of its
+basis), and its weights and split delegate to it; the dense projectors are a
+cached view.  _check_observables runs an Observable's checks once on a stack
+of them: Observable calls it on a stack of one, and _checked_stack on the
+arrays of verify's trials, which are never wrapped in Observables.
 """
 
 from __future__ import annotations
@@ -72,13 +74,20 @@ class Observable:
         cols = (self.basis[:, self.labels == i] for i in range(self.branch_count))
         return tuple(Operator(self.dims, v @ v.conj().T) for v in cols)
 
+    @cached_property
+    def _stack(self) -> _Stack:
+        # This observable as a _Stack of one, read-only like its own arrays.
+        basis = self.basis[None]
+        return _Stack(self.dims, basis, _frozen(basis.conj()).swapaxes(1, 2), self.labels[None],
+                      np.array([self.branch_count]), self.indicator[None])
+
     def weights(self, x: np.ndarray) -> np.ndarray:
         """Branch weights ||P_i x||^2 as block sums of |V^dag x|^2.
 
         A vector x of shape (D,) gives shape (k,); the columns of a (D, n)
         array give one row each, shape (n, k).
         """
-        return (np.abs(self.basis.conj().T @ x) ** 2).T @ self.indicator
+        return self._stack.weights(x[None])[0]
 
     def split(self, x: np.ndarray, branches: np.ndarray | None = None) -> np.ndarray:
         """The parts P_i x, from one product V (c * 1_i) with c = V^dag x.
@@ -87,11 +96,7 @@ class Observable:
         (D, n) array gives shape (D, n, k).  branches, an index array, picks
         the parts to build and their order (all k by default).
         """
-        ind = self.indicator if branches is None else self.indicator[:, branches]
-        if x.ndim == 2:
-            ind = ind[:, None]
-        cut = (self.basis.conj().T @ x)[..., None] * ind
-        return (self.basis @ cut.reshape(len(cut), -1)).reshape(cut.shape)
+        return self._stack.split(x[None], slice(None) if branches is None else branches)[0]
 
     def eigenvalue(self, branch: int) -> float:
         self._check_branch(branch)
@@ -129,23 +134,24 @@ class Observable:
 class _Stack(NamedTuple):
     """Observables of one dims, D = prod(dims), as arrays with a leading stack axis.
 
-    It carries what the kernels read of an Observable, so they run on either:
-    the S bases (S, D, D), column labels (S, D) and branch counts (S,), and
-    indicators (S, D, K) whose branch axis is padded with zero columns to a
-    common width K.  A padded branch is a branch of weight 0 in every state.
-    weights and split are Observable's, stacked: x is (S, D), one vector per
-    observable, or (S, D, n), and every slice is computed as Observable's
-    method computes it alone.
+    The S bases V (S, D, D) and their adjoints V^dag (a transposed view of
+    the conjugate, made once), column labels (S, D) and branch counts (S,),
+    and indicators (S, D, K) whose branch axis is padded with zero columns to
+    a common width K.  A padded branch is a branch of weight 0 in every
+    state.  weights and split are Observable's, stacked: x is (S, D), one
+    vector per observable, or (S, D, n), and products and reductions run per
+    slice, so each observable's numbers do not depend on the others.
     """
 
     dims: tuple[int, ...]
     basis: np.ndarray
+    adjoint: np.ndarray
     labels: np.ndarray
     branch_count: np.ndarray
     indicator: np.ndarray
 
     def _columns(self, x: np.ndarray) -> np.ndarray:
-        return self.basis.conj().swapaxes(1, 2) @ (x[..., None] if x.ndim == 2 else x)
+        return self.adjoint @ (x[..., None] if x.ndim == 2 else x)
 
     def weights(self, x: np.ndarray) -> np.ndarray:
         w = (np.abs(self._columns(x)) ** 2).swapaxes(1, 2) @ self.indicator
@@ -157,30 +163,19 @@ class _Stack(NamedTuple):
         return parts[:, :, 0] if x.ndim == 2 else parts
 
 
-def _stack(observables, branches: int | None = None) -> _Stack:
-    """Observables of one dims as a _Stack, branch axis padded to `branches`
-    columns (by default the largest branch count)."""
-    return _stack_of(observables[0].dims, [obs.branch_count for obs in observables],
-                     np.array([obs.basis for obs in observables]),
-                     np.array([obs.labels for obs in observables]), branches)
-
-
-def _stack_of(dims, counts, basis: np.ndarray, labels: np.ndarray,
-              branches: int | None = None) -> _Stack:
-    # The _Stack of observables of dims given as arrays: their branch counts,
-    # bases (S, D, D) and labels (S, D).
-    k = max(counts) if branches is None else branches
-    indicator = (labels[..., None] == np.arange(k)).astype(float)
-    return _Stack(dims, basis, labels, np.array(counts), indicator)
-
-
 def _checked_stack(dims, observables, branches: int | None = None) -> _Stack:
     """The _Stack of observables of dims given as (eigenvalues, basis,
-    labels) triples, after the checks an Observable runs, once on the stack."""
+    labels) triples, after the checks an Observable runs, once on the stack;
+    the branch axis is padded to `branches` columns (by default the largest
+    branch count)."""
     eigenvalues, basis, labels = zip(*observables)
     basis, labels = np.array(basis), np.array(labels)
     _check_observables(dims, eigenvalues, basis, labels)
-    return _stack_of(dims, [len(values) for values in eigenvalues], basis, labels, branches)
+    counts = [len(values) for values in eigenvalues]
+    k = max(counts) if branches is None else branches
+    indicator = (labels[..., None] == np.arange(k)).astype(float)
+    return _Stack(dims, basis, basis.conj().swapaxes(1, 2), labels, np.array(counts),
+                  indicator)
 
 
 def _check_observables(dims: tuple[int, ...], eigenvalues, basis: np.ndarray,

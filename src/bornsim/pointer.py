@@ -19,18 +19,17 @@ once, for `bornsim verify` and `run`; only verify and two_pointer scenarios
 add the oracle gap (_oracle_gap), so a one_pointer run never allocates the
 oracle's register tensor.
 
-_pointer_check and _oracle_gap run setups of one system dimension as one
-stack, built once for both: by _stacked from setups, or by verify from its
-trials' arrays after _check_setups and the other constructors' checks ran
-on them.  Their array functions (the runs, the Born rows, the oracle) take
-one state and two Observables, or states with a leading stack axis and two
-observables._Stacks.  verify pads
-the branch axes and both pointer registers of its small-d trials to d, so
-every trial of a stack has the same shapes; padded branches have weight 0,
-and since the pointers start at |0> and move by less than d, padded
-pointer positions stay empty.  Products and reductions run per slice, so a
-trial's numbers do not depend on the other trials of its stack.  `run` and
-the public functions run one state, unpadded.
+Every array function of this module (the runs, the Born rows, the
+oracle, _pointer_check and _oracle_gap) takes setups of one system
+dimension as one stack: states (S, d) and two observables._Stacks.  _stacked
+makes the stack of one setup, from its observables' own stacks of one, for
+`run` and the public functions; verify builds its stacks from its trials'
+arrays after _check_setups and the other constructors' checks ran on them.
+verify pads the branch axes and both pointer registers of its small-d
+trials to d, so every trial of a stack has the same shapes; padded branches
+have weight 0, and since the pointers start at |0> and move by less than d,
+padded pointer positions stay empty.  Products and reductions run per
+slice, so a trial's numbers do not depend on the other trials of its stack.
 
 Because every pointer starts in |0> and each shift moves it by less than the
 register size, the final states are exactly
@@ -62,7 +61,7 @@ import numpy as np
 from .core import OutcomeDistribution, StateVector, _check_states, _checked_probabilities
 from .errors import InvalidInputError, ZeroProbabilityBranchError
 from .measurement import BORN, ZERO_PROB_CUTOFF, _transform_weights
-from .observables import Observable, _stack
+from .observables import Observable
 
 TWO_POINTER = "two_pointer"
 ONE_POINTER = "one_pointer"
@@ -93,7 +92,7 @@ class PointerSchemeSetup:
     def __post_init__(self):
         n = int(self.n_pointer1)
         m = None if self.m_pointer2 is None else int(self.m_pointer2)
-        _check_setups(self.small_state.dims, self.obs_a, self.obs_b, n, m)
+        _check_setups(self.small_state.dims, self.obs_a._stack, self.obs_b._stack, n, m)
         object.__setattr__(self, "n_pointer1", n)
         object.__setattr__(self, "m_pointer2", m)
 
@@ -106,10 +105,9 @@ class PointerSchemeSetup:
 def _check_setups(dims: tuple[int, ...], obs_a, obs_b, n: int, m: int | None) -> None:
     """The checks of a PointerSchemeSetup, on setups of one state dims.
 
-    obs_a and obs_b are the setups' Observables or _Stacks, n and m their
-    pointer sizes (m None for one pointer).  Each observable's dims must be
-    the state's, each pointer as wide as its observable's branch axis at
-    least (the branch count of an Observable, the padded width of a _Stack),
+    obs_a and obs_b are the setups' _Stacks, n and m their pointer sizes (m
+    None for one pointer).  Each observable's dims must be the state's, each
+    pointer as wide as its stack's branch axis at least (the padded width),
     and the pointer state at most POINTER_STATE_MAX_AMPS amplitudes.
     """
     for which, obs in (("first", obs_a), ("second", obs_b)):
@@ -176,41 +174,36 @@ class JointDistribution:
         return self.probs.shape
 
 
-def _stacked(setups, branches: int | None = None) -> tuple:
-    # The setups' states (S, d) and each observable's _Stack, branch axes
-    # padded to `branches` columns (the largest branch count by default).
-    psi = np.array([setup.small_state.amps for setup in setups])
-    return (psi, _stack([setup.obs_a for setup in setups], branches),
-            _stack([setup.obs_b for setup in setups], branches))
+def _stacked(setup: PointerSchemeSetup) -> tuple:
+    # The setup as a stack of one: its state (1, d) and its observables' _Stacks.
+    return setup.small_state.amps[None], setup.obs_a._stack, setup.obs_b._stack
 
 
 def _couple(amps: np.ndarray, obs, axis: int) -> np.ndarray:
-    # sum_k P_k (x) Shift(k) on a pointer axis of register tensors: (d, ...)
-    # for an Observable, (S, d, ...) for a _Stack.  Eigen-row c of V^dag amps
-    # moves by labels[c] along the pointer axis (one gather), wrap-around
-    # included, and V rotates the result back.
-    lead = obs.basis.ndim - 1  # the stack axes and the system axis
-    flat = amps.reshape(amps.shape[:lead] + (-1,))
+    # sum_k P_k (x) Shift(k) on a pointer axis of register tensors (S, d, ...)
+    # and a _Stack.  Eigen-row c of V^dag amps moves by labels[c] along the
+    # pointer axis (one gather), wrap-around included, and V rotates the
+    # result back.
+    flat = amps.reshape(amps.shape[:2] + (-1,))
     # Eigen-rows of all the stack's registers along one axis, and the
     # pointer axis's place among them.
-    rows = (obs.basis.conj().swapaxes(-1, -2) @ flat).reshape((-1,) + amps.shape[lead:])
-    size, pointer = amps.shape[axis], axis % amps.ndim - lead + 1
+    rows = (obs.adjoint @ flat).reshape((-1,) + amps.shape[2:])
+    size, pointer = amps.shape[axis], axis % amps.ndim - 1
     index = ((np.arange(size) - obs.labels[..., None]) % size).reshape(-1, size)
     shifted = rows.swapaxes(1, pointer)[np.arange(len(rows))[:, None], index].swapaxes(1, pointer)
     return (obs.basis @ shifted.reshape(flat.shape)).reshape(amps.shape)
 
 
 def _two_pointer(psi: np.ndarray, obs_a, obs_b) -> tuple[np.ndarray, np.ndarray]:
-    # The parts R_j P_i psi0, (..., d, na, nb), and the joint cells
-    # ||R_j P_i psi0||^2, for one state and two Observables or a stack of
-    # states and two _Stacks.
+    # The parts R_j P_i psi0, (S, d, na, nb), and the joint cells
+    # ||R_j P_i psi0||^2, (S, na, nb).
     parts = obs_b.split(obs_a.split(psi))
     return parts, (np.abs(parts) ** 2).sum(axis=-3)
 
 
 def _one_pointer(psi: np.ndarray, obs_a, obs_b) -> tuple[np.ndarray, np.ndarray]:
-    # The parts P_i psi0, (..., d, na), and the joint cells: the obs_b branch
-    # weights of each part.
+    # The parts P_i psi0, (S, d, na), and the joint cells: the obs_b branch
+    # weights of each part, (S, na, nb).
     parts = obs_a.split(psi)
     return parts, obs_b.weights(parts)
 
@@ -225,6 +218,14 @@ def _final(setup: PointerSchemeSetup, parts: np.ndarray) -> StateVector:
     return StateVector._checked(setup.small_state.dims + sizes, amps)
 
 
+def _run(setup: PointerSchemeSetup, run) -> tuple[StateVector, JointDistribution]:
+    # The final state and joint of one run of the setup, on a stack of one;
+    # its parts pass the checks of a StateVector.
+    parts, joint = run(*_stacked(setup))
+    _check_states(parts)
+    return _final(setup, parts[0]), JointDistribution(joint[0])
+
+
 def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
     """Evolve psi0 (x) |0> (x) |0> through U_B U_A and read both pointers.
 
@@ -235,9 +236,7 @@ def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistri
     """
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("setup is not in two-pointer mode")
-    parts, joint = _two_pointer(setup.small_state.amps, setup.obs_a, setup.obs_b)
-    _check_states(parts[None])
-    return _final(setup, parts), JointDistribution(joint)
+    return _run(setup, _two_pointer)
 
 
 def run_one_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
@@ -249,9 +248,7 @@ def run_one_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistri
     """
     if setup.mode != ONE_POINTER:
         raise InvalidInputError("setup is not in one-pointer mode")
-    parts, joint = _one_pointer(setup.small_state.amps, setup.obs_a, setup.obs_b)
-    _check_states(parts[None])
-    return _final(setup, parts), JointDistribution(joint)
+    return _run(setup, _one_pointer)
 
 
 def marginal_a(joint: JointDistribution) -> OutcomeDistribution:
@@ -280,7 +277,8 @@ def _born_rows(psi: np.ndarray, obs_a, obs_b, live: np.ndarray, columns=slice(No
     # parts: each live part is normalised (a live part of weight at or below
     # ZERO_PROB_CUTOFF raises) and the obs_b branch weights of all of them
     # come from one product.  A row that live does not mark holds 1/nb in
-    # every entry; no deviation reads it.
+    # every entry; no deviation reads it.  psi (S, d) and live (S, na) stack
+    # setups with obs_a and obs_b, and the rows are (S, len(columns), nb).
     parts = obs_a.split(psi, columns)
     picked = live[..., columns]
     norms = np.linalg.norm(parts, axis=-2)
@@ -307,8 +305,8 @@ def _projection_deviation(setup: PointerSchemeSetup, joint: JointDistribution) -
     # a joint the setup has already produced.
     live = joint.probs.sum(axis=1) > ZERO_PROB_CUTOFF
     rows = np.flatnonzero(live)
-    born = _born_rows(setup.small_state.amps, setup.obs_a, setup.obs_b, live, rows)
-    return float(_projection_deviations(joint.probs[rows], born))
+    born = _born_rows(*_stacked(setup), live[None], rows)
+    return float(_projection_deviations(joint.probs[rows], born[0]))
 
 
 def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
@@ -318,23 +316,23 @@ def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
     with the projection postulate applied to the small system alone.
     """
     run = _two_pointer if setup.mode == TWO_POINTER else _one_pointer
-    joint = run(setup.small_state.amps, setup.obs_a, setup.obs_b)[1]
-    return _projection_deviation(setup, JointDistribution(joint))
+    joint = run(*_stacked(setup))[1]
+    return _projection_deviation(setup, JointDistribution(joint[0]))
 
 
 def _oracle_cells(psi: np.ndarray, obs_a, obs_b, n: int, m: int) -> np.ndarray:
     # The oracle's cells over pointer positions (n, m): U_A and U_B applied
     # by definition to the register tensor of psi0 (x) |0> (x) |0>, Born
-    # probabilities summed over the system axis, for one state and two
-    # Observables or a stack of states and two _Stacks.  Mass on positions
-    # past a state's branch counts raises above 1e-10 and is cut to zero.
+    # probabilities summed over the system axis, (S, n, m) for states
+    # (S, d).  Mass on positions past a state's branch counts raises above
+    # 1e-10 and is cut to zero.
     amps = np.zeros(psi.shape + (n, m), dtype=complex)
     amps[..., 0, 0] = psi
     amps = _couple(_couple(amps, obs_a, axis=-2), obs_b, axis=-1)
     cells = (np.abs(amps) ** 2).sum(axis=-3)
-    outside = ((np.arange(n)[:, None] >= np.asarray(obs_a.branch_count)[..., None, None])
-               | (np.arange(m) >= np.asarray(obs_b.branch_count)[..., None, None]))
-    residual = np.ravel(np.where(outside, cells, 0.0).sum(axis=(-2, -1)))
+    outside = ((np.arange(n)[:, None] >= obs_a.branch_count[:, None, None])
+               | (np.arange(m) >= obs_b.branch_count[:, None, None]))
+    residual = np.where(outside, cells, 0.0).sum(axis=(-2, -1))
     residual = residual[residual > 1e-10]
     if residual.size:
         raise InvalidInputError(
@@ -359,13 +357,12 @@ def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
     """
     if setup.mode != TWO_POINTER:
         raise InvalidInputError("brute force readout needs a two-pointer setup")
-    cells = _oracle_cells(setup.small_state.amps, setup.obs_a, setup.obs_b,
-                          setup.n_pointer1, setup.m_pointer2)
+    cells = _oracle_cells(*_stacked(setup), setup.n_pointer1, setup.m_pointer2)[0]
     return JointDistribution(cells[:setup.obs_a.branch_count, :setup.obs_b.branch_count])
 
 
 def _pointer_check(stacked: tuple, one: bool = False, padded: bool = False) -> tuple:
-    # The projection claim on _stacked setups of one system dimension, in
+    # The projection claim on a stack of setups of one system dimension, in
     # one call: each setup's state and observables evolved once in the
     # two-pointer scheme and, with one, once in the one-pointer scheme.
     # padded says the branch axes were padded, so that a trial's numbers
@@ -395,7 +392,7 @@ def _pointer_check(stacked: tuple, one: bool = False, padded: bool = False) -> t
 
 def _oracle_gap(stacked: tuple, joint: np.ndarray, n: int, m: int) -> np.ndarray:
     # Worst cell gap per setup between the two-pointer joints _pointer_check
-    # returned for these _stacked setups and the oracle's, whose registers
+    # returned for this stack of setups and the oracle's, whose registers
     # hold n and m positions.  Padded, n and m are the padded width;
     # pointers start at |0> and shift by less than their size, so padding
     # never wraps.

@@ -30,6 +30,7 @@ from .errors import InvalidInputError
 from .measurement import (
     BORN,
     ZERO_PROB_CUTOFF,
+    MeasurementRecord,
     ProbabilityRule,
     _entropy_check,
     _target_check,
@@ -37,7 +38,7 @@ from .measurement import (
     phase_unitaries,
     project_update,
 )
-from .observables import _stack, observable_from_branches, observable_from_matrix
+from .observables import observable_from_branches, observable_from_matrix
 from .pointer import (
     PointerSchemeSetup,
     _final,
@@ -288,9 +289,9 @@ def _run_pointer(scn: Scenario) -> Records:
     setup = PointerSchemeSetup(state, obs_a, obs_b, n1, m2)
     if m2 is None:  # cross-checked against the default-size two-pointer twin
         parts, joints, deviations, cross_dev = _pointer_check(
-            _stacked([two_pointer_setup(state, obs_a, obs_b)]), one=True)
+            _stacked(two_pointer_setup(state, obs_a, obs_b)), one=True)
     else:  # cross-checked against the oracle
-        stacked = _stacked([setup])
+        stacked = _stacked(setup)
         parts, joints, deviations, _ = _pointer_check(stacked)
         cross_dev = _oracle_gap(stacked, joints[0], n1, m2)
     final = _final(setup, parts[-1][0])
@@ -350,7 +351,9 @@ def _run_ll(scn: Scenario) -> Records:
         eye = np.eye(state.dim, dtype=complex)
         output = ll_channel(state, obs, [Operator(state.dims, eye)] * obs.branch_count)
     else:
-        output, dev = _target_check(state, obs, target)
+        branches, dev = _target_check(state, obs, target)
+        output = [MeasurementRecord(n, obs.eigenvalue(n), p, StateVector(state.dims, x))
+                  for n, p, x in branches]
     for rec in output:
         records.append((f"p.{rec.branch_index}", fmt_real(rec.probability)))
     for rec in output:
@@ -417,7 +420,7 @@ def _run_entropy_demo(scn: Scenario) -> Records:
     _reject_unknown(fields)
     rho = density_from_pure(state)
     s_in, s_out, (live, probs, entropies), avg = _entropy_check(
-        rho.dims, rho.entries[None], rho.spectrum[None], _stack([obs]))
+        rho.dims, rho.entries[None], rho.spectrum[None], obs._stack)
     records: Records = [
         ("entropy_initial", fmt_real(s_in[0])),
         ("entropy_nonselective", fmt_real(s_out[0])),

@@ -24,13 +24,13 @@ inadmissible.  _signaling_check implements the claim once: both arms as
 checked arrays and their gap, from W.  `bornsim verify`, `bornsim run` and
 the public arm and gap functions all read from it.
 
-_cell_weights and _signaling_check read any number of leading stack axes:
-_cell_weights takes the parties' observables as Observables or as
-observables._Stacks.  verify pads each party's branch axis to its
-dimension, so that no-signaling trials of one shape share one call; a
-padded branch has weight 0, so it is dead on Alice's side and carries no
-probability on Bob's.  `run` and the public functions pass one scenario's
-state and observables, unpadded.
+_cell_weights takes a stack of amplitude matrices and the parties'
+observables as observables._Stacks, and _signaling_check reads any number
+of leading stack axes of W.  `run` and the public functions pass one
+scenario as a stack of one, its observables' own stacks; verify pads each
+party's branch axis to its dimension, so that no-signaling trials of one
+shape share one call.  A padded branch has weight 0, so it is dead on
+Alice's side and carries no probability on Bob's.
 """
 
 from __future__ import annotations
@@ -59,13 +59,13 @@ class TelepathyScenario:
     bob_rule: ProbabilityRule = BORN
 
     def __post_init__(self):
-        _check_parties(self.state.dims, self.alice_obs, self.bob_obs)
+        _check_parties(self.state.dims, self.alice_obs._stack, self.bob_obs._stack)
 
 
 def _check_parties(dims: tuple[int, ...], alice, bob) -> None:
-    # The checks of a TelepathyScenario, on scenarios of one state dims whose
-    # parties' observables are Observables or _Stacks: two subsystems, and
-    # each party's observable on its own.
+    # The checks of a TelepathyScenario, on scenarios of one state dims and
+    # the _Stacks of their parties' observables: two subsystems, and each
+    # party's observable on its own.
     if len(dims) != 2:
         raise InvalidInputError(f"state must have exactly 2 subsystems, got dims {dims}")
     for party, obs, d in (("alice", alice, dims[0]), ("bob", bob, dims[1])):
@@ -76,18 +76,18 @@ def _check_parties(dims: tuple[int, ...], alice, bob) -> None:
 
 
 def _cell_weights(m: np.ndarray, alice, bob) -> np.ndarray:
-    # W[..., i, j] = ||P_i M R_j^T||^2 for amplitude matrices m (..., d_A, d_B)
-    # and two Observables, or two _Stacks over m's leading axis: block sums
-    # of |V_A^dag M conj(V_B)|^2 over Alice's rows and Bob's columns.  A
-    # padded branch of a _Stack gives a zero row or column.
-    amps = np.abs(alice.basis.conj().swapaxes(-1, -2) @ m @ bob.basis.conj()) ** 2
+    # W[s, i, j] = ||P_i M R_j^T||^2 for amplitude matrices m (S, d_A, d_B)
+    # and the parties' _Stacks: block sums of |V_A^dag M conj(V_B)|^2 over
+    # Alice's rows and Bob's columns.  A padded branch gives a zero row or
+    # column.
+    amps = np.abs(alice.adjoint @ m @ bob.adjoint.swapaxes(1, 2)) ** 2
     return alice.indicator.swapaxes(-1, -2) @ amps @ bob.indicator
 
 
 def _scenario_cells(scenario: TelepathyScenario) -> np.ndarray:
-    # W of one scenario.
-    state = scenario.state
-    return _cell_weights(state.amps.reshape(state.dims), scenario.alice_obs, scenario.bob_obs)
+    # W of one scenario, from a stack of one.
+    m = scenario.state.amps.reshape((1,) + scenario.state.dims)
+    return _cell_weights(m, scenario.alice_obs._stack, scenario.bob_obs._stack)[0]
 
 
 def _alice_branches(

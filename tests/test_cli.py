@@ -1013,14 +1013,20 @@ def test_stacked_qr_stays_within_the_amplitude_budget(capsys, monkeypatch):
 
 
 def test_invariant_violation_in_a_trial_names_its_trial(capsys, monkeypatch):
-    # A collapse off by 1 + 1e-7 fails StateVector validation in the LL check;
-    # the exit code and class are unchanged and the message names the trial.
-    original = measurement._collapsed
-    monkeypatch.setattr(measurement, "_collapsed", lambda *a: original(*a) * (1 + 1e-7))
+    # Two-pointer parts off by 1 + 1e-7 fail the final states' norm check in
+    # the pointer check; the exit code and class are unchanged and the
+    # message names the trial.
+    original = pointer._two_pointer
+
+    def off_norm(*args):
+        parts, joint = original(*args)
+        return parts * (1 + 1e-7), joint
+
+    monkeypatch.setattr(pointer, "_two_pointer", off_norm)
     code, out, err = run_cli(capsys, "verify", "--trials", "4", "--dims-limit", "4")
     assert code == 3 and out == ""
     assert err.startswith(
-        "invariant violation [InvalidInputError]: trial [1234,5,0]: state vector norm"
+        "invariant violation [InvalidInputError]: trial [1234,1,0]: state vector norm"
     )
 
 
@@ -1140,6 +1146,17 @@ def _scale_reflection_coefficient(original):
     return mutant
 
 
+def _overscale_reflection_coefficient(original):
+    # The reflection coefficient 2 / ||w||^2 times 1 + 1e-9: U_n x_n misses the
+    # target by 1e-9 e^{-ia} w, and its norm moves by more than the 1e-10 a
+    # StateVector accepts.  verify reports the miss; it does not abort.
+    def mutant(state, obs, target):
+        *head, scale = original(state, obs, target)
+        return (*head, scale * (1 + 1e-9))
+
+    return mutant
+
+
 def _patch_everywhere(monkeypatch, name, mutant):
     # Replaces the function name, looked up in its home module, with
     # mutant(original) in every module that binds it.
@@ -1151,8 +1168,8 @@ def _patch_everywhere(monkeypatch, name, mutant):
 
 
 # Each mutant must FAIL its own property and no other; every property has
-# one, and ll_channel_invariance has two beyond the shifted branch weights of
-# test_ll_channel_invariance_fails_on_shifted_weights.
+# one, and ll_channel_invariance has three beyond the shifted branch weights
+# of test_ll_channel_invariance_fails_on_shifted_weights.
 # Equivalent mutants, listed and not tested: W transposed in the Born arms
 # (verify checks both directions, and Born signals in neither); entropies in
 # another log base (every entropy scaled by one positive factor keeps both
@@ -1172,6 +1189,7 @@ def _patch_everywhere(monkeypatch, name, mutant):
         ("rule_probabilities", _shift_born_mass, "born_marginals"),
         ("_householder", _drop_reflection_phase, "ll_channel_invariance"),
         ("_householder", _scale_reflection_coefficient, "ll_channel_invariance"),
+        ("_householder", _overscale_reflection_coefficient, "ll_channel_invariance"),
     ],
 )
 def test_each_pointer_property_fails_on_its_defect(capsys, monkeypatch, name, mutant, prop):
@@ -1183,6 +1201,21 @@ def test_each_pointer_property_fails_on_its_defect(capsys, monkeypatch, name, mu
     failed = [l.split()[0] for l in out.splitlines() if l.endswith("FAIL")]
     assert failed == [prop]
     assert "verify: 1 of 9 properties FAILED" in out
+
+
+def test_an_ll_post_state_off_its_norm_fails_verify_and_aborts_run(capsys, monkeypatch):
+    # The defect that moves a post-state's norm past a StateVector's limit,
+    # on one share: verify FAILs ll_channel_invariance alone, and `run`,
+    # which wraps each post-state in a StateVector, exits 3.
+    set_workers(monkeypatch, 1)
+    _patch_everywhere(monkeypatch, "_householder", _overscale_reflection_coefficient)
+    code, out, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
+    assert code == 1
+    assert [l.split()[0] for l in out.splitlines() if l.endswith("FAIL")] == [
+        "ll_channel_invariance"]
+    code, out, err = run_cli(capsys, "run", "ll_preparation")
+    assert code == 3 and out == ""
+    assert err.startswith("invariant violation [InvalidInputError]: state vector norm")
 
 
 def _offset(index, delta):
@@ -1603,7 +1636,7 @@ def test_a_trials_row_does_not_depend_on_its_stack(seed):
                 if row is cli._POINTER:
                     setup = pointer.two_pointer_setup(core.StateVector(built[0].dims, inputs[0]),
                                                       *built)
-                    one = pointer._stacked([setup])
+                    one = pointer._stacked(setup)
                     _, (joint, _), deviations, scheme = pointer._pointer_check(one, one=True)
                     oracle = pointer._oracle_gap(one, joint, *joint.shape[1:])
                     want, tol = (deviations.max(), scheme[0], oracle[0]), 1e-14
@@ -1618,7 +1651,7 @@ def test_a_trials_row_does_not_depend_on_its_stack(seed):
                     (obs,) = built
                     s_in, s_out, _, avg = measurement._entropy_check(
                         obs.dims, inputs[None], core._check_densities(inputs[None]),
-                        observables._stack([obs]))
+                        obs._stack)
                     assert got[0] == max(s_in[0] - s_out[0], avg[0] - s_out[0])
                     want, tol = _entropy_row(inputs, obs), 1e-13
                 assert np.abs(np.subtract(got[:len(want)], want)).max() <= tol

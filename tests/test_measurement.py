@@ -334,12 +334,12 @@ def _assert_kernel_matches_dense_path(state, obs, target):
     # ||w_n||^2 = 2 (1 + |<target|x_n>|) >= 2 on the shared helper's output.
     records, dev = _target_check(state, obs, target)
     dense = ll_channel(state, obs, state_preparation_unitaries(state, obs, target))
-    assert [rec.branch_index for rec in records] == [rec.branch_index for rec in dense]
-    assert [rec.probability for rec in records] == [rec.probability for rec in dense]
-    for rec, ref in zip(records, dense):
-        assert rec.eigenvalue == ref.eigenvalue
-        assert np.max(np.abs(rec.post_state.amps - ref.post_state.amps)) <= 1e-13
-    assert dev == max(np.max(np.abs(rec.post_state.amps - target.amps)) for rec in records)
+    assert [n for n, _, _ in records] == [rec.branch_index for rec in dense]
+    assert [p for _, p, _ in records] == [rec.probability for rec in dense]
+    for (n, _, post), ref in zip(records, dense):
+        assert obs.eigenvalue(n) == ref.eigenvalue
+        assert np.max(np.abs(post - ref.post_state.amps)) <= 1e-13
+    assert dev == max(np.max(np.abs(post - target.amps)) for _, _, post in records)
     *_, w, _, scale = _householder(state, obs, target)
     norms = np.linalg.norm(w, axis=0) ** 2
     assert np.all(norms >= 2.0 - 1e-14)
@@ -360,7 +360,7 @@ def test_target_check_keeps_a_branch_just_above_the_cutoff():
     state = StateVector((6,), np.sqrt(1.0 - eps) * x0 + np.sqrt(eps) * x1)
     assert ZERO_PROB_CUTOFF < branch_weights(state, obs)[1] < 2 * ZERO_PROB_CUTOFF
     records = _assert_kernel_matches_dense_path(state, obs, random_state(rng, (6,)))
-    assert [rec.branch_index for rec in records] == [0, 1]
+    assert [n for n, _, _ in records] == [0, 1]
 
 
 def test_target_check_at_d_256():

@@ -15,10 +15,15 @@ from bornsim import (
     observable_from_branches,
     observable_from_matrix,
 )
-from bornsim.observables import PROJ_TOL
+from bornsim.observables import PROJ_TOL, _checked_stack
 from bornsim.rand import random_density, random_observable, random_unitary
 
 SIGMA_Z = np.diag([1.0, -1.0])
+
+
+def _arrays(observables):
+    # Each observable as the (eigenvalues, basis, labels) triple a stack is built from.
+    return [(obs.eigenvalues, obs.basis, obs.labels) for obs in observables]
 
 
 def test_sigma_z_branches():
@@ -225,6 +230,42 @@ class TestSpectralRepresentation:
         np.testing.assert_allclose(obs.split(xs, picked), obs.split(xs)[..., picked],
                                    atol=1e-14)
         assert obs.split(x, np.array([], dtype=np.intp)).shape == (7, 0)
+
+    @pytest.mark.parametrize("d", range(2, 14))
+    def test_an_observable_is_its_slice_of_a_stack(self, d):
+        # weights and split of a vector, of a (D, n) matrix and of a branch
+        # subset against the observable's slice of a _Stack of observables
+        # with mixed branch counts, degenerate and not.  The widest one's
+        # slice, and each slice of a stack at the observable's own width, are
+        # the same bits; a narrower one's padded slice is within round-off
+        # (a gemm over more columns may round differently), its padded
+        # parts and weights exactly zero.
+        rng = np.random.default_rng([d, 26])
+        mixed = [random_observable(rng, (d,), degenerate=(d >= 3 and i % 2 == 0))
+                 for i in range(5)]
+        mixed.append(random_observable(rng, (d,), degenerate=False))
+        x, xs = (rng.normal(size=(6, d) + n) + 1j * rng.normal(size=(6, d) + n)
+                 for n in ((), (3,)))
+        for obs, s in zip(mixed, range(6)):
+            k = obs.branch_count
+            subset = rng.permutation(k)[:max(1, k // 2)]
+            same = [obs] + [Observable((d,), obs.eigenvalues, random_unitary(rng, d),
+                                       rng.permutation(obs.labels)) for _ in range(2)]
+            for stack, rows in ((_checked_stack((d,), _arrays(same)), [s, s, s]),
+                                (_checked_stack((d,), _arrays(mixed)), range(6))):
+                at, v, vs = list(rows).index(s), x[rows], xs[rows]
+                got = (stack.weights(v)[at], stack.weights(vs)[at], stack.split(v)[at],
+                       stack.split(vs)[at], stack.split(v, subset)[at],
+                       stack.split(vs, subset)[at])
+                want = (obs.weights(x[s]), obs.weights(xs[s]), obs.split(x[s]),
+                        obs.split(xs[s]), obs.split(x[s], subset), obs.split(xs[s], subset))
+                padded = stack.indicator.shape[-1] > k
+                for g, w in zip(got, want):
+                    assert np.array_equal(g[..., :w.shape[-1]], w) or (
+                        padded and np.abs(g[..., :w.shape[-1]] - w).max() <= 1e-13)
+                for g in got[:4]:
+                    assert not np.any(g[..., k:])
+        assert max(obs.branch_count for obs in mixed) > min(obs.branch_count for obs in mixed)
 
     def test_basis_and_labels_are_read_only(self, rng):
         obs = random_observable(rng, (4,))

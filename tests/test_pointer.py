@@ -242,7 +242,7 @@ def test_evolve_checked_matches_the_public_readouts(rng):
         state, obs_a, obs_b = _random_pair(rng, d, degenerate=(d >= 3))
         two = two_pointer_setup(state, obs_a, obs_b, obs_a.branch_count + 1)
         one = one_pointer_setup(state, obs_a, obs_b)
-        stacked = _stacked([two])
+        stacked = _stacked(two)
         (parts,), (joint,), deviations, _ = _pointer_check(stacked)
         final, public = run_two_pointer(two)
         assert np.array_equal(_final(two, parts[0]).amps, final.amps)
@@ -251,7 +251,7 @@ def test_evolve_checked_matches_the_public_readouts(rng):
         cross = _oracle_gap(stacked, joint, two.n_pointer1, two.m_pointer2)[0]
         assert cross == np.max(np.abs(joint[0] - brute_force_joint(two).probs))
         twin = two_pointer_setup(state, obs_a, obs_b)
-        (_, parts), (_, joint), deviations, cross = _pointer_check(_stacked([twin]), one=True)
+        (_, parts), (_, joint), deviations, cross = _pointer_check(_stacked(twin), one=True)
         final, public = run_one_pointer(one)
         assert np.array_equal(_final(one, parts[0]).amps, final.amps)
         assert np.array_equal(joint[0], public.probs)
@@ -323,7 +323,7 @@ def test_shared_born_rows_give_each_joint_its_own_deviation(seed):
     # for bit.
     setups = _random_setups(seed)
     for two, one in ((setups[0], setups[2]), (setups[1], setups[3])):
-        _, (joint_two, joint_one), deviations, _ = _pointer_check(_stacked([two]), one=True)
+        _, (joint_two, joint_one), deviations, _ = _pointer_check(_stacked(two), one=True)
         assert deviations[0, 0] == _projection_deviation(two, JointDistribution(joint_two[0]))
         assert deviations[0, 1] == _projection_deviation(one, JointDistribution(joint_one[0]))
 
@@ -434,7 +434,7 @@ def test_coupling_matches_dense_unitaries(d):
             for dense, obs, shape, axis in cases:
                 x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 x /= np.linalg.norm(x)
-                coupled = _couple(x, obs, axis).reshape(-1)
+                coupled = _couple(x[None], obs._stack, axis + 1)[0].reshape(-1)
                 np.testing.assert_allclose(
                     coupled, dense.entries @ x.reshape(-1), rtol=0, atol=1e-13
                 )
