@@ -13,21 +13,18 @@ computes its deviations in the kernel that `run` calls for the same claim:
 pointer._pointer_check, signaling._signaling_check and measurement's
 _entropy_check and _target_check.
 
-The trials drawn ahead for one _haar call form a chunk.  Its pointer trials
-of one d, its no-signaling trials of one shape and its entropy trials of one
-d are checked in stacks of at most HAAR_STACK_AMPS register amplitudes, one
-kernel call each: pointer trials up to d = _MAX_PADDED_DIM pad their branch
-axes and pointer registers to d, larger ones run alone and unpadded,
-no-signaling cells are padded to d_A x d_B and entropy branch axes to d.
-These trials hand their checks arrays, not objects: a stack runs every check
-of its trials' Observables, StateVectors, DensityMatrices, setups and
-scenarios once, on the stacked arrays, through the checkers the
-constructors call.  LL trials run one at a time, with their objects.  A
-stack's rows are those of its trials checked alone, so the output does not
-depend on how trials fall into stacks or shares; a stack that raises is
-checked again a trial at a time, so the error is the lowest failing trial's,
-or, if every trial passes alone, the stack's own, named after its lowest
-trial.
+The trials drawn ahead for one _haar call form a chunk.  Its trials of one
+stack key are checked as arrays, in stacks of at most HAAR_STACK_AMPS
+register amplitudes, one kernel call each: a stack runs every check of its
+trials' objects once, through the checkers the constructors call.  Pointer
+trials of one d up to _MAX_PADDED_DIM pad their branch axes and registers
+to d (larger ones run alone, unpadded), no-signaling trials of one shape pad
+their cells to d_A x d_B, entropy trials of one d their branch axes to d,
+and LL trials of one d and branch count are not padded.  A stack's rows
+are those of its trials checked alone, so the output does not depend on how
+trials fall into stacks or shares; a stack that raises is checked again a
+trial at a time, so the error is the lowest failing trial's, or, if every
+trial passes alone, the stack's own, named after its lowest trial.
 
 Each row's trials run on the CPUs in the process's affinity mask: share w of
 W takes trials t = w (mod W) of every row.  verify forks one set of W - 1
@@ -74,7 +71,7 @@ from .measurement import (
     _target_check,
     rule_probabilities,
 )
-from .observables import Observable, _checked_stack, embed_observable
+from .observables import _checked_stack, embed_observable
 from .pointer import (
     POINTER_STATE_MAX_AMPS,
     SCHEME_AGREEMENT_TOL,
@@ -98,7 +95,6 @@ from .rand import (
     _draw_observable,
     _draw_state,
     _haar,
-    random_state,
 )
 from .scenario import (
     DEFAULT_SEED,
@@ -335,23 +331,24 @@ def _check_entropy(trials: list) -> list:
 
 def _ll_trial(rng, t: int, dims_limit: int) -> tuple:
     d = int(rng.integers(2, dims_limit + 1))
-    state = random_state(rng, (d,))
+    state = _draw_state(rng, (d,))
     drawn = _draw_observable(rng, (d,))
-    target = random_state(rng, (d,))
-    return (drawn,), (state, target), None
+    target = _draw_state(rng, (d,))
+    return (drawn,), (state, target), ((d, len(drawn[0])), d * d)
 
 
 def _check_ll(trials: list) -> list:
-    rows = []
-    for (observable,), (state, target) in trials:
-        obs = Observable(state.dims, *observable)
-        # <psi|P_n psi>, a route independent of the kernel's branch_weights call.
-        born = (state.amps.conj() @ obs.split(state.amps)).real
-        branches, target_dev = _target_check(state, obs, target)
-        dev = max(abs(p - born[n]) for n, p, _ in branches)
-        # A post-state that misses the target fails the property, NaN included.
-        rows.append((np.maximum(dev, target_dev),))
-    return rows
+    # One _target_check call for trials of one d and branch count, unpadded,
+    # after the checks of their states, targets and observables.
+    psi, targets = (np.array([inputs[i] for _, inputs in trials]) for i in (0, 1))
+    _check_states(np.concatenate([psi, targets]))
+    obs = _checked_stack(psi.shape[1:], [observable for (observable,), _ in trials])
+    weights, target_devs, live, _ = _target_check(obs.dims, psi, obs, targets)
+    # <psi|P_n psi>, a route independent of the kernel's weights.
+    born = (psi.conj()[:, None] @ obs.split(psi))[:, 0].real
+    # A weight or post-state that misses fails the property, NaN included.
+    devs = np.maximum(np.where(live, np.abs(weights - born), 0.0).max(axis=1), target_devs)
+    return [(dev,) for dev in devs]
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ demonstrated.  The family is deterministic on eigenstates for every q and is
 defined on pure states; ensembles are handled by weighted mixing of the
 per-member distributions.  _entropy_check and _target_check implement the
 entropy and state-preparation claims once, for `bornsim verify` and `run`.
-The density kernels take a stack of densities and a _Stack of observables;
-`run` and the public channels call them on a stack of one.  State
+The kernels take a stack of states or densities and a _Stack of
+observables; `run` and the public functions call them on a stack of one.
+_collapsed is the package's one collapse P_i psi / ||P_i psi||.  State
 preparation steers each collapsed branch to the target with one Householder
 reflection, so this module factors no matrix.  The LL kernel applies them
 as vectors to unchecked post-states, so a wrong one shows as its deviation
@@ -86,11 +87,16 @@ class MeasurementRecord:
     post_state: StateVector
 
 
+def _matched(dims, obs):
+    # obs, an Observable or a _Stack, after the check that it acts on dims.
+    if obs.dims != dims:
+        raise InvalidInputError(f"dims mismatch {obs.dims} vs {dims}")
+    return obs
+
+
 def branch_weights(state: StateVector, obs: Observable) -> np.ndarray:
     """Born branch weights ||P_i psi||^2: block sums of |V^dag psi|^2."""
-    if obs.dims != state.dims:
-        raise InvalidInputError(f"dims mismatch {obs.dims} vs {state.dims}")
-    return obs.weights(state.amps)
+    return _matched(state.dims, obs).weights(state.amps)
 
 
 def _transform_weights(weights: np.ndarray, rule: ProbabilityRule) -> np.ndarray:
@@ -118,21 +124,22 @@ def rule_probabilities(
 def project_update(state: StateVector, obs: Observable, branch: int) -> StateVector:
     """Collapse onto one branch: P_i psi / ||P_i psi||, with P_i = V_i V_i^dag."""
     obs.eigenvalue(branch)  # range check
-    return StateVector(state.dims, _collapsed(state, obs, np.array([branch]))[:, 0])
+    parts = _collapsed(state.dims, state.amps[None], obs._stack, np.array([branch]), True)
+    return StateVector(state.dims, parts[0, :, 0])
 
 
-def _collapsed(state: StateVector, obs: Observable, branches: np.ndarray) -> np.ndarray:
-    # Columns P_i psi / ||P_i psi|| for the given branch indices; a branch of
-    # weight at or below ZERO_PROB_CUTOFF raises.
-    if obs.dims != state.dims:
-        raise InvalidInputError(f"dims mismatch {obs.dims} vs {state.dims}")
-    cols = obs.split(state.amps, branches)
-    norms = np.linalg.norm(cols, axis=0)
-    dead = np.flatnonzero(norms**2 <= ZERO_PROB_CUTOFF)
-    if dead.size:
-        k = dead[0]
-        raise ZeroProbabilityBranchError(f"branch {branches[k]} has weight {norms[k]**2!r}")
-    return cols / norms
+def _collapsed(dims, psi: np.ndarray, obs, columns, live) -> np.ndarray:
+    # P_i psi (S, D, len(columns)) for states psi (S, D) of dims and the
+    # branches of a _Stack that columns picks; the parts live (S, len(columns),
+    # or True) marks are normalised, and one of weight <= ZERO_PROB_CUTOFF raises.
+    parts = _matched(dims, obs).split(psi, columns)
+    norms = np.linalg.norm(parts, axis=-2)
+    weak = live & (norms**2 <= ZERO_PROB_CUTOFF)
+    if weak.any():
+        s, j = np.argwhere(weak)[0]
+        branch = np.arange(obs.indicator.shape[-1])[columns][j]
+        raise ZeroProbabilityBranchError(f"branch {branch} has weight {norms[s, j]**2!r}")
+    return parts / np.where(live, norms, 1.0)[..., None, :]
 
 
 def measure_selective(
@@ -181,24 +188,30 @@ def ll_channel(
             raise NotUnitaryError(f"post-measurement operator {n} is not unitary")
     weights = branch_weights(state, obs)
     live = np.flatnonzero(weights > ZERO_PROB_CUTOFF)
-    return [
-        MeasurementRecord(n, obs.eigenvalue(n), float(weights[n]),
-                          StateVector(state.dims, post_unitaries[n].entries @ x))
-        for n, x in zip(live.tolist(), _collapsed(state, obs, live).T)
-    ]
+    parts = _collapsed(state.dims, state.amps[None], obs._stack, live, True)[0]
+    return [MeasurementRecord(n, obs.eigenvalue(n), float(weights[n]),
+                              StateVector(state.dims, post_unitaries[n].entries @ x))
+            for n, x in zip(live.tolist(), parts.T)]
 
 
-def _householder(state: StateVector, obs: Observable, target: StateVector) -> tuple:
-    # The Born weights, the live branches, their collapsed columns x_n, and per
-    # live branch w_n, e^{ia_n} and 2 / ||w_n||^2 of state_preparation_unitaries.
+def _stack_of_one(state: StateVector, obs: Observable, target: StateVector) -> tuple:
+    # (dims, states, _Stack, targets) of one state, after the target's dims check.
     if target.dims != state.dims:
         raise InvalidInputError(f"target dims {target.dims} != {state.dims}")
-    weights = branch_weights(state, obs)
-    live = np.flatnonzero(weights > ZERO_PROB_CUTOFF).tolist()
-    cols = _collapsed(state, obs, live)
-    phases = np.exp(1j * np.angle(target.amps.conj() @ cols))
-    w = cols + phases * target.amps[:, None]
-    return weights, live, cols, w, phases, 2.0 / np.einsum("ij,ij->j", w.conj(), w).real
+    return state.dims, state.amps[None], obs._stack, target.amps[None]
+
+
+def _householder(dims, psi: np.ndarray, obs, targets: np.ndarray) -> tuple:
+    # Born weights and live mask (S, K) of states psi (S, D) of dims under a
+    # _Stack, and for the n branches live in any state the collapsed parts x_n
+    # (S, D, n) and w_n, e^{ia_n}, 2 / ||w_n||^2 of state_preparation_unitaries.
+    weights = _matched(dims, obs).weights(psi)
+    live = weights > ZERO_PROB_CUTOFF
+    columns = np.flatnonzero(live.any(axis=0))
+    x = _collapsed(dims, psi, obs, columns, live[:, columns])
+    phases = np.exp(1j * np.angle(targets.conj()[:, None] @ x))
+    w = x + phases * targets[..., None]
+    return weights, live, x, w, phases[:, 0], 2.0 / np.einsum("sij,sij->sj", w.conj(), w).real
 
 
 def state_preparation_unitaries(
@@ -212,23 +225,24 @@ def state_preparation_unitaries(
     U_n = (2 w w^dag / ||w||^2 - 1) e^{-ia}, where ||w||^2 >= 2.  Dead
     branches get the identity.
     """
-    _, live, _, w, phases, scale = _householder(state, obs, target)
+    _, live, _, w, phases, scale = _householder(*_stack_of_one(state, obs, target))
     eye = np.eye(state.dim)
     out = [Operator(state.dims, eye)] * obs.branch_count
-    for n, wn, phase, c in zip(live, w.T, phases, scale):
+    for n, wn, phase, c in zip(np.flatnonzero(live[0]).tolist(), w[0].T, phases[0], scale[0]):
         out[n] = Operator(state.dims, (c * np.outer(wn, wn.conj()) - eye) * phase.conjugate())
     return out
 
 
-def _target_check(state: StateVector, obs: Observable, target: StateVector) -> tuple:
-    # Per live branch n, its Born weight and its LL post-state
-    # U_n x_n = e^{-ia} (2 w (w^dag x_n) / ||w||^2 - x_n) applied as a vector,
-    # unchecked, as (n, weight, amplitudes) triples, and the worst amplitude
-    # deviation of the post-states from target.
-    weights, live, cols, w, phases, scale = _householder(state, obs, target)
-    posts = (scale * np.einsum("ij,ij->j", w.conj(), cols) * w - cols) * phases.conj()
-    branches = [(n, float(weights[n]), x) for n, x in zip(live, posts.T)]
-    return branches, float(np.abs(posts.T - target.amps).max())
+def _target_check(dims, psi: np.ndarray, obs, targets: np.ndarray) -> tuple:
+    # The claim on _householder's inputs: its weights, each state's worst
+    # amplitude deviation of its live posts from its target, its live mask, and
+    # its parts' LL post-states U_n x_n = e^{-ia} (2 w (w^dag x_n) / ||w||^2 - x_n),
+    # unchecked.
+    weights, live, x, w, phases, scale = _householder(dims, psi, obs, targets)
+    overlap = (scale * np.einsum("sij,sij->sj", w.conj(), x))[:, None]
+    posts = (overlap * w - x) * phases.conj()[:, None]
+    miss = np.where(live[:, None, live.any(axis=0)], np.abs(posts - targets[..., None]), 0.0)
+    return weights, miss.max(axis=(1, 2)), live, posts
 
 
 def phase_unitaries(
@@ -257,9 +271,7 @@ def nonselective_channel(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
 def _dephase(dims, rho: np.ndarray, obs) -> tuple[np.ndarray, np.ndarray]:
     # B = V^dag rho V cut to its diagonal blocks, and V B V^dag = sum_i P_i rho P_i,
     # for densities rho (S, d, d) of dims and a _Stack.
-    if obs.dims != dims:
-        raise InvalidInputError(f"dims mismatch {obs.dims} vs {dims}")
-    blocks = obs.adjoint @ rho @ obs.basis
+    blocks = _matched(dims, obs).adjoint @ rho @ obs.basis
     blocks *= obs.labels[:, :, None] == obs.labels[:, None, :]
     return blocks, obs.basis @ blocks @ obs.adjoint
 

@@ -12,12 +12,12 @@ in the computational basis realizes the measurement without any direct
 reference to a collapse rule.  The joint statistics reproduce the projection
 postulate: p(j|i) equals the Born distribution of the second observable on
 the collapsed state P_i psi / ||P_i psi||.  The check takes the collapsed
-states of all live rows from psi alone, and their Born rows as the second
-observable's branch weights; the two- and one-pointer joints of one state
-and observable pair share those rows.  _pointer_check implements the claim
-once, for `bornsim verify` and `run`; only verify and two_pointer scenarios
-add the oracle gap (_oracle_gap), so a one_pointer run never allocates the
-oracle's register tensor.
+states of all live rows from psi alone, by measurement._collapsed, and
+their Born rows as the second observable's branch weights; the two- and
+one-pointer joints of one state and observable pair share those rows.
+_pointer_check implements the claim once, for `bornsim verify` and `run`;
+only verify and two_pointer scenarios add the oracle gap (_oracle_gap), so a
+one_pointer run never allocates the oracle's register tensor.
 
 Every array function of this module (the runs, the Born rows, the
 oracle, _pointer_check and _oracle_gap) takes setups of one system
@@ -60,7 +60,7 @@ import numpy as np
 
 from .core import OutcomeDistribution, StateVector, _check_states, _checked_probabilities
 from .errors import InvalidInputError, ZeroProbabilityBranchError
-from .measurement import BORN, ZERO_PROB_CUTOFF, _transform_weights
+from .measurement import BORN, ZERO_PROB_CUTOFF, _collapsed, _transform_weights
 from .observables import Observable
 
 TWO_POINTER = "two_pointer"
@@ -273,21 +273,12 @@ def conditional_b_given_a(joint: JointDistribution, branch_a: int) -> OutcomeDis
 
 def _born_rows(psi: np.ndarray, obs_a, obs_b, live: np.ndarray, columns=slice(None)) -> np.ndarray:
     # Born_j(P_i psi0 / ||P_i psi0||) for the rows i that columns picks (all
-    # by default; it picks every live one), from one split of psi0 into those
-    # parts: each live part is normalised (a live part of weight at or below
-    # ZERO_PROB_CUTOFF raises) and the obs_b branch weights of all of them
-    # come from one product.  A row that live does not mark holds 1/nb in
-    # every entry; no deviation reads it.  psi (S, d) and live (S, na) stack
-    # setups with obs_a and obs_b, and the rows are (S, len(columns), nb).
-    parts = obs_a.split(psi, columns)
+    # by default; it picks every live one), from one collapse and one product
+    # for the obs_b branch weights.  A row that live does not mark holds 1/nb
+    # in every entry; no deviation reads it.  psi (S, d) and live (S, na)
+    # stack setups with obs_a and obs_b; the rows are (S, len(columns), nb).
     picked = live[..., columns]
-    norms = np.linalg.norm(parts, axis=-2)
-    weak = picked & (norms**2 <= ZERO_PROB_CUTOFF)
-    if weak.any():
-        at = tuple(np.argwhere(weak)[0])
-        branch = np.arange(live.shape[-1])[columns][at[-1]]
-        raise ZeroProbabilityBranchError(f"branch {branch} has weight {norms[at]**2!r}")
-    weights = obs_b.weights(parts / np.where(picked, norms, 1.0)[..., None, :])
+    weights = obs_b.weights(_collapsed(obs_a.dims, psi, obs_a, columns, picked))
     return _transform_weights(np.where(picked[..., None], weights, 1.0), BORN)
 
 

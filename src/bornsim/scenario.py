@@ -33,6 +33,7 @@ from .measurement import (
     MeasurementRecord,
     ProbabilityRule,
     _entropy_check,
+    _stack_of_one,
     _target_check,
     ll_channel,
     phase_unitaries,
@@ -351,15 +352,15 @@ def _run_ll(scn: Scenario) -> Records:
         eye = np.eye(state.dim, dtype=complex)
         output = ll_channel(state, obs, [Operator(state.dims, eye)] * obs.branch_count)
     else:
-        branches, dev = _target_check(state, obs, target)
-        output = [MeasurementRecord(n, obs.eigenvalue(n), p, StateVector(state.dims, x))
-                  for n, p, x in branches]
-    for rec in output:
-        records.append((f"p.{rec.branch_index}", fmt_real(rec.probability)))
+        weights, dev, live, posts = _target_check(*_stack_of_one(state, obs, target))
+        branches = zip(np.flatnonzero(live[0]).tolist(), posts[0].T)
+        output = [MeasurementRecord(n, obs.eigenvalue(n), float(weights[0, n]),
+                                    StateVector(state.dims, x)) for n, x in branches]
+    records += [(f"p.{rec.branch_index}", fmt_real(rec.probability)) for rec in output]
     for rec in output:
         records += _state_records(f"post_state.{rec.branch_index}", rec.post_state)
     if target is not None:
-        records.append(("max_target_deviation", fmt_real(dev)))
+        records.append(("max_target_deviation", fmt_real(dev[0])))
     return records
 
 

@@ -704,9 +704,10 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     # directions off one W per trial, the W of trials of one shape from one
     # call.  The entropy battery checks its densities as arrays: no
     # DensityMatrix, per trial or per branch.
-    # The LL battery runs its kernel once per trial, with one weights call and
-    # one collapse, and applies the reflections as vectors: no channel run, no
-    # Operator built (Operator.__post_init__) and no unitarity check.
+    # The LL battery runs its kernel once per stack of trials of one d and
+    # branch count, with one collapse, and applies the reflections as
+    # vectors: no channel run, no Operator built (Operator.__post_init__)
+    # and no unitarity check.  No battery builds an object per trial.
     set_workers(monkeypatch, 1)
     calls, battery = Counter(), [None]
 
@@ -751,9 +752,8 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     monkeypatch.setattr(core.StateVector, "_checked", classmethod(checked))
     code, _, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
     assert code == 0
-    for stream in (cli._POINTER.stream, cli._NO_SIGNALING.stream):
-        assert [calls[stream, cls.__name__] for cls in classes[:4]] == [0, 0, 0, 0]
-    assert calls[cli._ENTROPY.stream, "DensityMatrix"] == 0
+    for row in (cli._POINTER, cli._NO_SIGNALING, cli._ENTROPY, cli._LL):
+        assert [calls[row.stream, cls.__name__] for cls in classes] == [0] * len(classes)
     stream = cli._POINTER.stream
     assert [calls[stream, name] for name in list(homes)[:3]] == [0, 0, 0]
     # One W for each shape of the 10 no-signaling trials, stacked: one call.
@@ -761,16 +761,16 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
               for t in range(10)}
     stream = cli._NO_SIGNALING.stream
     assert (calls[stream, "_cell_weights"], calls[stream, "scenarios"]) == (len(shapes), 10)
-    # max(50, 10 // 4) LL trials, each one kernel call, one weights call and one collapse.
+    # max(50, 10 // 4) LL trials, one kernel call and one collapse for each
+    # (d, branch count) among them, stacked.
+    keys = {cli._ll_trial(np.random.default_rng([1234, 5, t]), t, 4)[2][0] for t in range(50)}
     ll = {name: calls[cli._LL.stream, name] for name in list(homes)[4:]}
-    assert ll == {"_target_check": 50, "branch_weights": 50, "_collapsed": 50,
+    assert ll == {"_target_check": len(keys), "branch_weights": 0, "_collapsed": len(keys),
                   "ll_channel": 0, "__post_init__": 0, "is_unitary": 0}
-    # The hooks are live: the one-shot checks outside the batteries hit them,
-    # and the LL battery builds its trials' objects.
+    # The hooks are live: the one-shot checks outside the batteries hit them.
     assert calls[None, "rule_probabilities"] > 0 and calls[None, "_cell_weights"] > 0
     assert calls[None, "PointerSchemeSetup"] > 0 and calls[None, "TelepathyScenario"] > 0
-    assert calls[cli._LL.stream, "Observable"] == 50
-    assert calls[cli._LL.stream, "StateVector"] >= 100
+    assert calls[None, "Observable"] > 0 and calls[None, "StateVector"] > 0
 
 
 @pytest.mark.parametrize(
@@ -916,12 +916,9 @@ def test_scenario_parser_fuzz_exits_cleanly(tmp_path, text):
 
 def test_ll_channel_invariance_fails_on_shifted_weights(capsys, monkeypatch):
     # The property's reference probabilities are <psi|P_n psi>, not the
-    # branch_weights function the LL kernel calls, so weights off by 1e-9
-    # must FAIL wherever the function is bound.
-    original = measurement.branch_weights
-    for module in (measurement, pointer, scenario, signaling, cli):
-        if getattr(module, "branch_weights", None) is original:
-            monkeypatch.setattr(module, "branch_weights", lambda *a: original(*a) + 1e-9)
+    # weights the LL kernel computes, so weights off by 1e-9 must FAIL
+    # wherever the kernel is bound.
+    _patch_everywhere(monkeypatch, "_householder", _shift_weights)
     code, out, _ = run_cli(capsys, "verify", "--trials", "40")
     assert code == 1
     failed = [l.split()[0] for l in out.splitlines() if l.endswith("FAIL")]
@@ -1124,12 +1121,36 @@ def _shift_born_mass(original):
     return mutant
 
 
+def _shift_weights(original):
+    # The helper's Born weights (its first output) off by 1e-9, after it has
+    # chosen the live branches.
+    def mutant(*args):
+        weights, *rest = original(*args)
+        return (weights + 1e-9, *rest)
+
+    return mutant
+
+
+def _nan_last_weight(original):
+    # The helper's Born weight of the last of several branches set to NaN,
+    # after it has chosen the live branches: the NaN follows a number in each
+    # trial's weights, so a max that keeps the earlier of the two misses it.
+    def mutant(*args):
+        weights, *rest = original(*args)
+        weights = weights.copy()
+        if weights.shape[-1] > 1:
+            weights[..., -1] = np.nan
+        return (weights, *rest)
+
+    return mutant
+
+
 def _drop_reflection_phase(original):
     # The helper's phases e^{ia}, a = arg<target|P_n psi>, set to 1 after w is
     # built: a live branch's reflection loses its e^{-ia} factor and sends x_n
     # to e^{ia} target.
-    def mutant(state, obs, target):
-        *head, phases, scale = original(state, obs, target)
+    def mutant(*args):
+        *head, phases, scale = original(*args)
         return (*head, np.ones_like(phases), scale)
 
     return mutant
@@ -1139,8 +1160,8 @@ def _scale_reflection_coefficient(original):
     # The reflection coefficient 2 / ||w||^2 times 1 + 1e-11: U_n x_n misses the
     # target by 1e-11 e^{-ia} w, above the property's 1e-12 limit, while its
     # norm moves by at most 2e-11, within the 1e-10 a StateVector accepts.
-    def mutant(state, obs, target):
-        *head, scale = original(state, obs, target)
+    def mutant(*args):
+        *head, scale = original(*args)
         return (*head, scale * (1 + 1e-11))
 
     return mutant
@@ -1150,8 +1171,8 @@ def _overscale_reflection_coefficient(original):
     # The reflection coefficient 2 / ||w||^2 times 1 + 1e-9: U_n x_n misses the
     # target by 1e-9 e^{-ia} w, and its norm moves by more than the 1e-10 a
     # StateVector accepts.  verify reports the miss; it does not abort.
-    def mutant(state, obs, target):
-        *head, scale = original(state, obs, target)
+    def mutant(*args):
+        *head, scale = original(*args)
         return (*head, scale * (1 + 1e-9))
 
     return mutant
@@ -1168,7 +1189,7 @@ def _patch_everywhere(monkeypatch, name, mutant):
 
 
 # Each mutant must FAIL its own property and no other; every property has
-# one, and ll_channel_invariance has three beyond the shifted branch weights
+# one, and ll_channel_invariance has four beyond the shifted branch weights
 # of test_ll_channel_invariance_fails_on_shifted_weights.
 # Equivalent mutants, listed and not tested: W transposed in the Born arms
 # (verify checks both directions, and Born signals in neither); entropies in
@@ -1190,6 +1211,7 @@ def _patch_everywhere(monkeypatch, name, mutant):
         ("_householder", _drop_reflection_phase, "ll_channel_invariance"),
         ("_householder", _scale_reflection_coefficient, "ll_channel_invariance"),
         ("_householder", _overscale_reflection_coefficient, "ll_channel_invariance"),
+        ("_householder", _nan_last_weight, "ll_channel_invariance"),
     ],
 )
 def test_each_pointer_property_fails_on_its_defect(capsys, monkeypatch, name, mutant, prop):
@@ -1615,14 +1637,16 @@ def _entropy_row(rho, obs):
 
 @pytest.mark.parametrize("seed", [1, 7, 1234])
 def test_a_trials_row_does_not_depend_on_its_stack(seed):
-    # Every pointer, no-signaling and entropy trial's row, checked alone and
-    # in one stack with all the other trials of its key (up to 20 of them):
-    # the same bits.  And a padded row agrees with the unpadded objects; an
-    # entropy row has the bits of the unpadded kernel's.
+    # Every pointer, no-signaling, entropy and LL trial's row, checked alone
+    # and in one stack with all the other trials of its key (up to 20 of
+    # them): the same bits.  And a padded row agrees with the unpadded
+    # objects; an entropy row has the bits of the unpadded kernel's, and an
+    # LL row agrees with the public channel and its dense reflections.
     for row, count, dims_limit, largest in ((cli._POINTER, 100, 6, 12),
                                             (cli._POINTER, 40, cli._MAX_PADDED_DIM, 3),
                                             (cli._NO_SIGNALING, 100, 4, 8),
-                                            (cli._ENTROPY, 100, 6, 10)):
+                                            (cli._ENTROPY, 100, 6, 10),
+                                            (cli._LL, 100, 6, 11)):
         stacks = {}
         for drawn, inputs, (key, _) in _built_trials(row, seed, count, dims_limit):
             stacks.setdefault(key, []).append((drawn, inputs))
@@ -1645,6 +1669,16 @@ def test_a_trials_row_does_not_depend_on_its_stack(seed):
                         core.StateVector(inputs.shape, inputs), *built))
                     want, tol = (max(signaling._signaling_check(w, measurement.BORN)[2]
                                      for w in (cells, cells.T)),), 1e-14
+                elif row is cli._LL:
+                    (obs,) = built
+                    state, target = (core.StateVector(obs.dims, x) for x in inputs)
+                    records = measurement.ll_channel(
+                        state, obs, measurement.state_preparation_unitaries(state, obs, target))
+                    born = [np.vdot(state.amps, p.entries @ state.amps).real
+                            for p in obs.projectors]
+                    want, tol = (max(max(abs(rec.probability - born[rec.branch_index]),
+                                         np.abs(rec.post_state.amps - target.amps).max())
+                                     for rec in records),), 1e-13
                 else:
                     # The unpadded kernel on a stack of one, as `run` calls it:
                     # the same bits.

@@ -33,6 +33,7 @@ from bornsim import (
 from bornsim import cli, core, measurement, scenario
 from bornsim.measurement import (
     _householder,
+    _stack_of_one,
     _target_check,
     _transform_weights,
 )
@@ -328,11 +329,19 @@ def test_state_preparation_reflections_are_unitary_and_hit_the_target(case):
         _assert_kernel_matches_dense_path(state, obs, target)
 
 
+def _target_branches(state, obs, target):
+    # The LL kernel on one state, as `run` calls it: (branch, weight,
+    # post-state) per live branch, and the worst deviation from the target.
+    weights, dev, live, posts = _target_check(*_stack_of_one(state, obs, target))
+    branches = np.flatnonzero(live[0]).tolist()
+    return [(n, float(weights[0, n]), x) for n, x in zip(branches, posts[0].T)], float(dev[0])
+
+
 def _assert_kernel_matches_dense_path(state, obs, target):
     # The LL kernel, which applies the reflections as vectors, against
     # ll_channel with the materialised state-preparation unitaries; and
     # ||w_n||^2 = 2 (1 + |<target|x_n>|) >= 2 on the shared helper's output.
-    records, dev = _target_check(state, obs, target)
+    records, dev = _target_branches(state, obs, target)
     dense = ll_channel(state, obs, state_preparation_unitaries(state, obs, target))
     assert [n for n, _, _ in records] == [rec.branch_index for rec in dense]
     assert [p for _, p, _ in records] == [rec.probability for rec in dense]
@@ -340,8 +349,8 @@ def _assert_kernel_matches_dense_path(state, obs, target):
         assert obs.eigenvalue(n) == ref.eigenvalue
         assert np.max(np.abs(post - ref.post_state.amps)) <= 1e-13
     assert dev == max(np.max(np.abs(post - target.amps)) for _, _, post in records)
-    *_, w, _, scale = _householder(state, obs, target)
-    norms = np.linalg.norm(w, axis=0) ** 2
+    *_, w, _, scale = _householder(*_stack_of_one(state, obs, target))
+    norms = np.linalg.norm(w[0], axis=0) ** 2
     assert np.all(norms >= 2.0 - 1e-14)
     assert np.max(np.abs(scale * norms - 2.0)) <= 1e-14
     return records
@@ -419,7 +428,7 @@ class TestStatePreparation:
         _assert_kernel_matches_dense_path(PLUS, SIGMA_Z, up)
 
     def test_target_dims_mismatch(self):
-        for prepare in (state_preparation_unitaries, _target_check):
+        for prepare in (state_preparation_unitaries, _target_branches):
             with pytest.raises(InvalidInputError, match=r"target dims \(3,\) != \(2,\)"):
                 prepare(PLUS, SIGMA_Z, basis_state(3, 0))
 

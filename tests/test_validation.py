@@ -8,7 +8,7 @@ import pytest
 
 from bornsim.core import DensityMatrix, Operator, OutcomeDistribution, StateVector, tensor
 from bornsim.errors import InvalidDensityError, InvalidInputError, InvalidProjectorFamilyError
-from bornsim.measurement import project_update
+from bornsim.measurement import ll_channel, project_update, state_preparation_unitaries
 from bornsim.observables import Observable, observable_from_branches, observable_from_matrix
 from bornsim.pointer import JointDistribution, PointerSchemeSetup
 
@@ -26,6 +26,7 @@ _HALF = np.full((2, 2), 0.5, dtype=complex)  # the density of |+>
 _EYE = np.eye(2, dtype=complex)
 _P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 _SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
+_QUTRIT = StateVector((3,), [1.0, 0.0, 0.0])
 
 REJECTED = [
     # (case, constructor, exception class, exact message)
@@ -97,6 +98,11 @@ REJECTED = [
      InvalidInputError, "second observable dims (3,) != state dims (2,)"),
     ("project_update dims", lambda: project_update(StateVector((3,), [1.0, 0.0, 0.0]),
                                                    _SIGMA_Z, 0),
+     InvalidInputError, "dims mismatch (2,) vs (3,)"),
+    ("state_preparation_unitaries dims",
+     lambda: state_preparation_unitaries(_QUTRIT, _SIGMA_Z, _QUTRIT),
+     InvalidInputError, "dims mismatch (2,) vs (3,)"),
+    ("ll_channel dims", lambda: ll_channel(_QUTRIT, _SIGMA_Z, [Operator((3,), np.eye(3))] * 2),
      InvalidInputError, "dims mismatch (2,) vs (3,)"),
     ("tensor of nothing", lambda: tensor([]),
      InvalidInputError, "tensor of zero factors"),
