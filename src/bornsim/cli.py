@@ -18,13 +18,14 @@ stack key are checked as arrays, in stacks of at most HAAR_STACK_AMPS
 register amplitudes, one kernel call each: a stack runs every check of its
 trials' objects once, through the checkers the constructors call.  Pointer
 trials of one d up to _MAX_PADDED_DIM pad their branch axes and registers
-to d (larger ones run alone, unpadded), no-signaling trials of one shape pad
-their cells to d_A x d_B, entropy trials of one d their branch axes to d,
-and LL trials of one d and branch count are not padded.  A stack's rows
-are those of its trials checked alone, so the output does not depend on how
-trials fall into stacks or shares; a stack that raises is checked again a
-trial at a time, so the error is the lowest failing trial's, or, if every
-trial passes alone, the stack's own, named after its lowest trial.
+to d, larger ones of one d and branch counts are not padded, no-signaling
+trials of one shape pad their cells to d_A x d_B, entropy trials of one d
+their branch axes to d, and LL trials of one d and branch count are not
+padded.  Kernels compute every branch column and mask the live ones, so a
+stack's rows are its trials' rows checked alone, whatever the stacks and
+shares; a stack that raises is checked again a trial at a time, so the
+error is the lowest failing trial's, or, if every trial passes alone, the
+stack's own, named after its lowest trial.
 
 Each row's trials run on the CPUs in the process's affinity mask: share w of
 W takes trials t = w (mod W) of every row.  verify forks one set of W - 1
@@ -42,7 +43,8 @@ over one worker's peak at --dims-limit.
 main parses with one argparse parser per process, built on its first call,
 so in-process callers (tests, benchmarks, library use) pay for it once.
 
-Exit codes: 0 success, 1 verify property failure, 2 parse/usage error
+Exit codes: 0 success, 1 verify property failure or stdout closed early
+(as by `| head`, with nothing on stderr), 2 parse/usage error
 (including a negative seed and a --dims-limit above MAX_DIMS_LIMIT = 256),
 3 numerical invariant violation (including a pointer setup whose state
 exceeds pointer.POINTER_STATE_MAX_AMPS amplitudes, and a telepathy scenario
@@ -237,16 +239,16 @@ def _check_born_marginals() -> Check:
 # A trial has two phases.  Called, it makes every rng call of the trial, in
 # the order random_state and random_observable would make them, and returns
 # each observable it drew as its (eigenvalues, Ginibre matrix, labels), in
-# draw order, the rest of the trial's inputs as arrays, and its stack: None
-# for a trial checked alone, else (key, amplitudes), where trials of one key
-# share calls of at most HAAR_STACK_AMPS amplitudes.  A battery's check takes
+# draw order, the rest of the trial's inputs as arrays, and its stack: (key,
+# amplitudes), where trials of one key share calls of at most HAAR_STACK_AMPS
+# amplitudes (a larger trial takes a call alone).  A battery's check takes
 # a stack's trials as (observables, inputs) pairs, each observable's Ginibre
 # matrix replaced by its Haar basis, runs on the stack every check the
 # trials' objects would run, and returns one row per trial: a deviation per
 # property of its battery, then its tallies (0 or 1 each).  A trial's key and
 # padding depend on its own draws alone.
 
-# Largest d at which pointer trials are padded and stacked.  A padded trial
+# Largest d at which pointer trials are padded.  A padded trial
 # computes d x d x d registers where an unpadded one computes d x k_A x k_B,
 # about a quarter of that for uniform branch counts, so past a point the
 # padding costs more than the per-call overhead stacking saves: per trial,
@@ -257,8 +259,7 @@ _MAX_PADDED_DIM = 16
 
 
 def _padding(d: int) -> int | None:
-    # The width a pointer trial at d pads its branch and pointer axes to: d
-    # up to _MAX_PADDED_DIM, else None, and the trial runs alone and unpadded.
+    # The width a pointer trial at d pads its branch and pointer axes to, or None.
     return d if d <= _MAX_PADDED_DIM else None
 
 
@@ -267,14 +268,15 @@ def _pointer_trial(rng, t: int, dims_limit: int) -> tuple:
     degenerate = d >= 3 and t % 3 == 0
     drawn = (_draw_observable(rng, (d,), degenerate), _draw_observable(rng, (d,), degenerate))
     state = _draw_state(rng, (d,))
-    return drawn, (state, degenerate), None if _padding(d) is None else (d, d**3)
+    na, nb = (_padding(d) or len(values) for values, _, _ in drawn)
+    return drawn, (state, degenerate), ((d, na, nb), d * na * nb)
 
 
 def _check_pointer(trials: list) -> list:
     # One _pointer_check and one _oracle_gap call, on one stack, for trials
-    # of one d, after the checks of their states, observables and setups;
-    # the pointers, and the oracle's registers, are as wide as the padded
-    # branch axes.
+    # of one d (and, unpadded, one pair of branch counts), after the checks
+    # of their states, observables and setups; the pointers, and the
+    # oracle's registers, are as wide as the branch axes.
     psi = np.array([state for _, (state, _) in trials])
     dims = psi.shape[1:]
     pad = _padding(dims[0])
@@ -282,8 +284,7 @@ def _check_pointer(trials: list) -> list:
     obs_a, obs_b = (_checked_stack(dims, [drawn[i] for drawn, _ in trials], pad) for i in (0, 1))
     _check_setups(dims, obs_a, obs_b, obs_a.indicator.shape[-1], obs_b.indicator.shape[-1])
     stacked = psi, obs_a, obs_b
-    _, (joint, _), deviations, scheme_gaps = _pointer_check(stacked, one=True,
-                                                           padded=pad is not None)
+    _, (joint, _), deviations, scheme_gaps = _pointer_check(stacked, one=True)
     oracle_gaps = _oracle_gap(stacked, joint, *joint.shape[1:])
     return [(dev, scheme, oracle, degenerate) for dev, scheme, oracle, (_, (_, degenerate))
             in zip(deviations.max(axis=1), scheme_gaps, oracle_gaps, trials)]
@@ -381,9 +382,9 @@ _LL = _Battery((("ll_channel_invariance", 1e-12),), 5, _ll_trial, _check_ll, few
 # holds.  That is d x d x d for a pointer trial at d with d branches per
 # observable, whose two-pointer state, copies and temporaries peaked at 62,
 # 120, 233, 417 and 692 MB for d = 64, 96, 128, 160 and 192 (numpy 2.4, BLAS
-# on one thread): 38 MB plus 6.06 such arrays; at d = 256, 1.6 GB.  A stack of
-# padded trials holds up to HAAR_STACK_AMPS register amplitudes, more than
-# d x d x d below d = 41.  The verify process peaked at 43.2 MB at
+# on one thread): 38 MB plus 6.06 such arrays; at d = 256, 1.6 GB.  A stack
+# holds up to HAAR_STACK_AMPS register amplitudes (a larger trial, alone),
+# more than d x d x d below d = 41.  The verify process peaked at 43.2 MB at
 # --dims-limit 16, the largest padded d (40.0 MB unstacked), and at 46.2 MB
 # at --dims-limit 40 (46.0 MB unstacked); the base is set 2 MB above the
 # 40 MB of the fit above so that these stay under the bound.
@@ -448,9 +449,9 @@ def _check_chunk(row: _Battery, chunk: list):
     """
     stacks, filling = [], {}  # filling: key -> [trials, amplitudes] of its last stack
     for trial in chunk:
-        key, amps = trial[3] or (None, 0)
+        key, amps = trial[3]
         last = filling.get(key)
-        if key is None or last is None or last[1] + amps > HAAR_STACK_AMPS:
+        if last is None or last[1] + amps > HAAR_STACK_AMPS:
             last = filling[key] = [[], 0]
             stacks.append(last[0])
         last[0].append(trial)
@@ -677,7 +678,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     command = {"run": cmd_run, "verify": cmd_verify, "presets": cmd_presets}[args.command]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's recipe: stdout to devnull, so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ScenarioParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -187,11 +187,11 @@ def ll_channel(
         if not u.is_unitary(UNITARY_TOL):
             raise NotUnitaryError(f"post-measurement operator {n} is not unitary")
     weights = branch_weights(state, obs)
-    live = np.flatnonzero(weights > ZERO_PROB_CUTOFF)
-    parts = _collapsed(state.dims, state.amps[None], obs._stack, live, True)[0]
+    live = weights > ZERO_PROB_CUTOFF
+    parts = _collapsed(state.dims, state.amps[None], obs._stack, slice(None), live)[0]
     return [MeasurementRecord(n, obs.eigenvalue(n), float(weights[n]),
-                              StateVector(state.dims, post_unitaries[n].entries @ x))
-            for n, x in zip(live.tolist(), parts.T)]
+                              StateVector(state.dims, post_unitaries[n].entries @ parts[:, n]))
+            for n in np.flatnonzero(live).tolist()]
 
 
 def _stack_of_one(state: StateVector, obs: Observable, target: StateVector) -> tuple:
@@ -203,12 +203,11 @@ def _stack_of_one(state: StateVector, obs: Observable, target: StateVector) -> t
 
 def _householder(dims, psi: np.ndarray, obs, targets: np.ndarray) -> tuple:
     # Born weights and live mask (S, K) of states psi (S, D) of dims under a
-    # _Stack, and for the n branches live in any state the collapsed parts x_n
-    # (S, D, n) and w_n, e^{ia_n}, 2 / ||w_n||^2 of state_preparation_unitaries.
+    # _Stack, and per branch the collapsed parts x_n (S, D, K), normalised where
+    # live, and w_n, e^{ia_n}, 2 / ||w_n||^2 (||w_n||^2 >= 1 where dead too).
     weights = _matched(dims, obs).weights(psi)
     live = weights > ZERO_PROB_CUTOFF
-    columns = np.flatnonzero(live.any(axis=0))
-    x = _collapsed(dims, psi, obs, columns, live[:, columns])
+    x = _collapsed(dims, psi, obs, slice(None), live)
     phases = np.exp(1j * np.angle(targets.conj()[:, None] @ x))
     w = x + phases * targets[..., None]
     return weights, live, x, w, phases[:, 0], 2.0 / np.einsum("sij,sij->sj", w.conj(), w).real
@@ -227,10 +226,9 @@ def state_preparation_unitaries(
     """
     _, live, _, w, phases, scale = _householder(*_stack_of_one(state, obs, target))
     eye = np.eye(state.dim)
-    out = [Operator(state.dims, eye)] * obs.branch_count
-    for n, wn, phase, c in zip(np.flatnonzero(live[0]).tolist(), w[0].T, phases[0], scale[0]):
-        out[n] = Operator(state.dims, (c * np.outer(wn, wn.conj()) - eye) * phase.conjugate())
-    return out
+    return [Operator(state.dims, (c * np.outer(wn, wn.conj()) - eye) * phase.conjugate()
+                     if alive else eye)
+            for alive, wn, phase, c in zip(live[0], w[0].T, phases[0], scale[0])]
 
 
 def _target_check(dims, psi: np.ndarray, obs, targets: np.ndarray) -> tuple:
@@ -241,7 +239,7 @@ def _target_check(dims, psi: np.ndarray, obs, targets: np.ndarray) -> tuple:
     weights, live, x, w, phases, scale = _householder(dims, psi, obs, targets)
     overlap = (scale * np.einsum("sij,sij->sj", w.conj(), x))[:, None]
     posts = (overlap * w - x) * phases.conj()[:, None]
-    miss = np.where(live[:, None, live.any(axis=0)], np.abs(posts - targets[..., None]), 0.0)
+    miss = np.where(live[:, None], np.abs(posts - targets[..., None]), 0.0)
     return weights, miss.max(axis=(1, 2)), live, posts
 
 

@@ -11,12 +11,13 @@ After the coupling, pointer position i tags branch i, so reading the pointers
 in the computational basis realizes the measurement without any direct
 reference to a collapse rule.  The joint statistics reproduce the projection
 postulate: p(j|i) equals the Born distribution of the second observable on
-the collapsed state P_i psi / ||P_i psi||.  The check takes the collapsed
-states of all live rows from psi alone, by measurement._collapsed, and
-their Born rows as the second observable's branch weights; the two- and
-one-pointer joints of one state and observable pair share those rows.
-_pointer_check implements the claim once, for `bornsim verify` and `run`;
-only verify and two_pointer scenarios add the oracle gap (_oracle_gap), so a
+the collapsed state P_i psi / ||P_i psi||.  The check collapses psi alone
+onto every branch, by measurement._collapsed, normalising the live ones a
+mask marks, and takes their Born rows as the second observable's branch
+weights; all joints of one state and observable pair share those rows.
+_pointer_check implements the claim for `bornsim verify` and `run`, and
+projection_equivalence_report for one scheme, from the same kernels; only
+verify and two_pointer scenarios add the oracle gap (_oracle_gap), so a
 one_pointer run never allocates the oracle's register tensor.
 
 Every array function of this module (the runs, the Born rows, the
@@ -28,7 +29,7 @@ arrays after _check_setups and the other constructors' checks ran on them.
 verify pads the branch axes and both pointer registers of its small-d
 trials to d, so every trial of a stack has the same shapes; padded branches
 have weight 0, and since the pointers start at |0> and move by less than d,
-padded pointer positions stay empty.  Products and reductions run per
+padded pointer positions stay empty.  All branch columns are computed, per
 slice, so a trial's numbers do not depend on the other trials of its stack.
 
 Because every pointer starts in |0> and each shift moves it by less than the
@@ -271,15 +272,13 @@ def conditional_b_given_a(joint: JointDistribution, branch_a: int) -> OutcomeDis
     return OutcomeDistribution(tuple(range(nb)), row / p_a)
 
 
-def _born_rows(psi: np.ndarray, obs_a, obs_b, live: np.ndarray, columns=slice(None)) -> np.ndarray:
-    # Born_j(P_i psi0 / ||P_i psi0||) for the rows i that columns picks (all
-    # by default; it picks every live one), from one collapse and one product
-    # for the obs_b branch weights.  A row that live does not mark holds 1/nb
-    # in every entry; no deviation reads it.  psi (S, d) and live (S, na)
-    # stack setups with obs_a and obs_b; the rows are (S, len(columns), nb).
-    picked = live[..., columns]
-    weights = obs_b.weights(_collapsed(obs_a.dims, psi, obs_a, columns, picked))
-    return _transform_weights(np.where(picked[..., None], weights, 1.0), BORN)
+def _born_rows(psi: np.ndarray, obs_a, obs_b, live: np.ndarray) -> np.ndarray:
+    # Born_j(P_i psi0 / ||P_i psi0||) for every row i, from one collapse and
+    # one product for the obs_b branch weights.  A row that live does not
+    # mark holds 1/nb in every entry; no deviation reads it.  psi (S, d) and
+    # live (S, na) stack setups with obs_a and obs_b; the rows are (S, na, nb).
+    weights = obs_b.weights(_collapsed(obs_a.dims, psi, obs_a, slice(None), live))
+    return _transform_weights(np.where(live[..., None], weights, 1.0), BORN)
 
 
 def _projection_deviations(joint: np.ndarray, born: np.ndarray) -> np.ndarray:
@@ -291,24 +290,17 @@ def _projection_deviations(joint: np.ndarray, born: np.ndarray) -> np.ndarray:
     return np.where(live[..., None], np.abs(cond - born), 0.0).max(axis=(-2, -1))
 
 
-def _projection_deviation(setup: PointerSchemeSetup, joint: JointDistribution) -> float:
-    # Worst |p(j|i) - Born_j(P_i psi0 / ||P_i psi0||)| over the live rows of
-    # a joint the setup has already produced.
-    live = joint.probs.sum(axis=1) > ZERO_PROB_CUTOFF
-    rows = np.flatnonzero(live)
-    born = _born_rows(*_stacked(setup), live[None], rows)
-    return float(_projection_deviations(joint.probs[rows], born[0]))
-
-
 def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
     """Worst |p(j|i) - Born_j(collapsed state)| over all live branch pairs.
 
     This is the quantitative check that the pointer readout statistics agree
     with the projection postulate applied to the small system alone.
     """
+    stacked = _stacked(setup)
     run = _two_pointer if setup.mode == TWO_POINTER else _one_pointer
-    joint = run(*_stacked(setup))[1]
-    return _projection_deviation(setup, JointDistribution(joint[0]))
+    joint = _checked_probabilities(run(*stacked)[1], "joint ", axis=(-2, -1))
+    born = _born_rows(*stacked, joint.sum(axis=-1) > ZERO_PROB_CUTOFF)
+    return float(_projection_deviations(joint, born)[0])
 
 
 def _oracle_cells(psi: np.ndarray, obs_a, obs_b, n: int, m: int) -> np.ndarray:
@@ -352,18 +344,15 @@ def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
     return JointDistribution(cells[:setup.obs_a.branch_count, :setup.obs_b.branch_count])
 
 
-def _pointer_check(stacked: tuple, one: bool = False, padded: bool = False) -> tuple:
+def _pointer_check(stacked: tuple, one: bool = False) -> tuple:
     # The projection claim on a stack of setups of one system dimension, in
     # one call: each setup's state and observables evolved once in the
     # two-pointer scheme and, with one, once in the one-pointer scheme.
-    # padded says the branch axes were padded, so that a trial's numbers
-    # depend on the padded width and not on the other setups of the stack;
-    # unpadded, the stack holds one setup (or setups of equal branch counts).
     # Each run's final states and joints pass the checks StateVector and
     # JointDistribution run.  Returns the runs' parts, their joints
     # (S, na, nb), each joint's projection deviation against one table of
-    # Born rows (the branches live in either joint) as (S, runs), and the
-    # scheme gap per setup, 0.0 without the one-pointer run.
+    # Born rows (every branch, normalised where live in either joint) as
+    # (S, runs), and the scheme gap per setup, 0.0 without the one-pointer run.
     psi, obs_a, obs_b = stacked
     runs = [_two_pointer(psi, obs_a, obs_b)] + ([_one_pointer(psi, obs_a, obs_b)] if one else [])
     joints = []
@@ -371,12 +360,8 @@ def _pointer_check(stacked: tuple, one: bool = False, padded: bool = False) -> t
         _check_states(parts)  # a final state holds exactly these parts
         joints.append(_checked_probabilities(joint, "joint ", axis=(-2, -1)))
     live = np.maximum.reduce([joint.sum(axis=-1) for joint in joints]) > ZERO_PROB_CUTOFF
-    # Unpadded, the one setup's live parts, as the one-state path splits them;
-    # padded, every column, whatever the other setups' live branches are.
-    columns = slice(None) if padded else np.flatnonzero(live.any(axis=0))
-    born = _born_rows(psi, obs_a, obs_b, live, columns)
-    deviations = np.stack([_projection_deviations(joint[:, columns], born) for joint in joints],
-                          axis=-1)
+    born = _born_rows(psi, obs_a, obs_b, live)
+    deviations = np.stack([_projection_deviations(joint, born) for joint in joints], axis=-1)
     gap = np.abs(joints[0] - joints[-1]).max(axis=(-2, -1))
     return [parts for parts, _ in runs], joints, deviations, gap
 

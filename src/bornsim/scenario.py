@@ -353,9 +353,9 @@ def _run_ll(scn: Scenario) -> Records:
         output = ll_channel(state, obs, [Operator(state.dims, eye)] * obs.branch_count)
     else:
         weights, dev, live, posts = _target_check(*_stack_of_one(state, obs, target))
-        branches = zip(np.flatnonzero(live[0]).tolist(), posts[0].T)
         output = [MeasurementRecord(n, obs.eigenvalue(n), float(weights[0, n]),
-                                    StateVector(state.dims, x)) for n, x in branches]
+                                    StateVector(state.dims, posts[0, :, n]))
+                  for n in np.flatnonzero(live[0]).tolist()]
     records += [(f"p.{rec.branch_index}", fmt_real(rec.probability)) for rec in output]
     for rec in output:
         records += _state_records(f"post_state.{rec.branch_index}", rec.post_state)

@@ -384,6 +384,24 @@ def test_unreadable_file_exit_2(tmp_path, capsys):
     assert err.startswith(f"parse error: cannot read {path}: ")
 
 
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback(tmp_path):
+    # An LL run at d = 120 prints 120 post-states of 120 amplitudes, far more
+    # than the 64 KiB a pipe buffers, so run still writes when the reader,
+    # like `| head -1`, takes one line and closes the pipe.
+    d = 120
+    rows = (" ".join(str(i) if i == j else "0" for j in range(d)) for i in range(d))
+    path = tmp_path / "ll_120.scn"
+    path.write_text(f"kind = ll_scheme\nstate = {' '.join(['1'] * d)}\n"
+                    f"obs = matrix {' ; '.join(rows)}\ntarget = 1{' 0' * (d - 1)}\n")
+    proc = subprocess.Popen([sys.executable, "-m", "bornsim", "run", str(path),
+                             "--format", "records"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == f"scenario={path.stem}\n".encode()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1 and err == b""
+
+
 def test_presets_listing(capsys):
     code, out, err = run_cli(capsys, "presets")
     assert code == 0 and err == ""
@@ -1641,15 +1659,18 @@ def test_a_trials_row_does_not_depend_on_its_stack(seed):
     # and in one stack with all the other trials of its key (up to 20 of
     # them): the same bits.  And a padded row agrees with the unpadded
     # objects; an entropy row has the bits of the unpadded kernel's, and an
-    # LL row agrees with the public channel and its dense reflections.
-    for row, count, dims_limit, largest in ((cli._POINTER, 100, 6, 12),
-                                            (cli._POINTER, 40, cli._MAX_PADDED_DIM, 3),
-                                            (cli._NO_SIGNALING, 100, 4, 8),
-                                            (cli._ENTROPY, 100, 6, 10),
-                                            (cli._LL, 100, 6, 11)):
+    # LL row agrees with the public channel and its dense reflections.  The
+    # last row keeps only the pointer trials past _MAX_PADDED_DIM, whose
+    # stacks of one d and branch counts are not padded.
+    unpadded = lambda key: key[0] > cli._MAX_PADDED_DIM
+    for row, count, dims_limit, largest, kept in (
+            (cli._POINTER, 100, 6, 12, None), (cli._POINTER, 40, cli._MAX_PADDED_DIM, 3, None),
+            (cli._NO_SIGNALING, 100, 4, 8, None), (cli._ENTROPY, 100, 6, 10, None),
+            (cli._LL, 100, 6, 11, None), (cli._POINTER, 400, 18, 2, unpadded)):
         stacks = {}
         for drawn, inputs, (key, _) in _built_trials(row, seed, count, dims_limit):
-            stacks.setdefault(key, []).append((drawn, inputs))
+            if kept is None or kept(key):
+                stacks.setdefault(key, []).append((drawn, inputs))
         assert max(map(len, stacks.values())) >= largest
         for trials in stacks.values():
             stacked = row.check(trials)
@@ -1689,6 +1710,33 @@ def test_a_trials_row_does_not_depend_on_its_stack(seed):
                     assert got[0] == max(s_in[0] - s_out[0], avg[0] - s_out[0])
                     want, tol = _entropy_row(inputs, obs), 1e-13
                 assert np.abs(np.subtract(got[:len(want)], want)).max() <= tol
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1234])
+def test_a_trial_with_dead_branches_keeps_its_row_in_a_stack(seed):
+    # In every LL stack and padded pointer stack of two or more trials, the
+    # first trial whose (first) observable has two branches or more gets a
+    # state inside one eigenspace of it, so its other branches are dead; the
+    # other states stay random.  Each row has the bits of its trial alone.
+    rng, confined = np.random.default_rng([seed, 28]), 0
+    for row in (cli._POINTER, cli._LL):
+        stacks = {}
+        for drawn, inputs, (key, _) in _built_trials(row, seed, 100, 6):
+            stacks.setdefault(key, []).append((drawn, inputs))
+        for trials in stacks.values():
+            at = next((i for i, (drawn, _) in enumerate(trials) if len(drawn[0][0]) > 1), None)
+            if len(trials) < 2 or at is None:
+                continue
+            (values, basis, labels), (state, *rest) = trials[at][0][0], trials[at][1]
+            cols = basis[:, labels == rng.integers(len(values))]
+            part = cols @ (cols.conj().T @ state)
+            trials[at] = trials[at][0], (part / np.linalg.norm(part), *rest)
+            stacked = row.check(trials)
+            alone = [row.check([trial])[0] for trial in trials]
+            assert np.array_equal(np.array(stacked, dtype=float), np.array(alone, dtype=float))
+            assert all(dev < limit for dev, (_, limit) in zip(stacked[at], row.limits))
+            confined += 1
+    assert confined >= 10
 
 
 def test_a_foreign_exception_in_a_child_reaches_the_parent(capsys, monkeypatch):

@@ -333,8 +333,8 @@ def _target_branches(state, obs, target):
     # The LL kernel on one state, as `run` calls it: (branch, weight,
     # post-state) per live branch, and the worst deviation from the target.
     weights, dev, live, posts = _target_check(*_stack_of_one(state, obs, target))
-    branches = np.flatnonzero(live[0]).tolist()
-    return [(n, float(weights[0, n]), x) for n, x in zip(branches, posts[0].T)], float(dev[0])
+    return ([(n, float(weights[0, n]), posts[0, :, n]) for n in np.flatnonzero(live[0]).tolist()],
+            float(dev[0]))
 
 
 def _assert_kernel_matches_dense_path(state, obs, target):
@@ -349,8 +349,9 @@ def _assert_kernel_matches_dense_path(state, obs, target):
         assert obs.eigenvalue(n) == ref.eigenvalue
         assert np.max(np.abs(post - ref.post_state.amps)) <= 1e-13
     assert dev == max(np.max(np.abs(post - target.amps)) for _, _, post in records)
-    *_, w, _, scale = _householder(*_stack_of_one(state, obs, target))
-    norms = np.linalg.norm(w[0], axis=0) ** 2
+    _, live, _, w, _, scale = _householder(*_stack_of_one(state, obs, target))
+    norms = np.linalg.norm(w[0][:, live[0]], axis=0) ** 2
+    scale = scale[live]
     assert np.all(norms >= 2.0 - 1e-14)
     assert np.max(np.abs(scale * norms - 2.0)) <= 1e-14
     return records

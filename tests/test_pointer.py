@@ -33,9 +33,9 @@ from bornsim.pointer import (
     POINTER_STATE_MAX_AMPS,
     _couple,
     _final,
+    _born_rows,
     _oracle_gap,
     _pointer_check,
-    _projection_deviation,
     _stacked,
 )
 from bornsim.rand import random_observable, random_state, random_unitary
@@ -309,7 +309,7 @@ def test_batched_projection_deviation_equals_the_branch_loop(seed):
         run = run_two_pointer if setup.mode == "two_pointer" else run_one_pointer
         joint = run(setup)[1]
         dead_rows += int(np.sum(joint.probs.sum(axis=1) <= ZERO_PROB_CUTOFF))
-        batched = _projection_deviation(setup, joint)
+        batched = projection_equivalence_report(setup)
         assert abs(batched - _loop_projection_deviation(setup, joint)) <= 1e-14
         assert batched < 1e-10
     if seed % 3 == 0 and setups[0].obs_a.branch_count > 1:
@@ -324,8 +324,8 @@ def test_shared_born_rows_give_each_joint_its_own_deviation(seed):
     setups = _random_setups(seed)
     for two, one in ((setups[0], setups[2]), (setups[1], setups[3])):
         _, (joint_two, joint_one), deviations, _ = _pointer_check(_stacked(two), one=True)
-        assert deviations[0, 0] == _projection_deviation(two, JointDistribution(joint_two[0]))
-        assert deviations[0, 1] == _projection_deviation(one, JointDistribution(joint_one[0]))
+        assert deviations[0, 0] == projection_equivalence_report(two)
+        assert deviations[0, 1] == projection_equivalence_report(one)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -345,8 +345,9 @@ def test_batched_projection_deviation_raises_like_the_branch_loop(seed):
         setup = make(confined, obs_a, obs_b)
         with pytest.raises(ZeroProbabilityBranchError):
             _loop_projection_deviation(setup, joint)
+        live = joint.probs.sum(axis=1) > ZERO_PROB_CUTOFF
         with pytest.raises(ZeroProbabilityBranchError):
-            _projection_deviation(setup, joint)
+            _born_rows(*_stacked(setup), live[None])
 
 
 class TestJointDistribution:
