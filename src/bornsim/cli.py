@@ -15,8 +15,9 @@ _entropy_check and _target_check.
 
 The trials drawn ahead for one _haar call form a chunk.  Its trials of one
 stack key are checked as arrays, in stacks of at most HAAR_STACK_AMPS
-register amplitudes, one kernel call each: a stack runs every check of its
-trials' objects once, through the checkers the constructors call.  Pointer
+register amplitudes, one kernel call each: a stack runs the value checks of
+its trials' objects once, through the checkers their constructors call, and
+needs no dims check, as it is built on its states' shape.  Pointer
 trials of one d up to _MAX_PADDED_DIM pad their branch axes and registers
 to d, larger ones of one d and branch counts are not padded, no-signaling
 trials of one shape pad their cells to d_A x d_B, entropy trials of one d
@@ -77,7 +78,6 @@ from .observables import _checked_stack, embed_observable
 from .pointer import (
     POINTER_STATE_MAX_AMPS,
     SCHEME_AGREEMENT_TOL,
-    _check_setups,
     _oracle_gap,
     _pointer_check,
     one_pointer_setup,
@@ -108,7 +108,6 @@ from .signaling import (
     TelepathyScenario,
     _arms,
     _cell_weights,
-    _check_parties,
     _signaling_check,
     channel_simulation,
 )
@@ -209,18 +208,12 @@ def _check_witness(seed: int) -> Check:
     with_alice, without_alice, gap = _arms(scenario)
     # Branch 1 of sigma_z carries eigenvalue +1, i.e. the |0> component.
     pw = 0.36**2 / (0.36**2 + 0.64**2)
-    dev = max(
-        abs(with_alice[1] - 0.36),
-        abs(with_alice[0] - 0.64),
-        abs(without_alice[1] - pw),
-        abs(without_alice[0] - (1.0 - pw)),
-        abs(gap - (0.36 - pw)),
-    )
+    # Both deviations are folded by np.max, so that a NaN term fails the property.
+    dev = float(np.max(np.abs([with_alice[1] - 0.36, with_alice[0] - 0.64, without_alice[1] - pw,
+                               without_alice[0] - (1.0 - pw), gap - (0.36 - pw)])))
     rng = np.random.default_rng([seed, 3])
-    mc_dev = 0.0
-    for bit, analytic in zip((1, 0), (with_alice, without_alice)):
-        mc = channel_simulation(scenario, bit, 100_000, rng)
-        mc_dev = max(mc_dev, float(0.5 * np.abs(mc.probs - analytic).sum()))
+    mc = [channel_simulation(scenario, bit, 100_000, rng).probs for bit in (1, 0)]
+    mc_dev = float(np.max(0.5 * np.abs(np.subtract(mc, (with_alice, without_alice))).sum(axis=1)))
     limit, mc_limit = 1e-6, 0.01
     fields = (("analytic_dev", dev), ("limit", limit), ("mc_dev", mc_dev), ("mc_limit", mc_limit))
     return Check("telepathy_witness", fields, bool(dev < limit and mc_dev <= mc_limit))
@@ -275,14 +268,14 @@ def _pointer_trial(rng, t: int, dims_limit: int) -> tuple:
 def _check_pointer(trials: list) -> list:
     # One _pointer_check and one _oracle_gap call, on one stack, for trials
     # of one d (and, unpadded, one pair of branch counts), after the checks
-    # of their states, observables and setups; the pointers, and the
-    # oracle's registers, are as wide as the branch axes.
+    # of their states and observables.  The pointers, and the oracle's
+    # registers, are as wide as the branch axes, at most d, so a setup's
+    # checks hold: d^3 fits POINTER_STATE_MAX_AMPS up to MAX_DIMS_LIMIT.
     psi = np.array([state for _, (state, _) in trials])
     dims = psi.shape[1:]
     pad = _padding(dims[0])
     _check_states(psi)
     obs_a, obs_b = (_checked_stack(dims, [drawn[i] for drawn, _ in trials], pad) for i in (0, 1))
-    _check_setups(dims, obs_a, obs_b, obs_a.indicator.shape[-1], obs_b.indicator.shape[-1])
     stacked = psi, obs_a, obs_b
     _, (joint, _), deviations, scheme_gaps = _pointer_check(stacked, one=True)
     oracle_gaps = _oracle_gap(stacked, joint, *joint.shape[1:])
@@ -299,13 +292,13 @@ def _no_signaling_trial(rng, t: int, dims_limit: int) -> tuple:
 
 def _check_no_signaling(trials: list) -> list:
     # One W per trial, padded to d_A x d_B, for trials of one shape, after
-    # the checks of their states, observables and scenarios.  Swapping the
-    # parties transposes W, so both directions come from it.
+    # the checks of their states and observables; each party's stack is
+    # built on its own axis of the (d_A, d_B) states, so a scenario's checks
+    # hold.  Swapping the parties transposes W, so both directions come from it.
     m = np.array([state for _, state in trials])
     _check_states(m)
     alice, bob = (_checked_stack((d,), [drawn[i] for drawn, _ in trials], d)
                   for i, d in enumerate(m.shape[1:]))
-    _check_parties(m.shape[1:], alice, bob)
     cells = _cell_weights(m, alice, bob)
     gaps = np.maximum(_signaling_check(cells, BORN)[2],
                       _signaling_check(np.swapaxes(cells, -1, -2), BORN)[2])
@@ -326,7 +319,7 @@ def _check_entropy(trials: list) -> list:
     dims = rho.shape[1:2]
     spectrum = _check_densities(rho)
     obs = _checked_stack(dims, [observable for (observable,), _ in trials], dims[0])
-    s_in, s_out, _, avg = _entropy_check(dims, rho, spectrum, obs)
+    s_in, s_out, _, avg = _entropy_check(rho, spectrum, obs)
     return [(gap,) for gap in np.maximum(s_in - s_out, avg - s_out)]
 
 
@@ -344,7 +337,7 @@ def _check_ll(trials: list) -> list:
     psi, targets = (np.array([inputs[i] for _, inputs in trials]) for i in (0, 1))
     _check_states(np.concatenate([psi, targets]))
     obs = _checked_stack(psi.shape[1:], [observable for (observable,), _ in trials])
-    weights, target_devs, live, _ = _target_check(obs.dims, psi, obs, targets)
+    weights, target_devs, live, _ = _target_check(psi, obs, targets)
     # <psi|P_n psi>, a route independent of the kernel's weights.
     born = (psi.conj()[:, None] @ obs.split(psi))[:, 0].real
     # A weight or post-state that misses fails the property, NaN included.

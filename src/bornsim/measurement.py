@@ -12,7 +12,8 @@ defined on pure states; ensembles are handled by weighted mixing of the
 per-member distributions.  _entropy_check and _target_check implement the
 entropy and state-preparation claims once, for `bornsim verify` and `run`.
 The kernels take a stack of states or densities and a _Stack of
-observables; `run` and the public functions call them on a stack of one.
+observables, arrays only; `run` and the public functions call them on a
+stack of one, after their one check of the observable's dims (_matched).
 _collapsed is the package's one collapse P_i psi / ||P_i psi||.  State
 preparation steers each collapsed branch to the target with one Householder
 reflection, so this module factors no matrix.  The LL kernel applies them
@@ -87,8 +88,9 @@ class MeasurementRecord:
     post_state: StateVector
 
 
-def _matched(dims, obs):
-    # obs, an Observable or a _Stack, after the check that it acts on dims.
+def _matched(dims, obs: Observable) -> Observable:
+    # obs after the check that it acts on dims: the public functions' one dims
+    # check, since a _Stack and the kernels that take one carry no dims.
     if obs.dims != dims:
         raise InvalidInputError(f"dims mismatch {obs.dims} vs {dims}")
     return obs
@@ -124,15 +126,16 @@ def rule_probabilities(
 def project_update(state: StateVector, obs: Observable, branch: int) -> StateVector:
     """Collapse onto one branch: P_i psi / ||P_i psi||, with P_i = V_i V_i^dag."""
     obs.eigenvalue(branch)  # range check
-    parts = _collapsed(state.dims, state.amps[None], obs._stack, np.array([branch]), True)
+    stack = _matched(state.dims, obs)._stack
+    parts = _collapsed(state.amps[None], stack, np.array([branch]), True)
     return StateVector(state.dims, parts[0, :, 0])
 
 
-def _collapsed(dims, psi: np.ndarray, obs, columns, live) -> np.ndarray:
-    # P_i psi (S, D, len(columns)) for states psi (S, D) of dims and the
-    # branches of a _Stack that columns picks; the parts live (S, len(columns),
-    # or True) marks are normalised, and one of weight <= ZERO_PROB_CUTOFF raises.
-    parts = _matched(dims, obs).split(psi, columns)
+def _collapsed(psi: np.ndarray, obs, columns, live) -> np.ndarray:
+    # P_i psi (S, D, len(columns)) for states psi (S, D) and the branches of
+    # a _Stack that columns picks; the parts live (S, len(columns), or True)
+    # marks are normalised, and one of weight <= ZERO_PROB_CUTOFF raises.
+    parts = obs.split(psi, columns)
     norms = np.linalg.norm(parts, axis=-2)
     weak = live & (norms**2 <= ZERO_PROB_CUTOFF)
     if weak.any():
@@ -188,26 +191,27 @@ def ll_channel(
             raise NotUnitaryError(f"post-measurement operator {n} is not unitary")
     weights = branch_weights(state, obs)
     live = weights > ZERO_PROB_CUTOFF
-    parts = _collapsed(state.dims, state.amps[None], obs._stack, slice(None), live)[0]
+    parts = _collapsed(state.amps[None], obs._stack, slice(None), live)[0]
     return [MeasurementRecord(n, obs.eigenvalue(n), float(weights[n]),
                               StateVector(state.dims, post_unitaries[n].entries @ parts[:, n]))
             for n in np.flatnonzero(live).tolist()]
 
 
 def _stack_of_one(state: StateVector, obs: Observable, target: StateVector) -> tuple:
-    # (dims, states, _Stack, targets) of one state, after the target's dims check.
+    # (states, _Stack, targets) of one state, after the target's and the
+    # observable's dims checks.
     if target.dims != state.dims:
         raise InvalidInputError(f"target dims {target.dims} != {state.dims}")
-    return state.dims, state.amps[None], obs._stack, target.amps[None]
+    return state.amps[None], _matched(state.dims, obs)._stack, target.amps[None]
 
 
-def _householder(dims, psi: np.ndarray, obs, targets: np.ndarray) -> tuple:
-    # Born weights and live mask (S, K) of states psi (S, D) of dims under a
-    # _Stack, and per branch the collapsed parts x_n (S, D, K), normalised where
-    # live, and w_n, e^{ia_n}, 2 / ||w_n||^2 (||w_n||^2 >= 1 where dead too).
-    weights = _matched(dims, obs).weights(psi)
+def _householder(psi: np.ndarray, obs, targets: np.ndarray) -> tuple:
+    # Born weights and live mask (S, K) of states psi (S, D) under a _Stack,
+    # and per branch the collapsed parts x_n (S, D, K), normalised where live,
+    # and w_n, e^{ia_n}, 2 / ||w_n||^2 (||w_n||^2 >= 1 where dead too).
+    weights = obs.weights(psi)
     live = weights > ZERO_PROB_CUTOFF
-    x = _collapsed(dims, psi, obs, slice(None), live)
+    x = _collapsed(psi, obs, slice(None), live)
     phases = np.exp(1j * np.angle(targets.conj()[:, None] @ x))
     w = x + phases * targets[..., None]
     return weights, live, x, w, phases[:, 0], 2.0 / np.einsum("sij,sij->sj", w.conj(), w).real
@@ -231,12 +235,12 @@ def state_preparation_unitaries(
             for alive, wn, phase, c in zip(live[0], w[0].T, phases[0], scale[0])]
 
 
-def _target_check(dims, psi: np.ndarray, obs, targets: np.ndarray) -> tuple:
+def _target_check(psi: np.ndarray, obs, targets: np.ndarray) -> tuple:
     # The claim on _householder's inputs: its weights, each state's worst
     # amplitude deviation of its live posts from its target, its live mask, and
     # its parts' LL post-states U_n x_n = e^{-ia} (2 w (w^dag x_n) / ||w||^2 - x_n),
     # unchecked.
-    weights, live, x, w, phases, scale = _householder(dims, psi, obs, targets)
+    weights, live, x, w, phases, scale = _householder(psi, obs, targets)
     overlap = (scale * np.einsum("sij,sij->sj", w.conj(), x))[:, None]
     posts = (overlap * w - x) * phases.conj()[:, None]
     miss = np.where(live[:, None], np.abs(posts - targets[..., None]), 0.0)
@@ -263,13 +267,14 @@ def phase_unitaries(
 
 def nonselective_channel(rho: DensityMatrix, obs: Observable) -> DensityMatrix:
     """Dephase in the branch decomposition: rho -> sum_i P_i rho P_i."""
-    return DensityMatrix(rho.dims, _dephase(rho.dims, rho.entries[None], obs._stack)[1][0])
+    dephased = _dephase(rho.entries[None], _matched(rho.dims, obs)._stack)[1]
+    return DensityMatrix(rho.dims, dephased[0])
 
 
-def _dephase(dims, rho: np.ndarray, obs) -> tuple[np.ndarray, np.ndarray]:
+def _dephase(rho: np.ndarray, obs) -> tuple[np.ndarray, np.ndarray]:
     # B = V^dag rho V cut to its diagonal blocks, and V B V^dag = sum_i P_i rho P_i,
-    # for densities rho (S, d, d) of dims and a _Stack.
-    blocks = _matched(dims, obs).adjoint @ rho @ obs.basis
+    # for densities rho (S, d, d) and a _Stack.
+    blocks = obs.adjoint @ rho @ obs.basis
     blocks *= obs.labels[:, :, None] == obs.labels[:, None, :]
     return blocks, obs.basis @ blocks @ obs.adjoint
 
@@ -316,8 +321,8 @@ def classical_selective(
     conditional state P_i rho P_i / Tr(P_i rho).
     """
     obs.eigenvalue(branch)  # range check
-    stack = obs._stack
-    blocks, dephased = _dephase(rho.dims, rho.entries[None], stack)
+    stack = _matched(rho.dims, obs)._stack
+    blocks, dephased = _dephase(rho.entries[None], stack)
     weights, probs = _branch_weights(blocks, stack, rule)
     live = (np.arange(obs.branch_count) == branch) & (weights > PSD_TOL)
     conditional = [DensityMatrix(rho.dims, post)
@@ -334,8 +339,8 @@ def classical_selective(
     return float(probs[0, branch]), conditional[0]
 
 
-def _entropy_check(dims, rho: np.ndarray, spectrum: np.ndarray, obs) -> tuple:
-    # The entropy claim on S checked densities rho (S, d, d) of dims, with
+def _entropy_check(rho: np.ndarray, spectrum: np.ndarray, obs) -> tuple:
+    # The entropy claim on S checked densities rho (S, d, d), with
     # their ascending spectra, and a _Stack of S observables, from one
     # dephasing each: S(rho), S(sum_i P_i rho P_i), per branch (S, K) the
     # live mask (weight above PSD_TOL), p_i and S(rho_i) (0 where not live),
@@ -343,7 +348,7 @@ def _entropy_check(dims, rho: np.ndarray, spectrum: np.ndarray, obs) -> tuple:
     # rho_i = P_i rho P_i / Tr(P_i rho) and the dephased states pass the
     # checks of a DensityMatrix in one call, whose spectra give their
     # entropies.
-    blocks, dephased = _dephase(dims, rho, obs)
+    blocks, dephased = _dephase(rho, obs)
     weights, probs = _branch_weights(blocks, obs, BORN)
     live = weights > PSD_TOL
     conditionals = _conditionals(blocks, obs, weights, live)

@@ -78,7 +78,7 @@ class Observable:
     def _stack(self) -> _Stack:
         # This observable as a _Stack of one, read-only like its own arrays.
         basis = self.basis[None]
-        return _Stack(self.dims, basis, _frozen(basis.conj()).swapaxes(1, 2), self.labels[None],
+        return _Stack(basis, _frozen(basis.conj()).swapaxes(1, 2), self.labels[None],
                       np.array([self.branch_count]), self.indicator[None])
 
     def weights(self, x: np.ndarray) -> np.ndarray:
@@ -132,7 +132,7 @@ class Observable:
 
 
 class _Stack(NamedTuple):
-    """Observables of one dims, D = prod(dims), as arrays with a leading stack axis.
+    """Observables of one dimension D as arrays with a leading stack axis.
 
     The S bases V (S, D, D) and their adjoints V^dag (a transposed view of
     the conjugate, made once), column labels (S, D) and branch counts (S,),
@@ -140,10 +140,11 @@ class _Stack(NamedTuple):
     a common width K.  A padded branch is a branch of weight 0 in every
     state.  weights and split are Observable's, stacked: x is (S, D), one
     vector per observable, or (S, D, n), and products and reductions run per
-    slice, so each observable's numbers do not depend on the others.
+    slice, so each observable's numbers do not depend on the others.  A
+    _Stack carries no dims: the public functions check an Observable's dims
+    against the state's, and verify builds each stack on its states' shape.
     """
 
-    dims: tuple[int, ...]
     basis: np.ndarray
     adjoint: np.ndarray
     labels: np.ndarray
@@ -174,8 +175,7 @@ def _checked_stack(dims, observables, branches: int | None = None) -> _Stack:
     counts = [len(values) for values in eigenvalues]
     k = max(counts) if branches is None else branches
     indicator = (labels[..., None] == np.arange(k)).astype(float)
-    return _Stack(dims, basis, basis.conj().swapaxes(1, 2), labels, np.array(counts),
-                  indicator)
+    return _Stack(basis, basis.conj().swapaxes(1, 2), labels, np.array(counts), indicator)
 
 
 def _check_observables(dims: tuple[int, ...], eigenvalues, basis: np.ndarray,

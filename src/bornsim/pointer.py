@@ -20,15 +20,17 @@ projection_equivalence_report for one scheme, from the same kernels; only
 verify and two_pointer scenarios add the oracle gap (_oracle_gap), so a
 one_pointer run never allocates the oracle's register tensor.
 
-Every array function of this module (the runs, the Born rows, the
-oracle, _pointer_check and _oracle_gap) takes setups of one system
-dimension as one stack: states (S, d) and two observables._Stacks.  _stacked
-makes the stack of one setup, from its observables' own stacks of one, for
-`run` and the public functions; verify builds its stacks from its trials'
-arrays after _check_setups and the other constructors' checks ran on them.
-verify pads the branch axes and both pointer registers of its small-d
-trials to d, so every trial of a stack has the same shapes; padded branches
-have weight 0, and since the pointers start at |0> and move by less than d,
+Every array function of this module (the runs, the Born rows, the oracle,
+_pointer_check and _oracle_gap) takes setups of one system dimension as one
+stack: states (S, d) and two observables._Stacks.  _stacked makes the stack
+of one setup, from its observables' own stacks of one, for `run` and the
+public functions.  verify builds its stacks from its trials' arrays after
+the checks of their states and observables; a setup's checks hold by
+construction, as each stack is built on its states' dims, each pointer is
+as wide as its branch axis (at most d) and d^3 fits POINTER_STATE_MAX_AMPS.
+It pads the branch axes and both pointer registers of its small-d trials to
+d, so every trial of a stack has the same shapes; padded branches have
+weight 0, and since the pointers start at |0> and move by less than d,
 padded pointer positions stay empty.  All branch columns are computed, per
 slice, so a trial's numbers do not depend on the other trials of its stack.
 
@@ -55,7 +57,6 @@ would exceed POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -93,7 +94,19 @@ class PointerSchemeSetup:
     def __post_init__(self):
         n = int(self.n_pointer1)
         m = None if self.m_pointer2 is None else int(self.m_pointer2)
-        _check_setups(self.small_state.dims, self.obs_a._stack, self.obs_b._stack, n, m)
+        dims = self.small_state.dims
+        for which, obs in (("first", self.obs_a), ("second", self.obs_b)):
+            if obs.dims != dims:
+                raise InvalidInputError(f"{which} observable dims {obs.dims} != state dims {dims}")
+        for which, size, obs in ((1, n, self.obs_a), (2, m, self.obs_b)):
+            if size is not None and size < obs.branch_count:
+                raise InvalidInputError(
+                    f"pointer-{which} size {size} < branch count {obs.branch_count}")
+        amps = self.small_state.dim * n * (m or 1)
+        if amps > POINTER_STATE_MAX_AMPS:
+            raise InvalidInputError(
+                f"pointer state of {amps} amplitudes exceeds the cap {POINTER_STATE_MAX_AMPS}"
+            )
         object.__setattr__(self, "n_pointer1", n)
         object.__setattr__(self, "m_pointer2", m)
 
@@ -101,28 +114,6 @@ class PointerSchemeSetup:
     def mode(self) -> str:
         """TWO_POINTER with a second pointer register, else ONE_POINTER."""
         return ONE_POINTER if self.m_pointer2 is None else TWO_POINTER
-
-
-def _check_setups(dims: tuple[int, ...], obs_a, obs_b, n: int, m: int | None) -> None:
-    """The checks of a PointerSchemeSetup, on setups of one state dims.
-
-    obs_a and obs_b are the setups' _Stacks, n and m their pointer sizes (m
-    None for one pointer).  Each observable's dims must be the state's, each
-    pointer as wide as its stack's branch axis at least (the padded width),
-    and the pointer state at most POINTER_STATE_MAX_AMPS amplitudes.
-    """
-    for which, obs in (("first", obs_a), ("second", obs_b)):
-        if obs.dims != dims:
-            raise InvalidInputError(f"{which} observable dims {obs.dims} != state dims {dims}")
-    for which, size, obs in ((1, n, obs_a), (2, m, obs_b)):
-        width = obs.indicator.shape[-1]
-        if size is not None and size < width:
-            raise InvalidInputError(f"pointer-{which} size {size} < branch count {width}")
-    amps = prod(dims) * n * (m or 1)
-    if amps > POINTER_STATE_MAX_AMPS:
-        raise InvalidInputError(
-            f"pointer state of {amps} amplitudes exceeds the cap {POINTER_STATE_MAX_AMPS}"
-        )
 
 
 def two_pointer_setup(
@@ -277,7 +268,7 @@ def _born_rows(psi: np.ndarray, obs_a, obs_b, live: np.ndarray) -> np.ndarray:
     # one product for the obs_b branch weights.  A row that live does not
     # mark holds 1/nb in every entry; no deviation reads it.  psi (S, d) and
     # live (S, na) stack setups with obs_a and obs_b; the rows are (S, na, nb).
-    weights = obs_b.weights(_collapsed(obs_a.dims, psi, obs_a, slice(None), live))
+    weights = obs_b.weights(_collapsed(psi, obs_a, slice(None), live))
     return _transform_weights(np.where(live[..., None], weights, 1.0), BORN)
 
 

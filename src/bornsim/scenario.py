@@ -421,7 +421,7 @@ def _run_entropy_demo(scn: Scenario) -> Records:
     _reject_unknown(fields)
     rho = density_from_pure(state)
     s_in, s_out, (live, probs, entropies), avg = _entropy_check(
-        rho.dims, rho.entries[None], rho.spectrum[None], obs._stack)
+        rho.entries[None], rho.spectrum[None], obs._stack)
     records: Records = [
         ("entropy_initial", fmt_real(s_in[0])),
         ("entropy_nonselective", fmt_real(s_out[0])),

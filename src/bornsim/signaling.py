@@ -27,10 +27,11 @@ the public arm and gap functions all read from it.
 _cell_weights takes a stack of amplitude matrices and the parties'
 observables as observables._Stacks, and _signaling_check reads any number
 of leading stack axes of W.  `run` and the public functions pass one
-scenario as a stack of one, its observables' own stacks; verify pads each
-party's branch axis to its dimension, so that no-signaling trials of one
-shape share one call.  A padded branch has weight 0, so it is dead on
-Alice's side and carries no probability on Bob's.
+scenario as a stack of one, its observables' own stacks.  verify builds each
+party's stack on its own axis of the amplitude matrices, so a scenario's
+checks hold by construction, and pads its branch axis to its dimension, so
+that no-signaling trials of one shape share one call.  A padded branch has
+weight 0, so it is dead on Alice's side and carries no probability on Bob's.
 """
 
 from __future__ import annotations
@@ -59,20 +60,15 @@ class TelepathyScenario:
     bob_rule: ProbabilityRule = BORN
 
     def __post_init__(self):
-        _check_parties(self.state.dims, self.alice_obs._stack, self.bob_obs._stack)
-
-
-def _check_parties(dims: tuple[int, ...], alice, bob) -> None:
-    # The checks of a TelepathyScenario, on scenarios of one state dims and
-    # the _Stacks of their parties' observables: two subsystems, and each
-    # party's observable on its own.
-    if len(dims) != 2:
-        raise InvalidInputError(f"state must have exactly 2 subsystems, got dims {dims}")
-    for party, obs, d in (("alice", alice, dims[0]), ("bob", bob, dims[1])):
-        if obs.dims != (d,):
-            raise InvalidInputError(
-                f"{party} observable dims {obs.dims} do not match subsystem dim {d}"
-            )
+        # Two subsystems, and each party's observable on its own.
+        dims = self.state.dims
+        if len(dims) != 2:
+            raise InvalidInputError(f"state must have exactly 2 subsystems, got dims {dims}")
+        for party, obs, d in (("alice", self.alice_obs, dims[0]), ("bob", self.bob_obs, dims[1])):
+            if obs.dims != (d,):
+                raise InvalidInputError(
+                    f"{party} observable dims {obs.dims} do not match subsystem dim {d}"
+                )
 
 
 def _cell_weights(m: np.ndarray, alice, bob) -> np.ndarray:

@@ -1101,8 +1101,8 @@ def _near_born_gap(original):
 def _drop_last_branch(original):
     # Each dephased state loses the block of its last branch and is
     # renormalised, as if the sum over branches stopped one short.
-    def mutant(dims, rho, obs):
-        blocks, dephased = original(dims, rho, obs)
+    def mutant(rho, obs):
+        blocks, dephased = original(rho, obs)
         last = obs.labels == np.reshape(obs.branch_count, (-1, 1)) - 1
         kept = blocks * (last[..., :, None] & last[..., None, :])
         drop = obs.basis @ kept @ obs.basis.conj().swapaxes(-1, -2)
@@ -1241,6 +1241,29 @@ def test_each_pointer_property_fails_on_its_defect(capsys, monkeypatch, name, mu
     failed = [l.split()[0] for l in out.splitlines() if l.endswith("FAIL")]
     assert failed == [prop]
     assert "verify: 1 of 9 properties FAILED" in out
+
+
+def _nan_gap(original):
+    # Bob's arms intact and their gap NaN.
+    def mutant(cells, rule):
+        mixed, intact, gap = original(cells, rule)
+        return mixed, intact, gap * np.nan
+
+    return mutant
+
+
+def test_a_nan_signaling_gap_fails_both_signaling_properties(capsys, monkeypatch):
+    # The witness folds its gap after four finite deviations: a NaN there
+    # must FAIL it, as the no-signaling row's NaN worst fails that row.
+    set_workers(monkeypatch, 2)
+    _patch_everywhere(monkeypatch, "_signaling_check", _nan_gap)
+    code, out, _ = run_cli(capsys, "verify", "--trials", "20")
+    assert code == 1
+    failed = {l.split()[0]: l for l in out.splitlines() if l.endswith("FAIL")}
+    assert sorted(failed) == ["no_signaling_born", "telepathy_witness"]
+    assert "worst=nan" in failed["no_signaling_born"]
+    assert "analytic_dev=nan" in failed["telepathy_witness"]
+    assert "verify: 2 of 9 properties FAILED" in out
 
 
 def test_an_ll_post_state_off_its_norm_fails_verify_and_aborts_run(capsys, monkeypatch):
@@ -1705,8 +1728,7 @@ def test_a_trials_row_does_not_depend_on_its_stack(seed):
                     # the same bits.
                     (obs,) = built
                     s_in, s_out, _, avg = measurement._entropy_check(
-                        obs.dims, inputs[None], core._check_densities(inputs[None]),
-                        obs._stack)
+                        inputs[None], core._check_densities(inputs[None]), obs._stack)
                     assert got[0] == max(s_in[0] - s_out[0], avg[0] - s_out[0])
                     want, tol = _entropy_row(inputs, obs), 1e-13
                 assert np.abs(np.subtract(got[:len(want)], want)).max() <= tol

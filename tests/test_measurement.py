@@ -516,9 +516,9 @@ def test_entropy_path_dephases_once(monkeypatch):
     # per verify entropy stack (the trials of one d) and per entropy_demo run.
     calls = []
 
-    def counting(dims, rho, obs, original=measurement._dephase):
+    def counting(rho, obs, original=measurement._dephase):
         calls.append(len(rho))
-        return original(dims, rho, obs)
+        return original(rho, obs)
 
     monkeypatch.setattr(measurement, "_dephase", counting)
     (check,) = cli._battery_checks(cli._ENTROPY, 0, 1234,

@@ -8,9 +8,17 @@ import pytest
 
 from bornsim.core import DensityMatrix, Operator, OutcomeDistribution, StateVector, tensor
 from bornsim.errors import InvalidDensityError, InvalidInputError, InvalidProjectorFamilyError
-from bornsim.measurement import ll_channel, project_update, state_preparation_unitaries
+from bornsim.measurement import (
+    branch_weights,
+    classical_selective,
+    ll_channel,
+    nonselective_channel,
+    project_update,
+    state_preparation_unitaries,
+)
 from bornsim.observables import Observable, observable_from_branches, observable_from_matrix
 from bornsim.pointer import JointDistribution, PointerSchemeSetup
+from bornsim.signaling import TelepathyScenario
 
 NAN_IMAG = complex(0.0, np.nan)
 INF_REAL = complex(np.inf, 0.0)
@@ -27,6 +35,8 @@ _EYE = np.eye(2, dtype=complex)
 _P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 _SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
 _QUTRIT = StateVector((3,), [1.0, 0.0, 0.0])
+_QUBIT = StateVector((2,), [1.0, 0.0])
+_MIXED_QUTRIT = DensityMatrix((3,), np.eye(3) / 3)
 
 REJECTED = [
     # (case, constructor, exception class, exact message)
@@ -104,6 +114,32 @@ REJECTED = [
      InvalidInputError, "dims mismatch (2,) vs (3,)"),
     ("ll_channel dims", lambda: ll_channel(_QUTRIT, _SIGMA_Z, [Operator((3,), np.eye(3))] * 2),
      InvalidInputError, "dims mismatch (2,) vs (3,)"),
+    # Each public function checks the observable's dims against the state's
+    # once, after its own range or target check.
+    ("branch_weights dims", lambda: branch_weights(_QUTRIT, _SIGMA_Z),
+     InvalidInputError, "dims mismatch (2,) vs (3,)"),
+    ("nonselective_channel dims", lambda: nonselective_channel(_MIXED_QUTRIT, _SIGMA_Z),
+     InvalidInputError, "dims mismatch (2,) vs (3,)"),
+    ("classical_selective dims", lambda: classical_selective(_MIXED_QUTRIT, _SIGMA_Z, 0),
+     InvalidInputError, "dims mismatch (2,) vs (3,)"),
+    ("classical_selective branch before dims",
+     lambda: classical_selective(_MIXED_QUTRIT, _SIGMA_Z, 5),
+     InvalidInputError, "branch 5 out of range for 2 branches"),
+    ("state_preparation_unitaries target before dims",
+     lambda: state_preparation_unitaries(_QUTRIT, _SIGMA_Z, _QUBIT),
+     InvalidInputError, "target dims (2,) != (3,)"),
+    ("telepathy three subsystems",
+     lambda: TelepathyScenario(StateVector((2, 2, 2), np.eye(8)[0]), _SIGMA_Z, _SIGMA_Z),
+     InvalidInputError, "state must have exactly 2 subsystems, got dims (2, 2, 2)"),
+    ("telepathy bob dims",
+     lambda: TelepathyScenario(StateVector((2, 3), np.eye(6)[0]), _SIGMA_Z, _SIGMA_Z),
+     InvalidInputError, "bob observable dims (2,) do not match subsystem dim 3"),
+    ("pointer first observable dims",
+     lambda: PointerSchemeSetup(_QUTRIT, _SIGMA_Z, _SIGMA_Z, 2, 2),
+     InvalidInputError, "first observable dims (2,) != state dims (3,)"),
+    ("pointer-1 size below branch count",
+     lambda: PointerSchemeSetup(_QUBIT, _SIGMA_Z, _SIGMA_Z, 1, None),
+     InvalidInputError, "pointer-1 size 1 < branch count 2"),
     ("tensor of nothing", lambda: tensor([]),
      InvalidInputError, "tensor of zero factors"),
 ]
