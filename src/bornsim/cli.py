@@ -155,7 +155,7 @@ def cmd_run(args) -> int:
     name = args.scenario
     if os.path.isfile(name):
         try:
-            with open(name, "r", encoding="utf-8") as fh:
+            with open(name, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioParseError(f"cannot read {name}: {exc}")

@@ -11,7 +11,7 @@ StateVector and DensityMatrix each have one home that takes a stack of
 arrays, _check_states and _check_densities: the constructors call them on a
 stack of one, and verify on a stack of trials' arrays.  _check_densities
 returns the spectra of its one eigvalsh call, and _entropies reads
-entropies off them.
+entropies off them, one row sum per spectrum.
 """
 
 from __future__ import annotations
@@ -176,24 +176,14 @@ def _check_densities(entries: np.ndarray) -> np.ndarray:
     return spectra
 
 
-def _by_count(counts: np.ndarray):
-    # (count, indices) for each distinct value of counts, for work that must
-    # run at each item's own length to give the bits it gives alone.
-    for count in sorted(set(counts.tolist())):
-        yield count, np.flatnonzero(counts == count)
-
-
 def _entropies(spectra: np.ndarray) -> np.ndarray:
     # -sum(lam * log2(lam)) in bits over the positive eigenvalues of each
-    # ascending spectrum of a stack (S, d).  A spectrum's p positive values
-    # are its last p, and they are summed as one array of p values, so each
-    # entropy has the bits of that spectrum's alone.
+    # spectrum of a stack (S, d), as one sum per row in which every other
+    # eigenvalue adds a zero term.  Rows are summed apart, so an entropy has
+    # the bits of its spectrum alone, whatever else is stacked with it.
     positive = spectra > 0.0
     terms = spectra * np.log2(spectra, where=positive, out=np.zeros(spectra.shape))
-    out = np.empty(len(spectra))
-    for p, at in _by_count(positive.sum(axis=-1)):
-        out[at] = -terms[at, spectra.shape[-1] - p:].sum(axis=-1)
-    return out
+    return -terms.sum(axis=-1)
 
 
 def _checked_probabilities(probs: np.ndarray, kind: str = "", axis=None) -> np.ndarray:

@@ -34,7 +34,6 @@ from .core import (
     Operator,
     OutcomeDistribution,
     StateVector,
-    _by_count,
     _check_densities,
     _entropies,
 )
@@ -277,6 +276,13 @@ def _dephase(rho: np.ndarray, obs) -> tuple[np.ndarray, np.ndarray]:
     blocks = obs.adjoint @ rho @ obs.basis
     blocks *= obs.labels[:, :, None] == obs.labels[:, None, :]
     return blocks, obs.basis @ blocks @ obs.adjoint
+
+
+def _by_count(counts: np.ndarray):
+    # (count, indices) for each distinct value of counts, for work that must
+    # run at each item's own length to give the bits it gives alone.
+    for count in sorted(set(counts.tolist())):
+        yield count, np.flatnonzero(counts == count)
 
 
 def _branch_weights(blocks: np.ndarray, obs, rule: ProbabilityRule) -> tuple:

@@ -2,17 +2,17 @@
 
 A _Stack holds observables of one dimension as arrays with a leading stack
 axis, and is the one array form the kernels of this package read: its
-weights and split are the branch arithmetic.  An Observable is a stack of
-one (its cached _stack, views of its own arrays and the adjoint of its
-basis), and its weights and split delegate to it; the dense projectors are a
-cached view.  _check_observables runs an Observable's checks once on a stack
-of them: Observable calls it on a stack of one, and _checked_stack on the
-arrays of verify's trials, which are never wrapped in Observables.
+weights and split are the branch arithmetic.  _checked_stack is the one
+builder of a _Stack and runs an Observable's checks once on the whole
+stack.  An Observable is its stack of one: its basis, labels and indicator
+are read-only slices of it, and its weights and split delegate to it; the
+dense projectors are a cached view.  Verify's trials are stacked from
+arrays and never wrapped in Observables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite, prod
 from operator import lt
@@ -43,17 +43,23 @@ class Observable:
     eigenvalues: tuple[float, ...]
     basis: np.ndarray
     labels: np.ndarray
+    # D x k branch membership of the columns; x @ indicator sums x per branch.
+    indicator: np.ndarray = field(init=False, repr=False, compare=False)
+    # This observable as a read-only _Stack of one; basis, labels and
+    # indicator are its slices.
+    _stack: _Stack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
         eigenvalues = tuple(map(float, self.eigenvalues))
-        basis = np.array(self.basis, dtype=complex)
-        labels = np.array(self.labels)
-        _check_observables(dims, [eigenvalues], basis[None], labels[None])
+        basis, labels = np.asarray(self.basis, dtype=complex), np.asarray(self.labels)
+        stack = _checked_stack(dims, [(eigenvalues, basis, labels)])
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "basis", _frozen(basis))
-        object.__setattr__(self, "labels", _frozen(labels.astype(np.intp)))
+        object.__setattr__(self, "basis", stack.basis[0])
+        object.__setattr__(self, "labels", stack.labels[0])
+        object.__setattr__(self, "indicator", stack.indicator[0])
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def branch_count(self) -> int:
@@ -64,22 +70,10 @@ class Observable:
         return prod(self.dims)
 
     @cached_property
-    def indicator(self) -> np.ndarray:
-        """D x k branch membership of the columns; x @ indicator sums x per branch."""
-        return _frozen((self.labels[:, None] == np.arange(self.branch_count)).astype(float))
-
-    @cached_property
     def projectors(self) -> tuple[Operator, ...]:
         """Dense projectors V_i V_i^dag in branch order, built on first use."""
         cols = (self.basis[:, self.labels == i] for i in range(self.branch_count))
         return tuple(Operator(self.dims, v @ v.conj().T) for v in cols)
-
-    @cached_property
-    def _stack(self) -> _Stack:
-        # This observable as a _Stack of one, read-only like its own arrays.
-        basis = self.basis[None]
-        return _Stack(basis, _frozen(basis.conj()).swapaxes(1, 2), self.labels[None],
-                      np.array([self.branch_count]), self.indicator[None])
 
     def weights(self, x: np.ndarray) -> np.ndarray:
         """Branch weights ||P_i x||^2 as block sums of |V^dag x|^2.
@@ -137,12 +131,13 @@ class _Stack(NamedTuple):
     The S bases V (S, D, D) and their adjoints V^dag (a transposed view of
     the conjugate, made once), column labels (S, D) and branch counts (S,),
     and indicators (S, D, K) whose branch axis is padded with zero columns to
-    a common width K.  A padded branch is a branch of weight 0 in every
-    state.  weights and split are Observable's, stacked: x is (S, D), one
-    vector per observable, or (S, D, n), and products and reductions run per
-    slice, so each observable's numbers do not depend on the others.  A
-    _Stack carries no dims: the public functions check an Observable's dims
-    against the state's, and verify builds each stack on its states' shape.
+    a common width K; read-only, as _checked_stack builds them.  A padded
+    branch is a branch of weight 0 in every state.  weights and split are
+    Observable's, stacked: x is (S, D), one vector per observable, or
+    (S, D, n), and products and reductions run per slice, so each
+    observable's numbers do not depend on the others.  A _Stack carries no
+    dims: the public functions check an Observable's dims against the
+    state's, and verify builds each stack on its states' shape.
     """
 
     basis: np.ndarray
@@ -165,33 +160,21 @@ class _Stack(NamedTuple):
 
 
 def _checked_stack(dims, observables, branches: int | None = None) -> _Stack:
-    """The _Stack of observables of dims given as (eigenvalues, basis,
-    labels) triples, after the checks an Observable runs, once on the stack;
-    the branch axis is padded to `branches` columns (by default the largest
-    branch count)."""
-    eigenvalues, basis, labels = zip(*observables)
-    basis, labels = np.array(basis), np.array(labels)
-    _check_observables(dims, eigenvalues, basis, labels)
-    counts = [len(values) for values in eigenvalues]
-    k = max(counts) if branches is None else branches
-    indicator = (labels[..., None] == np.arange(k)).astype(float)
-    return _Stack(basis, basis.conj().swapaxes(1, 2), labels, np.array(counts), indicator)
+    """The read-only _Stack of S observables of dims, given as (eigenvalues,
+    basis, labels) triples, after the checks of an Observable.
 
-
-def _check_observables(dims: tuple[int, ...], eigenvalues, basis: np.ndarray,
-                       labels: np.ndarray) -> None:
-    """The checks of an Observable, on S observables of dims.
-
-    eigenvalues holds each observable's eigenvalues (S sequences), basis the
-    eigenbases (S, D, D) and labels the column labels (S, D).  In
-    Observable's order: at least one branch, finite and strictly increasing
-    eigenvalues, a finite D x D basis, labels covering branches 0..k-1, and a
-    basis unitary within PROJ_TOL.  Each check runs once on the whole stack
-    and raises for the first observable that fails it.
+    In Observable's order: at least one branch, finite and strictly
+    increasing eigenvalues, a finite D x D basis, integer labels covering
+    branches 0..k-1, and a basis unitary within PROJ_TOL.  Each check runs
+    once on the whole stack and raises for the first observable that fails
+    it.  The branch axis is padded to `branches` columns (by default the
+    largest branch count).
     """
     # The eigenvalues and labels are S short rows, checked row by row in
     # Python, which costs less than a numpy call at these sizes; the bases
     # as one stacked array, by one finiteness test and one Gram product.
+    eigenvalues, basis, labels = zip(*observables)
+    basis, labels = np.array(basis), np.array(labels)
     d, counts = prod(dims), [len(values) for values in eigenvalues]
     if not all(counts):
         raise InvalidProjectorFamilyError("observable has no branches")
@@ -212,6 +195,11 @@ def _check_observables(dims: tuple[int, ...], eigenvalues, basis: np.ndarray,
     gram -= np.eye(d)
     if np.abs(gram).max() > PROJ_TOL:
         raise InvalidProjectorFamilyError("basis is not unitary")
+    labels = labels.astype(np.intp, copy=False)
+    k = max(counts) if branches is None else branches
+    indicator = (labels[..., None] == np.arange(k)).astype(float)
+    return _Stack(*map(_frozen, (basis, basis.conj().swapaxes(1, 2), labels,
+                                 np.array(counts), indicator)))
 
 
 def _check_family(stack: np.ndarray) -> None:

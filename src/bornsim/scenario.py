@@ -125,6 +125,16 @@ def _parse_complex(token: str, key: str) -> complex:
     return out
 
 
+def _is_complex(token: str) -> bool:
+    # A bare i or j is an amplitude, as _parse_complex reads it; no preset
+    # name parses as a number.
+    try:
+        complex(token.replace("i", "j"))
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_complex_list(value: str, key: str) -> list[complex]:
     return [_parse_complex(tok, key) for tok in value.split()]
 
@@ -154,7 +164,7 @@ def _resolve_state(fields: dict, key: str = "state", default: str | None = None)
     if value is None:
         raise ScenarioParseError(f"missing required field '{key}'")
     first = value.split()[0]
-    if first[0].isalpha():
+    if first[0].isalpha() and not _is_complex(first):
         try:
             state = state_preset(value)
         except InvalidInputError as exc:

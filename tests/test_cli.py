@@ -384,6 +384,38 @@ def test_unreadable_file_exit_2(tmp_path, capsys):
     assert err.startswith(f"parse error: cannot read {path}: ")
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_key(tmp_path, capsys):
+    outs = []
+    for mark in (b"\xef\xbb\xbf", b""):
+        path = tmp_path / "epr.scn"
+        path.write_bytes(mark + b"kind = epr\n")
+        code, out, err = run_cli(capsys, "run", str(path), "--format", "records")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("kind, key", [("entropy_demo", "state"), ("ll_scheme", "target")])
+@pytest.mark.parametrize("unit", ["i", "j"])
+def test_an_amplitude_list_may_start_with_a_bare_imaginary_unit(tmp_path, capsys, kind, key,
+                                                                 unit):
+    # A first token that parses as a number is an amplitude, not a preset name.
+    outs = []
+    for amps in (f"{unit} 1", "0+1i 1"):
+        path = tmp_path / "unit.scn"
+        path.write_text(f"kind = {kind}\n{key} = {amps}\n")
+        code, out, err = run_cli(capsys, "run", str(path), "--format", "records")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    for amps, message in (("bogus 1", "unknown state preset 'bogus 1'"),
+                          ("inf 1", "")):
+        path.write_text(f"kind = {kind}\n{key} = {amps}\n")
+        code, out, err = run_cli(capsys, "run", str(path), "--format", "records")
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: field '{key}': ") and message in err
+
+
 def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback(tmp_path):
     # An LL run at d = 120 prints 120 post-states of 120 amplitudes, far more
     # than the 64 KiB a pipe buffers, so run still writes when the reader,

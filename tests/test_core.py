@@ -21,6 +21,7 @@ from bornsim import (
     tv_distance,
     von_neumann_entropy,
 )
+from bornsim.core import _entropies
 from bornsim.rand import random_density, random_state
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -212,6 +213,27 @@ class TestEntropy:
             rho = random_density(rng, (6,))
             s = von_neumann_entropy(rho)
             assert -1e-10 <= s <= math.log2(6) + 1e-10
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_entropies_sum_the_positive_eigenvalues_alone(self, d):
+        # Ascending spectra of every rank from 1 to d, the rest of each made
+        # of exact zeros and tiny negative round-off.  numpy sums fewer than
+        # 8 values in order, so below d = 8 the zero terms change no bit;
+        # from d = 8 on its pairwise sum may round the last bit otherwise.
+        rng = np.random.default_rng([d, 31])
+        spectra = []
+        for rank in range(1, d + 1):
+            tiny = -(10.0 ** rng.uniform(-17, -11, size=d - rank))
+            rest = np.where((np.arange(d - rank) + rank) % 2, tiny, 0.0)
+            spectra.append(np.sort(np.concatenate([rest, rng.dirichlet(np.ones(rank))])))
+        spectra = np.array(spectra)
+        got = _entropies(spectra)
+        for spectrum, entropy in zip(spectra, got):
+            lam = spectrum[spectrum > 0.0]
+            want = -np.sum(lam * np.log2(lam))
+            assert entropy == want if d < 8 else abs(entropy - want) <= 1e-14
+            assert _entropies(spectrum[None])[0].tobytes() == entropy.tobytes()
+        assert (spectra < 0.0).any()
 
 
 class TestOutcomeDistribution:
