@@ -375,7 +375,11 @@ _LL = _Battery((("ll_channel_invariance", 1e-12),), 5, _ll_trial, _check_ll, few
 # holds.  That is d x d x d for a pointer trial at d with d branches per
 # observable, whose two-pointer state, copies and temporaries peaked at 62,
 # 120, 233, 417 and 692 MB for d = 64, 96, 128, 160 and 192 (numpy 2.4, BLAS
-# on one thread): 38 MB plus 6.06 such arrays; at d = 256, 1.6 GB.  A stack
+# on one thread): 38 MB plus 6.06 such arrays; at d = 256, 1.6 GB.  The
+# oracle's d x d x d register tensor set those peaks; the oracle now holds
+# one d x d register at a time and no longer sets the peak (a whole verify
+# at --dims-limit 256 on one CPU peaked at 245 MB), so the cap is
+# conservative until it is refit from measured peaks.  A stack
 # holds up to HAAR_STACK_AMPS register amplitudes (a larger trial, alone),
 # more than d x d x d below d = 41.  The verify process peaked at 43.2 MB at
 # --dims-limit 16, the largest padded d (40.0 MB unstacked), and at 46.2 MB

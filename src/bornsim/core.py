@@ -16,6 +16,8 @@ entropies off them, one row sum per spectrum.
 
 from __future__ import annotations
 
+import operator
+import reprlib
 from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Sequence
@@ -34,11 +36,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_dims(dims) -> tuple[int, ...]:
+def _converted(convert, value, what: str, *args):
+    # convert(value, *args), the one place where input becomes numbers: the
+    # ValueError or TypeError of a string, a ragged nesting or a non-integral
+    # dim is raised as an InvalidInputError.
     try:
-        out = tuple(map(int, dims))
-    except TypeError:
-        raise InvalidInputError(f"dims must be an iterable of ints, got {dims!r}")
+        return convert(value, *args)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{what}, got {reprlib.repr(value)}") from None
+
+
+def _check_dims(dims) -> tuple[int, ...]:
+    out = _converted(lambda v: tuple(map(operator.index, v)), dims,
+                     "dims must be an iterable of ints")
     if not out or any(d < 1 for d in out):
         raise InvalidInputError(f"dims must be non-empty positive ints, got {out}")
     return out
@@ -63,7 +73,8 @@ class StateVector:
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
-        amps = np.array(self.amps, dtype=complex).reshape(-1)
+        amps = _converted(np.array, self.amps, "state vector entries must be numbers", complex)
+        amps = amps.reshape(-1)
         if amps.size != prod(dims):
             raise InvalidInputError(
                 f"amplitude count {amps.size} does not match dims {dims}"
@@ -106,7 +117,7 @@ class Operator:
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
-        entries = np.array(self.entries, dtype=complex)
+        entries = _converted(np.array, self.entries, "operator entries must be numbers", complex)
         d = prod(dims)
         if entries.shape != (d, d):
             raise InvalidInputError(
@@ -139,7 +150,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
-        entries = np.array(self.entries, dtype=complex)
+        entries = _converted(np.array, self.entries, "density entries must be numbers", complex)
         d = prod(dims)
         if entries.shape != (d, d):
             raise InvalidDensityError(
@@ -220,7 +231,8 @@ class OutcomeDistribution:
         labels = tuple(self.labels)
         if len(set(labels)) != len(labels):
             raise InvalidInputError(f"duplicate outcome labels: {labels}")
-        probs = np.array(self.probs, dtype=float).reshape(-1)
+        probs = _converted(np.array, self.probs, "probabilities must be numbers", float)
+        probs = probs.reshape(-1)
         if probs.size != len(labels):
             raise InvalidInputError(
                 f"{probs.size} probabilities for {len(labels)} labels"

@@ -35,6 +35,7 @@ from .core import (
     OutcomeDistribution,
     StateVector,
     _check_densities,
+    _converted,
     _entropies,
 )
 from .errors import (
@@ -59,7 +60,7 @@ class ProbabilityRule:
     exponent: float = 1.0
 
     def __post_init__(self):
-        q = float(self.exponent)
+        q = _converted(float, self.exponent, "rule exponent must be a number")
         if not np.isfinite(q) or q <= 0.0:
             raise InvalidInputError(f"rule exponent must be finite and > 0, got {q!r}")
         object.__setattr__(self, "exponent", q)

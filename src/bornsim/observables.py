@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Operator, _check_dims, _frozen
+from .core import Operator, _check_dims, _converted, _frozen
 from .errors import InvalidInputError, InvalidProjectorFamilyError, NotHermitianError
 
 PROJ_TOL = 1e-10
@@ -51,8 +51,10 @@ class Observable:
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
-        eigenvalues = tuple(map(float, self.eigenvalues))
-        basis, labels = np.asarray(self.basis, dtype=complex), np.asarray(self.labels)
+        eigenvalues = _converted(lambda v: tuple(map(float, v)), self.eigenvalues,
+                                 "eigenvalues must be numbers")
+        basis = _converted(np.asarray, self.basis, "basis entries must be numbers", complex)
+        labels = _converted(np.asarray, self.labels, "labels must be ints")
         stack = _checked_stack(dims, [(eigenvalues, basis, labels)])
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "eigenvalues", eigenvalues)

@@ -18,7 +18,7 @@ weights; all joints of one state and observable pair share those rows.
 _pointer_check implements the claim for `bornsim verify` and `run`, and
 projection_equivalence_report for one scheme, from the same kernels; only
 verify and two_pointer scenarios add the oracle gap (_oracle_gap), so a
-one_pointer run never allocates the oracle's register tensor.
+one_pointer run never runs the oracle.
 
 Every array function of this module (the runs, the Born rows, the oracle,
 _pointer_check and _oracle_gap) takes setups of one system dimension as one
@@ -44,14 +44,16 @@ that is, psi split into the branches of A, and each part split again into
 the branches of B.  run_two_pointer and run_one_pointer write the parts
 obs_b.split(obs_a.split(psi)) and obs_a.split(psi) into the pointer slots,
 in O(d*n*m) memory.  brute_force_joint is the independent oracle: it applies
-U_A and U_B by their definitions to the full register tensor, wrap-around
-included, and never builds a matrix.  As sum_k P_k (x) Shift(k) =
+U_A and U_B by their definitions, wrap-around included, to one register
+(d, size) at a time, never to the full register tensor, as each is the
+identity on the other pointer: U_A to psi (x) |0>, then U_B to each
+pointer-1 slice (x) |0>.  As sum_k P_k (x) Shift(k) =
 (V (x) 1)(sum_c |c><c| (x) Shift(l_c))(V^dag (x) 1), l_c the branch of column
-c of V, each coupling rotates with V^dag, shifts eigen-row c by l_c along the
-pointer axis (one gather) and rotates back.  The oracle's joint cells are the
-Born probabilities of the final tensor summed over the system axis; any mass
-on pointer positions past the branch counts is an error.  A setup whose state
-would exceed POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
+c of V, each coupling rotates with V^dag, shifts eigen-row c by l_c (one
+gather) and rotates back.  Its cells are each final slice's Born
+probabilities summed over the system axis; any mass on pointer positions
+past the branch counts is an error.  A setup whose state would exceed
+POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutcomeDistribution, StateVector, _check_states, _checked_probabilities
+from .core import (OutcomeDistribution, StateVector, _check_states, _checked_probabilities,
+                   _converted)
 from .errors import InvalidInputError, ZeroProbabilityBranchError
 from .measurement import BORN, ZERO_PROB_CUTOFF, _collapsed, _transform_weights
 from .observables import Observable
@@ -156,7 +159,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
+        probs = _converted(np.array, self.probs, "joint probabilities must be numbers", float)
         if probs.ndim != 2:
             raise InvalidInputError(f"joint must be a matrix, got shape {probs.shape}")
         object.__setattr__(self, "probs", _checked_probabilities(probs, "joint "))
@@ -171,19 +174,13 @@ def _stacked(setup: PointerSchemeSetup) -> tuple:
     return setup.small_state.amps[None], setup.obs_a._stack, setup.obs_b._stack
 
 
-def _couple(amps: np.ndarray, obs, axis: int) -> np.ndarray:
-    # sum_k P_k (x) Shift(k) on a pointer axis of register tensors (S, d, ...)
-    # and a _Stack.  Eigen-row c of V^dag amps moves by labels[c] along the
-    # pointer axis (one gather), wrap-around included, and V rotates the
-    # result back.
-    flat = amps.reshape(amps.shape[:2] + (-1,))
-    # Eigen-rows of all the stack's registers along one axis, and the
-    # pointer axis's place among them.
-    rows = (obs.adjoint @ flat).reshape((-1,) + amps.shape[2:])
-    size, pointer = amps.shape[axis], axis % amps.ndim - 1
-    index = ((np.arange(size) - obs.labels[..., None]) % size).reshape(-1, size)
-    shifted = rows.swapaxes(1, pointer)[np.arange(len(rows))[:, None], index].swapaxes(1, pointer)
-    return (obs.basis @ shifted.reshape(flat.shape)).reshape(amps.shape)
+def _couple(amps: np.ndarray, obs) -> np.ndarray:
+    # sum_k P_k (x) Shift(k) on registers (S, d, size) and a _Stack: eigen-row
+    # c of V^dag amps moves by labels[c] along the register (one gather),
+    # wrap-around included, and V rotates the result back.
+    size = amps.shape[-1]
+    return obs.basis @ np.take_along_axis(
+        obs.adjoint @ amps, (np.arange(size) - obs.labels[..., None]) % size, -1)
 
 
 def _two_pointer(psi: np.ndarray, obs_a, obs_b) -> tuple[np.ndarray, np.ndarray]:
@@ -295,15 +292,20 @@ def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
 
 
 def _oracle_cells(psi: np.ndarray, obs_a, obs_b, n: int, m: int) -> np.ndarray:
-    # The oracle's cells over pointer positions (n, m): U_A and U_B applied
-    # by definition to the register tensor of psi0 (x) |0> (x) |0>, Born
-    # probabilities summed over the system axis, (S, n, m) for states
-    # (S, d).  Mass on positions past a state's branch counts raises above
-    # 1e-10 and is cut to zero.
-    amps = np.zeros(psi.shape + (n, m), dtype=complex)
-    amps[..., 0, 0] = psi
-    amps = _couple(_couple(amps, obs_a, axis=-2), obs_b, axis=-1)
-    cells = (np.abs(amps) ** 2).sum(axis=-3)
+    # The oracle's cells over pointer positions (n, m), (S, n, m) for states
+    # (S, d): U_A applied by definition to psi0 (x) |0>, the one non-zero
+    # slice of the second pointer, then U_B to each pointer-1 slice (x) |0>,
+    # whose Born probabilities are summed over the system axis as it is made.
+    # Mass on positions past a state's branch counts raises above 1e-10 and
+    # is cut to zero.
+    register = np.zeros(psi.shape + (n,), dtype=complex)
+    register[..., 0] = psi
+    after_a = _couple(register, obs_a)
+    register = np.zeros(psi.shape + (m,), dtype=complex)
+    cells = np.empty((len(psi), n, m))
+    for i in range(n):
+        register[..., 0] = after_a[..., i]
+        cells[:, i] = (np.abs(_couple(register, obs_b)) ** 2).sum(axis=-2)
     outside = ((np.arange(n)[:, None] >= obs_a.branch_count[:, None, None])
                | (np.arange(m) >= obs_b.branch_count[:, None, None]))
     residual = np.where(outside, cells, 0.0).sum(axis=(-2, -1))
@@ -318,14 +320,14 @@ def _oracle_cells(psi: np.ndarray, obs_a, obs_b, n: int, m: int) -> np.ndarray:
 def brute_force_joint(setup: PointerSchemeSetup) -> JointDistribution:
     """Joint distribution by exhaustive enumeration of composite basis outcomes.
 
-    Applies U_A and then U_B by their definitions to the (d, n, m) register
-    tensor of psi0 (x) |0> (x) |0>, without building either matrix: each
-    coupling rotates the tensor into the observable's eigenbasis, shifts
-    eigen-row c along its pointer axis by the branch label of column c (a
-    gather, wrap-around included) and rotates back.  It then reads cell
-    (i, j) as the Born probabilities of the composite basis states with
-    pointer positions (i, j), summed over the system index, and raises if
-    more than 1e-10 lies on positions past the branch counts.  Its
+    Applies U_A and then U_B by their definitions to psi0 (x) |0> (x) |0>,
+    one pointer register at a time and without building either matrix:
+    U_A to psi0 (x) |0>, then U_B to each pointer-1 slice (x) |0>.  Each
+    coupling rotates a register into the observable's eigenbasis, shifts
+    eigen-row c by the branch label of column c (a gather, wrap-around
+    included) and rotates back.  Cell (i, j) is the Born probability of
+    pointer positions (i, j), summed over the system index, and it raises
+    if more than 1e-10 lies on positions past the branch counts.  Its
     amplitudes are deliberately independent of the branch split in
     run_two_pointer; kept as an oracle for cross-checking.
     """

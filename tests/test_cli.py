@@ -251,7 +251,7 @@ def test_unknown_kind_is_parse_error(tmp_path, capsys):
 
 def test_large_two_pointer_file_is_oracle_checked(tmp_path, capsys):
     # Composite dimension 2*120*120 = 28800: the oracle applies the couplings
-    # to the register tensor and never builds a dense shift unitary.
+    # one pointer register at a time and never builds a dense shift unitary.
     path = tmp_path / "huge.scn"
     path.write_text(
         "kind = two_pointer\n"
@@ -1362,17 +1362,15 @@ def test_run_and_verify_share_each_claims_kernel(capsys, monkeypatch, name, inde
 
 
 def _shifted_coupling(offset):
-    # The oracle's coupling, written per eigen-row of each register of the
-    # stack: eigen-row c moves by its branch label plus offset along the
-    # pointer axis, with wrap-around.
-    def couple(amps, obs, axis):
-        lead = obs.basis.ndim - 1
-        flat = amps.reshape(amps.shape[:lead] + (-1,))
-        rows = (np.swapaxes(obs.basis.conj(), -1, -2) @ flat).reshape(amps.shape)
+    # The oracle's coupling, written per eigen-row of each register (S, d,
+    # size) of the stack: eigen-row c moves by its branch label plus offset
+    # along the register, with wrap-around.
+    def couple(amps, obs):
+        rows = np.swapaxes(obs.basis.conj(), -1, -2) @ amps
         shifted = np.empty_like(rows)
-        for at in np.ndindex(amps.shape[:lead]):
-            shifted[at] = np.roll(rows[at], obs.labels[at] + offset, axis=axis % amps.ndim - lead)
-        return (obs.basis @ shifted.reshape(flat.shape)).reshape(amps.shape)
+        for s, c in np.ndindex(rows.shape[:2]):
+            shifted[s, c] = np.roll(rows[s, c], obs.labels[s, c] + offset)
+        return obs.basis @ shifted
 
     return couple
 

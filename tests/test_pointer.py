@@ -206,7 +206,7 @@ def test_brute_force_oracle_builds_no_dense_projector(rng):
 
 def test_brute_force_oracle_needs_no_branch_columns_or_roll(rng, monkeypatch):
     # The couplings act in the eigenbasis as one gather: no per-branch column
-    # slice of V and no np.roll of the register tensor.
+    # slice of V and no np.roll of a register.
     state, obs_a, obs_b = _random_pair(rng, 5, degenerate=True)
     setup = two_pointer_setup(state, obs_a, obs_b, 4, 6)
     _, joint = run_two_pointer(setup)
@@ -417,9 +417,12 @@ def test_contraction_matches_dense_unitaries(d):
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_coupling_matches_dense_unitaries(d):
-    # The oracle's matrix-free coupling equals the dense U_A / U_B on arbitrary
-    # register vectors (so wrap-around is exercised), in both register shapes,
-    # with degenerate observables and oversized registers, and keeps the norm.
+    # The oracle's matrix-free coupling, applied to one register at a time,
+    # equals the dense U_A / U_B on arbitrary register vectors (so wrap-around
+    # is exercised): U_A on each slice of the second pointer and U_B on each
+    # slice of the first, as each is the identity on the other pointer, and
+    # U_A on the one-pointer register; with degenerate observables and
+    # oversized registers, keeping the norm.
     rng = np.random.default_rng([11, d])
     for degenerate in (False, True) if d >= 3 else (False,):
         for extra in (0, 1, 3):
@@ -427,15 +430,19 @@ def test_coupling_matches_dense_unitaries(d):
             n, m = obs_a.branch_count + extra, obs_b.branch_count + 2 * extra
             two = two_pointer_setup(state, obs_a, obs_b, n, m)
             one = one_pointer_setup(state, obs_a, obs_b, n)
+            # (dense coupling, observable, register shape, the axis of the
+            # pointer it leaves alone; the one-pointer shape has one position)
             cases = (
-                (dense_u_a(two), obs_a, (d, n, m), 1),
-                (dense_u_b(two), obs_b, (d, n, m), 2),
-                (dense_u_a(one), obs_a, (d, n), 1),
+                (dense_u_a(two), obs_a, (d, n, m), 2),
+                (dense_u_b(two), obs_b, (d, n, m), 1),
+                (dense_u_a(one), obs_a, (d, n, 1), 2),
             )
-            for dense, obs, shape, axis in cases:
+            for dense, obs, shape, spectator in cases:
                 x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 x /= np.linalg.norm(x)
-                coupled = _couple(x[None], obs._stack, axis + 1)[0].reshape(-1)
+                registers = np.moveaxis(x, spectator, 0)
+                coupled = np.stack([_couple(r[None], obs._stack)[0] for r in registers])
+                coupled = np.moveaxis(coupled, 0, spectator).reshape(-1)
                 np.testing.assert_allclose(
                     coupled, dense.entries @ x.reshape(-1), rtol=0, atol=1e-13
                 )
@@ -464,6 +471,29 @@ def test_large_dimension_runs_without_dense_oracle():
         assert float(np.max(np.abs(joint.probs - expected))) < 1e-12
     oracle = brute_force_joint(two)
     assert float(np.max(np.abs(oracle.probs - joint_two.probs))) < 1e-12
+
+
+def test_oracle_holds_no_register_tensor():
+    # d = 48 with 48 branches per observable: the oracle couples one register
+    # (d x 48) at a time, so its peak stays below one complex d x 48 x 48
+    # array, the size of the final two-pointer state.
+    rng = np.random.default_rng(48)
+    state = random_state(rng, (48,))
+    obs_a, obs_b = (
+        observable_from_matrix(u @ np.diag(np.arange(48.0)) @ u.conj().T)
+        for u in (random_unitary(rng, 48), random_unitary(rng, 48))
+    )
+    assert obs_a.branch_count == obs_b.branch_count == 48
+    stacked = _stacked(two_pointer_setup(state, obs_a, obs_b))
+    (_,), (joint,), _, _ = _pointer_check(stacked)
+    tracemalloc.start()
+    try:
+        gap = _oracle_gap(stacked, joint, 48, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap[0] < 1e-12
+    assert peak < 16 * 48**3
 
 
 def test_pointer_runs_hand_their_final_state_over_uncopied():

@@ -9,6 +9,7 @@ import pytest
 from bornsim.core import DensityMatrix, Operator, OutcomeDistribution, StateVector, tensor
 from bornsim.errors import InvalidDensityError, InvalidInputError, InvalidProjectorFamilyError
 from bornsim.measurement import (
+    ProbabilityRule,
     branch_weights,
     classical_selective,
     ll_channel,
@@ -142,6 +143,36 @@ REJECTED = [
      InvalidInputError, "pointer-1 size 1 < branch count 2"),
     ("tensor of nothing", lambda: tensor([]),
      InvalidInputError, "tensor of zero factors"),
+    # Malformed input: numpy's or Python's own conversion error is raised as
+    # an InvalidInputError by the one conversion every constructor makes.
+    ("observable ragged basis", lambda: Observable((2,), (0.0, 1.0), [[1, 0], [0]], [0, 1]),
+     InvalidInputError, "basis entries must be numbers, got [[1, 0], [0]]"),
+    ("observable string eigenvalue", lambda: Observable((2,), ("x", 1.0), _EYE, [0, 1]),
+     InvalidInputError, "eigenvalues must be numbers, got ('x', 1.0)"),
+    ("observable ragged labels", lambda: Observable((2,), (0.0, 1.0), _EYE, [[0], [1, 1]]),
+     InvalidInputError, "labels must be ints, got [[0], [1, 1]]"),
+    ("state string entry", lambda: StateVector((2,), ["x", 1]),
+     InvalidInputError, "state vector entries must be numbers, got ['x', 1]"),
+    ("state ragged", lambda: StateVector((2,), [[1], [0, 0]]),
+     InvalidInputError, "state vector entries must be numbers, got [[1], [0, 0]]"),
+    ("operator string entry", lambda: Operator((2,), [["x", 0], [0, 1]]),
+     InvalidInputError, "operator entries must be numbers, got [['x', 0], [0, 1]]"),
+    ("operator ragged", lambda: Operator((2,), [[1, 0], [0]]),
+     InvalidInputError, "operator entries must be numbers, got [[1, 0], [0]]"),
+    ("density string entry", lambda: DensityMatrix((2,), [["x", 0], [0, 1]]),
+     InvalidInputError, "density entries must be numbers, got [['x', 0], [0, 1]]"),
+    ("density ragged", lambda: DensityMatrix((2,), [[1, 0], [0]]),
+     InvalidInputError, "density entries must be numbers, got [[1, 0], [0]]"),
+    ("outcome string probability", lambda: OutcomeDistribution((0, 1), ["a", 1]),
+     InvalidInputError, "probabilities must be numbers, got ['a', 1]"),
+    ("joint ragged", lambda: JointDistribution([[1], [0, 0]]),
+     InvalidInputError, "joint probabilities must be numbers, got [[1], [0, 0]]"),
+    ("rule string exponent", lambda: ProbabilityRule("x"),
+     InvalidInputError, "rule exponent must be a number, got 'x'"),
+    ("state string dims", lambda: StateVector(("a",), [1.0]),
+     InvalidInputError, "dims must be an iterable of ints, got ('a',)"),
+    ("state fractional dims", lambda: StateVector((2.5,), [1.0, 0.0]),
+     InvalidInputError, "dims must be an iterable of ints, got (2.5,)"),
 ]
 
 
