@@ -252,6 +252,8 @@ class OutcomeDistribution:
 
 def basis_state(dim: int, index: int) -> StateVector:
     """Computational basis state |index> of a single dim-dimensional subsystem."""
+    dim = _converted(operator.index, dim, "basis dim must be an int")
+    index = _converted(operator.index, index, "basis index must be an int")
     if not 0 <= index < dim:
         raise InvalidInputError(f"basis index {index} out of range for dim {dim}")
     amps = np.zeros(dim, dtype=complex)
@@ -299,7 +301,8 @@ def partial_trace(rho: DensityMatrix, keep: int | Iterable[int]) -> DensityMatri
 
     Kept subsystems stay in ascending index order.
     """
-    keep_set = {keep} if isinstance(keep, int) else set(int(k) for k in keep)
+    keep_set = _converted(lambda k: set(map(operator.index, k if np.iterable(k) else [k])),
+                          keep, "keep must be an int or an iterable of ints")
     r = len(rho.dims)
     if not keep_set or not keep_set.issubset(range(r)):
         raise InvalidInputError(f"keep {sorted(keep_set)} invalid for {r} subsystems")

@@ -125,7 +125,7 @@ def rule_probabilities(
 
 def project_update(state: StateVector, obs: Observable, branch: int) -> StateVector:
     """Collapse onto one branch: P_i psi / ||P_i psi||, with P_i = V_i V_i^dag."""
-    obs.eigenvalue(branch)  # range check
+    branch = obs._check_branch(branch)
     stack = _matched(state.dims, obs)._stack
     parts = _collapsed(state.amps[None], stack, np.array([branch]), True)
     return StateVector(state.dims, parts[0, :, 0])
@@ -160,7 +160,7 @@ def measure_selective(
     """
     dist = rule_probabilities(rule, state, obs)
     if force_branch is not None:
-        branch = int(force_branch)  # project_update checks the range
+        branch = obs._check_branch(force_branch)
     else:
         if rng is None:
             raise InvalidInputError("either rng or force_branch is required")
@@ -327,7 +327,7 @@ def classical_selective(
     DECOHERED_TOL.  Returns the rule's probability for the branch and the
     conditional state P_i rho P_i / Tr(P_i rho).
     """
-    obs.eigenvalue(branch)  # range check
+    branch = obs._check_branch(branch)
     stack = _matched(rho.dims, obs)._stack
     blocks, dephased = _dephase(rho.entries[None], stack)
     weights, probs = _branch_weights(blocks, stack, rule)

@@ -12,6 +12,7 @@ arrays and never wrapped in Observables.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite, prod
@@ -95,22 +96,18 @@ class Observable:
         return self._stack.split(x[None], slice(None) if branches is None else branches)[0]
 
     def eigenvalue(self, branch: int) -> float:
-        self._check_branch(branch)
-        return self.eigenvalues[branch]
+        return self.eigenvalues[self._check_branch(branch)]
 
     def projector(self, branch: int) -> Operator:
-        self._check_branch(branch)
-        return self.projectors[branch]
+        return self.projectors[self._check_branch(branch)]
 
     def branch_basis(self, branch: int) -> np.ndarray:
         """The orthonormal columns V_i of one branch, a D x rank array."""
-        self._check_branch(branch)
-        return self.basis[:, self.labels == branch]
+        return self.basis[:, self.labels == self._check_branch(branch)]
 
     def branch_rank(self, branch: int) -> int:
         """Multiplicity of a branch: the number of basis columns it owns."""
-        self._check_branch(branch)
-        return int(np.count_nonzero(self.labels == branch))
+        return int(np.count_nonzero(self.labels == self._check_branch(branch)))
 
     def branches(self):
         return tuple(zip(self.eigenvalues, self.projectors))
@@ -120,11 +117,14 @@ class Observable:
         scaled = self.basis * np.asarray(self.eigenvalues)[self.labels]
         return Operator(self.dims, scaled @ self.basis.conj().T)
 
-    def _check_branch(self, branch: int) -> None:
+    def _check_branch(self, branch: int) -> int:
+        # branch as an int in range(branch_count), or InvalidInputError.
+        branch = _converted(operator.index, branch, "branch must be an int")
         if not 0 <= branch < self.branch_count:
             raise InvalidInputError(
                 f"branch {branch} out of range for {self.branch_count} branches"
             )
+        return branch
 
 
 class _Stack(NamedTuple):
@@ -293,6 +293,7 @@ def embed_observable(obs: Observable, dims, subsystem: int) -> Observable:
     eigenvalues and branch order are unchanged.
     """
     dims = _check_dims(dims)
+    subsystem = _converted(operator.index, subsystem, "subsystem must be an int")
     if not 0 <= subsystem < len(dims):
         raise InvalidInputError(f"subsystem {subsystem} out of range for {dims}")
     if obs.dims != (dims[subsystem],):

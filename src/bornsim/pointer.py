@@ -58,6 +58,7 @@ POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,9 @@ class PointerSchemeSetup:
     m_pointer2: int | None
 
     def __post_init__(self):
-        n = int(self.n_pointer1)
-        m = None if self.m_pointer2 is None else int(self.m_pointer2)
+        n = _converted(operator.index, self.n_pointer1, "pointer-1 size must be an int")
+        m = None if self.m_pointer2 is None else _converted(
+            operator.index, self.m_pointer2, "pointer-2 size must be an int")
         dims = self.small_state.dims
         for which, obs in (("first", self.obs_a), ("second", self.obs_b)):
             if obs.dims != dims:
@@ -249,6 +251,7 @@ def marginal_a(joint: JointDistribution) -> OutcomeDistribution:
 def conditional_b_given_a(joint: JointDistribution, branch_a: int) -> OutcomeDistribution:
     """Distribution of the second branch index given the first one."""
     na, nb = joint.branch_counts
+    branch_a = _converted(operator.index, branch_a, "branch must be an int")
     if not 0 <= branch_a < na:
         raise InvalidInputError(f"branch {branch_a} out of range for {na} branches")
     row = joint.probs[branch_a]

@@ -7,9 +7,10 @@ bare reals are accepted where a complex number is expected.  Amplitude lists
 are normalized after parsing.  Unknown keys are rejected.
 
 Kinds: two_pointer | one_pointer | epr | stern_gerlach | ll_scheme |
-telepathy | entropy_demo.  Each runner returns an ordered list of
-(key, formatted value) records; formatting is deterministic, so records
-output is byte-identical for a fixed seed.
+telepathy | entropy_demo.  Each runner calls its claim's kernel and returns
+an ordered list of (key, formatted value) records; formatting is
+deterministic, so records output is byte-identical for a fixed seed.  The
+LL kinds read their posts off _collapsed or _target_check, as vectors.
 """
 
 from __future__ import annotations
@@ -19,25 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Operator,
-    StateVector,
-    density_from_pure,
-    inner,
-    tv_distance,
-)
+from .core import StateVector, _check_states, density_from_pure, tv_distance
 from .errors import InvalidInputError
 from .measurement import (
     BORN,
     ZERO_PROB_CUTOFF,
-    MeasurementRecord,
     ProbabilityRule,
+    _collapsed,
     _entropy_check,
     _stack_of_one,
     _target_check,
-    ll_channel,
-    phase_unitaries,
-    project_update,
 )
 from .observables import observable_from_branches, observable_from_matrix
 from .pointer import (
@@ -272,8 +264,8 @@ def fmt_complex(z: complex) -> str:
 Records = list[tuple[str, str]]
 
 
-def _state_records(prefix: str, state: StateVector) -> Records:
-    return [(f"{prefix}.{k}", fmt_complex(z)) for k, z in enumerate(state.amps)]
+def _state_records(prefix: str, amps: np.ndarray) -> Records:
+    return [(f"{prefix}.{k}", fmt_complex(z)) for k, z in enumerate(amps)]
 
 
 def _distribution_records(prefix: str, probs: np.ndarray) -> Records:
@@ -305,7 +297,6 @@ def _run_pointer(scn: Scenario) -> Records:
         stacked = _stacked(setup)
         parts, joints, deviations, _ = _pointer_check(stacked)
         cross_dev = _oracle_gap(stacked, joints[0], n1, m2)
-    final = _final(setup, parts[-1][0])
     joint, deviation, cross_dev = joints[-1][0], deviations[0, -1], cross_dev[0]
     cross_key = "two_pointer_joint_max_dev" if m2 is None else "oracle_joint_max_dev"
 
@@ -321,16 +312,18 @@ def _run_pointer(scn: Scenario) -> Records:
                 for (i, j), p in np.ndenumerate(joint) if rows[i] > ZERO_PROB_CUTOFF]
     records.append(("max_projection_deviation", fmt_real(deviation)))
     records.append((cross_key, fmt_real(cross_dev)))
-    if final.dim <= 64:
-        records += _state_records("final_state", final)
+    if state.dim * n1 * (m2 or 1) <= 64:  # the final state's dim
+        records += _state_records("final_state", _final(setup, parts[-1][0]).amps)
     return records
 
 
 def _run_ll(scn: Scenario) -> Records:
+    # The posts are the collapsed parts, the target's steered posts, or for
+    # stern_gerlach each part times exp(-i omega_n dt), of overlap 1 with it.
     fields = dict(scn.fields)
     state = _resolve_state(fields, default="plus")
     obs = _resolve_observable(fields, "obs", state.dims, default="sigma_z")
-    records: Records = []
+    target = None
     if scn.kind == "stern_gerlach":
         omegas = _take(fields, "omegas")
         if omegas is None:
@@ -343,32 +336,30 @@ def _run_ll(scn: Scenario) -> Records:
         dt = _parse_float(_take(fields, "dt", "1.0"), "dt")
         if not all(math.isfinite(w * dt) for w in omegas):
             raise ScenarioParseError(f"field 'dt': omega * dt overflows at dt = {dt!r}")
-        _reject_unknown(fields)
-        unitaries = phase_unitaries(obs, omegas, dt)
-        output = ll_channel(state, obs, unitaries)
-        phase_dev = 0.0
-        for rec in output:
-            collapsed = project_update(state, obs, rec.branch_index)
-            overlap = abs(inner(collapsed, rec.post_state))
-            phase_dev = max(phase_dev, abs(1.0 - overlap))
-            records.append((f"p.{rec.branch_index}", fmt_real(rec.probability)))
-        records.append(("phase_only_max_dev", fmt_real(phase_dev)))
-        return records
-    target = _resolve_state(fields, key="target") if "target" in fields else None
-    if target is not None and target.dims != state.dims:
-        raise ScenarioParseError(f"field 'target': dims {target.dims} != {state.dims}")
+    elif "target" in fields:
+        target = _resolve_state(fields, key="target")
+        if target.dims != state.dims:
+            raise ScenarioParseError(f"field 'target': dims {target.dims} != {state.dims}")
     _reject_unknown(fields)
     if target is None:
-        eye = np.eye(state.dim, dtype=complex)
-        output = ll_channel(state, obs, [Operator(state.dims, eye)] * obs.branch_count)
+        psi, stack = state.amps[None], obs._stack
+        weights = stack.weights(psi)
+        live = weights > ZERO_PROB_CUTOFF
+        posts = _collapsed(psi, stack, slice(None), live)
     else:
         weights, dev, live, posts = _target_check(*_stack_of_one(state, obs, target))
-        output = [MeasurementRecord(n, obs.eigenvalue(n), float(weights[0, n]),
-                                    StateVector(state.dims, posts[0, :, n]))
-                  for n in np.flatnonzero(live[0]).tolist()]
-    records += [(f"p.{rec.branch_index}", fmt_real(rec.probability)) for rec in output]
-    for rec in output:
-        records += _state_records(f"post_state.{rec.branch_index}", rec.post_state)
+    branches = np.flatnonzero(live[0]).tolist()
+    parts = posts = posts[0].T[branches]
+    if scn.kind == "stern_gerlach":
+        posts = np.exp(-1j * np.array(omegas) * dt)[branches, None] * parts
+    _check_states(posts)
+    records: Records = [(f"p.{n}", fmt_real(weights[0, n])) for n in branches]
+    if scn.kind == "stern_gerlach":
+        overlap = np.abs((parts.conj() * posts).sum(axis=-1))
+        records.append(("phase_only_max_dev", fmt_real(np.abs(1.0 - overlap).max(initial=0.0))))
+        return records
+    for n, post in zip(branches, posts):
+        records += _state_records(f"post_state.{n}", post)
     if target is not None:
         records.append(("max_target_deviation", fmt_real(dev[0])))
     return records

@@ -36,11 +36,12 @@ weight 0, so it is dead on Alice's side and carries no probability on Bob's.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutcomeDistribution, StateVector, _checked_probabilities
+from .core import OutcomeDistribution, StateVector, _checked_probabilities, _converted
 from .errors import InvalidInputError
 from .measurement import BORN, ZERO_PROB_CUTOFF, ProbabilityRule, _transform_weights
 from .observables import Observable
@@ -176,6 +177,7 @@ def channel_simulation(
     """
     if bit not in (0, 1):
         raise InvalidInputError(f"bit must be 0 or 1, got {bit!r}")
+    shots = _converted(operator.index, shots, "shots must be an int")
     if shots < 1:
         raise InvalidInputError(f"shots must be >= 1, got {shots!r}")
     if shots > MAX_SHOTS:

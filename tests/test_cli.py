@@ -1301,7 +1301,7 @@ def test_a_nan_signaling_gap_fails_both_signaling_properties(capsys, monkeypatch
 def test_an_ll_post_state_off_its_norm_fails_verify_and_aborts_run(capsys, monkeypatch):
     # The defect that moves a post-state's norm past a StateVector's limit,
     # on one share: verify FAILs ll_channel_invariance alone, and `run`,
-    # which wraps each post-state in a StateVector, exits 3.
+    # which checks the live posts as a StateVector's are checked, exits 3.
     set_workers(monkeypatch, 1)
     _patch_everywhere(monkeypatch, "_householder", _overscale_reflection_coefficient)
     code, out, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
@@ -1311,6 +1311,58 @@ def test_an_ll_post_state_off_its_norm_fails_verify_and_aborts_run(capsys, monke
     code, out, err = run_cli(capsys, "run", "ll_preparation")
     assert code == 3 and out == ""
     assert err.startswith("invariant violation [InvalidInputError]: state vector norm")
+
+
+def _amps_text(amps) -> str:
+    # Complex amplitudes as a scenario file writes them, digits enough to
+    # read back the same floats.
+    return " ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in amps)
+
+
+def test_the_ll_kinds_build_no_operator(capsys, monkeypatch, tmp_path):
+    # run reads the LL kinds off the collapse and target kernels: with every
+    # dense-operator path refused, the stern_gerlach and ll_preparation
+    # presets print their pinned records, and inline d = 8 files print the
+    # Born weights bit for bit, the collapsed parts, and phases that move no
+    # overlap.
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    h = (a + a.conj().T) / 2
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    state = core.StateVector((8,), amps / np.linalg.norm(amps))
+    obs = observables.observable_from_matrix(h)
+    weights = measurement.branch_weights(state, obs)
+    parts = [measurement.project_update(state, obs, n).amps for n in range(obs.branch_count)]
+    body = f"state = {_amps_text(amps)}\nobs = matrix {' ; '.join(map(_amps_text, h))}\n"
+    omegas = " ".join(f"{w:.17g}" for w in rng.uniform(0.0, 3.0, obs.branch_count))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LL run built an operator")
+
+    for module in (core, measurement, scenario):
+        for name in ("Operator", "ll_channel", "phase_unitaries", "project_update"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    pinned = os.path.join(os.path.dirname(__file__), "preset_records")
+    for preset in ("stern_gerlach", "ll_preparation"):
+        code, out, err = run_cli(capsys, "run", preset, "--format", "records")
+        assert code == 0 and err == ""
+        with open(os.path.join(pinned, f"{preset}.records"), encoding="utf-8") as fh:
+            assert out == fh.read()
+    monkeypatch.setattr(scenario, "fmt_real", lambda x: repr(float(x)))  # every bit
+    for kind, extra in (("ll_scheme", ""), ("stern_gerlach", f"omegas = {omegas}\ndt = 0.7\n")):
+        path = tmp_path / f"{kind}.scn"
+        path.write_text(f"kind = {kind}\n{body}{extra}")
+        code, out, err = run_cli(capsys, "run", str(path), "--format", "records")
+        assert code == 0 and err == ""
+        lines = dict(line.split("=", 1) for line in out.splitlines())
+        assert [float(lines[f"p.{n}"]) for n in range(obs.branch_count)] == weights.tolist()
+        if kind == "stern_gerlach":
+            assert float(lines["phase_only_max_dev"]) < 1e-14
+            continue
+        for n, part in enumerate(parts):
+            post = [complex(lines[f"post_state.{n}.{k}"].replace("i", "j")) for k in range(8)]
+            np.testing.assert_allclose(post, part, rtol=0, atol=1e-11)
 
 
 def _offset(index, delta):

@@ -6,20 +6,24 @@ report exactly what the old one did."""
 import numpy as np
 import pytest
 
-from bornsim.core import DensityMatrix, Operator, OutcomeDistribution, StateVector, tensor
+from bornsim.core import (DensityMatrix, Operator, OutcomeDistribution, StateVector, basis_state,
+                          partial_trace, tensor)
 from bornsim.errors import InvalidDensityError, InvalidInputError, InvalidProjectorFamilyError
 from bornsim.measurement import (
     ProbabilityRule,
     branch_weights,
     classical_selective,
     ll_channel,
+    measure_selective,
     nonselective_channel,
     project_update,
     state_preparation_unitaries,
 )
-from bornsim.observables import Observable, observable_from_branches, observable_from_matrix
-from bornsim.pointer import JointDistribution, PointerSchemeSetup
-from bornsim.signaling import TelepathyScenario
+from bornsim.observables import (Observable, embed_observable, observable_from_branches,
+                                 observable_from_matrix)
+from bornsim.pointer import (JointDistribution, PointerSchemeSetup, conditional_b_given_a,
+                             one_pointer_setup)
+from bornsim.signaling import TelepathyScenario, channel_simulation
 
 NAN_IMAG = complex(0.0, np.nan)
 INF_REAL = complex(np.inf, 0.0)
@@ -38,6 +42,9 @@ _SIGMA_Z = observable_from_matrix(np.diag([1.0, -1.0]))
 _QUTRIT = StateVector((3,), [1.0, 0.0, 0.0])
 _QUBIT = StateVector((2,), [1.0, 0.0])
 _MIXED_QUTRIT = DensityMatrix((3,), np.eye(3) / 3)
+_MIXED_PAIR = DensityMatrix((2, 2), np.eye(4) / 4)
+_BELL = TelepathyScenario(StateVector((2, 2), [1.0, 0.0, 0.0, 1.0] / np.sqrt(2)),
+                          _SIGMA_Z, _SIGMA_Z)
 
 REJECTED = [
     # (case, constructor, exception class, exact message)
@@ -173,6 +180,48 @@ REJECTED = [
      InvalidInputError, "dims must be an iterable of ints, got ('a',)"),
     ("state fractional dims", lambda: StateVector((2.5,), [1.0, 0.0]),
      InvalidInputError, "dims must be an iterable of ints, got (2.5,)"),
+    # Integer parameters outside the value types pass the same conversion:
+    # a fractional one is not truncated and a string is not compared.
+    ("measure_selective fractional force_branch",
+     lambda: measure_selective(_QUBIT, _SIGMA_Z, force_branch=0.7),
+     InvalidInputError, "branch must be an int, got 0.7"),
+    ("one_pointer_setup fractional size",
+     lambda: one_pointer_setup(_QUBIT, _SIGMA_Z, _SIGMA_Z, 2.5),
+     InvalidInputError, "pointer-1 size must be an int, got 2.5"),
+    ("pointer-1 string size", lambda: PointerSchemeSetup(_QUBIT, _SIGMA_Z, _SIGMA_Z, "x", None),
+     InvalidInputError, "pointer-1 size must be an int, got 'x'"),
+    ("pointer-2 string size", lambda: PointerSchemeSetup(_QUBIT, _SIGMA_Z, _SIGMA_Z, 2, "x"),
+     InvalidInputError, "pointer-2 size must be an int, got 'x'"),
+    ("partial_trace fractional keep entry", lambda: partial_trace(_MIXED_PAIR, (1.7,)),
+     InvalidInputError, "keep must be an int or an iterable of ints, got (1.7,)"),
+    ("partial_trace fractional keep", lambda: partial_trace(_MIXED_PAIR, 1.5),
+     InvalidInputError, "keep must be an int or an iterable of ints, got 1.5"),
+    ("basis_state string index", lambda: basis_state(2, "a"),
+     InvalidInputError, "basis index must be an int, got 'a'"),
+    ("embed_observable fractional subsystem", lambda: embed_observable(_SIGMA_Z, (2, 2), 0.5),
+     InvalidInputError, "subsystem must be an int, got 0.5"),
+    ("channel_simulation fractional shots",
+     lambda: channel_simulation(_BELL, 1, 2.5, np.random.default_rng(0)),
+     InvalidInputError, "shots must be an int, got 2.5"),
+    ("channel_simulation string shots",
+     lambda: channel_simulation(_BELL, 1, "x", np.random.default_rng(0)),
+     InvalidInputError, "shots must be an int, got 'x'"),
+    ("project_update fractional branch", lambda: project_update(_QUBIT, _SIGMA_Z, 0.5),
+     InvalidInputError, "branch must be an int, got 0.5"),
+    ("classical_selective fractional branch",
+     lambda: classical_selective(DensityMatrix((2,), np.eye(2) / 2), _SIGMA_Z, 0.5),
+     InvalidInputError, "branch must be an int, got 0.5"),
+    ("eigenvalue fractional branch", lambda: _SIGMA_Z.eigenvalue(0.5),
+     InvalidInputError, "branch must be an int, got 0.5"),
+    ("projector fractional branch", lambda: _SIGMA_Z.projector(0.5),
+     InvalidInputError, "branch must be an int, got 0.5"),
+    ("branch_basis fractional branch", lambda: _SIGMA_Z.branch_basis(0.5),
+     InvalidInputError, "branch must be an int, got 0.5"),
+    ("branch_rank fractional branch", lambda: _SIGMA_Z.branch_rank(0.5),
+     InvalidInputError, "branch must be an int, got 0.5"),
+    ("conditional_b_given_a fractional branch",
+     lambda: conditional_b_given_a(JointDistribution([[0.5, 0.0], [0.0, 0.5]]), 0.5),
+     InvalidInputError, "branch must be an int, got 0.5"),
 ]
 
 
