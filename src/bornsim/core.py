@@ -46,6 +46,13 @@ def _converted(convert, value, what: str, *args):
         raise InvalidInputError(f"{what}, got {reprlib.repr(value)}") from None
 
 
+def _check_type(value, cls: type, what: str) -> None:
+    # The composite value types' check of a field that holds another value
+    # type, raised as _converted raises its errors.
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{what}, got {reprlib.repr(value)}")
+
+
 def _check_dims(dims) -> tuple[int, ...]:
     out = _converted(lambda v: tuple(map(operator.index, v)), dims,
                      "dims must be an iterable of ints")

@@ -54,17 +54,25 @@ gather) and rotates back.  Its cells are each final slice's Born
 probabilities summed over the system axis; any mass on pointer positions
 past the branch counts is an error.  A setup whose state would exceed
 POINTER_STATE_MAX_AMPS amplitudes is rejected on construction.
+
+A setup keeps the checked joint of its scheme once a run or
+projection_equivalence_report has computed it, so a report after a run of
+the same setup adds only the Born rows and the deviations.  A run still
+computes its parts, as it returns the final state; neither is kept, so a
+setup holds at most na*nb extra floats, 1/d of the final state's amplitudes.
+Every field of a setup is a checked value with read-only arrays, so the
+kept joint is the one a fresh setup computes, bit for bit.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (OutcomeDistribution, StateVector, _check_states, _checked_probabilities,
-                   _converted)
+from .core import (OutcomeDistribution, StateVector, _check_states, _check_type,
+                   _checked_probabilities, _converted)
 from .errors import InvalidInputError, ZeroProbabilityBranchError
 from .measurement import BORN, ZERO_PROB_CUTOFF, _collapsed, _transform_weights
 from .observables import Observable
@@ -94,8 +102,14 @@ class PointerSchemeSetup:
     obs_b: Observable
     n_pointer1: int
     m_pointer2: int | None
+    # The scheme's checked joint, stored by the first run or report that
+    # computes it: na x nb cells, at most 1/d of the final state's amplitudes.
+    _joint: JointDistribution | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_type(self.small_state, StateVector, "small_state must be a StateVector")
+        for name in ("obs_a", "obs_b"):
+            _check_type(getattr(self, name), Observable, f"{name} must be an Observable")
         n = _converted(operator.index, self.n_pointer1, "pointer-1 size must be an int")
         m = None if self.m_pointer2 is None else _converted(
             operator.index, self.m_pointer2, "pointer-2 size must be an int")
@@ -121,6 +135,12 @@ class PointerSchemeSetup:
         return ONE_POINTER if self.m_pointer2 is None else TWO_POINTER
 
 
+def _size(size: int | None, obs: Observable) -> int | None:
+    # A register size, by default obs's branch count; the setup's own check
+    # rejects an obs that is not an Observable.
+    return obs.branch_count if size is None and isinstance(obs, Observable) else size
+
+
 def two_pointer_setup(
     small_state: StateVector,
     obs_a: Observable,
@@ -130,12 +150,7 @@ def two_pointer_setup(
 ) -> PointerSchemeSetup:
     """Two-pointer setup; register sizes default to the branch counts."""
     return PointerSchemeSetup(
-        small_state,
-        obs_a,
-        obs_b,
-        obs_a.branch_count if n_pointer1 is None else n_pointer1,
-        obs_b.branch_count if m_pointer2 is None else m_pointer2,
-    )
+        small_state, obs_a, obs_b, _size(n_pointer1, obs_a), _size(m_pointer2, obs_b))
 
 
 def one_pointer_setup(
@@ -145,13 +160,7 @@ def one_pointer_setup(
     n_pointer1: int | None = None,
 ) -> PointerSchemeSetup:
     """One-pointer setup; the second observable is measured directly."""
-    return PointerSchemeSetup(
-        small_state,
-        obs_a,
-        obs_b,
-        obs_a.branch_count if n_pointer1 is None else n_pointer1,
-        None,
-    )
+    return PointerSchemeSetup(small_state, obs_a, obs_b, _size(n_pointer1, obs_a), None)
 
 
 @dataclass(frozen=True)
@@ -209,12 +218,21 @@ def _final(setup: PointerSchemeSetup, parts: np.ndarray) -> StateVector:
     return StateVector._checked(setup.small_state.dims + sizes, amps)
 
 
+def _kept(setup: PointerSchemeSetup, joint: np.ndarray) -> JointDistribution:
+    # The setup's stored joint.  The first run or report stores its joint
+    # cells (na, nb) as a JointDistribution; a later run computes the same
+    # cells bit for bit and returns the stored ones.
+    if setup._joint is None:
+        object.__setattr__(setup, "_joint", JointDistribution(joint))
+    return setup._joint
+
+
 def _run(setup: PointerSchemeSetup, run) -> tuple[StateVector, JointDistribution]:
     # The final state and joint of one run of the setup, on a stack of one;
     # its parts pass the checks of a StateVector.
     parts, joint = run(*_stacked(setup))
     _check_states(parts)
-    return _final(setup, parts[0]), JointDistribution(joint[0])
+    return _final(setup, parts[0]), _kept(setup, joint[0])
 
 
 def run_two_pointer(setup: PointerSchemeSetup) -> tuple[StateVector, JointDistribution]:
@@ -285,13 +303,17 @@ def projection_equivalence_report(setup: PointerSchemeSetup) -> float:
     """Worst |p(j|i) - Born_j(collapsed state)| over all live branch pairs.
 
     This is the quantitative check that the pointer readout statistics agree
-    with the projection postulate applied to the small system alone.
+    with the projection postulate applied to the small system alone.  The
+    joint is the one a run or report of this setup stored; without one, the
+    setup is evolved once and its joint stored.
     """
     stacked = _stacked(setup)
-    run = _two_pointer if setup.mode == TWO_POINTER else _one_pointer
-    joint = _checked_probabilities(run(*stacked)[1], "joint ", axis=(-2, -1))
-    born = _born_rows(*stacked, joint.sum(axis=-1) > ZERO_PROB_CUTOFF)
-    return float(_projection_deviations(joint, born)[0])
+    joint = setup._joint
+    if joint is None:
+        run = _two_pointer if setup.mode == TWO_POINTER else _one_pointer
+        joint = _kept(setup, run(*stacked)[1][0])
+    born = _born_rows(*stacked, joint.probs.sum(axis=-1)[None] > ZERO_PROB_CUTOFF)
+    return float(_projection_deviations(joint.probs, born[0]))
 
 
 def _oracle_cells(psi: np.ndarray, obs_a, obs_b, n: int, m: int) -> np.ndarray:

@@ -32,16 +32,24 @@ party's stack on its own axis of the amplitude matrices, so a scenario's
 checks hold by construction, and pads its branch axis to its dimension, so
 that no-signaling trials of one shape share one call.  A padded branch has
 weight 0, so it is dead on Alice's side and carries no probability on Bob's.
+
+A scenario keeps its W, read-only, and _signaling_check's result under its
+rule once either is computed: the three public arm and gap functions share
+one computation, and channel_simulation reads the kept W.  That is sound
+because every field of a scenario is a checked value with read-only arrays,
+so the kept values are the ones a fresh scenario computes, bit for bit; they
+take k_A*k_B + 2*k_B + 1 floats for k_A and k_B branches.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OutcomeDistribution, StateVector, _checked_probabilities, _converted
+from .core import (OutcomeDistribution, StateVector, _check_type, _checked_probabilities,
+                   _converted, _frozen)
 from .errors import InvalidInputError
 from .measurement import BORN, ZERO_PROB_CUTOFF, ProbabilityRule, _transform_weights
 from .observables import Observable
@@ -59,9 +67,19 @@ class TelepathyScenario:
     alice_obs: Observable
     bob_obs: Observable
     bob_rule: ProbabilityRule = BORN
+    # W (Alice's branches x Bob's, read-only) and _signaling_check's result
+    # under bob_rule, stored by the first _scenario_cells and _arms call.
+    _cells: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _check: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Two subsystems, and each party's observable on its own.
+        # Each field's type, two subsystems, and each party's observable on
+        # its own.
+        for name, cls, kind in (("state", StateVector, "a StateVector"),
+                                ("alice_obs", Observable, "an Observable"),
+                                ("bob_obs", Observable, "an Observable"),
+                                ("bob_rule", ProbabilityRule, "a ProbabilityRule")):
+            _check_type(getattr(self, name), cls, f"{name} must be {kind}")
         dims = self.state.dims
         if len(dims) != 2:
             raise InvalidInputError(f"state must have exactly 2 subsystems, got dims {dims}")
@@ -82,9 +100,12 @@ def _cell_weights(m: np.ndarray, alice, bob) -> np.ndarray:
 
 
 def _scenario_cells(scenario: TelepathyScenario) -> np.ndarray:
-    # W of one scenario, from a stack of one.
-    m = scenario.state.amps.reshape((1,) + scenario.state.dims)
-    return _cell_weights(m, scenario.alice_obs._stack, scenario.bob_obs._stack)[0]
+    # W of one scenario, from a stack of one, computed once and stored on it.
+    if scenario._cells is None:
+        m = scenario.state.amps.reshape((1,) + scenario.state.dims)
+        cells = _cell_weights(m, scenario.alice_obs._stack, scenario.bob_obs._stack)[0]
+        object.__setattr__(scenario, "_cells", _frozen(cells))
+    return scenario._cells
 
 
 def _alice_branches(
@@ -112,16 +133,21 @@ def _signaling_check(cells: np.ndarray, rule: ProbabilityRule) -> tuple:
 
 
 def _arms(scenario: TelepathyScenario) -> tuple:
-    # _signaling_check on one scenario's W, under its own rule.
-    return _signaling_check(_scenario_cells(scenario), scenario.bob_rule)
+    # _signaling_check on one scenario's W, under its own rule, computed once
+    # and stored on it.
+    if scenario._check is None:
+        check = _signaling_check(_scenario_cells(scenario), scenario.bob_rule)
+        object.__setattr__(scenario, "_check", check)
+    return scenario._check
 
 
 def swap_parties(scenario: TelepathyScenario) -> TelepathyScenario:
     """Mirror the scenario so the former Bob side becomes the measuring party."""
+    # The transpose of checked amplitudes is finite and of norm 1 as well.
     d0, d1 = scenario.state.dims
-    amps = scenario.state.amps.reshape(d0, d1).T.reshape(-1)
+    amps = scenario.state.amps.reshape(d0, d1).T.copy()
     return TelepathyScenario(
-        StateVector((d1, d0), amps),
+        StateVector._checked((d1, d0), amps),
         scenario.bob_obs,
         scenario.alice_obs,
         scenario.bob_rule,
@@ -168,13 +194,14 @@ def channel_simulation(
 ) -> OutcomeDistribution:
     """Monte Carlo run of the one-bit channel Alice -> Bob.
 
-    bit 1 means Alice measures before Bob; bit 0 means she does nothing.
-    Returns Bob's empirical outcome distribution over shots samples.  The
-    draws consume the same uniforms as rng.choice with the arms' weights
-    (first Alice's branch for every shot, then Bob's outcomes row by row), so
-    a seed gives the same counts and the same final generator state.  shots
-    must be between 1 and MAX_SHOTS = 2**24.
+    bit is the int 1 or 0: 1 means Alice measures before Bob, 0 that she
+    does nothing.  Returns Bob's empirical outcome distribution over shots
+    samples.  The draws consume the same uniforms as rng.choice with the
+    arms' weights (first Alice's branch for every shot, then Bob's outcomes
+    row by row), so a seed gives the same counts and the same final
+    generator state.  shots must be between 1 and MAX_SHOTS = 2**24.
     """
+    bit = _converted(operator.index, bit, "bit must be an int")
     if bit not in (0, 1):
         raise InvalidInputError(f"bit must be 0 or 1, got {bit!r}")
     shots = _converted(operator.index, shots, "shots must be an int")

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -26,6 +28,7 @@ from bornsim import (
     tensor,
     two_pointer_setup,
 )
+from bornsim import pointer
 from bornsim.core import density_from_pure
 from bornsim.measurement import BORN, ZERO_PROB_CUTOFF, project_update, rule_probabilities
 from bornsim.observables import Observable
@@ -326,6 +329,88 @@ def test_shared_born_rows_give_each_joint_its_own_deviation(seed):
         _, (joint_two, joint_one), deviations, _ = _pointer_check(_stacked(two), one=True)
         assert deviations[0, 0] == projection_equivalence_report(two)
         assert deviations[0, 1] == projection_equivalence_report(one)
+
+
+def _fresh(setup):
+    # The same setup with nothing kept on it.
+    return PointerSchemeSetup(setup.small_state, setup.obs_a, setup.obs_b,
+                              setup.n_pointer1, setup.m_pointer2)
+
+
+def _run_of(setup):
+    return run_two_pointer if setup.mode == TWO_POINTER else run_one_pointer
+
+
+def test_a_setup_is_evolved_once_for_its_joint(monkeypatch):
+    # The first run or report of a setup evolves it and keeps the joint; a
+    # later report reads the kept joint, and a later run evolves again, as
+    # it returns the final state.
+    calls = {"_two_pointer": 0, "_one_pointer": 0}
+    for name in calls:
+        def counting(*args, name=name, original=getattr(pointer, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(pointer, name, counting)
+    state, obs_a, obs_b = _random_pair(np.random.default_rng(61), 4, degenerate=True)
+    for make, name in ((two_pointer_setup, "_two_pointer"), (one_pointer_setup, "_one_pointer")):
+        setup = make(state, obs_a, obs_b)
+        _run_of(setup)(setup)
+        projection_equivalence_report(setup)
+        projection_equivalence_report(setup)
+        assert calls[name] == 1
+        _run_of(setup)(setup)
+        assert calls[name] == 2
+        setup = make(state, obs_a, obs_b)
+        projection_equivalence_report(setup)
+        projection_equivalence_report(setup)
+        assert calls[name] == 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kept_joint_equals_a_fresh_setups_bit_for_bit(seed):
+    # Runs and reports of a setup that keeps its joint, in either order,
+    # give what a fresh setup gives; every array is read-only.
+    for setup in _random_setups(seed):
+        run = _run_of(setup)
+        final, joint = run(setup)
+        report = projection_equivalence_report(setup)
+        fresh = _fresh(setup)
+        assert report == projection_equivalence_report(fresh)
+        for kept_final, kept_joint in (run(setup), run(fresh)):
+            assert np.array_equal(kept_final.amps, final.amps)
+            assert np.array_equal(kept_joint.probs, joint.probs)
+        fresh = _fresh(setup)
+        fresh_final, fresh_joint = run(fresh)
+        assert np.array_equal(fresh_final.amps, final.amps)
+        assert np.array_equal(fresh_joint.probs, joint.probs)
+        for arr in (final.amps, joint.probs, setup._joint.probs):
+            assert not arr.flags.writeable
+
+
+def test_kept_joint_is_in_neither_eq_nor_repr():
+    setup = two_pointer_setup(PLUS, SIGMA_Z, SIGMA_X)
+    before = repr(setup)
+    run_two_pointer(setup)
+    assert setup._joint is not None and "_joint" not in before
+    assert repr(setup) == before
+    assert setup == two_pointer_setup(PLUS, SIGMA_Z, SIGMA_X)
+    (kept,) = [f for f in dataclasses.fields(setup) if f.name == "_joint"]
+    assert not (kept.init or kept.repr or kept.compare)
+
+
+def test_replaced_and_unpickled_setups_give_the_same_numbers():
+    state, obs_a, obs_b = _random_pair(np.random.default_rng(62), 5, degenerate=True)
+    for setup in (two_pointer_setup(state, obs_a, obs_b), one_pointer_setup(state, obs_a, obs_b)):
+        run = _run_of(setup)
+        final, joint = run(setup)
+        report = projection_equivalence_report(setup)
+        replaced = dataclasses.replace(setup)
+        assert replaced._joint is None
+        for other in (replaced, pickle.loads(pickle.dumps(setup))):
+            assert projection_equivalence_report(other) == report
+            other_final, other_joint = run(other)
+            assert np.array_equal(other_final.amps, final.amps)
+            assert np.array_equal(other_joint.probs, joint.probs)
 
 
 @pytest.mark.parametrize("seed", range(8))

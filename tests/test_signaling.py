@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -26,7 +28,7 @@ from bornsim import (
     tensor,
     tv_distance,
 )
-from bornsim import signaling
+from bornsim import cli, core, signaling
 from bornsim.presets import observable_preset, state_preset
 from bornsim.rand import random_observable, random_state, random_unitary
 from bornsim.scenario import parse_scenario, run_scenario
@@ -533,3 +535,101 @@ def test_cell_weights_computed_once_per_evaluation(monkeypatch):
     records = dict(run_scenario(parse_scenario(text, "witness")))
     assert len(calls) == 1
     assert "mc_shots" not in records
+
+
+def _fresh_scenario(scenario):
+    # The same scenario with nothing kept on it.
+    return TelepathyScenario(scenario.state, scenario.alice_obs, scenario.bob_obs,
+                             scenario.bob_rule)
+
+
+def _readings(scenario_of, seed):
+    # Every public reading of a scenario, each from scenario_of(), and the
+    # generator's final state after both channel bits at one seed.
+    rng = np.random.default_rng(seed)
+    mc = [channel_simulation(scenario_of(), bit, 1000, rng).probs for bit in (1, 0)]
+    return [bob_distribution_with_alice(scenario_of()).probs,
+            bob_distribution_without_alice(scenario_of()).probs,
+            signaling_gap(scenario_of()), *mc, rng.bit_generator.state]
+
+
+def _assert_same_readings(got, expected):
+    *arrays, state = got
+    *reference, reference_state = expected
+    for a, b in zip(arrays, reference, strict=True):
+        assert np.array_equal(a, b)
+    assert state == reference_state
+
+
+def test_a_scenario_computes_its_cells_and_arms_once(monkeypatch):
+    # The three public readers and both channel bits of one scenario share
+    # one W and one signaling check, and so do the telepathy runner and the
+    # witness check of verify.
+    calls = {"_cell_weights": 0, "_signaling_check": 0}
+    for name in calls:
+        def counting(*args, name=name, original=getattr(signaling, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(signaling, name, counting)
+    scenario = _witness()
+    _readings(lambda: scenario, 5)
+    assert calls == {"_cell_weights": 1, "_signaling_check": 1}
+    text = ("kind = telepathy\nstate = asymmetric(0.36)\nrule = nonborn_exponent\nq = 2\n"
+            "shots = 100\nseed = 3\n")
+    assert "mc_shots" in dict(run_scenario(parse_scenario(text, "witness")))
+    assert calls == {"_cell_weights": 2, "_signaling_check": 2}
+    assert cli._check_witness(1).passed
+    assert calls == {"_cell_weights": 3, "_signaling_check": 3}
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 0.5])
+def test_kept_cells_and_arms_equal_a_fresh_scenarios_bit_for_bit(q):
+    for t in range(6):
+        rng = np.random.default_rng([64, t])
+        d0, d1 = (int(x) for x in rng.integers(2, 6, size=2))
+        scenario = TelepathyScenario(
+            random_state(rng, (d0, d1)),
+            random_observable(rng, (d0,), degenerate=(d0 >= 3 and t % 2 == 0)),
+            random_observable(rng, (d1,), degenerate=(d1 >= 3)),
+            nonborn_exponent(q))
+        kept = _readings(lambda: scenario, [65, t])
+        _assert_same_readings(_readings(lambda: scenario, [65, t]), kept)
+        _assert_same_readings(_readings(lambda: _fresh_scenario(scenario), [65, t]), kept)
+        assert np.array_equal(_scenario_cells(scenario),
+                              _scenario_cells(_fresh_scenario(scenario)))
+        for arr in (_scenario_cells(scenario), *scenario._check[:2], *kept[:2]):
+            assert not arr.flags.writeable
+
+
+def test_kept_cells_and_arms_are_in_neither_eq_nor_repr():
+    scenario = _witness()
+    before = repr(scenario)
+    signaling_gap(scenario)
+    assert scenario._cells is not None and scenario._check is not None
+    assert repr(scenario) == before and "_cells" not in before and "_check" not in before
+    assert scenario == _witness()
+    kept = [f for f in dataclasses.fields(scenario) if f.name in ("_cells", "_check")]
+    assert len(kept) == 2
+    assert not any(f.init or f.repr or f.compare for f in kept)
+
+
+def test_replaced_and_unpickled_scenarios_give_the_same_numbers():
+    scenario = _witness()
+    kept = _readings(lambda: scenario, 66)
+    replaced = dataclasses.replace(scenario)
+    assert replaced._cells is None and replaced._check is None
+    for other in (replaced, pickle.loads(pickle.dumps(scenario))):
+        _assert_same_readings(_readings(lambda: other, 66), kept)
+
+
+def test_swap_parties_checks_no_state_again(monkeypatch):
+    # The transpose of a checked state's amplitudes is finite and of norm 1.
+    rng = np.random.default_rng(67)
+    scenario = TelepathyScenario(random_state(rng, (2, 3)), SIGMA_Z, random_observable(rng, (3,)))
+    calls = []
+    monkeypatch.setattr(core, "_check_states", calls.append)
+    amps = swap_parties(scenario).state.amps
+    assert calls == []
+    assert np.array_equal(amps, scenario.state.amps.reshape(2, 3).T.reshape(-1))
+    assert amps.flags.c_contiguous and not amps.flags.writeable
+    assert not np.shares_memory(amps, scenario.state.amps)

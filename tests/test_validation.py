@@ -3,6 +3,8 @@ rejects, with which exception class and message, plus the round-off it
 repairs.  Pins the checks themselves, so a cheaper check must reject and
 report exactly what the old one did."""
 
+import reprlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from bornsim.measurement import (
 from bornsim.observables import (Observable, embed_observable, observable_from_branches,
                                  observable_from_matrix)
 from bornsim.pointer import (JointDistribution, PointerSchemeSetup, conditional_b_given_a,
-                             one_pointer_setup)
+                             one_pointer_setup, two_pointer_setup)
 from bornsim.signaling import TelepathyScenario, channel_simulation
 
 NAN_IMAG = complex(0.0, np.nan)
@@ -43,8 +45,8 @@ _QUTRIT = StateVector((3,), [1.0, 0.0, 0.0])
 _QUBIT = StateVector((2,), [1.0, 0.0])
 _MIXED_QUTRIT = DensityMatrix((3,), np.eye(3) / 3)
 _MIXED_PAIR = DensityMatrix((2, 2), np.eye(4) / 4)
-_BELL = TelepathyScenario(StateVector((2, 2), [1.0, 0.0, 0.0, 1.0] / np.sqrt(2)),
-                          _SIGMA_Z, _SIGMA_Z)
+_BELL_STATE = StateVector((2, 2), [1.0, 0.0, 0.0, 1.0] / np.sqrt(2))
+_BELL = TelepathyScenario(_BELL_STATE, _SIGMA_Z, _SIGMA_Z)
 
 REJECTED = [
     # (case, constructor, exception class, exact message)
@@ -142,6 +144,19 @@ REJECTED = [
     ("telepathy bob dims",
      lambda: TelepathyScenario(StateVector((2, 3), np.eye(6)[0]), _SIGMA_Z, _SIGMA_Z),
      InvalidInputError, "bob observable dims (2,) do not match subsystem dim 3"),
+    # A field that holds a value type is checked for its type first.
+    ("telepathy string rule", lambda: TelepathyScenario(_BELL_STATE, _SIGMA_Z, _SIGMA_Z, "born"),
+     InvalidInputError, "bob_rule must be a ProbabilityRule, got 'born'"),
+    ("telepathy float rule", lambda: TelepathyScenario(_BELL_STATE, _SIGMA_Z, _SIGMA_Z, 2.0),
+     InvalidInputError, "bob_rule must be a ProbabilityRule, got 2.0"),
+    ("telepathy amplitude array", lambda: TelepathyScenario(_BELL_STATE.amps, _SIGMA_Z, _SIGMA_Z),
+     InvalidInputError, f"state must be a StateVector, got {reprlib.repr(_BELL_STATE.amps)}"),
+    ("telepathy preset name", lambda: TelepathyScenario(_BELL_STATE, "sigma_z", _SIGMA_Z),
+     InvalidInputError, "alice_obs must be an Observable, got 'sigma_z'"),
+    ("pointer string state", lambda: PointerSchemeSetup("x", _SIGMA_Z, _SIGMA_Z, 2, 2),
+     InvalidInputError, "small_state must be a StateVector, got 'x'"),
+    ("two_pointer_setup no first observable", lambda: two_pointer_setup(_QUBIT, None, _SIGMA_Z),
+     InvalidInputError, "obs_a must be an Observable, got None"),
     ("pointer first observable dims",
      lambda: PointerSchemeSetup(_QUTRIT, _SIGMA_Z, _SIGMA_Z, 2, 2),
      InvalidInputError, "first observable dims (2,) != state dims (3,)"),
@@ -206,6 +221,18 @@ REJECTED = [
     ("channel_simulation string shots",
      lambda: channel_simulation(_BELL, 1, "x", np.random.default_rng(0)),
      InvalidInputError, "shots must be an int, got 'x'"),
+    ("channel_simulation array bit",
+     lambda: channel_simulation(_BELL, np.array([0, 1]), 10, np.random.default_rng(0)),
+     InvalidInputError, "bit must be an int, got array([0, 1])"),
+    ("channel_simulation one-entry array bit",
+     lambda: channel_simulation(_BELL, np.array([1]), 10, np.random.default_rng(0)),
+     InvalidInputError, "bit must be an int, got array([1])"),
+    ("channel_simulation float bit",
+     lambda: channel_simulation(_BELL, 1.0, 10, np.random.default_rng(0)),
+     InvalidInputError, "bit must be an int, got 1.0"),
+    ("channel_simulation numpy bit out of range",
+     lambda: channel_simulation(_BELL, np.int64(2), 10, np.random.default_rng(0)),
+     InvalidInputError, "bit must be 0 or 1, got 2"),
     ("project_update fractional branch", lambda: project_update(_QUBIT, _SIGMA_Z, 0.5),
      InvalidInputError, "branch must be an int, got 0.5"),
     ("classical_selective fractional branch",
