@@ -7,11 +7,13 @@
 verify prints one line per property.  Its randomized properties are rows of
 one table run by one trial loop; trial t of a row draws from
 default_rng([seed, stream, t]), which the line's worst_seed names, and an
-invariant violation while a trial's inputs are checked names it too.  Every
-Haar matrix a trial draws is an observable's eigenbasis, and its check
-computes its deviations in the kernel that `run` calls for the same claim:
-pointer._pointer_check, signaling._signaling_check and measurement's
-_entropy_check and _target_check.
+invariant violation while a trial's inputs are checked names it too.  The
+loop seeds those generators a block of trials at a time (rand._trial_rngs),
+in the states default_rng gives them.  Every Haar matrix a trial draws is an
+observable's eigenbasis, and its check computes its deviations in the kernel
+that `run` calls for the same claim: pointer._pointer_check,
+signaling._signaling_check and measurement's _entropy_check and
+_target_check.
 
 The trials drawn ahead for one _haar call form a chunk.  Its trials of one
 stack key are checked as arrays, in stacks of at most HAAR_STACK_AMPS
@@ -32,10 +34,11 @@ Each row's trials run on the CPUs in the process's affinity mask: share w of
 W takes trials t = w (mod W) of every row.  verify forks one set of W - 1
 children per run, and every process runs the same share loop over the rows;
 each child sends all its rows back at once.  The process itself runs share 0,
-collects the other shares, then merges in print order, running each one-shot
-check at its place there.  Every property is a Check of (key, value) fields,
-and one renderer prints its line.  The printed bytes are the same on any CPU
-count; `taskset -c 0` runs everything in one process.  A process that
+then the one-shot checks while the children finish, collects the other
+shares, and merges in print order; a one-shot check's error is kept and
+raised at the check's place there.  Every property is a Check of (key,
+value) fields, and one renderer prints its line.  The printed bytes are the
+same on any CPU count; `taskset -c 0` runs everything in one process.  A process that
 already runs other threads, such as the thread pool numpy's OpenBLAS starts
 on a multi-CPU host unless OPENBLAS_NUM_THREADS=1, does not fork.  Every
 worker holds its own trials' arrays, so W is at most the memory available
@@ -97,6 +100,7 @@ from .rand import (
     _draw_observable,
     _draw_state,
     _haar,
+    _trial_rngs,
 )
 from .scenario import (
     DEFAULT_SEED,
@@ -485,9 +489,8 @@ def _run_share(row: _Battery, trials: range, dims_limit: int, seed: int) -> tupl
     # _haar call makes all their bases and _check_chunk checks them.
     rows, pending, amps = [], [], 0  # pending: (t, drawn observables, inputs, stack)
     try:
-        for t in trials:
-            pending.append((t, *row.trial(np.random.default_rng([seed, row.stream, t]), t,
-                                          dims_limit)))
+        for t, rng in zip(trials, _trial_rngs(seed, row.stream, trials)):
+            pending.append((t, *row.trial(rng, t, dims_limit)))
             amps += sum(z.size for _, z, _ in pending[-1][1])
             if amps < HAAR_STACK_AMPS and t != trials[-1]:
                 continue
@@ -586,6 +589,15 @@ def _battery_checks(row: _Battery, trials: int, seed: int, shares: list) -> list
     ]
 
 
+def _attempt(step: Callable[[], Check]) -> Check | Exception:
+    # A one-shot check's result, or the exception it raised, kept until the
+    # merge reaches the check.
+    try:
+        return step()
+    except Exception as exc:
+        return exc
+
+
 # Largest --dims-limit whose d x d x d two-pointer state fits the pointer cap.
 MAX_DIMS_LIMIT = round(POINTER_STATE_MAX_AMPS ** (1 / 3))
 
@@ -614,6 +626,8 @@ def run_verify(trials: int, dims_limit: int, seed: int) -> int:
         for w in range(1, workers):
             children.append(_fork_shares(rows, trials, w, workers, dims_limit, seed))
         shares = [_run_shares(rows, trials, 0, workers, dims_limit, seed)]
+        # The one-shot checks run while the children finish their shares.
+        one_shots = {step: _attempt(step) for step in steps if not isinstance(step, _Battery)}
         while children:
             shares.append(_collect(*children.pop(0)))
     finally:
@@ -621,16 +635,18 @@ def run_verify(trials: int, dims_limit: int, seed: int) -> int:
             os.close(read)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    # The one-shot checks run here, at their place in print order.  Every
-    # share stops at its first failing row, so the first step in print order
-    # that failed raises before a share runs out.
+    # Every share stops at its first failing row, and a one-shot check's
+    # error is raised at its place in print order, so the first step in
+    # print order that failed raises before a share runs out.
     shares = [iter(share) for share in shares]
     checks = []
     for step in steps:
         if isinstance(step, _Battery):
             checks += _battery_checks(step, trials, seed, [next(share) for share in shares])
+        elif isinstance(one_shots[step], Exception):
+            raise one_shots[step]
         else:
-            checks.append(step())
+            checks.append(one_shots[step])
     print("\n".join(map(_render_check, checks)))
     failed = [c for c in checks if not c.passed]
     if failed:

@@ -6,10 +6,12 @@ is k_0*d_1*...*d_{r-1} + k_1*d_2*...*d_{r-1} + ... + k_{r-1}.  This is exactly
 the order produced by successive numpy.kron calls, factor 0 first.
 
 All value types are immutable after construction and validate their invariants
-up front, so downstream code can assume well-formed inputs.  The checks of
-StateVector and DensityMatrix each have one home that takes a stack of
-arrays, _check_states and _check_densities: the constructors call them on a
-stack of one, and verify on a stack of trials' arrays.  _check_densities
+up front, so downstream code can assume well-formed inputs.  Those that hold
+arrays pickle through their constructor (_rebuilt), so an unpickled value
+is checked and read-only as a fresh one is, and keeps no computed result.
+The checks of StateVector and DensityMatrix each have one home that takes a
+stack of arrays, _check_states and _check_densities: the constructors call
+them on a stack of one, and verify on a stack of trials' arrays.  _check_densities
 returns the spectra of its one eigvalsh call, and _entropies reads
 entropies off them, one row sum per spectrum.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import operator
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import prod
 from typing import Iterable, Sequence
 
@@ -34,6 +36,14 @@ PSD_TOL = 1e-10
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _rebuilt(value):
+    # A value type's __reduce__: its class and its constructor's fields, so
+    # that unpickling runs the constructor, which checks and freezes the
+    # arrays, where pickle's default would restore writeable copies of every
+    # array and of any kept result.
+    return type(value), tuple(getattr(value, f.name) for f in fields(value) if f.init)
 
 
 def _converted(convert, value, what: str, *args):
@@ -90,6 +100,8 @@ class StateVector:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", _frozen(amps))
 
+    __reduce__ = _rebuilt
+
     @classmethod
     def _checked(cls, dims: tuple[int, ...], amps: np.ndarray) -> "StateVector":
         # A state of amplitudes that _check_states has passed, in a fresh
@@ -134,6 +146,8 @@ class Operator:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", _frozen(entries))
 
+    __reduce__ = _rebuilt
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
@@ -167,6 +181,8 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", _frozen(entries))
         object.__setattr__(self, "spectrum", _frozen(spectrum))
+
+    __reduce__ = _rebuilt
 
     @property
     def dim(self) -> int:
@@ -246,6 +262,8 @@ class OutcomeDistribution:
             )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", _checked_probabilities(probs))
+
+    __reduce__ = _rebuilt
 
     def prob_of(self, label) -> float:
         try:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Operator, _check_dims, _converted, _frozen
+from .core import Operator, _check_dims, _converted, _frozen, _rebuilt
 from .errors import InvalidInputError, InvalidProjectorFamilyError, NotHermitianError
 
 PROJ_TOL = 1e-10
@@ -63,6 +63,8 @@ class Observable:
         object.__setattr__(self, "labels", stack.labels[0])
         object.__setattr__(self, "indicator", stack.indicator[0])
         object.__setattr__(self, "_stack", stack)
+
+    __reduce__ = _rebuilt
 
     @property
     def branch_count(self) -> int:

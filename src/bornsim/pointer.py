@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (OutcomeDistribution, StateVector, _check_states, _check_type,
-                   _checked_probabilities, _converted)
+                   _checked_probabilities, _converted, _rebuilt)
 from .errors import InvalidInputError, ZeroProbabilityBranchError
 from .measurement import BORN, ZERO_PROB_CUTOFF, _collapsed, _transform_weights
 from .observables import Observable
@@ -129,6 +129,8 @@ class PointerSchemeSetup:
         object.__setattr__(self, "n_pointer1", n)
         object.__setattr__(self, "m_pointer2", m)
 
+    __reduce__ = _rebuilt
+
     @property
     def mode(self) -> str:
         """TWO_POINTER with a second pointer register, else ONE_POINTER."""
@@ -174,6 +176,8 @@ class JointDistribution:
         if probs.ndim != 2:
             raise InvalidInputError(f"joint must be a matrix, got shape {probs.shape}")
         object.__setattr__(self, "probs", _checked_probabilities(probs, "joint "))
+
+    __reduce__ = _rebuilt
 
     @property
     def branch_counts(self) -> tuple[int, int]:

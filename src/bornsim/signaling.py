@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (OutcomeDistribution, StateVector, _check_type, _checked_probabilities,
-                   _converted, _frozen)
+                   _converted, _frozen, _rebuilt)
 from .errors import InvalidInputError
 from .measurement import BORN, ZERO_PROB_CUTOFF, ProbabilityRule, _transform_weights
 from .observables import Observable
@@ -88,6 +88,8 @@ class TelepathyScenario:
                 raise InvalidInputError(
                     f"{party} observable dims {obs.dims} do not match subsystem dim {d}"
                 )
+
+    __reduce__ = _rebuilt
 
 
 def _cell_weights(m: np.ndarray, alice, bob) -> np.ndarray:
@@ -171,19 +173,23 @@ def signaling_gap(scenario: TelepathyScenario) -> float:
     return float(_arms(scenario)[2])
 
 
-def _sample_counts(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
-    # Outcome counts of rng.choice(p.size, size=n, p=p) from the same n
-    # uniforms: choice normalises cdf = cumsum(p) by its last entry and picks
-    # outcome j for cdf[j-1] <= u < cdf[j], so the counts are the differences
-    # of #(u >= cdf[j]).  p must be the exact array choice would get; one ulp
-    # can move a count.
+def _counts(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # Outcome counts of rng.choice(p.size, size=u.size, p=p) that drew the
+    # uniforms u: choice normalises cdf = cumsum(p) by its last entry and
+    # picks outcome j for cdf[j-1] <= u < cdf[j], so the counts are the
+    # differences of #(u >= cdf[j]).  p must be the exact array choice would
+    # get; one ulp can move a count.
     if not np.all(np.isfinite(p)) or np.any(p < 0.0):
         raise InvalidInputError("probabilities must be finite and non-negative")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(n)
-    at_least = [n, *(int(np.count_nonzero(u >= c)) for c in cdf[:-1]), 0]
+    at_least = [u.size, *(int(np.count_nonzero(u >= c)) for c in cdf[:-1]), 0]
     return -np.diff(at_least)
+
+
+def _sample_counts(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
+    # Outcome counts of rng.choice(p.size, size=n, p=p), from the same n uniforms.
+    return _counts(p, rng.random(n))
 
 
 def channel_simulation(
@@ -213,10 +219,14 @@ def channel_simulation(
     cells = _scenario_cells(scenario)
     if bit == 1:
         weights, rows = _alice_branches(cells, scenario.bob_rule)
+        alice = _sample_counts(rng, weights, shots)
+        # Uniform doubles are not buffered, so one call draws the uniforms
+        # of the branches' calls, branch after branch.
+        bob = rng.random(shots)
         counts = np.zeros(nb, dtype=np.int64)
-        for n_k, probs in zip(_sample_counts(rng, weights, shots), rows):
+        for n_k, end, probs in zip(alice.tolist(), alice.cumsum().tolist(), rows):
             if n_k > 0:
-                counts += _sample_counts(rng, probs / probs.sum(), int(n_k))
+                counts += _counts(probs / probs.sum(), bob[end - n_k:end])
     else:
         probs = _transform_weights(cells.sum(axis=0), scenario.bob_rule)
         counts = _sample_counts(rng, probs / probs.sum(), shots)

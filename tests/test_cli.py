@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -1936,8 +1937,9 @@ def test_a_one_shot_check_error_beats_a_later_battery(capsys, monkeypatch, worke
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_battery_error_beats_a_later_one_shot_check(capsys, monkeypatch, workers):
-    # born_marginals runs in the merge, after the pointer row, which prints
-    # first, so pointer trial 1's error is raised and born_marginals never runs.
+    # born_marginals runs while the children finish, but its error is kept
+    # and raised only when the merge reaches it, after the pointer row, which
+    # prints first: pointer trial 1's error is raised.
     def marginals():
         raise InvalidInputError("planted marginals violation")
 
@@ -1965,6 +1967,66 @@ def test_the_first_one_shot_check_error_beats_every_battery(capsys, monkeypatch,
     assert code == 3 and out == ""
     assert err == "invariant violation [InvalidInputError]: planted epr violation\n"
     _no_child_left()
+
+
+@pytest.mark.parametrize("error", [InvalidInputError, KeyboardInterrupt])
+def test_a_one_shot_check_that_raises_while_children_run_leaves_no_child(
+        capsys, monkeypatch, error):
+    # The children's pointer checks wait, so both children still run when
+    # the parent has done its share and born_marginals runs.  Its error is
+    # kept and raised in the merge, after the children are collected; an
+    # interrupt is not kept, and the children are killed and reaped.
+    parent, pids, running = os.getpid(), [], []
+    row = cli._POINTER
+
+    def slow_in_children(trials):
+        if os.getpid() != parent:
+            time.sleep(1.0)
+        return row.check(trials)
+
+    def fork_shares(*args, original=cli._fork_shares):
+        pid, read = original(*args)
+        pids.append(pid)
+        return pid, read
+
+    def marginals():
+        running.extend(os.waitpid(pid, os.WNOHANG) == (0, 0) for pid in pids)
+        raise error("planted marginals violation")
+
+    set_workers(monkeypatch, 3)
+    monkeypatch.setattr(cli, "_POINTER", dataclasses.replace(row, check=slow_in_children))
+    monkeypatch.setattr(cli, "_fork_shares", fork_shares)
+    monkeypatch.setattr(cli, "_check_born_marginals", marginals)
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--trials", "6", "--dims-limit", "4"])
+    else:
+        code, out, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
+        assert code == 3 and out == ""
+        assert err == "invariant violation [InvalidInputError]: planted marginals violation\n"
+    assert len(pids) == 2 and running == [True, True]
+    _no_child_left()
+
+
+def test_a_default_verify_seeds_no_generator_a_trial_at_a_time(capsys, monkeypatch):
+    # Every route from Python code to a SeedSequence: default_rng, the class
+    # itself, and a PCG64 seeded with anything but a seed sequence.  Trial
+    # generators are seeded in blocks; the one left is the witness's.
+    seeded = []
+
+    def counting(original):
+        def call(seed=None, *args, **kwargs):
+            if not isinstance(seed, np.random.bit_generator.ISeedSequence):
+                seeded.append((original.__name__, seed))
+            return original(seed, *args, **kwargs)
+        return call
+
+    set_workers(monkeypatch, 1)
+    for name in ("default_rng", "SeedSequence", "PCG64"):
+        monkeypatch.setattr(np.random, name, counting(getattr(np.random, name)))
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 0 and err == ""
+    assert seeded == [("default_rng", [1234, 3])]
 
 
 def test_verify_workers_fit_the_available_memory():

@@ -3,6 +3,8 @@ rejects, with which exception class and message, plus the round-off it
 repairs.  Pins the checks themselves, so a cheaper check must reject and
 report exactly what the old one did."""
 
+import dataclasses
+import pickle
 import reprlib
 
 import numpy as np
@@ -24,8 +26,9 @@ from bornsim.measurement import (
 from bornsim.observables import (Observable, embed_observable, observable_from_branches,
                                  observable_from_matrix)
 from bornsim.pointer import (JointDistribution, PointerSchemeSetup, conditional_b_given_a,
-                             one_pointer_setup, two_pointer_setup)
-from bornsim.signaling import TelepathyScenario, channel_simulation
+                             one_pointer_setup, run_one_pointer, run_two_pointer,
+                             two_pointer_setup)
+from bornsim.signaling import TelepathyScenario, channel_simulation, signaling_gap
 
 NAN_IMAG = complex(0.0, np.nan)
 INF_REAL = complex(np.inf, 0.0)
@@ -274,3 +277,50 @@ def test_in_tolerance_inputs_are_accepted():
     assert OutcomeDistribution((0, 1), [0.5, 0.5 + 5e-11]).probs[1] == 0.5 + 5e-11
     obs = Observable((2,), (0.0, 1.0), np.diag([1.0, np.sqrt(1 + 5e-11)]), [0, 1])
     assert obs.branch_count == 2
+
+
+def _arrays(value, path="value"):
+    # (path, array) for every array a value holds: in its fields, kept
+    # results included, in nested values and in tuples such as a _Stack.
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _arrays(item, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name), f"{path}.{f.name}")
+
+
+_SIGMA_X = observable_from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("value, keep", [
+    (_QUTRIT, None),
+    (Operator((2,), [[0.0, 1j], [-1j, 0.0]]), None),
+    (_MIXED_PAIR, None),
+    (OutcomeDistribution((0, 1), [-1e-13, 1.0]), None),
+    (_SIGMA_X, None),
+    (JointDistribution([[0.25, 0.25], [0.5, 0.0]]), None),
+    (two_pointer_setup(StateVector((2,), [0.6, 0.8j]), _SIGMA_Z, _SIGMA_X), run_two_pointer),
+    (one_pointer_setup(StateVector((2,), [0.6, 0.8j]), _SIGMA_X, _SIGMA_Z), run_one_pointer),
+    (TelepathyScenario(_BELL_STATE, _SIGMA_Z, _SIGMA_X, ProbabilityRule(2.0)), signaling_gap),
+], ids=["state", "operator", "density", "distribution", "observable", "joint",
+        "two_pointer_setup", "one_pointer_setup", "scenario"])
+def test_an_unpickled_value_is_read_only_and_keeps_what_a_fresh_one_computes(value, keep):
+    # The round trip runs the constructor: every array is read-only, the
+    # numbers are the original's, and results kept by the original are
+    # computed again, to the bits a fresh value computes.
+    if keep is not None:
+        keep(value)
+    copy, fresh = pickle.loads(pickle.dumps(value)), dataclasses.replace(value)
+    for computed in (copy, fresh):
+        if keep is not None:
+            keep(computed)
+    got = dict(_arrays(copy))
+    for expected in (dict(_arrays(value)), dict(_arrays(fresh))):
+        assert got.keys() == expected.keys()
+        for path, array in got.items():
+            assert not array.flags.writeable, path
+            assert array.dtype == expected[path].dtype, path
+            assert np.array_equal(array, expected[path]), path
