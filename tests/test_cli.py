@@ -16,12 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bornsim import cli, core, measurement, observables, pointer, rand, scenario, signaling
-from bornsim.cli import MAX_DIMS_LIMIT, main
+from bornsim import cli, core, measurement, observables, pointer, rand, scenario, signaling, verify
+from bornsim.cli import main
 from bornsim.errors import BornsimError, InvalidInputError
 from bornsim.pointer import POINTER_STATE_MAX_AMPS, SCHEME_AGREEMENT_TOL
 from bornsim.presets import SCENARIO_PRESETS, observable_preset, state_preset
 from bornsim.scenario import KINDS
+from bornsim.verify import MAX_DIMS_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -43,7 +44,7 @@ def set_workers(monkeypatch, workers):
     # verify runs in this many shares: share 0 of every battery in this
     # process, each other share in one forked child.  Tests that count calls
     # made in this process pin one share, which runs inline and forks nothing.
-    monkeypatch.setattr(cli, "_verify_workers", lambda trials, dims_limit: workers)
+    monkeypatch.setattr(verify, "_verify_workers", lambda trials, dims_limit: workers)
 
 
 def test_run_epr_records(capsys):
@@ -626,28 +627,28 @@ def test_one_renderer_prints_every_property_line():
     witness = (("analytic_dev", 1.1102230246251565e-16), ("limit", 1e-6),
                ("mc_dev", 0.0010600000000000002), ("mc_limit", 0.01))
     cases = [
-        (cli._within("epr_reproduction", 0.0, 1e-12),
+        (verify._within("epr_reproduction", 0.0, 1e-12),
          "epr_reproduction         worst=0 limit=1e-12  PASS"),
-        (cli._within("no_signaling_born", 1.3877787807814457e-16, 1e-12, ("trials", 200),
+        (verify._within("no_signaling_born", 1.3877787807814457e-16, 1e-12, ("trials", 200),
                      ("worst_seed", (1234, 2, 1))),
          "no_signaling_born        worst=1.39e-16 limit=1e-12 trials=200 "
          "worst_seed=[1234,2,1]  PASS"),
-        (cli._within("projection_equivalence", float("nan"), 1e-10, *pointer_fields),
+        (verify._within("projection_equivalence", float("nan"), 1e-10, *pointer_fields),
          "projection_equivalence   worst=nan limit=1e-10 trials=200 degenerate=54 "
          "worst_seed=[1234,1,5]  FAIL"),
-        (cli.Check("telepathy_witness", witness, True),
+        (verify.Check("telepathy_witness", witness, True),
          "telepathy_witness        analytic_dev=1.11e-16 limit=1e-06 mc_dev=0.00106 "
          "mc_limit=0.01  PASS"),
-        (cli.Check("x", (("worst", 0.5), ("limit", 0.01)), False),
+        (verify.Check("x", (("worst", 0.5), ("limit", 0.01)), False),
          "x                        worst=0.5 limit=0.01  FAIL"),
     ]
     for check, line in cases:
-        assert cli._render_check(check) == line
+        assert verify._render_check(check) == line
 
 
 def test_a_battery_row_is_a_check_of_fields():
-    (check,) = cli._battery_checks(cli._ENTROPY, 0, 1234,
-                                   [cli._run_share(cli._ENTROPY, range(50), 6, 1234)])
+    (check,) = verify._battery_checks(verify._ENTROPY, 0, 1234,
+                                   [verify._run_share(verify._ENTROPY, range(50), 6, 1234)])
     fields = dict(check.fields)
     assert [key for key, _ in check.fields] == ["worst", "limit", "trials", "worst_seed"]
     assert fields["limit"] == 1e-10 and fields["trials"] == 50
@@ -672,7 +673,7 @@ def test_each_one_shot_check_runs_once_in_the_verify_process(tmp_path, capsys, m
     names = ("_check_epr", "_check_witness", "_check_born_marginals")
     set_workers(monkeypatch, workers)
     for name in names:
-        monkeypatch.setattr(cli, name, logged(getattr(cli, name)))
+        monkeypatch.setattr(verify, name, logged(getattr(verify, name)))
     code, _, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
     assert code == 0 and err == ""
     assert sorted(log.read_text().splitlines()) == sorted(f"{name} {os.getpid()}"
@@ -705,7 +706,7 @@ def test_every_pointer_setup_is_evolved_once(tmp_path, capsys, monkeypatch):
     # verify: each trial once per scheme, and the epr state in the one-pointer
     # scheme; run: the two-pointer file, and the one-pointer file with its
     # default-size two-pointer twin.
-    trials = [cli._pointer_trial(np.random.default_rng([1234, 1, t]), t, 4)[1][0]
+    trials = [verify._pointer_trial(np.random.default_rng([1234, 1, t]), t, 4)[1][0]
               for t in range(10)]
     expected = Counter({(name, amps.tobytes()): 1 for amps in trials
                         for name in ("_two_pointer", "_one_pointer")})
@@ -762,14 +763,14 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     set_workers(monkeypatch, 1)
     calls, battery = Counter(), [None]
 
-    def tracking(row, *args, original=cli._run_share):
+    def tracking(row, *args, original=verify._run_share):
         battery[0] = row.stream
         try:
             return original(row, *args)
         finally:
             battery[0] = None
 
-    monkeypatch.setattr(cli, "_run_share", tracking)
+    monkeypatch.setattr(verify, "_run_share", tracking)
     operator = measurement.Operator
     homes = {"project_update": measurement, "rule_probabilities": measurement,
              "conditional_b_given_a": pointer, "_cell_weights": signaling,
@@ -785,7 +786,7 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
                 calls[battery[0], "scenarios"] += len(args[0])
             return original(*args, **kwargs)
 
-        for module in (home, measurement, pointer, signaling, cli, scenario):
+        for module in (home, measurement, pointer, signaling, verify, scenario):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     classes = (observables.Observable, core.StateVector, pointer.PointerSchemeSetup,
@@ -803,19 +804,19 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
     monkeypatch.setattr(core.StateVector, "_checked", classmethod(checked))
     code, _, _ = run_cli(capsys, "verify", "--trials", "10", "--dims-limit", "4")
     assert code == 0
-    for row in (cli._POINTER, cli._NO_SIGNALING, cli._ENTROPY, cli._LL):
+    for row in (verify._POINTER, verify._NO_SIGNALING, verify._ENTROPY, verify._LL):
         assert [calls[row.stream, cls.__name__] for cls in classes] == [0] * len(classes)
-    stream = cli._POINTER.stream
+    stream = verify._POINTER.stream
     assert [calls[stream, name] for name in list(homes)[:3]] == [0, 0, 0]
     # One W for each shape of the 10 no-signaling trials, stacked: one call.
-    shapes = {cli._no_signaling_trial(np.random.default_rng([1234, 2, t]), t, 4)[1].shape
+    shapes = {verify._no_signaling_trial(np.random.default_rng([1234, 2, t]), t, 4)[1].shape
               for t in range(10)}
-    stream = cli._NO_SIGNALING.stream
+    stream = verify._NO_SIGNALING.stream
     assert (calls[stream, "_cell_weights"], calls[stream, "scenarios"]) == (len(shapes), 10)
     # max(50, 10 // 4) LL trials, one kernel call and one collapse for each
     # (d, branch count) among them, stacked.
-    keys = {cli._ll_trial(np.random.default_rng([1234, 5, t]), t, 4)[2][0] for t in range(50)}
-    ll = {name: calls[cli._LL.stream, name] for name in list(homes)[4:]}
+    keys = {verify._ll_trial(np.random.default_rng([1234, 5, t]), t, 4)[2][0] for t in range(50)}
+    ll = {name: calls[verify._LL.stream, name] for name in list(homes)[4:]}
     assert ll == {"_target_check": len(keys), "branch_weights": 0, "_collapsed": len(keys),
                   "ll_channel": 0, "__post_init__": 0, "is_unitary": 0}
     # The hooks are live: the one-shot checks outside the batteries hit them.
@@ -978,7 +979,7 @@ def test_ll_channel_invariance_fails_on_shifted_weights(capsys, monkeypatch):
 
 
 def _set_haar_stack_amps(monkeypatch, amps):
-    for module in (rand, cli):
+    for module in (rand, verify):
         monkeypatch.setattr(module, "HAAR_STACK_AMPS", amps)
 
 
@@ -987,7 +988,7 @@ def _qr_calls(monkeypatch):
     # call, and (battery stream, shape) of every 2-D one.
     calls, flat, battery = [], [], [None]
 
-    def tracking(row, *args, original=cli._run_share):
+    def tracking(row, *args, original=verify._run_share):
         battery[0] = row.stream
         try:
             return original(row, *args)
@@ -1001,7 +1002,7 @@ def _qr_calls(monkeypatch):
             flat.append((battery[0], a.shape))
         return original(a)
 
-    monkeypatch.setattr(cli, "_run_share", tracking)
+    monkeypatch.setattr(verify, "_run_share", tracking)
     monkeypatch.setattr(rand.np.linalg, "qr", recording)
     return calls, flat
 
@@ -1046,16 +1047,16 @@ def test_stacked_qr_stays_within_the_amplitude_budget(capsys, monkeypatch):
     _set_haar_stack_amps(monkeypatch, 64**2)
     (calls, _), flushed = _qr_calls(monkeypatch), []
 
-    def recording(ginibres, original=cli._haar):
+    def recording(ginibres, original=verify._haar):
         flushed.append(sum(z.size for z in ginibres))
         return original(ginibres)
 
-    monkeypatch.setattr(cli, "_haar", recording)
+    monkeypatch.setattr(verify, "_haar", recording)
     code, _, _ = run_cli(capsys, "verify", "--trials", "2", "--dims-limit", "64")
     assert code == 0
     assert max(flushed) < rand.HAAR_STACK_AMPS + 2 * 64**2
     assert all(n * d * d <= max(rand.HAAR_STACK_AMPS, d * d) for _, n, d in calls)
-    ll = [(n, d) for stream, n, d in calls if stream == cli._LL.stream]
+    ll = [(n, d) for stream, n, d in calls if stream == verify._LL.stream]
     assert sum(n * d * d for n, d in ll) > 10 * rand.HAAR_STACK_AMPS
     assert len(ll) > len({d for _, d in ll})  # some size took several stacks
 
@@ -1084,7 +1085,7 @@ def test_invariant_violation_building_a_trials_observables_names_its_trial(
     # Bases off unitarity by 1e-6 fail Observable validation before the
     # first check runs; the error still names the trial, in any share.
     set_workers(monkeypatch, workers)
-    monkeypatch.setattr(cli, "_haar", lambda zs, original=cli._haar: [
+    monkeypatch.setattr(verify, "_haar", lambda zs, original=verify._haar: [
         u * (1 + 1e-6) for u in original(zs)])
     code, out, err = run_cli(capsys, "verify", "--trials", "4", "--dims-limit", "4")
     assert code == 3 and out == ""
@@ -1232,7 +1233,7 @@ def _overscale_reflection_coefficient(original):
 def _patch_everywhere(monkeypatch, name, mutant):
     # Replaces the function name, looked up in its home module, with
     # mutant(original) in every module that binds it.
-    modules = (pointer, measurement, signaling, cli, scenario)
+    modules = (pointer, measurement, signaling, verify, scenario)
     original = next(getattr(m, name) for m in modules if hasattr(m, name))
     for module in modules:
         if getattr(module, name, None) is original:
@@ -1496,8 +1497,8 @@ def test_verify_prints_the_same_bytes_on_any_number_of_shares(capsys, monkeypatc
 
 def test_verify_workers_follow_the_affinity_mask(monkeypatch):
     # A single-threaded process runs one share per CPU, at most one per trial.
-    probe = ("import os; from bornsim import cli; "
-             "print(cli._verify_workers(10**6, 6), cli._verify_workers(1, 6), "
+    probe = ("import os; from bornsim import verify; "
+             "print(verify._verify_workers(10**6, 6), verify._verify_workers(1, 6), "
              "len(os.sched_getaffinity(0)))")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -1510,20 +1511,20 @@ def test_verify_workers_follow_the_affinity_mask(monkeypatch):
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        assert cli._verify_workers(10**6, 6) == 1
+        assert verify._verify_workers(10**6, 6) == 1
     finally:
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     monkeypatch.delattr(os, "fork")
-    assert cli._verify_workers(10**6, 6) == 1
+    assert verify._verify_workers(10**6, 6) == 1
 
 
 def _plant(monkeypatch, row_name, fail_at, raising):
     # The battery, except that the check of a stack holding a trial in
     # fail_at runs on its trials and then calls raising(t) for the lowest
     # such t; the trial passes its t to the check beside its inputs.
-    row = getattr(cli, row_name)
+    row = getattr(verify, row_name)
 
     def trial(rng, t, dims_limit):
         drawn, inputs, stack = row.trial(rng, t, dims_limit)
@@ -1535,7 +1536,7 @@ def _plant(monkeypatch, row_name, fail_at, raising):
             raising(t)
         return rows
 
-    monkeypatch.setattr(cli, row_name, dataclasses.replace(row, trial=trial, check=check))
+    monkeypatch.setattr(verify, row_name, dataclasses.replace(row, trial=trial, check=check))
 
 
 def _violation(t):
@@ -1577,15 +1578,15 @@ def test_a_violation_inside_a_stack_names_the_lowest_failing_trial(capsys, monke
     # calls.  On 1, 2 and 3 shares trial 10 shares its stack with trial 4,
     # also at d = 3, and lower trials of other dimensions share its chunk.
     # Trial 10's own error is raised, and its share keeps the rows before it.
-    draw = lambda t: cli._pointer_trial(np.random.default_rng([1234, 1, t]), t, 4)[1][0]
+    draw = lambda t: verify._pointer_trial(np.random.default_rng([1234, 1, t]), t, 4)[1][0]
     dims = [draw(t).size for t in range(12)]
     assert dims[4] == dims[10] == 3 and dims[11] == 4 and 4 % workers == 10 % workers
     assert {dims[t] for t in range(10 % workers, 10, workers)} - {3}
     share = range(10 % workers, 12, workers)
-    clean, failure = cli._run_share(cli._POINTER, share, 4, 1234)
+    clean, failure = verify._run_share(verify._POINTER, share, 4, 1234)
     assert failure is None
     monkeypatch.setattr(pointer, "_two_pointer", _scaled_parts([draw(10), draw(11)]))
-    rows, failure = cli._run_share(cli._POINTER, share, 4, 1234)
+    rows, failure = verify._run_share(verify._POINTER, share, 4, 1234)
     assert rows == clean[:share.index(10)]
     assert failure[0] == 10 and isinstance(failure[1], InvalidInputError)
     set_workers(monkeypatch, workers)
@@ -1609,10 +1610,10 @@ def test_a_fault_of_the_stacked_call_alone_is_raised(capsys, monkeypatch, worker
         return original(psi, *args)
 
     share = range(4 % workers, 12, workers)
-    clean, failure = cli._run_share(cli._POINTER, share, 4, 1234)
+    clean, failure = verify._run_share(verify._POINTER, share, 4, 1234)
     assert failure is None
     monkeypatch.setattr(pointer, "_oracle_cells", stacked_only)
-    rows, failure = cli._run_share(cli._POINTER, share, 4, 1234)
+    rows, failure = verify._run_share(verify._POINTER, share, 4, 1234)
     assert rows == clean[:share.index(4)]
     assert failure[0] == 4 and str(failure[1]).startswith("trial [1234,1,4]: planted fault")
     set_workers(monkeypatch, workers)
@@ -1694,7 +1695,7 @@ def test_stacked_checks_raise_what_the_constructors_raise(capsys, monkeypatch, d
     # class and message its constructor raises on that trial alone, and
     # verify exits 3 naming the trial, on one share and on two.
     row_name, mutate = _DEFECTS[defect]
-    row = getattr(cli, row_name)
+    row = getattr(verify, row_name)
     trials = _built_trials(row, 1234, row.count(40), 3)
     by_key = {}
     for t, (_, _, (key, _)) in enumerate(trials):
@@ -1721,7 +1722,7 @@ def test_stacked_checks_raise_what_the_constructors_raise(capsys, monkeypatch, d
         return row.check([mutate(drawn, inputs) if t == at else (drawn, inputs)
                           for drawn, (t, inputs) in stacked])
 
-    monkeypatch.setattr(cli, row_name, dataclasses.replace(row, trial=trial, check=check))
+    monkeypatch.setattr(verify, row_name, dataclasses.replace(row, trial=trial, check=check))
     for workers in (1, 2):
         set_workers(monkeypatch, workers)
         code, out, err = run_cli(capsys, "verify", "--trials", "40", "--dims-limit", "3")
@@ -1768,11 +1769,11 @@ def test_a_trials_row_does_not_depend_on_its_stack(seed):
     # LL row agrees with the public channel and its dense reflections.  The
     # last row keeps only the pointer trials past _MAX_PADDED_DIM, whose
     # stacks of one d and branch counts are not padded.
-    unpadded = lambda key: key[0] > cli._MAX_PADDED_DIM
+    unpadded = lambda key: key[0] > verify._MAX_PADDED_DIM
     for row, count, dims_limit, largest, kept in (
-            (cli._POINTER, 100, 6, 12, None), (cli._POINTER, 40, cli._MAX_PADDED_DIM, 3, None),
-            (cli._NO_SIGNALING, 100, 4, 8, None), (cli._ENTROPY, 100, 6, 10, None),
-            (cli._LL, 100, 6, 11, None), (cli._POINTER, 400, 18, 2, unpadded)):
+            (verify._POINTER, 100, 6, 12, None), (verify._POINTER, 40, verify._MAX_PADDED_DIM, 3, None),
+            (verify._NO_SIGNALING, 100, 4, 8, None), (verify._ENTROPY, 100, 6, 10, None),
+            (verify._LL, 100, 6, 11, None), (verify._POINTER, 400, 18, 2, unpadded)):
         stacks = {}
         for drawn, inputs, (key, _) in _built_trials(row, seed, count, dims_limit):
             if kept is None or kept(key):
@@ -1784,19 +1785,19 @@ def test_a_trials_row_does_not_depend_on_its_stack(seed):
             assert np.array_equal(np.array(stacked, dtype=float), np.array(alone, dtype=float))
             for got, (drawn, inputs) in zip(stacked, trials):
                 built = [observables.Observable((len(obs[1]),), *obs) for obs in drawn]
-                if row is cli._POINTER:
+                if row is verify._POINTER:
                     setup = pointer.two_pointer_setup(core.StateVector(built[0].dims, inputs[0]),
                                                       *built)
                     one = pointer._stacked(setup)
                     _, (joint, _), deviations, scheme = pointer._pointer_check(one, one=True)
                     oracle = pointer._oracle_gap(one, joint, *joint.shape[1:])
                     want, tol = (deviations.max(), scheme[0], oracle[0]), 1e-14
-                elif row is cli._NO_SIGNALING:
+                elif row is verify._NO_SIGNALING:
                     cells = signaling._scenario_cells(signaling.TelepathyScenario(
                         core.StateVector(inputs.shape, inputs), *built))
                     want, tol = (max(signaling._signaling_check(w, measurement.BORN)[2]
                                      for w in (cells, cells.T)),), 1e-14
-                elif row is cli._LL:
+                elif row is verify._LL:
                     (obs,) = built
                     state, target = (core.StateVector(obs.dims, x) for x in inputs)
                     records = measurement.ll_channel(
@@ -1824,7 +1825,7 @@ def test_a_trial_with_dead_branches_keeps_its_row_in_a_stack(seed):
     # state inside one eigenspace of it, so its other branches are dead; the
     # other states stay random.  Each row has the bits of its trial alone.
     rng, confined = np.random.default_rng([seed, 28]), 0
-    for row in (cli._POINTER, cli._LL):
+    for row in (verify._POINTER, verify._LL):
         stacks = {}
         for drawn, inputs, (key, _) in _built_trials(row, seed, 100, 6):
             stacks.setdefault(key, []).append((drawn, inputs))
@@ -1928,7 +1929,7 @@ def test_a_one_shot_check_error_beats_a_later_battery(capsys, monkeypatch, worke
 
     set_workers(monkeypatch, workers)
     _plant(monkeypatch, "_LL", {0, 1, 2}, _violation)
-    monkeypatch.setattr(cli, "_check_witness", witness)
+    monkeypatch.setattr(verify, "_check_witness", witness)
     code, out, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
     assert code == 3 and out == ""
     assert err == "invariant violation [InvalidInputError]: planted witness violation\n"
@@ -1945,7 +1946,7 @@ def test_a_battery_error_beats_a_later_one_shot_check(capsys, monkeypatch, worke
 
     set_workers(monkeypatch, workers)
     _plant(monkeypatch, "_POINTER", {1}, _violation)
-    monkeypatch.setattr(cli, "_check_born_marginals", marginals)
+    monkeypatch.setattr(verify, "_check_born_marginals", marginals)
     code, out, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
     assert code == 3 and out == ""
     assert err == ("invariant violation [InvalidInputError]: trial [1234,1,1]: "
@@ -1962,7 +1963,7 @@ def test_the_first_one_shot_check_error_beats_every_battery(capsys, monkeypatch,
 
     set_workers(monkeypatch, workers)
     _plant(monkeypatch, "_POINTER", {1}, _violation)
-    monkeypatch.setattr(cli, "_check_epr", epr)
+    monkeypatch.setattr(verify, "_check_epr", epr)
     code, out, err = run_cli(capsys, "verify", "--trials", "6", "--dims-limit", "4")
     assert code == 3 and out == ""
     assert err == "invariant violation [InvalidInputError]: planted epr violation\n"
@@ -1977,14 +1978,14 @@ def test_a_one_shot_check_that_raises_while_children_run_leaves_no_child(
     # kept and raised in the merge, after the children are collected; an
     # interrupt is not kept, and the children are killed and reaped.
     parent, pids, running = os.getpid(), [], []
-    row = cli._POINTER
+    row = verify._POINTER
 
     def slow_in_children(trials):
         if os.getpid() != parent:
             time.sleep(1.0)
         return row.check(trials)
 
-    def fork_shares(*args, original=cli._fork_shares):
+    def fork_shares(*args, original=verify._fork_shares):
         pid, read = original(*args)
         pids.append(pid)
         return pid, read
@@ -1994,9 +1995,9 @@ def test_a_one_shot_check_that_raises_while_children_run_leaves_no_child(
         raise error("planted marginals violation")
 
     set_workers(monkeypatch, 3)
-    monkeypatch.setattr(cli, "_POINTER", dataclasses.replace(row, check=slow_in_children))
-    monkeypatch.setattr(cli, "_fork_shares", fork_shares)
-    monkeypatch.setattr(cli, "_check_born_marginals", marginals)
+    monkeypatch.setattr(verify, "_POINTER", dataclasses.replace(row, check=slow_in_children))
+    monkeypatch.setattr(verify, "_fork_shares", fork_shares)
+    monkeypatch.setattr(verify, "_check_born_marginals", marginals)
     if error is KeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):
             main(["verify", "--trials", "6", "--dims-limit", "4"])
@@ -2032,9 +2033,9 @@ def test_a_default_verify_seeds_no_generator_a_trial_at_a_time(capsys, monkeypat
 def test_verify_workers_fit_the_available_memory():
     # Memory for just under fit + 1 workers at --dims-limit 24 runs
     # min(CPUs, fit) shares, at least one; the bytes do not change.
-    probe = ("import sys; from bornsim import cli; fit = int(sys.argv[1]); "
-             "cli._available_memory = lambda: (fit + 1) * cli._worker_peak(24) - 1; "
-             "print(cli._verify_workers(10**6, 24), file=sys.stderr); "
+    probe = ("import sys; from bornsim import cli, verify; fit = int(sys.argv[1]); "
+             "verify._available_memory = lambda: (fit + 1) * verify._worker_peak(24) - 1; "
+             "print(verify._verify_workers(10**6, 24), file=sys.stderr); "
              "sys.exit(cli.main(['verify', '--trials', '30', '--dims-limit', '24']))")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -2048,7 +2049,7 @@ def test_verify_workers_fit_the_available_memory():
     assert outs[1:] == outs[:1] * 3
     # The cap grows with the cube of the dimension: at d = 256 one worker
     # may hold 1.6 GB.
-    assert 1.5 * 2**30 < cli._worker_peak(256) < 1.7 * 2**30
+    assert 1.5 * 2**30 < verify._worker_peak(256) < 1.7 * 2**30
 
 
 def test_available_memory_is_capped_by_the_cgroup_limits(tmp_path, monkeypatch):
@@ -2071,8 +2072,8 @@ def test_available_memory_is_capped_by_the_cgroup_limits(tmp_path, monkeypatch):
     pages = {"SC_AVPHYS_PAGES": 2**20, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     monkeypatch.setattr("builtins.open", fake_open)
-    assert cli._available_memory() == 1 << 30
+    assert verify._available_memory() == 1 << 30
     (tmp_path / "fs" / "a" / "memory.max").write_text("max\n")
-    assert cli._available_memory() == 3 << 30
+    assert verify._available_memory() == 3 << 30
     (tmp_path / "cgroup").write_text("1:memory:/ignored\n")  # no cgroup v2
-    assert cli._available_memory() == 4 << 30
+    assert verify._available_memory() == 4 << 30

@@ -30,7 +30,7 @@ from bornsim import (
     state_preparation_unitaries,
     von_neumann_entropy,
 )
-from bornsim import cli, core, measurement, scenario
+from bornsim import core, measurement, scenario, verify
 from bornsim.measurement import (
     _householder,
     _stack_of_one,
@@ -485,7 +485,7 @@ class TestClassicalSelective:
 def _entropy_dims(trials):
     # The d of each verify entropy trial at seed 1234: verify checks the
     # trials of one d in one stack.
-    return [cli._entropy_trial(np.random.default_rng([1234, 4, t]), t, 6)[1].shape[0]
+    return [verify._entropy_trial(np.random.default_rng([1234, 4, t]), t, 6)[1].shape[0]
             for t in range(trials)]
 
 
@@ -505,8 +505,8 @@ def test_classical_blocks_built_once_per_state(monkeypatch):
     assert calls == [2]
     assert "p.0" in records and "p.1" in records
     calls.clear()
-    (check,) = cli._battery_checks(cli._ENTROPY, 0, 1234,
-                                   [cli._run_share(cli._ENTROPY, range(50), 6, 1234)])
+    (check,) = verify._battery_checks(verify._ENTROPY, 0, 1234,
+                                   [verify._run_share(verify._ENTROPY, range(50), 6, 1234)])
     assert check.passed
     assert len(calls) == len(set(_entropy_dims(50))) and sum(calls) > 50
 
@@ -521,8 +521,8 @@ def test_entropy_path_dephases_once(monkeypatch):
         return original(rho, obs)
 
     monkeypatch.setattr(measurement, "_dephase", counting)
-    (check,) = cli._battery_checks(cli._ENTROPY, 0, 1234,
-                                   [cli._run_share(cli._ENTROPY, range(50), 6, 1234)])
+    (check,) = verify._battery_checks(verify._ENTROPY, 0, 1234,
+                                   [verify._run_share(verify._ENTROPY, range(50), 6, 1234)])
     dims = _entropy_dims(50)
     assert check.passed and sorted(calls) == sorted(map(dims.count, set(dims)))
     calls.clear()

@@ -9,10 +9,10 @@ from bornsim.rand import (
     _draw_state,
     _ginibre,
     _haar,
-    _trial_rngs,
     random_observable,
     random_unitary,
 )
+from bornsim.verify import _trial_rngs
 
 
 def _per_matrix_haar(z):

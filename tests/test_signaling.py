@@ -28,7 +28,7 @@ from bornsim import (
     tensor,
     tv_distance,
 )
-from bornsim import cli, core, signaling
+from bornsim import core, signaling, verify
 from bornsim.presets import observable_preset, state_preset
 from bornsim.rand import random_observable, random_state, random_unitary
 from bornsim.scenario import parse_scenario, run_scenario
@@ -578,7 +578,7 @@ def test_a_scenario_computes_its_cells_and_arms_once(monkeypatch):
             "shots = 100\nseed = 3\n")
     assert "mc_shots" in dict(run_scenario(parse_scenario(text, "witness")))
     assert calls == {"_cell_weights": 2, "_signaling_check": 2}
-    assert cli._check_witness(1).passed
+    assert verify._check_witness(1).passed
     assert calls == {"_cell_weights": 3, "_signaling_check": 3}
 
 
