@@ -4,57 +4,19 @@
     bornsim verify [--trials N] [--dims-limit D] [--seed S]
     bornsim presets
 
-verify prints one line per property.  Its randomized properties are rows of
-one table run by one trial loop; trial t of a row draws from
-default_rng([seed, stream, t]), which the line's worst_seed names, and an
-invariant violation while a trial's inputs are checked names it too.  The
-loop seeds those generators a block of trials at a time (rand._trial_rngs),
-in the states default_rng gives them.  Every Haar matrix a trial draws is an
-observable's eigenbasis, and its check computes its deviations in the kernel
-that `run` calls for the same claim: pointer._pointer_check,
-signaling._signaling_check and measurement's _entropy_check and
-_target_check.
-
-The trials drawn ahead for one _haar call form a chunk.  Its trials of one
-stack key are checked as arrays, in stacks of at most HAAR_STACK_AMPS
-register amplitudes, one kernel call each: a stack runs the value checks of
-its trials' objects once, through the checkers their constructors call, and
-needs no dims check, as it is built on its states' shape.  Pointer
-trials of one d up to _MAX_PADDED_DIM pad their branch axes and registers
-to d, larger ones of one d and branch counts are not padded, no-signaling
-trials of one shape pad their cells to d_A x d_B, entropy trials of one d
-their branch axes to d, and LL trials of one d and branch count are not
-padded.  Kernels compute every branch column and mask the live ones, so a
-stack's rows are its trials' rows checked alone, whatever the stacks and
-shares; a stack that raises is checked again a trial at a time, so the
-error is the lowest failing trial's, or, if every trial passes alone, the
-stack's own, named after its lowest trial.
-
-Each row's trials run on the CPUs in the process's affinity mask: share w of
-W takes trials t = w (mod W) of every row.  verify forks one set of W - 1
-children per run, and every process runs the same share loop over the rows;
-each child sends all its rows back at once.  The process itself runs share 0,
-then the one-shot checks while the children finish, collects the other
-shares, and merges in print order; a one-shot check's error is kept and
-raised at the check's place there.  Every property is a Check of (key,
-value) fields, and one renderer prints its line.  The printed bytes are the
-same on any CPU count; `taskset -c 0` runs everything in one process.  A process that
-already runs other threads, such as the thread pool numpy's OpenBLAS starts
-on a multi-CPU host unless OPENBLAS_NUM_THREADS=1, does not fork.  Every
-worker holds its own trials' arrays, so W is at most the memory available
-over one worker's peak at --dims-limit.
+verify's batteries, shares and forks are in bornsim.verify, which cmd_verify
+imports when it runs, so `run` and `presets` never load it.
 
 main parses with one argparse parser per process, built on its first call,
 so in-process callers (tests, benchmarks, library use) pay for it once.
 
 Exit codes: 0 success, 1 verify property failure or stdout closed early
 (as by `| head`, with nothing on stderr), 2 parse/usage error
-(including a negative seed and a --dims-limit above MAX_DIMS_LIMIT = 256),
-3 numerical invariant violation (including a pointer setup whose state
+(including a negative seed and a --dims-limit above verify.MAX_DIMS_LIMIT =
+256), 3 numerical invariant violation (including a pointer setup whose state
 exceeds pointer.POINTER_STATE_MAX_AMPS amplitudes, and a telepathy scenario
 asking for more than signaling.MAX_SHOTS Monte Carlo shots).
 """
-
 
 from __future__ import annotations
 
@@ -76,7 +38,6 @@ from .scenario import (
     parse_scenario,
     run_scenario,
 )
-from .verify import run_verify
 
 
 def _render_records(records) -> str:
@@ -132,6 +93,8 @@ def cmd_presets(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verify
+
     return run_verify(args.trials, args.dims_limit, args.seed)
 
 

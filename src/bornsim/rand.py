@@ -15,11 +15,6 @@ array, a state's amplitudes or a Ginibre matrix, is one rng.normal call whose
 first half is the real parts and second half the imaginary parts: the
 doubles, and the generator state after them, of the two calls
 rng.normal(size=shape) + 1j * rng.normal(size=shape).
-
-_trial_rngs gives verify trial t of a stream its generator
-default_rng([seed, stream, t]).  It runs numpy's SeedSequence mixing for a
-block of trials at once, as uint32 arrays, and seeds each trial's PCG64 with
-its row, so every generator's state is the one default_rng builds.
 """
 
 from __future__ import annotations

@@ -1,4 +1,45 @@
-"""The randomized property batteries and one-shot checks of `bornsim verify`."""
+"""`bornsim verify`: the paper's claims as properties checked on seeded trials.
+
+verify prints one line per property.  Its randomized properties are rows of
+one table run by one trial loop; trial t of a row draws from
+default_rng([seed, stream, t]), which the line's worst_seed names, and an
+invariant violation while a trial's inputs are checked names it too.  The
+loop seeds those generators a block of trials at a time (_trial_rngs), in
+the states default_rng gives them.  Every Haar matrix a trial draws is an
+observable's eigenbasis, and its check computes its deviations in the kernel
+that `run` calls for the same claim: pointer._pointer_check,
+signaling._signaling_check and measurement's _entropy_check and
+_target_check.
+
+The trials drawn ahead for one _haar call form a chunk.  Its trials of one
+stack key are checked as arrays, in stacks of at most HAAR_STACK_AMPS
+register amplitudes, one kernel call each: a stack runs the value checks of
+its trials' objects once, through the checkers their constructors call, and
+needs no dims check, as it is built on its states' shape.  Pointer
+trials of one d up to _MAX_PADDED_DIM pad their branch axes and registers
+to d, larger ones of one d and branch counts are not padded, no-signaling
+trials of one shape pad their cells to d_A x d_B, entropy trials of one d
+their branch axes to d, and LL trials of one d and branch count are not
+padded.  Kernels compute every branch column and mask the live ones, so a
+stack's rows are its trials' rows checked alone, whatever the stacks and
+shares; a stack that raises is checked again a trial at a time, so the
+error is the lowest failing trial's, or, if every trial passes alone, the
+stack's own, named after its lowest trial.
+
+Each row's trials run on the CPUs in the process's affinity mask: share w of
+W takes trials t = w (mod W) of every row.  verify forks one set of W - 1
+children per run, and every process runs the same share loop over the rows;
+each child sends all its rows back at once.  The process itself runs share 0,
+then the one-shot checks while the children finish, collects the other
+shares, and merges in print order; a one-shot check's error is kept and
+raised at the check's place there.  Every property is a Check of (key,
+value) fields, and one renderer prints its line.  The printed bytes are the
+same on any CPU count; `taskset -c 0` runs everything in one process.  A process that
+already runs other threads, such as the thread pool numpy's OpenBLAS starts
+on a multi-CPU host unless OPENBLAS_NUM_THREADS=1, does not fork.  Every
+worker holds its own trials' arrays, so W is at most the memory available
+over one worker's peak at --dims-limit.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +47,11 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from functools import cache
 from itertools import groupby, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import _check_densities, _check_states
 from .errors import BornsimError
@@ -381,22 +422,14 @@ def _seed_states(entropy: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-@cache
-def _seed_state_type() -> type:
+class _SeedState(ISeedSequence):
     # A seed sequence whose state is computed ahead: PCG64 asks it for
-    # generate_state(4, np.uint64) once, when it is built.  The class is
-    # made on first use, because importing numpy.random with this module
-    # would load it, about 6 MB, into every process that seeds no trial.
-    from numpy.random.bit_generator import ISeedSequence
+    # generate_state(4, np.uint64) once, when it is built.
+    def __init__(self, state: np.ndarray):
+        self.state = state
 
-    class SeedState(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return SeedState
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
 
 
 def _trial_rngs(seed: int, stream: int, trials: Iterable[int]) -> Iterator[np.random.Generator]:
@@ -408,12 +441,12 @@ def _trial_rngs(seed: int, stream: int, trials: Iterable[int]) -> Iterator[np.ra
     trials whose entropy [seed, stream, t] has as many 32-bit words share
     one entropy array.
     """
-    head, seed_state = _words(seed) + _words(stream), _seed_state_type()
+    head = _words(seed) + _words(stream)
     trials = iter(trials)
     while block := list(islice(trials, _SEED_BLOCK)):
         for _, group in groupby((head + _words(t) for t in block), len):
             for state in _seed_states(np.array(list(group), dtype=np.uint32).T):
-                yield np.random.Generator(np.random.PCG64(seed_state(state)))
+                yield np.random.Generator(np.random.PCG64(_SeedState(state)))
 
 
 def _check_chunk(row: _Battery, chunk: list):
