@@ -26,18 +26,9 @@ import os
 import sys
 
 from .errors import BornsimError
-from .presets import (
-    OBSERVABLE_PRESET_DESCRIPTIONS,
-    SCENARIO_PRESETS,
-    STATE_PRESET_DESCRIPTIONS,
-    scenario_preset_text,
-)
-from .scenario import (
-    DEFAULT_SEED,
-    ScenarioParseError,
-    parse_scenario,
-    run_scenario,
-)
+from .presets import (OBSERVABLE_PRESET_DESCRIPTIONS, SCENARIO_PRESETS, STATE_PRESET_DESCRIPTIONS,
+                      scenario_preset_text)
+from .scenario import DEFAULT_SEED, ScenarioParseError, parse_scenario, run_scenario
 
 
 def _render_records(records) -> str:

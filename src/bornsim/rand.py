@@ -19,9 +19,9 @@ rng.normal(size=shape) + 1j * rng.normal(size=shape).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import accumulate
 from math import prod
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -60,6 +60,24 @@ def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
     return _complex_normal(rng, (dim, dim))
 
 
+def _stacks(items: Iterable[tuple[Hashable, int]]) -> list[list[int]]:
+    """The indices of (key, amplitudes) items in stacks of one key, in order.
+
+    An item joins its key's last stack while that stays within
+    HAAR_STACK_AMPS amplitudes and starts a stack otherwise, so an item
+    larger than that is a stack alone.
+    """
+    stacks, last = [], {}  # last: key -> [indices, amplitudes] of its last stack
+    for i, (key, amps) in enumerate(items):
+        stack = last.get(key)
+        if stack is None or stack[1] + amps > HAAR_STACK_AMPS:
+            stack = last[key] = [[], 0]
+            stacks.append(stack[0])
+        stack[0].append(i)
+        stack[1] += amps
+    return stacks
+
+
 def _haar(ginibres: list[np.ndarray]) -> list[np.ndarray]:
     """Haar unitaries from square Ginibre matrices by phase-fixed QR, in order.
 
@@ -68,20 +86,14 @@ def _haar(ginibres: list[np.ndarray]) -> list[np.ndarray]:
     per matrix, so each unitary is bit-identical to a QR of its matrix alone.
     Each unitary is a slice of its stack, which lives as long as any of them.
     """
-    by_size = defaultdict(list)
-    for i, z in enumerate(ginibres):
-        by_size[len(z)].append(i)
     out = [None] * len(ginibres)
-    for d, idx in by_size.items():
-        step = max(1, HAAR_STACK_AMPS // (d * d))
-        for lo in range(0, len(idx), step):
-            chunk = idx[lo:lo + step]
-            q, r = np.linalg.qr(np.stack([ginibres[i] for i in chunk]))
-            phases = np.diagonal(r, axis1=1, axis2=2).copy()
-            phases /= np.abs(phases)
-            q *= phases[:, None, :]
-            for i, u in zip(chunk, q):
-                out[i] = u
+    for stack in _stacks((len(z), z.size) for z in ginibres):
+        q, r = np.linalg.qr(np.stack([ginibres[i] for i in stack]))
+        phases = np.diagonal(r, axis1=1, axis2=2).copy()
+        phases /= np.abs(phases)
+        q *= phases[:, None, :]
+        for i, u in zip(stack, q):
+            out[i] = u
     return out
 
 

@@ -34,11 +34,11 @@ then the one-shot checks while the children finish, collects the other
 shares, and merges in print order; a one-shot check's error is kept and
 raised at the check's place there.  Every property is a Check of (key,
 value) fields, and one renderer prints its line.  The printed bytes are the
-same on any CPU count; `taskset -c 0` runs everything in one process.  A process that
-already runs other threads, such as the thread pool numpy's OpenBLAS starts
-on a multi-CPU host unless OPENBLAS_NUM_THREADS=1, does not fork.  Every
-worker holds its own trials' arrays, so W is at most the memory available
-over one worker's peak at --dims-limit.
+same on any CPU count; `taskset -c 0` runs everything in one process.  A
+process that already runs other threads, such as the thread pool numpy's
+OpenBLAS starts on a multi-CPU host unless OPENBLAS_NUM_THREADS=1, does not
+fork.  Every worker holds its own trials' arrays, so W is at most the memory
+available over one worker's peak at --dims-limit.
 """
 
 from __future__ import annotations
@@ -55,38 +55,15 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .core import _check_densities, _check_states
 from .errors import BornsimError
-from .measurement import (
-    BORN,
-    ProbabilityRule,
-    _entropy_check,
-    _target_check,
-    rule_probabilities,
-)
+from .measurement import BORN, ProbabilityRule, _entropy_check, _target_check, rule_probabilities
 from .observables import _checked_stack, embed_observable
-from .pointer import (
-    POINTER_STATE_MAX_AMPS,
-    SCHEME_AGREEMENT_TOL,
-    _oracle_gap,
-    _pointer_check,
-    one_pointer_setup,
-    run_one_pointer,
-)
+from .pointer import (POINTER_STATE_MAX_AMPS, SCHEME_AGREEMENT_TOL, _oracle_gap, _pointer_check,
+                      one_pointer_setup, run_one_pointer)
 from .presets import observable_preset, state_preset
-from .rand import (
-    HAAR_STACK_AMPS,
-    _draw_density,
-    _draw_observable,
-    _draw_state,
-    _haar,
-)
+from .rand import HAAR_STACK_AMPS, _draw_density, _draw_observable, _draw_state, _haar, _stacks
 from .scenario import ScenarioParseError
-from .signaling import (
-    TelepathyScenario,
-    _arms,
-    _cell_weights,
-    _signaling_check,
-    channel_simulation,
-)
+from .signaling import (TelepathyScenario, _arms, _cell_weights, _signaling_check,
+                        channel_simulation)
 
 
 @dataclass(frozen=True)
@@ -110,9 +87,6 @@ def _render_check(check: Check) -> str:
         for key, value in check.fields)
     return f"{check.name:<24} {fields}  {'PASS' if check.passed else 'FAIL'}"
 
-
-
-# ------------------------------------------------------------ verify batteries
 
 def _check_epr() -> Check:
     sigma_z = observable_preset("sigma_z")
@@ -452,23 +426,15 @@ def _trial_rngs(seed: int, stream: int, trials: Iterable[int]) -> Iterator[np.ra
 def _check_chunk(row: _Battery, chunk: list):
     """(t, row or exception) for a chunk's trials in order, up to the first exception.
 
-    The trials are put in stacks by their stack key, and each stack is
-    checked in one call.  A stack that raises is checked again a trial at a
+    The trials are put in stacks by their stack key (rand._stacks), and each
+    stack is checked in one call.  A stack that raises is checked again a trial at a
     time, so the exception is the lowest failing trial's own; if every trial
     passes alone, the fault is the stack's, and its exception is pinned on
     the stack's lowest trial.
     """
-    stacks, filling = [], {}  # filling: key -> [trials, amplitudes] of its last stack
-    for trial in chunk:
-        key, amps = trial[3]
-        last = filling.get(key)
-        if last is None or last[1] + amps > HAAR_STACK_AMPS:
-            last = filling[key] = [[], 0]
-            stacks.append(last[0])
-        last[0].append(trial)
-        last[1] += amps
     outcomes = {}
-    for stack in stacks:
+    for stack in _stacks(trial[3] for trial in chunk):
+        stack = [chunk[i] for i in stack]
         try:
             outcomes.update(zip([t for t, *_ in stack],
                                 row.check([(obs, inputs) for _, obs, inputs, _ in stack])))

@@ -40,6 +40,13 @@ def run_proc(*argv):
     )
 
 
+def _bornsim_modules():
+    # Every loaded bornsim module, so that a patch reaches each name that
+    # binds its target; bornsim.verify is imported above, before any patch.
+    return [module for name, module in sorted(sys.modules.items())
+            if name == "bornsim" or name.startswith("bornsim.")]
+
+
 def set_workers(monkeypatch, workers):
     # verify runs in this many shares: share 0 of every battery in this
     # process, each other share in one forked child.  Tests that count calls
@@ -571,6 +578,15 @@ def test_dims_limit_above_the_pointer_cap_is_refused_before_any_trial(capsys):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("argv", [["run", "epr_bohm"], ["presets"]])
+def test_run_and_presets_leave_verify_unloaded(argv):
+    probe = ("import sys; from bornsim.cli import main; code = main(sys.argv[1:]); "
+             "print('bornsim.verify' in sys.modules, file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -786,7 +802,7 @@ def test_verify_batteries_build_no_per_branch_objects(capsys, monkeypatch):
                 calls[battery[0], "scenarios"] += len(args[0])
             return original(*args, **kwargs)
 
-        for module in (home, measurement, pointer, signaling, verify, scenario):
+        for module in _bornsim_modules():
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     classes = (observables.Observable, core.StateVector, pointer.PointerSchemeSetup,
@@ -979,8 +995,9 @@ def test_ll_channel_invariance_fails_on_shifted_weights(capsys, monkeypatch):
 
 
 def _set_haar_stack_amps(monkeypatch, amps):
-    for module in (rand, verify):
-        monkeypatch.setattr(module, "HAAR_STACK_AMPS", amps)
+    for module in _bornsim_modules():
+        if hasattr(module, "HAAR_STACK_AMPS"):
+            monkeypatch.setattr(module, "HAAR_STACK_AMPS", amps)
 
 
 def _qr_calls(monkeypatch):
@@ -1232,8 +1249,8 @@ def _overscale_reflection_coefficient(original):
 
 def _patch_everywhere(monkeypatch, name, mutant):
     # Replaces the function name, looked up in its home module, with
-    # mutant(original) in every module that binds it.
-    modules = (pointer, measurement, signaling, verify, scenario)
+    # mutant(original) in every loaded bornsim module that binds it.
+    modules = _bornsim_modules()
     original = next(getattr(m, name) for m in modules if hasattr(m, name))
     for module in modules:
         if getattr(module, name, None) is original:
@@ -1275,6 +1292,57 @@ def test_each_pointer_property_fails_on_its_defect(capsys, monkeypatch, name, mu
     failed = [l.split()[0] for l in out.splitlines() if l.endswith("FAIL")]
     assert failed == [prop]
     assert "verify: 1 of 9 properties FAILED" in out
+
+
+def _conjugate_parts(original):
+    # The right joints and the complex conjugates of the post-measurement states.
+    def mutant(*args):
+        parts, joint = original(*args)
+        return parts.conj(), joint
+
+    return mutant
+
+
+def _swap_first_two_posteriors(original):
+    # Each trial's first two live conditional states trade places.
+    def mutant(blocks, obs, weights, live):
+        out = original(blocks, obs, weights, live).copy()
+        trials = np.nonzero(live)[0]
+        for trial in np.unique(trials):
+            first_two = np.flatnonzero(trials == trial)[:2]
+            out[first_two] = out[first_two[::-1]]
+        return out
+
+    return mutant
+
+
+def _every_exponent_as_two(original):
+    # Every rule but Born computed as q = 2.
+    def mutant(weights, rule):
+        return original(weights, rule if rule.exponent == 1.0 else measurement.ProbabilityRule(2.0))
+
+    return mutant
+
+
+# Defects that break a claim and that verify passes at these seeds: each row
+# xfails until verify FAILs its mutant, and then moves to the table above.
+@pytest.mark.xfail(strict=True, reason="verify cannot see this defect yet")
+@pytest.mark.parametrize(
+    "name, mutant, seed",
+    [
+        ("_two_pointer", _conjugate_parts, "1"),
+        ("_conditionals", _swap_first_two_posteriors, "1"),
+        ("_conditionals", _swap_first_two_posteriors, "7"),
+        ("_conditionals", _swap_first_two_posteriors, "1234"),
+        ("_transform_weights", _every_exponent_as_two, "1"),
+        ("_transform_weights", _every_exponent_as_two, "7"),
+    ],
+)
+def test_verify_fails_each_defect_it_cannot_see_yet(capsys, monkeypatch, name, mutant, seed):
+    set_workers(monkeypatch, 2)
+    _patch_everywhere(monkeypatch, name, mutant)
+    code, out, _ = run_cli(capsys, "verify", "--seed", seed)
+    assert code == 1 and "properties FAILED" in out
 
 
 def _nan_gap(original):

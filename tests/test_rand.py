@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from bornsim.rand import (
+    HAAR_STACK_AMPS,
     _draw_density,
     _draw_state,
     _ginibre,
     _haar,
+    _stacks,
     random_observable,
     random_unitary,
 )
@@ -53,6 +55,17 @@ def test_stacked_haar_equals_one_qr_per_matrix():
     assert [u.shape for u in unitaries] == [(d, d) for d in sizes]
     for z, u in zip(ginibres, unitaries):
         assert np.array_equal(u, _per_matrix_haar(z))
+
+
+@pytest.mark.parametrize("d", [2, 7, 64, 256, 300])
+def test_stacks_of_one_size_hold_the_amplitude_budget(d):
+    # Interleaved with a key of another size, the d x d matrices fall into
+    # runs of max(1, HAAR_STACK_AMPS // d**2), in order; a larger one is alone.
+    step, n = max(1, HAAR_STACK_AMPS // d**2), 3 * max(1, HAAR_STACK_AMPS // d**2) + 1
+    stacks = _stacks([(d, d * d), ("other", 1)] * n)
+    mine = [stack for stack in stacks if stack[0] % 2 == 0]
+    assert mine == [list(range(2 * lo, 2 * min(lo + step, n), 2)) for lo in range(0, n, step)]
+    assert [stack for stack in stacks if stack[0] % 2] == [list(range(1, 2 * n, 2))]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
