@@ -1,7 +1,7 @@
 """Seeded random generators for states, unitaries, observables, densities.
 
 Everything takes an explicit numpy Generator; nothing here owns randomness.
-Used by the CLI verify batteries and by the test suite.
+Used by the verify batteries and by the test suite.
 
 A Haar unitary is drawn in two steps: _ginibre makes every rng call, and
 _haar turns any number of Ginibre matrices into unitaries, with one stacked
@@ -19,16 +19,17 @@ rng.normal(size=shape) + 1j * rng.normal(size=shape).
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable
 from itertools import accumulate
 from math import prod
-from typing import Hashable, Iterable
 
 import numpy as np
 
 from .core import DensityMatrix, StateVector
 from .observables import Observable
 
-# Most amplitudes one stacked QR in _haar takes (one matrix, if larger);
+# Most amplitudes one stack of _stacks holds (one item, if larger): a
+# stacked QR in _haar, or a stack of verify trials checked in one call;
 # verify also draws trials ahead only until their Ginibre matrices reach it.
 HAAR_STACK_AMPS = 2**16
 

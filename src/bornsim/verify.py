@@ -433,8 +433,8 @@ def _check_chunk(row: _Battery, chunk: list):
     the stack's lowest trial.
     """
     outcomes = {}
-    for stack in _stacks(trial[3] for trial in chunk):
-        stack = [chunk[i] for i in stack]
+    for indices in _stacks(trial[3] for trial in chunk):
+        stack = [chunk[i] for i in indices]
         try:
             outcomes.update(zip([t for t, *_ in stack],
                                 row.check([(obs, inputs) for _, obs, inputs, _ in stack])))

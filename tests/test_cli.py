@@ -664,7 +664,7 @@ def test_one_renderer_prints_every_property_line():
 
 def test_a_battery_row_is_a_check_of_fields():
     (check,) = verify._battery_checks(verify._ENTROPY, 0, 1234,
-                                   [verify._run_share(verify._ENTROPY, range(50), 6, 1234)])
+                                      [verify._run_share(verify._ENTROPY, range(50), 6, 1234)])
     fields = dict(check.fields)
     assert [key for key, _ in check.fields] == ["worst", "limit", "trials", "worst_seed"]
     assert fields["limit"] == 1e-10 and fields["trials"] == 50
@@ -1318,15 +1318,18 @@ def _swap_first_two_posteriors(original):
 
 def _every_exponent_as_two(original):
     # Every rule but Born computed as q = 2.
+    q2 = measurement.ProbabilityRule(2.0)
+
     def mutant(weights, rule):
-        return original(weights, rule if rule.exponent == 1.0 else measurement.ProbabilityRule(2.0))
+        return original(weights, rule if rule.exponent == 1.0 else q2)
 
     return mutant
 
 
 # Defects that break a claim and that verify passes at these seeds: each row
 # xfails until verify FAILs its mutant, and then moves to the table above.
-@pytest.mark.xfail(strict=True, reason="verify cannot see this defect yet")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="verify cannot see this defect yet")
 @pytest.mark.parametrize(
     "name, mutant, seed",
     [
@@ -1839,7 +1842,8 @@ def test_a_trials_row_does_not_depend_on_its_stack(seed):
     # stacks of one d and branch counts are not padded.
     unpadded = lambda key: key[0] > verify._MAX_PADDED_DIM
     for row, count, dims_limit, largest, kept in (
-            (verify._POINTER, 100, 6, 12, None), (verify._POINTER, 40, verify._MAX_PADDED_DIM, 3, None),
+            (verify._POINTER, 100, 6, 12, None),
+            (verify._POINTER, 40, verify._MAX_PADDED_DIM, 3, None),
             (verify._NO_SIGNALING, 100, 4, 8, None), (verify._ENTROPY, 100, 6, 10, None),
             (verify._LL, 100, 6, 11, None), (verify._POINTER, 400, 18, 2, unpadded)):
         stacks = {}

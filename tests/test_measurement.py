@@ -506,7 +506,7 @@ def test_classical_blocks_built_once_per_state(monkeypatch):
     assert "p.0" in records and "p.1" in records
     calls.clear()
     (check,) = verify._battery_checks(verify._ENTROPY, 0, 1234,
-                                   [verify._run_share(verify._ENTROPY, range(50), 6, 1234)])
+                                      [verify._run_share(verify._ENTROPY, range(50), 6, 1234)])
     assert check.passed
     assert len(calls) == len(set(_entropy_dims(50))) and sum(calls) > 50
 
@@ -522,7 +522,7 @@ def test_entropy_path_dephases_once(monkeypatch):
 
     monkeypatch.setattr(measurement, "_dephase", counting)
     (check,) = verify._battery_checks(verify._ENTROPY, 0, 1234,
-                                   [verify._run_share(verify._ENTROPY, range(50), 6, 1234)])
+                                      [verify._run_share(verify._ENTROPY, range(50), 6, 1234)])
     dims = _entropy_dims(50)
     assert check.passed and sorted(calls) == sorted(map(dims.count, set(dims)))
     calls.clear()
